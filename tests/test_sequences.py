@@ -1,8 +1,12 @@
 """Coefficient sequences: summability reports, the three-series test,
 scale-space membership, and shift admissibility."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import erf, erfc
 
 from stableinfer import (
     DivisionByZeroScaleError,
@@ -120,6 +124,48 @@ class TestThreeSeries:
         out = three_series_check(PowerLaw(1.0, 2.0), 1.5, 1.0, 1.0, depth=1024)
         assert out.verdict is SeriesVerdict.CONVERGENT
         assert out.s0 > 0 and out.s1 > 0 and out.s2 > 0
+
+    def test_gaussian_terms_against_truncated_normal(self):
+        # alpha = 2 is N(0, 2): P[|u| > c] = erfc(c/2),
+        # E[|u|; |u| <= c] = (2/sqrt(pi))(1 - e^(-c^2/4)),
+        # E[u^2; |u| <= c] = 2 erf(c/2) - (2c/sqrt(pi)) e^(-c^2/4)
+        depth = 2 ** 14
+        out = three_series_check(PowerLaw(1.0, 1.0), 2.0, 1.0, 1.0, depth=depth)
+        n = np.arange(1, depth + 1, dtype=float)
+        c = n  # cut = threshold / gamma_n
+        m1 = (2.0 / math.sqrt(math.pi)) * (1.0 - np.exp(-c * c / 4.0))
+        m2 = 2.0 * erf(c / 2.0) - (2.0 * c / math.sqrt(math.pi)) * np.exp(-c * c / 4.0)
+        assert out.s0 == pytest.approx(erfc(c / 2.0).sum(), rel=1e-12)
+        assert out.s1 == pytest.approx((m1 / n).sum(), rel=1e-5)
+        assert out.s2 == pytest.approx((m2 / n ** 2).sum(), rel=1e-5)
+
+    def test_stable_survival_against_series(self):
+        # P[|u| > c] for the symmetric alpha = 1.5 law in mpmath: 1 - 2 int_0^c f
+        # by its convergent power series below 8, by the asymptotic tail series above
+        from stableinfer.sequences import _symmetric_truncated_term_tables
+
+        alpha = mp.mpf(3) / 2
+        cuts = np.array([0.5, 2.0, 20.0, 1000.0])
+        survival = _symmetric_truncated_term_tables(1.5, 1.0, cuts)(cuts)[0]
+        for cut, got in zip(cuts, survival):
+            with mp.workdps(40):
+                x = mp.mpf(cut)
+                if cut < 8:
+                    cdf = mp.nsum(lambda k: (-1) ** k * mp.gamma((2 * k + 1) / alpha) * x ** (2 * k + 1)
+                                  / (mp.factorial(2 * k) * (2 * k + 1)), [0, mp.inf]) / (mp.pi * alpha)
+                    want = 1 - 2 * cdf
+                else:
+                    # 2 sum_k a_k x^(-alpha k)/(alpha k), a_k = (-1)^(k+1) Gamma(alpha k + 1)
+                    # sin(pi alpha k/2)/(pi k!), summed while the terms shrink
+                    want, last = mp.mpf(0), mp.inf
+                    for k in range(1, 60):
+                        term = (2 * (-1) ** (k + 1) * mp.gamma(alpha * k + 1) * mp.sin(mp.pi * alpha * k / 2)
+                                / (mp.pi * mp.factorial(k)) * x ** (-alpha * k) / (alpha * k))
+                        size = mp.gamma(alpha * k + 1) / mp.factorial(k) * x ** (-alpha * k)
+                        if size > last:
+                            break
+                        want, last = want + term, size
+            assert got == pytest.approx(float(want), rel=1e-11)
 
     def test_explicit_finite_data_converges(self):
         out = three_series_check(Explicit((1.0, 0.5, 0.25)), 1.0, 1.0, 1.0)

@@ -3,6 +3,7 @@ each checked against an independent quadrature oracle."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -12,6 +13,7 @@ from stableinfer import (
     cauchy_cdf,
     cauchy_pdf,
     fractional_moment,
+    stable_pdf,
     tail_asymptote,
     truncated_cauchy_moments,
     validate_params,
@@ -53,6 +55,50 @@ class TestFractionalMoment:
         out = fractional_moment(validate_params(1.0, 0.0, 0.0, -2.0), 0.5)
         assert out.value == pytest.approx(math.sqrt(2.0))
 
+    @pytest.mark.parametrize("alpha,beta,p", [(1.5, 0.3, 0.75), (0.6, -0.8, 0.5), (1.9, 0.9, 1.0)])
+    def test_strictly_stable_closed_form(self, alpha, beta, p):
+        # Samorodnitsky & Taqqu 1.2.17 in its original form, with the
+        # integral of u^(-p-1) sin^2 u over (0, inf) in mpmath; past u = 1
+        # it is split by sin^2 u = (1 - cos 2u)/2
+        gamma = 2.0
+        tan = math.tan(math.pi * alpha / 2.0)
+        params = validate_params(alpha, beta, gamma, beta * gamma * tan)
+        with mp.workdps(30):
+            head = mp.quad(lambda u: u ** (-p - 1) * mp.sin(u) ** 2, [0, 1])
+            wave = mp.quadosc(lambda u: u ** (-p - 1) * mp.cos(2 * u), [1, mp.inf], period=mp.pi)
+            sine = head + 1 / (2 * mp.mpf(p)) - wave / 2
+            want = (2 ** (p - 1) * mp.gamma(1 - p / alpha) / (p * sine)
+                    * (1 + beta ** 2 * tan ** 2) ** (p / (2 * alpha))
+                    * mp.cos(p / alpha * mp.atan(beta * tan)) * gamma ** p)
+        assert fractional_moment(params, p).value == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta,p", [(1.5, 0.3, 0.75), (0.6, -0.8, 0.5)])
+    def test_numeric_path_meets_closed_form(self, alpha, beta, p):
+        # a location 1e-9 off the strictly stable one takes the quadrature path
+        delta = beta * math.tan(math.pi * alpha / 2.0)
+        closed = fractional_moment(validate_params(alpha, beta, 1.0, delta), p).value
+        numeric = fractional_moment(validate_params(alpha, beta, 1.0, delta + 1e-9), p).value
+        assert numeric == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha,beta,p,delta", [(1.5, 0.3, 0.75, 0.0), (1.0, 0.4, 0.5, 3.0)])
+    def test_numeric_path_against_quadrature(self, alpha, beta, p, delta):
+        # adaptive quadrature: |u|^p against the density on [-L, L] and, past
+        # +-L, p|u|^(p-1) against the tail probabilities (integration by parts)
+        from stableinfer.stable import _standard_pdf, _standard_sf
+
+        def quad(f, lo, hi):
+            return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+
+        L = 1e3
+        body = sum(quad(lambda u: abs(u) ** p * float(_standard_pdf(alpha, beta, u - delta)), lo, hi)
+                   for lo, hi in ((-L, 0.0), (0.0, delta), (delta, L)))
+        right = L ** p * float(_standard_sf(alpha, beta, L - delta)) + quad(
+            lambda u: p * u ** (p - 1) * float(_standard_sf(alpha, beta, u - delta)), L, np.inf)
+        left = L ** p * float(_standard_sf(alpha, -beta, L + delta)) + quad(
+            lambda u: p * u ** (p - 1) * float(_standard_sf(alpha, -beta, u + delta)), L, np.inf)
+        out = fractional_moment(validate_params(alpha, beta, 1.0, delta), p)
+        assert out.value == pytest.approx(body + right + left, rel=1e-8)
+
     def test_shifted_cauchy_against_quadrature(self):
         out = fractional_moment(StableParams.cauchy(1.5, 1.0), 0.5)
         oracle, _ = integrate.quad(
@@ -62,6 +108,22 @@ class TestFractionalMoment:
 
 
 class TestTailAsymptote:
+    def test_tail_constant_exact(self):
+        from stableinfer.stable import _tail_constant
+
+        assert _tail_constant(1.0) == pytest.approx(1.0 / math.pi, rel=1e-15)
+        with mp.workdps(30):
+            want = mp.gamma(mp.mpf(1) / 2) * mp.sin(mp.pi / 4) / mp.pi
+        assert _tail_constant(0.5) == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_density_approaches_asymptote(self, alpha):
+        # the leading term's relative error falls like x^-min(alpha, 1)
+        p = validate_params(alpha, 0.4, 1.0, 0.0)
+        for x in (1e6, 1e10):
+            rho = stable_pdf(p, x)
+            assert abs(rho / tail_asymptote(p, x).pdf - 1.0) < 5.0 * x ** -min(alpha, 1.0)
+
     def test_power_law_doubling_ratio_exact(self):
         p = validate_params(1.5, 0.3, 2.0, 0.0)
         a = tail_asymptote(p, 40.0)
