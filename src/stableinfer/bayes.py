@@ -233,18 +233,16 @@ def log_growth_envelopes(kappa: float, c_plus: float, c_minus: float,
 # weights, normalisation, posterior
 # ---------------------------------------------------------------------------
 
-def _coerce_batch(u) -> tuple[np.ndarray, str, Optional[int]]:
-    """Extract (matrix, reference id, seed) from an ensemble or raw array."""
+def _coerce_batch(u) -> np.ndarray:
+    """The sample matrix of an ensemble or raw array."""
     if isinstance(u, FieldEnsemble):
-        return np.atleast_2d(u.coefficients), u.reference_id(), u.seed
-    arr = np.atleast_2d(np.asarray(u, dtype=float))
-    digest = sha1(arr.tobytes()).hexdigest()[:16]
-    return arr, f"array:{digest}", None
+        return np.atleast_2d(u.coefficients)
+    return np.atleast_2d(np.asarray(u, dtype=float))
 
 
 def evaluate_misfit_batch(potential: PotentialSpec, u, y) -> np.ndarray:
     """Phi(u_i; y) for every sample in the batch; values must be finite."""
-    batch, _, _ = _coerce_batch(u)
+    batch = _coerce_batch(u)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     values = np.asarray(potential.misfit(batch, y), dtype=float)
     if values.shape != (batch.shape[0],):
@@ -273,27 +271,15 @@ class ZEstimate:
     underflow_flagged: bool
 
 
-def _shifted_weights(misfits: np.ndarray) -> tuple[np.ndarray, float]:
-    shift = float(misfits.min())
-    return np.exp(-(misfits - shift)), shift
-
-
-def _ess(weights: np.ndarray) -> float:
-    s = weights.sum()
-    return float(s * s / (weights ** 2).sum())
-
-
-def normalization_constant(potential: PotentialSpec, ensemble, y,
-                           min_ess: float = _MIN_ESS) -> ZEstimate:
-    """Monte Carlo estimate of Z(y), with standard error.
-
-    Raises DegenerateWeightsError when the effective sample size drops
-    below min_ess; flags (without failing) the case where Z is zero
-    relative to the recorded shift.
-    """
+def _weigh(potential: PotentialSpec, ensemble, y,
+           min_ess: float) -> tuple[np.ndarray, ZEstimate]:
+    """Shifted weights exp(-(Phi - min Phi)) and the Z estimate they give,
+    from one misfit evaluation."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
-    w, shift = _shifted_weights(misfits)
-    ess = _ess(w)
+    shift = float(misfits.min())
+    w = np.exp(-(misfits - shift))
+    s = w.sum()
+    ess = float(s * s / (w ** 2).sum())
     if ess < min_ess:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} < {min_ess}: weights are "
@@ -304,10 +290,21 @@ def normalization_constant(potential: PotentialSpec, ensemble, y,
     z = math.exp(-shift) * mean_w
     log_z = -shift + math.log(mean_w)
     stderr = math.exp(-shift) * float(w.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return ZEstimate(
+    return w, ZEstimate(
         z=z, stderr=stderr, log_z=log_z, shift=shift, ess=ess,
         underflow_flagged=bool(z == 0.0 or not math.isfinite(z)),
     )
+
+
+def normalization_constant(potential: PotentialSpec, ensemble, y,
+                           min_ess: float = _MIN_ESS) -> ZEstimate:
+    """Monte Carlo estimate of Z(y), with standard error.
+
+    Raises DegenerateWeightsError when the effective sample size drops
+    below min_ess; flags (without failing) the case where Z is zero
+    relative to the recorded shift.
+    """
+    return _weigh(potential, ensemble, y, min_ess)[1]
 
 
 @dataclass
@@ -328,18 +325,15 @@ def posterior(potential: PotentialSpec, ensemble, y,
     respect to the prior at the sample level; additive constants in Phi
     cancel exactly.
     """
-    _, ref_id, _ = _coerce_batch(ensemble)
-    misfits = evaluate_misfit_batch(potential, ensemble, y)
-    w, _ = _shifted_weights(misfits)
-    ess = _ess(w)
-    if ess < min_ess:
-        raise DegenerateWeightsError(
-            f"effective sample size {ess:.2f} < {min_ess}"
-        )
-    z = normalization_constant(potential, ensemble, y, min_ess=min_ess)
+    batch = _coerce_batch(ensemble)
+    w, z = _weigh(potential, batch, y, min_ess)
+    if isinstance(ensemble, FieldEnsemble):
+        ref_id = ensemble.reference_id()
+    else:
+        ref_id = "array:" + sha1(batch.tobytes()).hexdigest()[:16]
     measure = WeightedSampleMeasure(reference_id=ref_id, weights=w)
     return PosteriorEstimate(y=np.atleast_1d(np.asarray(y, dtype=float)),
-                             z=z, measure=measure, ess=ess)
+                             z=z, measure=measure, ess=z.ess)
 
 
 def posterior_expectation(f_values, post: PosteriorEstimate) -> tuple[float, float]:
@@ -409,7 +403,7 @@ def integrability_estimates(potential: PotentialSpec, ensemble, r: float) -> Int
     unstable, the desk-scale signature of an integrand with no finite
     mean under a heavy-tailed prior.
     """
-    batch, _, _ = _coerce_batch(ensemble)
+    batch = _coerce_batch(ensemble)
     t = rowwise_quasi_norm(batch, potential.u_norm)
     m1 = np.asarray(potential.m1(r, t), dtype=float)
     m2 = np.asarray(potential.m2(r, t), dtype=float)
@@ -534,7 +528,7 @@ def data_lipschitz_sweep(potential: PotentialSpec, ensemble, y,
         stderrs.append(se)
         tvs.append(total_variation_empirical(base.measure, pert.measure))
         zs.append(pert.z.z)
-    _, _, seed = _coerce_batch(ensemble)
+    seed = ensemble.seed if isinstance(ensemble, FieldEnsemble) else None
     return _sweep_report("data", epsilons, zs, stderrs,
                          distances, tvs, seed, base.measure.weights.size)
 
@@ -595,7 +589,7 @@ def likelihood_perturbation_sweep(potential: PotentialSpec, perturbation_family,
         tvs.append(total_variation_empirical(base.measure, pert.measure))
         zs.append(pert.z.z)
         sizes.append(psi(n_approx))
-    _, _, seed = _coerce_batch(ensemble)
+    seed = ensemble.seed if isinstance(ensemble, FieldEnsemble) else None
     return _sweep_report("likelihood", sizes, zs, stderrs,
                          distances, tvs, seed, base.measure.weights.size)
 
@@ -665,7 +659,7 @@ def spot_check_envelopes(potential: PotentialSpec, ensemble, r: float,
     factor on sampled prior points.  Catches declaration errors; not a
     proof.
     """
-    batch, _, _ = _coerce_batch(ensemble)
+    batch = _coerce_batch(ensemble)
     gen = np.random.default_rng(seed)
     idx = gen.integers(0, batch.shape[0], size=min(n_probes, batch.shape[0]))
     u = batch[idx]

@@ -4,13 +4,15 @@ One experiment per invocation, described by a JSON config file:
 
     {"experiment": "data_sweep", "seed": 123, "params": {...}}
 
-``stableinfer run --config cfg.json [--out DIR] [--seed N] [--threads N]``
-executes the experiment and writes CSV/JSON artifacts plus a manifest
-(file list with hashes, wall time, config hash).  ``stableinfer
-validate --config cfg.json`` parses and cross-checks without running.
-Identical configs produce byte-identical numeric artifacts; every CSV
-carries a comment line with the config hash and seed.  Exit codes:
-0 success, 2 config error, 3 runtime/numeric failure.
+``stableinfer validate --config cfg.json`` parses the config once into
+the typed inputs its experiment uses and cross-checks them, so every
+malformed value is a config error before anything runs.  ``stableinfer
+run --config cfg.json [--out DIR] [--seed N]`` executes the experiment
+on those inputs and writes CSV/JSON artifacts plus a manifest (file
+list with hashes, wall time, config hash).  Identical configs produce
+byte-identical numeric artifacts; every CSV carries a comment line with
+the config hash and seed.  Exit codes: 0 success, 2 config error,
+3 runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,25 +35,21 @@ from .errors import ConfigError, StableInferError
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main", "EXPERIMENT_KINDS"]
 
-EXPERIMENT_KINDS = (
-    "figure2",
-    "radial_demo",
-    "ratio_demo",
-    "three_series",
-    "summability",
-    "flom",
-    "bayes_run",
-    "data_sweep",
-    "likelihood_sweep",
-    "kl_table",
-)
+_SEED_MAX = 2 ** 128 - 1  # Philox keys are 128-bit
+# checking a prior evaluates its sequences over the whole truncation; the bound
+# also keeps a row's uniforms inside sample_coefficients' 2^24-double block
+_MAX_TRUNCATION = 2 ** 23
+_MAX_LEVELS = 22  # 2^(levels + 1) - 1 functions, at most _MAX_TRUNCATION
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config: raw ``params`` (hashed) and the typed ``inputs``."""
+
     experiment: str
     seed: int
     params: dict
+    inputs: SimpleNamespace
 
     def canonical_json(self) -> str:
         payload = {"experiment": self.experiment, "seed": self.seed, "params": self.params}
@@ -59,30 +60,77 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# parsing: JSON values to typed inputs
 # ---------------------------------------------------------------------------
+# Each converter takes (value, where, ...) and returns the typed value or
+# raises ConfigError naming where the value sits in the config.
+
+def _number(value, where: str, low=-math.inf, high=math.inf) -> float:
+    """A finite number in (low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            low < value <= high and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite number in ({low}, {high}], got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str, low: int = 1, high=math.inf) -> int:
+    """An integer in [low, high]; integral floats such as 1e6 count."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ConfigError(f"{where}: expected an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _list(value, where: str, item, **kwargs) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [item(v, where, **kwargs) for v in value]
+
+
+def _vector(value, where: str, sizes) -> np.ndarray:
+    """A number or a list of numbers with one of the allowed sizes."""
+    values = _list(value if isinstance(value, list) else [value], where, _number)
+    if len(values) not in sizes:
+        raise ConfigError(f"{where}: expected {' or '.join(map(str, sizes))} entries "
+                          f"(one per prior coefficient), got {len(values)}")
+    return np.array(values)
+
+
+_REQUIRED = object()
+
+
+class _Params:
+    """Reads one JSON object, keeping each converted value on `inputs`."""
+
+    def __init__(self, obj, where: str):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: expected an object, got {obj!r}")
+        self.obj = obj
+        self.where = where
+        self.inputs = SimpleNamespace()
+
+    def read(self, name: str, convert, default=_REQUIRED, **kwargs):
+        if name not in self.obj and default is _REQUIRED:
+            raise ConfigError(f"{self.where}: missing required parameter {name!r}")
+        value = convert(self.obj.get(name, default), f"{self.where}.{name}", **kwargs)
+        setattr(self.inputs, name, value)
+        return value
+
 
 def _parse_sequence(obj, where: str):
-    if isinstance(obj, (int, float)):
-        return sequences.PowerLaw(float(obj), 0.0)
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a number or a sequence object, got {obj!r}")
+        return sequences.PowerLaw(_number(obj, where), 0.0)
+    r = _Params(obj, where)
     kind = obj.get("kind")
-    try:
-        if kind == "power":
-            return sequences.PowerLaw(float(obj["amplitude"]), float(obj["exponent"]))
-        if kind == "powerlog":
-            return sequences.PowerLogLaw(
-                float(obj["amplitude"]), float(obj["exponent"]), float(obj["log_exponent"])
-            )
-        if kind == "explicit":
-            tail = obj.get("tail")
-            return sequences.Explicit(
-                tuple(float(v) for v in obj["values"]),
-                _parse_sequence(tail, where + ".tail") if tail else None,
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc} for sequence kind {kind!r}") from None
+    if kind == "power":
+        return sequences.PowerLaw(r.read("amplitude", _number), r.read("exponent", _number))
+    if kind == "powerlog":
+        return sequences.PowerLogLaw(r.read("amplitude", _number), r.read("exponent", _number),
+                                     r.read("log_exponent", _number))
+    if kind == "explicit":
+        return sequences.Explicit(tuple(r.read("values", _list, item=_number)),
+                                  r.read("tail", _parse_sequence) if obj.get("tail") else None)
     raise ConfigError(f"{where}: unknown sequence kind {kind!r} "
                       "(expected power | powerlog | explicit)")
 
@@ -90,131 +138,140 @@ def _parse_sequence(obj, where: str):
 def _parse_basis(obj, where: str):
     if obj is None:
         return series.EuclideanSequence(q=2.0)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: basis must be an object, got {obj!r}")
+    r = _Params(obj, where)
     kind = obj.get("kind")
-    try:
-        if kind == "euclidean":
-            return series.EuclideanSequence(q=float(obj.get("q", 2.0)))
-        if kind == "haar":
-            return series.HaarWavelet(int(obj["levels"]), int(obj.get("grid_size", 2 ** 14)))
-        if kind == "hat":
-            return series.HatHierarchical(int(obj["levels"]), int(obj.get("grid_size", 2 ** 14)))
-        if kind == "eigen":
-            return series.Eigenbasis(
-                _parse_sequence(obj["eigenvalues"], where + ".eigenvalues"),
-                float(obj.get("scale_exponent", 0.0)),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc} for basis kind {kind!r}") from None
+    if kind == "euclidean":
+        return series.EuclideanSequence(q=r.read("q", _number, 2.0, low=0))
+    if kind in ("haar", "hat"):
+        family = series.HaarWavelet if kind == "haar" else series.HatHierarchical
+        return family(r.read("levels", _integer, low=0, high=_MAX_LEVELS),
+                      r.read("grid_size", _integer, 2 ** 14))
+    if kind == "eigen":
+        return series.Eigenbasis()
     raise ConfigError(f"{where}: unknown basis kind {kind!r} "
                       "(expected euclidean | haar | hat | eigen)")
 
 
 def _parse_prior(obj, where: str) -> series.StableFieldSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: prior must be an object")
-    try:
-        alpha = float(obj["alpha"])
-        gamma = _parse_sequence(obj["gamma"], where + ".gamma")
-        trunc = int(obj["truncation"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing required prior field {exc}") from None
-    try:
-        return series.StableFieldSpec.make(
-            alpha, gamma, _parse_basis(obj.get("basis"), where + ".basis"), trunc,
-            delta_seq=_parse_sequence(obj.get("delta", 0.0), where + ".delta"),
-            beta_seq=_parse_sequence(obj.get("beta", 0.0), where + ".beta"),
+    r = _Params(obj, where)
+    return series.StableFieldSpec.make(
+        r.read("alpha", _number), r.read("gamma", _parse_sequence),
+        r.read("basis", _parse_basis, None),
+        r.read("truncation", _integer, high=_MAX_TRUNCATION),
+        delta_seq=r.read("delta", _parse_sequence, 0.0),
+        beta_seq=r.read("beta", _parse_sequence, 0.0),
+    )
+
+
+def _parse_figure2(r: _Params) -> None:
+    r.read("levels", _integer, 10)
+    r.read("n_samples", _integer, 20)
+    r.read("grid_size", _integer, 2 ** 14)
+
+
+def _parse_projection_demo(r: _Params) -> None:
+    r.read("gamma", _number, 1.0, low=0)
+    r.read("delta", _number, 0.0)
+    r.read("n", _integer, 10 ** 5)
+
+
+def _parse_three_series(r: _Params) -> None:
+    r.read("sequence", _parse_sequence)
+    r.read("alpha", _number, low=0, high=2)
+    r.read("q", _number, 1.0, low=0)
+    r.read("threshold", _number, 1.0, low=0)
+    r.read("depth", _integer, 2 ** 14)
+
+
+def _parse_summability(r: _Params) -> None:
+    r.read("sequence", _parse_sequence)
+    r.read("alpha", _number, low=0, high=2)
+    r.read("q", _number, 1.0, low=0)
+    r.read("probe_depth", _integer, 2 ** 14)
+
+
+def _parse_flom(r: _Params) -> None:
+    alpha = r.read("prior", _parse_prior).alpha
+    r.read("n_samples", _integer, 10 ** 5)
+    p, q = r.read("p", _number), r.read("q", _number, 1.0)
+    if alpha < 2.0 and p >= alpha:
+        raise ConfigError(
+            f"{r.where}: p={p} >= alpha={alpha}; fractional moments "
+            "of order at or above the stability index are infinite, so "
+            "the estimator cannot converge (need p < alpha)"
         )
-    except StableInferError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    if not 0 < p <= q:
+        raise ConfigError(f"{r.where}: need 0 < p <= q, got p={p}, q={q}")
 
 
-def _require(params: dict, name: str, where: str):
-    if name not in params:
-        raise ConfigError(f"{where}: missing required parameter {name!r}")
-    return params[name]
+def _parse_posterior(r: _Params) -> None:
+    """Prior ensemble, Gaussian-noise potential (identity forward map), data y."""
+    dim = r.read("prior", _parse_prior).truncation
+    r.read("n_samples", _integer, 10 ** 5)
+    r.inputs.potential = bayes.gaussian_additive_potential(
+        bayes.IdentityForward(),
+        noise_variance=r.read("noise_variance", _vector, 1.0, sizes=(1, dim)),
+        u_norm=metrics.QuasiNormSpec(q=r.read("u_norm_q", _number, 2.0, low=0)),
+    )
+    r.read("y", _vector, 0.0, sizes=(dim,))
 
 
-def _cross_validate(experiment: str, params: dict) -> None:
-    where = f"params ({experiment})"
-    if experiment == "flom":
-        prior = _parse_prior(_require(params, "prior", where), where + ".prior")
-        p = float(_require(params, "p", where))
-        q = float(params.get("q", 1.0))
-        if prior.alpha < 2.0 and p >= prior.alpha:
+def _parse_data_sweep(r: _Params) -> None:
+    _parse_posterior(r)
+    y = r.inputs.y
+    r.read("direction", _vector, [1.0] * y.size, sizes=(y.size,))
+    eps = r.read("epsilons", _list, item=_number, low=0)
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"{r.where}: epsilons must be a non-empty, strictly decreasing list")
+    if r.obj.get("r_bound") is not None:
+        r_bound = r.read("r_bound", _number)
+        reach = float(np.sqrt((y ** 2).sum())) + max(eps)
+        if reach >= r_bound:
             raise ConfigError(
-                f"{where}: p={p} >= alpha={prior.alpha}; fractional moments "
-                "of order at or above the stability index are infinite, so "
-                "the estimator cannot converge (need p < alpha)"
+                f"{r.where}: data plus largest perturbation reaches "
+                f"{reach}, outside the declared radius r_bound={r_bound} "
+                "on which the envelopes hold"
             )
-        if not 0 < p <= q:
-            raise ConfigError(f"{where}: need 0 < p <= q, got p={p}, q={q}")
-    elif experiment in ("data_sweep", "likelihood_sweep", "bayes_run"):
-        _parse_prior(_require(params, "prior", where), where + ".prior")
-        if experiment == "data_sweep":
-            eps = [float(e) for e in _require(params, "epsilons", where)]
-            if not eps or any(e <= 0 for e in eps):
-                raise ConfigError(f"{where}: epsilons must be positive")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigError(f"{where}: epsilons must be strictly decreasing")
-            r_bound = params.get("r_bound")
-            if r_bound is not None:
-                y = np.atleast_1d(np.asarray(params.get("y", 0.0), dtype=float))
-                reach = float(np.sqrt((y ** 2).sum())) + max(eps)
-                if reach >= float(r_bound):
-                    raise ConfigError(
-                        f"{where}: data plus largest perturbation reaches "
-                        f"{reach}, outside the declared radius r_bound={r_bound} "
-                        "on which the envelopes hold"
-                    )
-        if experiment == "likelihood_sweep":
-            n_list = [int(n) for n in _require(params, "n_list", where)]
-            if any(n < 1 for n in n_list):
-                raise ConfigError(f"{where}: n_list entries must be >= 1")
-    elif experiment in ("three_series", "summability"):
-        _parse_sequence(_require(params, "sequence", where), where + ".sequence")
-        alpha = float(_require(params, "alpha", where))
-        if not 0 < alpha <= 2:
-            raise ConfigError(f"{where}: alpha must lie in (0, 2]")
-        if experiment == "three_series" and float(params.get("threshold", 1.0)) <= 0:
-            raise ConfigError(f"{where}: threshold must be > 0")
-    elif experiment == "figure2":
-        levels = int(params.get("levels", 10))
-        if levels < 1:
-            raise ConfigError(f"{where}: levels must be >= 1")
-    elif experiment in ("radial_demo", "ratio_demo"):
-        if float(params.get("gamma", 1.0)) <= 0:
-            raise ConfigError(f"{where}: gamma must be > 0")
+
+
+def _parse_likelihood_sweep(r: _Params) -> None:
+    _parse_posterior(r)
+    if not r.read("n_list", _list, item=_integer):
+        raise ConfigError(f"{r.where}: n_list must not be empty")
+
+
+def _parse_kl_table(r: _Params) -> None:
+    r.read("initial_halfwidth", _number, 8.0, low=0)
 
 
 def validate_config(text: str) -> ExperimentConfig:
-    """Parse and cross-validate a JSON experiment configuration."""
+    """Parse a JSON experiment configuration into its typed inputs.
+
+    Raises ConfigError, and nothing else, for any text that is not a
+    well-formed config.
+    """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENT_KINDS:
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment kind {experiment!r}; expected one of "
             + " | ".join(EXPERIMENT_KINDS)
         )
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _integer(raw.get("seed", 0), "seed", 0, _SEED_MAX)
     params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
+    reader = _Params(params, f"params ({experiment})")
     try:
-        _cross_validate(experiment, params)
+        _EXPERIMENTS[experiment][0](reader)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params ({experiment}): invalid value: {exc}") from exc
-    return ExperimentConfig(experiment=experiment, seed=seed, params=params)
+    except StableInferError as exc:
+        raise ConfigError(f"params ({experiment}): {exc}") from exc
+    return ExperimentConfig(experiment, seed, params, reader.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +292,19 @@ def _write_column_csv(path: Path, header: str, values, comment: str) -> None:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+def _write_table_and_report(out: Path, comment: str, table: str, header: str, rows,
+                            report: str, payload: dict) -> list:
+    _write_column_csv(out / table, header, rows, comment)
+    _json_dump(out / report, payload)
+    return [out / table, out / report]
+
+
 def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    levels = int(p.get("levels", 10))
-    n_samples = int(p.get("n_samples", 20))
-    grid_size = int(p.get("grid_size", 2 ** 14))
+    x = cfg.inputs
     files = []
     galleries = {}
     for family in ("cauchy", "gaussian"):
-        g = series.wavelet_gallery_ensemble(family, levels, n_samples, cfg.seed, grid_size)
+        g = series.wavelet_gallery_ensemble(family, x.levels, x.n_samples, cfg.seed, x.grid_size)
         galleries[family] = g
         path = out / f"{family}_fields.csv"
         ensemble_io.write_matrix_csv(
@@ -260,9 +321,9 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
     )
     summary = out / "gallery_summary.json"
     _json_dump(summary, {
-        "levels": levels,
-        "n_samples": n_samples,
-        "grid_size": grid_size,
+        "levels": x.levels,
+        "n_samples": x.n_samples,
+        "grid_size": x.grid_size,
         "extreme_coefficient_ratio_cauchy_over_gaussian": contrast,
         "rescaled_range": [0.0, 1.0],
     })
@@ -271,99 +332,65 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_projection_demo(cfg: ExperimentConfig, out: Path, comment: str, kind: str):
-    p = cfg.params
-    gamma = float(p.get("gamma", 1.0))
-    delta = float(p.get("delta", 0.0))
-    n = int(p.get("n", 10 ** 5))
+    x = cfg.inputs
     if kind == "radial":
-        draws = stable.sample_cauchy_via_circle(gamma, n, cfg.seed) + delta
+        draws = stable.sample_cauchy_via_circle(x.gamma, x.n, cfg.seed) + x.delta
     else:
-        draws = stable.sample_cauchy_via_ratio(gamma, delta, n, cfg.seed)
-    ks = gof.ks_statistic(draws, lambda u: stable.cauchy_cdf(delta, gamma, u))
-    crit = gof.ks_critical_value(n, 0.01)
-    sample_path = out / "samples.csv"
-    _write_column_csv(sample_path, "draw", draws, comment)
-    report_path = out / "ks_report.json"
-    _json_dump(report_path, {
-        "construction": "circle_projection" if kind == "radial" else "gaussian_ratio",
-        "gamma": gamma, "delta": delta, "n": n,
-        "ks_statistic": ks, "ks_critical_1pct": crit, "passes": bool(ks < crit),
-    })
-    return [sample_path, report_path]
+        draws = stable.sample_cauchy_via_ratio(x.gamma, x.delta, x.n, cfg.seed)
+    ks = gof.ks_statistic(draws, lambda u: stable.cauchy_cdf(x.delta, x.gamma, u))
+    crit = gof.ks_critical_value(x.n, 0.01)
+    return _write_table_and_report(
+        out, comment, "samples.csv", "draw", draws, "ks_report.json", {
+            "construction": "circle_projection" if kind == "radial" else "gaussian_ratio",
+            "gamma": x.gamma, "delta": x.delta, "n": x.n,
+            "ks_statistic": ks, "ks_critical_1pct": crit, "passes": bool(ks < crit),
+        })
 
 
 def _run_three_series(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    seq = _parse_sequence(p["sequence"], "sequence")
-    result = sequences.three_series_check(
-        seq, float(p["alpha"]), float(p.get("q", 1.0)),
-        float(p.get("threshold", 1.0)), depth=int(p.get("depth", 2 ** 14)),
-    )
-    trace_path = out / "partial_sums.csv"
+    x = cfg.inputs
+    result = sequences.three_series_check(x.sequence, x.alpha, x.q, x.threshold, depth=x.depth)
     rows = np.column_stack([
         result.depths, result.traces["s0"], result.traces["s1"], result.traces["s2"],
     ])
-    _write_column_csv(trace_path, "depth,s0,s1,s2", rows, comment)
-    report_path = out / "three_series.json"
-    _json_dump(report_path, {
-        "s0": result.s0, "s1": result.s1, "s2": result.s2,
-        "verdict": result.verdict.value,
-        "failing_series": list(result.failing_series),
-        "note": "finite-depth numeric diagnostic, not a proof",
-    })
-    return [trace_path, report_path]
+    return _write_table_and_report(
+        out, comment, "partial_sums.csv", "depth,s0,s1,s2", rows, "three_series.json", {
+            "s0": result.s0, "s1": result.s1, "s2": result.s2,
+            "verdict": result.verdict.value,
+            "failing_series": list(result.failing_series),
+            "note": "finite-depth numeric diagnostic, not a proof",
+        })
 
 
 def _run_summability(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    rep = sequences.summability_report(
-        _parse_sequence(p["sequence"], "sequence"), float(p["alpha"]),
-        float(p.get("q", 1.0)), probe_depth=int(p.get("probe_depth", 2 ** 14)),
-    )
-    trace_path = out / "partial_sums.csv"
+    x = cfg.inputs
+    rep = sequences.summability_report(x.sequence, x.alpha, x.q, probe_depth=x.probe_depth)
     rows = np.column_stack([rep.depths, rep.alpha_partial_sums, rep.orlicz_partial_sums])
-    _write_column_csv(trace_path, "depth,sum_gamma_alpha,sum_orlicz", rows, comment)
-    report_path = out / "summability.json"
-    _json_dump(report_path, {
-        "verdict": rep.verdict.value,
-        "regime": rep.regime,
-        "fitted_decay_exponent": rep.fitted_decay_exponent,
-    })
-    return [trace_path, report_path]
+    return _write_table_and_report(
+        out, comment, "partial_sums.csv", "depth,sum_gamma_alpha,sum_orlicz", rows,
+        "summability.json", {
+            "verdict": rep.verdict.value,
+            "regime": rep.regime,
+            "fitted_decay_exponent": rep.fitted_decay_exponent,
+        })
 
 
 def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    prior = _parse_prior(p["prior"], "prior")
-    ens = series.sample_coefficients(prior, int(p.get("n_samples", 10 ** 5)), cfg.seed)
-    est = series.flom_estimate(ens, float(p["p"]), float(p.get("q", 1.0)))
-    trace_path = out / "truncation_trace.csv"
-    _write_column_csv(trace_path, "truncation,estimate",
-                      np.asarray(est.truncation_trace), comment)
-    report_path = out / "flom.json"
-    _json_dump(report_path, {
-        "estimate": est.estimate, "stderr": est.stderr,
-        "truncation_trace": [[int(n), v] for n, v in est.truncation_trace],
-    })
-    return [trace_path, report_path]
-
-
-def _potential_from_params(p: dict) -> bayes.PotentialSpec:
-    q = float(p.get("u_norm_q", 2.0))
-    return bayes.gaussian_additive_potential(
-        bayes.IdentityForward(),
-        noise_variance=np.asarray(p.get("noise_variance", 1.0), dtype=float),
-        u_norm=metrics.QuasiNormSpec(q=q),
-    )
+    x = cfg.inputs
+    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
+    est = series.flom_estimate(ens, x.p, x.q)
+    return _write_table_and_report(
+        out, comment, "truncation_trace.csv", "truncation,estimate",
+        np.asarray(est.truncation_trace), "flom.json", {
+            "estimate": est.estimate, "stderr": est.stderr,
+            "truncation_trace": [[int(n), v] for n, v in est.truncation_trace],
+        })
 
 
 def _run_bayes_run(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    prior = _parse_prior(p["prior"], "prior")
-    ens = series.sample_coefficients(prior, int(p.get("n_samples", 10 ** 5)), cfg.seed)
-    potential = _potential_from_params(p)
-    y = np.atleast_1d(np.asarray(p.get("y", 0.0), dtype=float))
-    post = bayes.posterior(potential, ens, y)
+    x = cfg.inputs
+    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
+    post = bayes.posterior(x.potential, ens, x.y)
     mean, mean_se = bayes.posterior_expectation(ens.coefficients[:, 0], post)
     report_path = out / "posterior.json"
     _json_dump(report_path, {
@@ -376,58 +403,38 @@ def _run_bayes_run(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_data_sweep(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    prior = _parse_prior(p["prior"], "prior")
-    ens = series.sample_coefficients(prior, int(p.get("n_samples", 10 ** 5)), cfg.seed)
-    potential = _potential_from_params(p)
-    y = np.atleast_1d(np.asarray(p.get("y", 0.0), dtype=float))
-    direction = np.atleast_1d(np.asarray(p.get("direction", [1.0] * y.size), dtype=float))
-    report = bayes.data_lipschitz_sweep(
-        potential, ens, y, [float(e) for e in p["epsilons"]], direction,
-    )
-    csv_path = out / "hellinger_vs_epsilon.csv"
-    _write_column_csv(
-        csv_path, "epsilon,d_hellinger,stderr",
-        np.column_stack([report.perturbation_sizes, report.distances,
-                         report.distance_stderrs]),
-        comment,
-    )
-    report_path = out / "data_sweep.json"
-    _json_dump(report_path, report.to_json_dict())
-    return [csv_path, report_path]
+    x = cfg.inputs
+    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
+    report = bayes.data_lipschitz_sweep(x.potential, ens, x.y, x.epsilons, x.direction)
+    return _write_sweep(out, comment, report, "epsilon", "data_sweep.json")
+
+
+def _write_sweep(out: Path, comment: str, report, size: str, name: str) -> list:
+    rows = np.column_stack([report.perturbation_sizes, report.distances,
+                            report.distance_stderrs])
+    return _write_table_and_report(out, comment, f"hellinger_vs_{size}.csv",
+                                   f"{size},d_hellinger,stderr", rows, name,
+                                   report.to_json_dict())
 
 
 def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
-    p = cfg.params
-    prior = _parse_prior(p["prior"], "prior")
-    ens = series.sample_coefficients(prior, int(p.get("n_samples", 10 ** 5)), cfg.seed)
-    potential = _potential_from_params(p)
-    y = np.atleast_1d(np.asarray(p.get("y", 0.0), dtype=float))
-    n_list = [int(n) for n in p["n_list"]]
+    x = cfg.inputs
+    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
 
     def family(n_approx):
         def approx(u, yy):
-            t = metrics.rowwise_quasi_norm(u, potential.u_norm)
-            return potential.misfit(u, yy) + np.sin(t) / n_approx
+            t = metrics.rowwise_quasi_norm(u, x.potential.u_norm)
+            return x.potential.misfit(u, yy) + np.sin(t) / n_approx
         return approx
 
     report = bayes.likelihood_perturbation_sweep(
-        potential, family, lambda n: 1.0 / n, ens, y, n_list,
+        x.potential, family, lambda n: 1.0 / n, ens, x.y, x.n_list,
     )
-    csv_path = out / "hellinger_vs_psi.csv"
-    _write_column_csv(
-        csv_path, "psi,d_hellinger,stderr",
-        np.column_stack([report.perturbation_sizes, report.distances,
-                         report.distance_stderrs]),
-        comment,
-    )
-    report_path = out / "likelihood_sweep.json"
-    _json_dump(report_path, report.to_json_dict())
-    return [csv_path, report_path]
+    return _write_sweep(out, comment, report, "psi", "likelihood_sweep.json")
 
 
 def _run_kl_table(cfg: ExperimentConfig, out: Path, comment: str):
-    half = float(cfg.params.get("initial_halfwidth", 8.0))
+    half = cfg.inputs.initial_halfwidth
     fwd = stable.kl_divergence_1d(
         lambda u: stable.normal_pdf(0.0, 1.0, u),
         lambda u: stable.cauchy_pdf(0.0, 1.0, u),
@@ -450,29 +457,33 @@ def _run_kl_table(cfg: ExperimentConfig, out: Path, comment: str):
     return [report_path]
 
 
-_RUNNERS = {
-    "figure2": _run_figure2,
-    "radial_demo": lambda c, o, m: _run_projection_demo(c, o, m, "radial"),
-    "ratio_demo": lambda c, o, m: _run_projection_demo(c, o, m, "ratio"),
-    "three_series": _run_three_series,
-    "summability": _run_summability,
-    "flom": _run_flom,
-    "bayes_run": _run_bayes_run,
-    "data_sweep": _run_data_sweep,
-    "likelihood_sweep": _run_likelihood_sweep,
-    "kl_table": _run_kl_table,
+# kind -> (builds the typed inputs from params, runs the experiment on them)
+_EXPERIMENTS = {
+    "figure2": (_parse_figure2, _run_figure2),
+    "radial_demo": (_parse_projection_demo, partial(_run_projection_demo, kind="radial")),
+    "ratio_demo": (_parse_projection_demo, partial(_run_projection_demo, kind="ratio")),
+    "three_series": (_parse_three_series, _run_three_series),
+    "summability": (_parse_summability, _run_summability),
+    "flom": (_parse_flom, _run_flom),
+    "bayes_run": (_parse_posterior, _run_bayes_run),
+    "data_sweep": (_parse_data_sweep, _run_data_sweep),
+    "likelihood_sweep": (_parse_likelihood_sweep, _run_likelihood_sweep),
+    "kl_table": (_parse_kl_table, _run_kl_table),
 }
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+_RUNNERS = {kind: runner for kind, (_, runner) in _EXPERIMENTS.items()}
 
 
-def run(config: ExperimentConfig, out_dir, seed_override=None, threads=None) -> Path:
+def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
     """Execute the experiment; returns the manifest path.
 
     All numeric artifacts are deterministic functions of the config
     (including its seed); the manifest additionally records wall time
-    and per-file content hashes.
+    and per-file content hashes.  A seed_override outside [0, 2^128)
+    raises ConfigError.
     """
     if seed_override is not None:
-        config = ExperimentConfig(config.experiment, int(seed_override), config.params)
+        config = replace(config, seed=_integer(seed_override, "seed override", 0, _SEED_MAX))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     comment = f"config={config.config_hash()} seed={config.seed}"
@@ -483,7 +494,6 @@ def run(config: ExperimentConfig, out_dir, seed_override=None, threads=None) -> 
         "experiment": config.experiment,
         "config_hash": config.config_hash(),
         "seed": config.seed,
-        "threads": threads,
         "wall_time_s": elapsed,
         "files": [
             {
@@ -509,9 +519,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", default="stableinfer_out", help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="worker hint recorded in the manifest; results "
-                            "are identical for any value")
     val_p = sub.add_parser("validate", help="parse and cross-check a config")
     val_p.add_argument("--config", required=True)
     args = parser.parse_args(argv)
@@ -530,7 +537,10 @@ def main(argv=None) -> int:
         print(f"ok: {config.experiment} (config hash {config.config_hash()})")
         return 0
     try:
-        manifest = run(config, args.out, seed_override=args.seed, threads=args.threads)
+        manifest = run(config, args.out, seed_override=args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except StableInferError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 3

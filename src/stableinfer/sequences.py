@@ -337,7 +337,7 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, cuts: np.ndarray,
 
     from .stable import _standard_pdf, _standard_sf
 
-    cmax = min(max(float(cuts.max()), 10.0), 1e8)
+    cmax = min(max(float(cuts.max(initial=0.0)), 10.0), 1e8)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, cmax, grid_size)])
     rho = _standard_pdf(alpha, 0.0, grid)
     # cumulative integrals of s^q and s^2q against rho via trapezoid
@@ -389,7 +389,7 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
         t1[pos] = (g / math.pi) * np.log1p(ratio * ratio)
         t2[pos] = (2.0 / math.pi) * g * (a_cut - g * at)
     else:
-        cuts = a_cut ** (1.0 / q) / gam[pos]
+        cuts = np.float64(a_cut) ** (1.0 / q) / gam[pos]  # inf, not OverflowError
         tables = _symmetric_truncated_term_tables(alpha, q, cuts)
         surv, tq, t2q = tables(cuts)
         t0[pos] = surv

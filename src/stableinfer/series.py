@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -101,11 +101,9 @@ class HatHierarchical:
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """Normalised sine eigenfunctions sqrt(2) sin(n pi x) with a declared
-    eigenvalue sequence, for smoothness-scale experiments."""
+    """Normalised sine eigenfunctions sqrt(2) sin(n pi x), for
+    smoothness-scale experiments."""
 
-    eigenvalues: CoefficientSequence
-    scale_exponent: float = 0.0
     grid_size: int = 2 ** 14
 
 
@@ -192,14 +190,13 @@ class FieldEnsemble:
 
     Regenerable bit-exactly from (spec, seed): row i of the coefficient
     matrix is a pure function of (seed, i) through the counter-based
-    stream layout, recorded in substream_offsets.
+    stream layout of `rng.uniform_rows`.
     """
 
     spec: StableFieldSpec
     seed: int
     coefficients: np.ndarray  # (n_samples, truncation)
     grid_values: Optional[np.ndarray] = None  # (n_samples, grid_size)
-    substream_offsets: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def n_samples(self) -> int:
@@ -258,9 +255,7 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int,
         stop = min(start + chunk, n_samples)
         u = rng_mod.uniform_rows(seed, start, stop, spec.truncation)
         coeffs[start:stop] = _coefficients_from_uniforms(spec, u)
-    offsets = np.arange(n_samples, dtype=np.int64) * rng_mod.blocks_per_row(spec.truncation)
-    return FieldEnsemble(spec=spec, seed=int(seed), coefficients=coeffs,
-                         substream_offsets=offsets)
+    return FieldEnsemble(spec=spec, seed=int(seed), coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------

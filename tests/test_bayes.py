@@ -1,6 +1,7 @@
 """Posteriors over prior ensembles: normalisation, expectations,
 integrability of growth envelopes, perturbation sweeps, admissibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,21 @@ class TestPosterior:
         b = posterior(potential, scalar_prior("gaussian", 1000, 2), np.zeros(1))
         with pytest.raises(MismatchedReferenceError):
             hellinger_empirical(a.measure, b.measure)
+
+    def test_one_misfit_evaluation_per_posterior(self, potential, gaussian_ensemble):
+        calls = []
+
+        def counted(u, y):
+            calls.append(len(u))
+            return potential.misfit(u, y)
+
+        y = np.array([0.4])
+        post = posterior(dataclasses.replace(potential, misfit=counted), gaussian_ensemble, y)
+        assert calls == [gaussian_ensemble.n_samples]
+        # the posterior's Z is the one normalization_constant computes, bit for bit
+        z = normalization_constant(potential, gaussian_ensemble, y)
+        assert post.z == z
+        assert post.ess == z.ess
 
     def test_weights_invariant_under_misfit_shift(self, gaussian_ensemble):
         # the shift cancels in the internal normalisation; the only residue

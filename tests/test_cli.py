@@ -1,11 +1,14 @@
 """Config validation, experiment artifacts, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stableinfer.cli import EXPERIMENT_KINDS, main, run, validate_config
 from stableinfer.errors import ConfigError
+from stableinfer.series import Eigenbasis, StableFieldSpec
 
 
 def cfg_text(experiment, params=None, seed=11):
@@ -34,6 +37,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="line"):
             validate_config("{not json")
 
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "kl_table", "seed": ' + "1" * 5000 + "}",
+        '{"experiment": "kl_table", "params": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
+    ])
+    def test_json_the_parser_cannot_hold_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            validate_config(text)
+
     def test_flom_moment_condition(self):
         params = {"prior": CAUCHY_SCALAR_PRIOR, "p": 1.5, "q": 2.0}
         with pytest.raises(ConfigError, match="p < alpha"):
@@ -53,6 +64,37 @@ class TestValidateConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(json.dumps({"experiment": "kl_table", "seed": -1}))
+
+    @pytest.mark.parametrize("seed", [True, 2 ** 128, 1.5, "7"])
+    def test_seed_must_be_a_philox_key(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            validate_config(json.dumps({"experiment": "kl_table", "seed": seed}))
+        assert validate_config(json.dumps({"experiment": "kl_table",
+                                           "seed": 2 ** 128 - 1})).seed == 2 ** 128 - 1
+
+    def test_inputs_are_typed(self):
+        cfg = validate_config(cfg_text("data_sweep", {
+            "prior": CAUCHY_SCALAR_PRIOR, "y": 0.5, "epsilons": [0.2, 0.1],
+            "n_samples": 1e3}))
+        x = cfg.inputs
+        assert isinstance(x.prior, StableFieldSpec)
+        assert x.y.tolist() == [0.5] and x.direction.tolist() == [1.0]
+        assert x.epsilons == [0.2, 0.1]
+        assert x.n_samples == 1000 and isinstance(x.n_samples, int)
+
+    def test_data_needs_one_entry_per_coefficient(self):
+        with pytest.raises(ConfigError, match=r"\.y: expected 1 entries"):
+            validate_config(cfg_text("bayes_run", {"prior": CAUCHY_SCALAR_PRIOR,
+                                                   "y": [0.0, 1.0]}))
+        with pytest.raises(ConfigError, match=r"\.direction: expected 1 entries"):
+            validate_config(cfg_text("data_sweep", {
+                "prior": CAUCHY_SCALAR_PRIOR, "y": 0.0, "direction": [1.0, 1.0],
+                "epsilons": [0.2, 0.1]}))
+
+    def test_eigen_basis_needs_no_eigenvalues(self):
+        prior = dict(CAUCHY_SCALAR_PRIOR, basis={"kind": "eigen"})
+        cfg = validate_config(cfg_text("flom", {"prior": prior, "p": 0.5}))
+        assert cfg.inputs.prior.basis == Eigenbasis()
 
     def test_malformed_values_are_config_errors(self):
         bad_basis = dict(CAUCHY_SCALAR_PRIOR, basis="haar")
@@ -196,16 +238,93 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
-    def test_threads_flag_recorded_without_changing_results(self, tmp_path):
+    def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(cfg_text("figure2", {"levels": 3, "n_samples": 3,
                                             "grid_size": 128}))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t1"),
-                     "--threads", "4"]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t2"),
-                     "--threads", "1"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t1")]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t2")]) == 0
         a = (tmp_path / "t1" / "cauchy_fields.csv").read_bytes()
         b = (tmp_path / "t2" / "cauchy_fields.csv").read_bytes()
         assert a == b
-        manifest = json.loads((tmp_path / "t1" / "manifest.json").read_text())
-        assert manifest["threads"] == 4
+
+    @pytest.mark.parametrize("experiment,params,seed_override", [
+        ("three_series", {"sequence": 1.0, "alpha": 1.0, "depth": "x"}, None),
+        ("flom", {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5, "n_samples": "many"}, None),
+        ("data_sweep", {"prior": CAUCHY_SCALAR_PRIOR, "y": "abc",
+                        "epsilons": [0.2, 0.1]}, None),
+        ("figure2", {"grid_size": "big"}, None),
+        ("radial_demo", {"n": -5}, None),
+        ("kl_table", {}, "-1"),
+        ("flom", {"prior": dict(CAUCHY_SCALAR_PRIOR, truncation=math.inf), "p": 0.5}, None),
+    ])
+    def test_malformed_config_exits_2_before_running(self, tmp_path, capsys,
+                                                     experiment, params, seed_override):
+        # each of these used to validate and then fail in run with a traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(experiment, params))
+        if seed_override is None:
+            assert main(["validate", "--config", str(cfg)]) == 2
+        else:
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--seed", seed_override]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+# Configs from a grammar of the config schema in which any value may be
+# replaced by an arbitrary JSON value (including Infinity and NaN, which
+# Python's json module reads and writes)
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10,
+)
+_NUMBER = (st.integers(-2, 40) | st.floats() | st.integers()
+           | st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 0.5, True]))
+
+
+def _or_any(strategy):
+    """Mostly the schema's own kind of value, sometimes any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: _ANY if k == 3 else strategy)
+
+
+def _object(kinds, **fields):
+    return st.fixed_dictionaries(
+        {"kind": _or_any(st.sampled_from(kinds))},
+        optional={name: _or_any(value) for name, value in fields.items()},
+    )
+
+
+_SEQUENCE = st.deferred(lambda: _or_any(_NUMBER | _object(
+    ["power", "powerlog", "explicit"], amplitude=_NUMBER, exponent=_NUMBER,
+    log_exponent=_NUMBER, values=st.lists(_NUMBER, max_size=3), tail=_SEQUENCE)))
+_PRIOR = st.fixed_dictionaries({
+    "alpha": _or_any(_NUMBER), "gamma": _SEQUENCE, "truncation": _or_any(_NUMBER),
+}, optional={
+    "delta": _SEQUENCE, "beta": _SEQUENCE,
+    "basis": _or_any(_object(["euclidean", "haar", "hat", "eigen"],
+                             q=_NUMBER, levels=_NUMBER, grid_size=_NUMBER)),
+})
+_SCALARS = ["levels", "grid_size", "n_samples", "q", "r_bound", "u_norm_q",
+            "threshold", "depth", "probe_depth", "n", "gamma", "delta",
+            "initial_halfwidth", "y", "direction", "noise_variance"]
+_PARAMS = st.fixed_dictionaries({
+    "prior": _or_any(_PRIOR), "sequence": _SEQUENCE, "alpha": _or_any(_NUMBER),
+    "p": _or_any(_NUMBER), "epsilons": _or_any(st.lists(_NUMBER, max_size=4)),
+    "n_list": _or_any(st.lists(_NUMBER, max_size=4)),
+}, optional={name: _or_any(_NUMBER | st.lists(_NUMBER, max_size=3)) for name in _SCALARS})
+
+
+@settings(max_examples=400, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENT_KINDS), seed=_or_any(st.integers(0, 2 ** 64)),
+       params=_or_any(_PARAMS))
+@example(experiment="flom", seed=0, params={"prior": dict(CAUCHY_SCALAR_PRIOR, truncation=math.inf),
+                                            "p": 0.5})
+def test_validate_raises_only_config_errors(experiment, seed, params):
+    text = json.dumps({"experiment": experiment, "seed": seed, "params": params})
+    try:
+        validate_config(text)
+    except ConfigError:
+        pass

@@ -97,6 +97,20 @@ class TestThreeSeries:
         out = three_series_check(PowerLaw(1.0, r), 1.0, 1.0, 1.0)
         assert out.verdict is expected
 
+    def test_zero_sequence_converges_off_the_cauchy_case(self):
+        # no positive scale leaves no cut to tabulate the stable terms at
+        out = three_series_check(PowerLaw(0.0, 0.0), 1.5, 1.0, 1.0, depth=1024)
+        assert out.verdict is SeriesVerdict.CONVERGENT
+        assert (out.s0, out.s1, out.s2) == (0.0, 0.0, 0.0)
+
+    def test_cut_past_float_range_is_infinite(self):
+        # threshold^(1/q) = 10^500: nothing exceeds the cut, and the truncated
+        # moments are the moments on the tabulated range
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = three_series_check(PowerLaw(1.0, 2.0), 1.5, 0.002, 10.0, depth=1024)
+        assert abs(out.s0) < 1e-300
+        assert np.isfinite(out.s1) and np.isfinite(out.s2)
+
     def test_log_family_diverges_through_first_moment(self):
         out = three_series_check(PowerLogLaw(1.0, 1.0, 2.0), 1.0, 1.0, 1.0)
         assert out.verdict is SeriesVerdict.DIVERGENT

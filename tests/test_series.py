@@ -205,7 +205,7 @@ class TestSynthesize:
         assert field.min() >= 0.0
 
     def test_eigenbasis_modes_orthonormal_on_grid(self):
-        basis = Eigenbasis(PowerLaw(1.0, 1.0), 1.0, grid_size=2 ** 12)
+        basis = Eigenbasis(grid_size=2 ** 12)
         grid = default_grid(basis)
         f1 = synthesize(basis, np.array([1.0, 0.0]), grid)
         f2 = synthesize(basis, np.array([0.0, 1.0]), grid)

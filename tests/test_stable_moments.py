@@ -99,6 +99,36 @@ class TestFractionalMoment:
         out = fractional_moment(validate_params(alpha, beta, 1.0, delta), p)
         assert out.value == pytest.approx(body + right + left, rel=1e-8)
 
+    @pytest.mark.parametrize("delta,gamma,p", [(0.7, 1.0, 0.5), (-3.0, 0.4, 1.7),
+                                               (25.0, 1.0, 3.0), (1e-3, 2.0, 0.1)])
+    def test_gaussian_closed_form_against_mpmath(self, delta, gamma, p):
+        std = gamma * math.sqrt(2.0)
+        with mp.workdps(30):
+            want = mp.quad(lambda u: abs(u) ** p * mp.npdf(u, delta, std),
+                           [-mp.inf, *sorted({0.0, delta}), mp.inf])
+        out = fractional_moment(validate_params(2.0, 0.0, gamma, delta), p)
+        assert out.value == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("delta,gamma,p", [(-3.0, 0.5, 0.9), (1.5, 1.0, 0.5),
+                                               (100.0, 3.0, 0.99), (0.2, 1e-3, 0.3)])
+    def test_shifted_cauchy_closed_form_against_mpmath(self, delta, gamma, p):
+        # (1/pi) int_{-pi/2}^{pi/2} |delta + gamma tan t|^p dt, split where the
+        # integrand vanishes, t0 = -atan(delta/gamma); each piece is taken from
+        # its end at +-pi/2, s = pi/2 -+ t, with s = v^k, k = 1/(1 - p), which
+        # turns the s^-p endpoint singularity into a bounded integrand
+        with mp.workdps(30):
+            d, g, pp = mp.mpf(delta), mp.mpf(gamma), mp.mpf(p)
+            t0 = -mp.atan(d / g)
+            k = 1 / (1 - pp)
+
+            def piece(sign, length):
+                return mp.quad(lambda v: abs(d + sign * g * mp.cot(v ** k)) ** pp
+                               * k * v ** (k - 1), [0, length ** (1 / k)])
+
+            want = (piece(1, mp.pi / 2 - t0) + piece(-1, mp.pi / 2 + t0)) / mp.pi
+        out = fractional_moment(StableParams.cauchy(delta, gamma), p)
+        assert out.value == pytest.approx(float(want), rel=1e-13)
+
     def test_shifted_cauchy_against_quadrature(self):
         out = fractional_moment(StableParams.cauchy(1.5, 1.0), 0.5)
         oracle, _ = integrate.quad(
