@@ -62,7 +62,7 @@ exact_z = math.exp(-0.25) / math.sqrt(2.0)
 mean, se = posterior_expectation(gauss.coefficients[:, 0], post)
 print(f"  Z estimate {post.z.z:.5f} vs closed form {exact_z:.5f}")
 print(f"  posterior mean {mean:.4f} +- {se:.4f} vs closed form 0.5000")
-print(f"  effective sample size {post.ess:,.0f} of {N:,}")
+print(f"  effective sample size {post.z.ess:,.0f} of {N:,}")
 
 print("\n=== 2. data perturbation, Cauchy prior ===")
 cauchy = scalar_ensemble("cauchy", 202)

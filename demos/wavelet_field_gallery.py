@@ -29,7 +29,8 @@ for family in ("cauchy", "gaussian"):
     g = wavelet_gallery_ensemble(family, LEVELS, N_SAMPLES, SEED)
     galleries[family] = g
     path = OUT / f"gallery_{family}.csv"
-    write_matrix_csv(path, g.rescaled_grid, "x",
+    columns = [f"x{j}" for j in range(g.rescaled_grid.shape[1])]
+    write_matrix_csv(path, g.rescaled_grid, columns,
                      f"family={family} seed={SEED} levels={LEVELS}")
     print(f"wrote {path.name}: {N_SAMPLES} fields on {g.rescaled_grid.shape[1]} grid points")
 

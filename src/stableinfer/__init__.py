@@ -96,7 +96,6 @@ from .bayes import (
     IdentityForward,
     LinearForward,
     PotentialSpec,
-    PowerLawForward,
     data_lipschitz_sweep,
     evaluate_misfit_batch,
     gaussian_additive_potential,

@@ -16,12 +16,19 @@ envelopes control, fits Hellinger-vs-perturbation slopes, and checks the
 growth-rate tradeoff that keeps a heavy-tailed prior usable: envelopes
 may grow logarithmically with a coefficient below the prior's finite
 moment order, and no faster.
+
+One misfit evaluation per posterior gives its weights, the normalising
+constant Z with its standard error, and the effective sample size
+(`ZEstimate.ess`).  Both perturbation sweeps build their perturbed
+posteriors one at a time and share one loop that compares each with the
+unperturbed posterior: Hellinger distance with its standard error, total
+variation, Z, and a log-log fit of distance against perturbation size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import sha1
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +53,6 @@ __all__ = [
     "PotentialSpec",
     "IdentityForward",
     "LinearForward",
-    "PowerLawForward",
     "gaussian_additive_potential",
     "log_growth_envelopes",
     "ZEstimate",
@@ -89,7 +95,6 @@ class PotentialSpec:
 
     misfit: Callable[[np.ndarray, np.ndarray], np.ndarray]
     u_norm: QuasiNormSpec = field(default_factory=QuasiNormSpec)
-    y_norm: QuasiNormSpec = field(default_factory=QuasiNormSpec)
     m0: Callable[[float], float] = lambda r: math.inf
     m1: Callable[[float, np.ndarray], np.ndarray] = lambda r, t: np.zeros_like(t)
     m2: Callable[[float, np.ndarray], np.ndarray] = lambda r, t: np.zeros_like(t)
@@ -133,30 +138,6 @@ class LinearForward:
         return self._smin * np.asarray(t, dtype=float)
 
 
-class PowerLawForward:
-    """Componentwise signed power G(u)_i = coeff * sign(u_i) |u_i|^kappa.
-
-    The declared growth g(t) = coeff * t^kappa is exact in one dimension
-    (the acceptance experiments) and an envelope up to a dimension factor
-    otherwise.
-    """
-
-    def __init__(self, kappa: float, coeff: float = 1.0):
-        if kappa < 0 or coeff < 0:
-            raise OutOfRangeError("kappa/coeff", "power-law growth needs kappa, coeff >= 0")
-        self.kappa = kappa
-        self.coeff = coeff
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.coeff * np.sign(u) * np.abs(u) ** self.kappa
-
-    def g_plus(self, t):
-        return self.coeff * np.asarray(t, dtype=float) ** self.kappa
-
-    def g_minus(self, t):
-        return self.coeff * np.asarray(t, dtype=float) ** self.kappa
-
-
 def gaussian_additive_potential(forward=None, noise_variance=1.0,
                                 u_norm: Optional[QuasiNormSpec] = None) -> PotentialSpec:
     """Misfit of the additive-noise model y = G(u) + noise.
@@ -198,7 +179,6 @@ def gaussian_additive_potential(forward=None, noise_variance=1.0,
     return PotentialSpec(
         misfit=misfit,
         u_norm=u_norm or QuasiNormSpec(q=2.0),
-        y_norm=QuasiNormSpec(q=2.0),
         m0=m0,
         m1=lambda r, t: np.zeros_like(np.asarray(t, dtype=float)),
         m2=m2,
@@ -260,7 +240,8 @@ class ZEstimate:
 
     The sample mean is taken after shifting the misfits by their minimum
     (recorded in `shift`), which prevents exponential underflow without
-    changing any normalised quantity; z and log_z undo the shift.
+    changing any normalised quantity; z and log_z undo the shift.  ess is
+    the effective sample size (sum w)^2 / sum w^2 of the weights.
     """
 
     z: float
@@ -314,7 +295,6 @@ class PosteriorEstimate:
     y: np.ndarray
     z: ZEstimate
     measure: WeightedSampleMeasure
-    ess: float
 
 
 def posterior(potential: PotentialSpec, ensemble, y,
@@ -333,7 +313,7 @@ def posterior(potential: PotentialSpec, ensemble, y,
         ref_id = "array:" + sha1(batch.tobytes()).hexdigest()[:16]
     measure = WeightedSampleMeasure(reference_id=ref_id, weights=w)
     return PosteriorEstimate(y=np.atleast_1d(np.asarray(y, dtype=float)),
-                             z=z, measure=measure, ess=z.ess)
+                             z=z, measure=measure)
 
 
 def posterior_expectation(f_values, post: PosteriorEstimate) -> tuple[float, float]:
@@ -456,13 +436,6 @@ class WellPosednessReport:
             "n_samples": self.n_samples,
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("perturbation,d_hellinger,stderr\n")
-            for s, d, e in zip(self.perturbation_sizes, self.distances,
-                               self.distance_stderrs):
-                fh.write(f"{s:.17g},{d:.17g},{e:.17g}\n")
-
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple, float]:
     mask = (x > 0) & (y > 0)
@@ -481,30 +454,39 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple, floa
     return slope, intercept, (slope - 2.0 * se, slope + 2.0 * se), resid
 
 
-def _sweep_report(kind, sizes, z_values, stderrs,
-                  distances, tvs, seed, n_samples) -> WellPosednessReport:
+def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
+           sizes) -> WellPosednessReport:
+    """Compare the posterior at (potential, y) with the posterior at each
+    (potential, y) pair that `perturbed` yields, built one at a time, and
+    fit the Hellinger distances against the perturbation sizes."""
+    base = posterior(potential, ensemble, y)
+    columns = []  # (hellinger, its stderr, total variation, Z) per perturbation
+    for pert_potential, pert_y in perturbed:
+        pert = posterior(pert_potential, ensemble, pert_y)
+        columns.append((*hellinger_with_error(base.measure, pert.measure),
+                        total_variation_empirical(base.measure, pert.measure), pert.z.z))
+    distances, stderrs, tvs, zs = np.array(columns, dtype=float).reshape(-1, 4).T
     sizes = np.asarray(sizes, dtype=float)
-    distances = np.asarray(distances, dtype=float)
     slope, intercept, ci, resid = _loglog_fit(sizes, distances)
     verdicts = {
         "slope_near_one": bool(0.9 <= slope <= 1.1) if math.isfinite(slope) else False,
-        "kraft_ordering": bool(np.all(np.asarray(tvs) <= distances + 1e-12)),
+        "kraft_ordering": bool(np.all(tvs <= distances + 1e-12)),
         "distances_bounded": bool(np.all(distances <= math.sqrt(2.0) + 1e-12)),
     }
     return WellPosednessReport(
         kind=kind,
         perturbation_sizes=sizes,
         distances=distances,
-        distance_stderrs=np.asarray(stderrs, dtype=float),
-        tv_distances=np.asarray(tvs, dtype=float),
-        z_values=np.asarray(z_values, dtype=float),
+        distance_stderrs=stderrs,
+        tv_distances=tvs,
+        z_values=zs,
         slope=slope,
         intercept=intercept,
         slope_ci=ci,
         fit_residual=resid,
         verdicts=verdicts,
-        seed=seed,
-        n_samples=n_samples,
+        seed=ensemble.seed if isinstance(ensemble, FieldEnsemble) else None,
+        n_samples=base.measure.weights.size,
     )
 
 
@@ -517,20 +499,10 @@ def data_lipschitz_sweep(potential: PotentialSpec, ensemble, y,
     is meaningful; a slope near one certifies the Lipschitz dependence of
     the posterior on the data at the empirical level.
     """
-    base = posterior(potential, ensemble, y)
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    distances, stderrs, tvs, zs = [], [], [], []
-    for eps in epsilons:
-        pert = posterior(potential, ensemble, y + eps * direction)
-        d, se = hellinger_with_error(base.measure, pert.measure)
-        distances.append(d)
-        stderrs.append(se)
-        tvs.append(total_variation_empirical(base.measure, pert.measure))
-        zs.append(pert.z.z)
-    seed = ensemble.seed if isinstance(ensemble, FieldEnsemble) else None
-    return _sweep_report("data", epsilons, zs, stderrs,
-                         distances, tvs, seed, base.measure.weights.size)
+    perturbed = ((potential, y + eps * direction) for eps in epsilons)
+    return _sweep("data", potential, ensemble, y, perturbed, epsilons)
 
 
 def z_lipschitz_check(potential: PotentialSpec, ensemble, y,
@@ -573,25 +545,9 @@ def likelihood_perturbation_sweep(potential: PotentialSpec, perturbation_family,
     shared ensemble and fitted against psi(N): a slope near one certifies
     that the posterior inherits the approximation rate of the misfit.
     """
-    base = posterior(potential, ensemble, y)
-    distances, stderrs, tvs, zs, sizes = [], [], [], [], []
-    for n_approx in n_list:
-        approx = PotentialSpec(
-            misfit=perturbation_family(n_approx),
-            u_norm=potential.u_norm,
-            y_norm=potential.y_norm,
-            m0=potential.m0, m1=potential.m1, m2=potential.m2, m3=potential.m3,
-        )
-        pert = posterior(approx, ensemble, y)
-        d, se = hellinger_with_error(base.measure, pert.measure)
-        distances.append(d)
-        stderrs.append(se)
-        tvs.append(total_variation_empirical(base.measure, pert.measure))
-        zs.append(pert.z.z)
-        sizes.append(psi(n_approx))
-    seed = ensemble.seed if isinstance(ensemble, FieldEnsemble) else None
-    return _sweep_report("likelihood", sizes, zs, stderrs,
-                         distances, tvs, seed, base.measure.weights.size)
+    perturbed = ((replace(potential, misfit=perturbation_family(n)), y)
+                 for n in n_list)
+    return _sweep("likelihood", potential, ensemble, y, perturbed, [psi(n) for n in n_list])
 
 
 # ---------------------------------------------------------------------------

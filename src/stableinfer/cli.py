@@ -282,19 +282,9 @@ def _json_dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_column_csv(path: Path, header: str, values, comment: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n{header}\n")
-        for row in values:
-            if np.isscalar(row):
-                fh.write("%.17g\n" % row)
-            else:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def _write_table_and_report(out: Path, comment: str, table: str, header: str, rows,
+def _write_table_and_report(out: Path, comment: str, table: str, columns, rows,
                             report: str, payload: dict) -> list:
-    _write_column_csv(out / table, header, rows, comment)
+    ensemble_io.write_matrix_csv(out / table, rows, columns, comment)
     _json_dump(out / report, payload)
     return [out / table, out / report]
 
@@ -308,7 +298,7 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
         galleries[family] = g
         path = out / f"{family}_fields.csv"
         ensemble_io.write_matrix_csv(
-            path, g.rescaled_grid, "x",
+            path, g.rescaled_grid, [f"x{j}" for j in range(g.rescaled_grid.shape[1])],
             f"{comment} family={family} spec_hash={g.ensemble.spec_hash}",
         )
         files.append(path)
@@ -340,7 +330,7 @@ def _run_projection_demo(cfg: ExperimentConfig, out: Path, comment: str, kind: s
     ks = gof.ks_statistic(draws, lambda u: stable.cauchy_cdf(x.delta, x.gamma, u))
     crit = gof.ks_critical_value(x.n, 0.01)
     return _write_table_and_report(
-        out, comment, "samples.csv", "draw", draws, "ks_report.json", {
+        out, comment, "samples.csv", ["draw"], draws, "ks_report.json", {
             "construction": "circle_projection" if kind == "radial" else "gaussian_ratio",
             "gamma": x.gamma, "delta": x.delta, "n": x.n,
             "ks_statistic": ks, "ks_critical_1pct": crit, "passes": bool(ks < crit),
@@ -354,7 +344,8 @@ def _run_three_series(cfg: ExperimentConfig, out: Path, comment: str):
         result.depths, result.traces["s0"], result.traces["s1"], result.traces["s2"],
     ])
     return _write_table_and_report(
-        out, comment, "partial_sums.csv", "depth,s0,s1,s2", rows, "three_series.json", {
+        out, comment, "partial_sums.csv", ["depth", "s0", "s1", "s2"], rows,
+        "three_series.json", {
             "s0": result.s0, "s1": result.s1, "s2": result.s2,
             "verdict": result.verdict.value,
             "failing_series": list(result.failing_series),
@@ -367,7 +358,7 @@ def _run_summability(cfg: ExperimentConfig, out: Path, comment: str):
     rep = sequences.summability_report(x.sequence, x.alpha, x.q, probe_depth=x.probe_depth)
     rows = np.column_stack([rep.depths, rep.alpha_partial_sums, rep.orlicz_partial_sums])
     return _write_table_and_report(
-        out, comment, "partial_sums.csv", "depth,sum_gamma_alpha,sum_orlicz", rows,
+        out, comment, "partial_sums.csv", ["depth", "sum_gamma_alpha", "sum_orlicz"], rows,
         "summability.json", {
             "verdict": rep.verdict.value,
             "regime": rep.regime,
@@ -380,7 +371,7 @@ def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
     est = series.flom_estimate(ens, x.p, x.q)
     return _write_table_and_report(
-        out, comment, "truncation_trace.csv", "truncation,estimate",
+        out, comment, "truncation_trace.csv", ["truncation", "estimate"],
         np.asarray(est.truncation_trace), "flom.json", {
             "estimate": est.estimate, "stderr": est.stderr,
             "truncation_trace": [[int(n), v] for n, v in est.truncation_trace],
@@ -395,7 +386,7 @@ def _run_bayes_run(cfg: ExperimentConfig, out: Path, comment: str):
     report_path = out / "posterior.json"
     _json_dump(report_path, {
         "z": post.z.z, "z_stderr": post.z.stderr, "log_z": post.z.log_z,
-        "ess": post.ess,
+        "ess": post.z.ess,
         "posterior_mean_first_coefficient": mean,
         "posterior_mean_stderr": mean_se,
     })
@@ -413,7 +404,7 @@ def _write_sweep(out: Path, comment: str, report, size: str, name: str) -> list:
     rows = np.column_stack([report.perturbation_sizes, report.distances,
                             report.distance_stderrs])
     return _write_table_and_report(out, comment, f"hellinger_vs_{size}.csv",
-                                   f"{size},d_hellinger,stderr", rows, name,
+                                   [size, "d_hellinger", "stderr"], rows, name,
                                    report.to_json_dict())
 
 

@@ -5,16 +5,18 @@ length, a UTF-8 JSON header carrying spec hash, seed, and dimensions,
 then the coefficient matrix and (if present) the grid matrix as
 little-endian float64 in row-major order.
 
-CSV layout: one row per sample, 17-significant-digit decimals, a header
-row naming the columns, preceded by a comment line with the spec hash
-and seed.
+CSV layout (`write_matrix_csv`, the one writer of every CSV table the
+package produces): a comment line, a header row naming the columns, then
+one row per sample in 17-significant-digit decimals, which read back as
+the same floats.  Ensemble files carry the spec hash and seed in the
+comment.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,13 +64,16 @@ def read_sfe1(path) -> tuple[dict, np.ndarray, Optional[np.ndarray]]:
     return header, coeffs, grid
 
 
-def write_matrix_csv(path, matrix: np.ndarray, column_prefix: str,
+def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
                      comment: str) -> None:
-    """Write a matrix as CSV: comment line, header row, one row per sample."""
-    matrix = np.atleast_2d(matrix)
+    """Write a table as CSV: comment line, header row of the column names,
+    one row per sample; a 1-D array is one column."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {comment}\n")
-        fh.write(",".join(f"{column_prefix}{j}" for j in range(matrix.shape[1])) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in matrix:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
@@ -83,4 +88,4 @@ def write_ensemble_csv(path, ensemble: FieldEnsemble, which: str = "coefficients
     else:
         raise InvalidSpecError(f"unknown section {which!r}")
     comment = f"spec_hash={ensemble.spec_hash} seed={ensemble.seed}"
-    write_matrix_csv(path, mat, prefix, comment)
+    write_matrix_csv(path, mat, [f"{prefix}{j}" for j in range(mat.shape[1])], comment)

@@ -65,19 +65,9 @@ class QuasiNormSpec:
         return max(1.0, 2.0 ** (1.0 / self.q - 1.0))
 
 
-def quasi_norm(values, spec: QuasiNormSpec) -> float:
-    """(sum |v|^q)^(1/q), max for q = inf, with dx weighting on grids."""
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    if math.isinf(spec.q):
-        return float(v.max()) if v.size else 0.0
-    total = float((v ** spec.q).sum())
-    if spec.domain == "grid":
-        total *= spec.grid_spacing
-    return total ** (1.0 / spec.q)
-
-
 def rowwise_quasi_norm(matrix: np.ndarray, spec: QuasiNormSpec) -> np.ndarray:
-    """quasi_norm of every row of a batch at once."""
+    """(sum |v|^q)^(1/q) of every row v of a batch, max |v| for q = inf,
+    with the sum weighted by the grid spacing on grids."""
     m = np.abs(np.atleast_2d(np.asarray(matrix, dtype=float)))
     if math.isinf(spec.q):
         return m.max(axis=1)
@@ -85,6 +75,12 @@ def rowwise_quasi_norm(matrix: np.ndarray, spec: QuasiNormSpec) -> np.ndarray:
     if spec.domain == "grid":
         total = total * spec.grid_spacing
     return total ** (1.0 / spec.q)
+
+
+def quasi_norm(values, spec: QuasiNormSpec) -> float:
+    """rowwise_quasi_norm of the flattened values; 0 for no values."""
+    v = np.asarray(values, dtype=float).ravel()
+    return float(rowwise_quasi_norm(v[None, :], spec)[0]) if v.size else 0.0
 
 
 @dataclass
@@ -116,10 +112,6 @@ class WeightedSampleMeasure:
     def normalized(self) -> np.ndarray:
         """Weights scaled to sum to one."""
         return self.weights / self.weights.sum()
-
-    def ess(self) -> float:
-        w = self.normalized()
-        return float(1.0 / (w ** 2).sum())
 
 
 def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure):

@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DivisionByZeroScaleError, OutOfRangeError
+from .stable import _standard_pdf, _standard_sf, truncated_cauchy_moments
 
 __all__ = [
     "PowerLaw",
@@ -116,27 +117,22 @@ def sequence_values(seq: CoefficientSequence, n: int) -> np.ndarray:
     raise TypeError(f"not a coefficient sequence: {seq!r}")
 
 
-def _is_closed_form(seq: CoefficientSequence) -> bool:
-    if isinstance(seq, (PowerLaw, PowerLogLaw)):
-        return True
-    return False
+def _log_exponent(seq: Union[PowerLaw, PowerLogLaw]) -> float:
+    """The log exponent of a closed form; a power law is a power-log law with 0."""
+    return getattr(seq, "log_exponent", 0.0)
 
 
 def _lp_summable(seq: CoefficientSequence, p: float) -> Optional[bool]:
     """Exact integral-test answer to sum |v_n|^p < inf, or None if the
     sequence has no usable closed form."""
-    if isinstance(seq, PowerLaw):
-        if seq.amplitude == 0.0:
-            return True
-        return seq.exponent * p > 1.0
-    if isinstance(seq, PowerLogLaw):
+    if isinstance(seq, (PowerLaw, PowerLogLaw)):
         if seq.amplitude == 0.0:
             return True
         rp = seq.exponent * p
         if rp > 1.0:
             return True
         if rp == 1.0:
-            return seq.log_exponent * p > 1.0
+            return _log_exponent(seq) * p > 1.0
         return False
     if isinstance(seq, Explicit):
         if seq.tail is None:
@@ -148,12 +144,7 @@ def _lp_summable(seq: CoefficientSequence, p: float) -> Optional[bool]:
 def _orlicz_summable(seq: CoefficientSequence, alpha: float) -> Optional[bool]:
     """Exact answer to sum |v_n^alpha * log v_n| < inf (the extra condition
     the series theorems need at the resonant indices)."""
-    if isinstance(seq, PowerLaw):
-        if seq.amplitude == 0.0:
-            return True
-        # term ~ r * |C|^a * n^(-r a) log n: the log factor only bites at r*a = 1
-        return seq.exponent * alpha > 1.0
-    if isinstance(seq, PowerLogLaw):
+    if isinstance(seq, (PowerLaw, PowerLogLaw)):
         if seq.amplitude == 0.0:
             return True
         ra = seq.exponent * alpha
@@ -161,7 +152,7 @@ def _orlicz_summable(seq: CoefficientSequence, alpha: float) -> Optional[bool]:
             return True
         if ra == 1.0:
             # term ~ n^-1 (log n)^(1 - s a)
-            return seq.log_exponent * alpha > 2.0
+            return _log_exponent(seq) * alpha > 2.0
         return False
     if isinstance(seq, Explicit):
         if seq.tail is None:
@@ -335,8 +326,6 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, cuts: np.ndarray,
     """
     from scipy.interpolate import PchipInterpolator
 
-    from .stable import _standard_pdf, _standard_sf
-
     cmax = min(max(float(cuts.max(initial=0.0)), 10.0), 1e8)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, cmax, grid_size)])
     rho = _standard_pdf(alpha, 0.0, grid)
@@ -377,21 +366,13 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
     gam = np.abs(sequence_values(gamma_seq, depth))
     depths = _doubling_depths(depth)
 
-    pos = gam > 0
-    t0 = np.zeros(depth)
-    t1 = np.zeros(depth)
-    t2 = np.zeros(depth)
     if alpha == 1.0 and q == 1.0:
-        g = gam[pos]
-        ratio = a_cut / g
-        at = np.arctan(ratio)
-        t0[pos] = 1.0 - (2.0 / math.pi) * at
-        t1[pos] = (g / math.pi) * np.log1p(ratio * ratio)
-        t2[pos] = (2.0 / math.pi) * g * (a_cut - g * at)
+        t0, t1, t2 = truncated_cauchy_moments(gam, a_cut)
     else:
+        pos = gam > 0
         cuts = np.float64(a_cut) ** (1.0 / q) / gam[pos]  # inf, not OverflowError
-        tables = _symmetric_truncated_term_tables(alpha, q, cuts)
-        surv, tq, t2q = tables(cuts)
+        surv, tq, t2q = _symmetric_truncated_term_tables(alpha, q, cuts)(cuts)
+        t0, t1, t2 = np.zeros((3, depth))
         t0[pos] = surv
         t1[pos] = gam[pos] ** q * tq
         t2[pos] = gam[pos] ** (2.0 * q) * t2q
@@ -438,10 +419,8 @@ def _three_series_analytic(gamma_seq, alpha: float, q: float) -> Optional[dict]:
     when m q < alpha, like gamma^alpha when m q > alpha, and like
     gamma^alpha |log gamma| at the resonance m q = alpha.
     """
-    if not (_is_closed_form(gamma_seq) or (
-        isinstance(gamma_seq, Explicit)
-        and (gamma_seq.tail is None or _is_closed_form(gamma_seq.tail))
-    )):
+    tail = gamma_seq.tail if isinstance(gamma_seq, Explicit) else gamma_seq
+    if tail is not None and not isinstance(tail, (PowerLaw, PowerLogLaw)):
         return None
 
     def moment_series_ok(order: float) -> Optional[bool]:
@@ -476,15 +455,10 @@ class HilbertScaleReport:
 
 def _divide_by_eigen_power(seq, lam, s: float):
     """Closed form of v_n / lambda_n^s when both sides are closed-form."""
-    if isinstance(seq, PowerLaw) and isinstance(lam, PowerLaw):
-        return PowerLaw(seq.amplitude / lam.amplitude ** s,
-                        seq.exponent - s * lam.exponent)
     if isinstance(seq, (PowerLaw, PowerLogLaw)) and isinstance(lam, (PowerLaw, PowerLogLaw)):
-        r1, s1 = (seq.exponent, getattr(seq, "log_exponent", 0.0))
-        r2, s2 = (lam.exponent, getattr(lam, "log_exponent", 0.0))
-        c1 = seq.amplitude
-        c2 = lam.amplitude
-        return PowerLogLaw(c1 / c2 ** s, r1 - s * r2, s1 - s * s2)
+        return PowerLogLaw(seq.amplitude / lam.amplitude ** s,
+                           seq.exponent - s * lam.exponent,
+                           _log_exponent(seq) - s * _log_exponent(lam))
     return None
 
 

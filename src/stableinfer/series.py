@@ -30,6 +30,7 @@ from .errors import (
     MomentOrderTooHighError,
     OutOfRangeError,
 )
+from .metrics import QuasiNormSpec, rowwise_quasi_norm
 from .sequences import (
     CoefficientSequence,
     Explicit,
@@ -223,8 +224,7 @@ def _coefficients_from_uniforms(spec: StableFieldSpec, u: np.ndarray) -> np.ndar
     return out
 
 
-def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int,
-                        check_summability: bool = True) -> FieldEnsemble:
+def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int) -> FieldEnsemble:
     """Draw n_samples independent coefficient vectors for the spec.
 
     Coefficient (i, n) is S(alpha, beta_n, gamma_n, delta_n; 0),
@@ -235,18 +235,17 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int,
     """
     if n_samples < 0:
         raise InvalidSpecError("n_samples must be >= 0")
-    if check_summability:
-        rep = summability_report(
-            spec.gamma_seq, spec.alpha, basis_norm_exponent(spec.basis),
-            probe_depth=max(1024, spec.truncation),
+    rep = summability_report(
+        spec.gamma_seq, spec.alpha, basis_norm_exponent(spec.basis),
+        probe_depth=max(1024, spec.truncation),
+    )
+    if rep.verdict is SummabilityVerdict.FAILS_ELL_ALPHA:
+        warnings.warn(
+            "scale sequence is not ell^alpha-summable: the untruncated "
+            "series would diverge almost surely",
+            SummabilityWarning,
+            stacklevel=2,
         )
-        if rep.verdict is SummabilityVerdict.FAILS_ELL_ALPHA:
-            warnings.warn(
-                "scale sequence is not ell^alpha-summable: the untruncated "
-                "series would diverge almost surely",
-                SummabilityWarning,
-                stacklevel=2,
-            )
     coeffs = np.empty((n_samples, spec.truncation))
     # bounded working memory; chunk boundaries cannot change the draws
     # because every row owns a fixed counter-addressed block
@@ -262,36 +261,23 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int,
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _wavelet_levels(n_coeffs: int) -> int:
-    levels = int(math.ceil(math.log2(n_coeffs + 1))) - 1
-    return max(levels, 0)
-
-
-def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray, kind: str,
-                       unit_norm: bool) -> np.ndarray:
-    n_samples, n_coeffs = coeffs.shape
-    levels = _wavelet_levels(n_coeffs)
-    out = np.zeros((n_samples, grid.size))
-    for j in range(levels + 1):
-        start = 2 ** j - 1
-        stop = min(2 ** (j + 1) - 1, n_coeffs)
-        width = stop - start
-        if width <= 0:
-            break
-        level_coeffs = np.zeros((n_samples, 2 ** j))
-        level_coeffs[:, :width] = coeffs[:, start:stop]
+def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
+                       basis: Union[HaarWavelet, HatHierarchical]) -> np.ndarray:
+    """Sum of the whole levels 0..basis.levels; level j starts at column 2^j - 1."""
+    out = np.zeros((coeffs.shape[0], grid.size))
+    # every translate is supported inside [0, 1); points outside get 0
+    inside = (grid >= 0.0) & (grid < 1.0)
+    for j in range(basis.levels + 1):
         scaled = 2.0 ** j * grid
         k = np.floor(scaled).astype(np.int64)
         np.clip(k, 0, 2 ** j - 1, out=k)
         frac = scaled - k
-        # every translate is supported inside [0, 1); points outside get 0
-        inside = (grid >= 0.0) & (grid < 1.0)
-        if kind == "haar":
+        if isinstance(basis, HaarWavelet):
             shape = np.where(frac < 0.5, 1.0, -1.0) * inside
         else:  # hat
             shape = (1.0 - np.abs(2.0 * frac - 1.0)) * inside
-        amp = 2.0 ** (j / 2.0) if unit_norm else 1.0
-        out += amp * shape[None, :] * level_coeffs[:, k]
+        amp = 2.0 ** (j / 2.0) if basis.unit_norm else 1.0
+        out += amp * shape[None, :] * coeffs[:, 2 ** j - 1 + k]
     return out
 
 
@@ -324,8 +310,7 @@ def synthesize(basis: BasisSpec, coefficients: np.ndarray,
                     f"basis with levels 0..{basis.levels} needs {expected} "
                     f"coefficients, got {coeffs.shape[1]}"
                 )
-            kind = "haar" if isinstance(basis, HaarWavelet) else "hat"
-            out = _synthesize_dyadic(coeffs, grid, kind, basis.unit_norm)
+            out = _synthesize_dyadic(coeffs, grid, basis)
         elif isinstance(basis, Eigenbasis):
             n = coeffs.shape[1]
             modes = np.arange(1, n + 1)
@@ -431,14 +416,10 @@ def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
         )
     coeffs = ensemble.coefficients
     n_total = coeffs.shape[1]
+    norm = QuasiNormSpec(q)
     trace = []
     for n_trunc in (max(n_total // 4, 1), max(n_total // 2, 1), n_total):
-        block = np.abs(coeffs[:, :n_trunc])
-        if math.isinf(q):
-            norms = block.max(axis=1)
-        else:
-            norms = (block ** q).sum(axis=1) ** (1.0 / q)
-        vals = norms ** p
+        vals = rowwise_quasi_norm(coeffs[:, :n_trunc], norm) ** p
         trace.append((n_trunc, float(vals.mean())))
     est = trace[-1][1]
     if vals.size > 1 and vals.max() > vals.min():
@@ -477,13 +458,8 @@ def qframe_upper_check(basis: BasisSpec, q: float, n_trials: int,
     else:
         grid = default_grid(basis)
         fields = synthesize(basis, coeffs, grid)
-        dx = 1.0 / grid.size
-        if math.isinf(q):
-            synth_norm = np.abs(fields).max(axis=1)
-        else:
-            synth_norm = ((np.abs(fields) ** q).sum(axis=1) * dx) ** (1.0 / q)
-        coeff_norm = (np.abs(coeffs) ** q).sum(axis=1) ** (1.0 / q)
-        ratios = synth_norm / coeff_norm
+        synth_norm = rowwise_quasi_norm(fields, QuasiNormSpec(q, "grid", 1.0 / grid.size))
+        ratios = synth_norm / rowwise_quasi_norm(coeffs, QuasiNormSpec(q))
     max_ratio = float(ratios.max())
     orthonormal = isinstance(basis, HaarWavelet) and basis.unit_norm and q == 2.0
     verdict = "parseval_tight" if orthonormal and abs(max_ratio - 1.0) < 1e-3 \

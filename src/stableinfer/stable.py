@@ -24,8 +24,8 @@ for a whole array of points per numpy pass on fixed Gauss-Kronrod panels
 placed around the peak of each point's integrand, with an error
 estimate per point that raises QuadratureFailureError when it exceeds
 the tolerance.  The slower Fourier inversion of the characteristic
-function by QUADPACK stays available as an independent reference
-(`stable_pdf(..., force_numeric=True)`).  Moments of strictly stable
+function by QUADPACK (`_StandardNumericDensity`) is kept as an
+independent reference for the tests.  Moments of strictly stable
 laws and the tail constant are closed forms (Samorodnitsky & Taqqu 1994,
 Properties 1.2.15 and 1.2.17).
 """
@@ -371,7 +371,7 @@ def normal_logpdf(mean: float, std: float, u):
 
 
 # ---------------------------------------------------------------------------
-# reference density by Fourier inversion (stable_pdf with force_numeric)
+# reference density by Fourier inversion
 # ---------------------------------------------------------------------------
 
 class _StandardNumericDensity:
@@ -809,9 +809,17 @@ def _lagrange_weights(u: float) -> np.ndarray:
 
 def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSettings):
     """Density ("pdf") or survival function ("sf") of S(alpha, beta, 1, 0; 0)
-    at z: closed forms for the normal and the symmetric Cauchy law, the
-    interpolation above near alpha = 1, Nolan's integrals otherwise."""
+    at z: the limits 0 (and survival 1 at -inf) at infinite z, closed forms
+    for the normal and the symmetric Cauchy law, the interpolation above
+    near alpha = 1, Nolan's integrals otherwise.  The survival function is
+    clipped to [0, 1], which rounding in the integrals can leave by a few
+    ulps of 0 or 1."""
     z = np.asarray(z, dtype=float)
+    infinite = np.isinf(z)
+    if infinite.any():
+        out = np.where(z > 0.0, 0.0, 1.0) if want == "sf" else np.zeros(z.shape)
+        out[~infinite] = _standard(alpha, beta, z[~infinite], want, settings)
+        return out
     if alpha == 2.0:
         if want == "pdf":
             return normal_pdf(0.0, math.sqrt(2.0), z)
@@ -828,11 +836,13 @@ def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSetti
     h = _NEAR_ONE
     if 0.0 < abs(alpha - 1.0) < _NEAR_ONE:
         nodes = [_standard(1.0 + h * k, beta, z, want, settings) for k in _NEAR_ONE_OFFSETS]
-        return np.tensordot(_lagrange_weights((alpha - 1.0) / h), nodes, axes=1)
-    if alpha == 1.0 and abs(beta) < _NEAR_ONE:
+        val = np.tensordot(_lagrange_weights((alpha - 1.0) / h), nodes, axes=1)
+    elif alpha == 1.0 and abs(beta) < _NEAR_ONE:
         nodes = [_standard(1.0, h * k, z, want, settings) for k in _NEAR_ONE_OFFSETS]
-        return np.tensordot(_lagrange_weights(beta / h), nodes, axes=1)
-    return _zolotarev(alpha, beta, z.ravel(), want, settings).reshape(z.shape)
+        val = np.tensordot(_lagrange_weights(beta / h), nodes, axes=1)
+    else:
+        val = _zolotarev(alpha, beta, z.ravel(), want, settings).reshape(z.shape)
+    return np.clip(val, 0.0, 1.0) if want == "sf" else val
 
 
 def _standard_pdf(alpha: float, beta: float, z, settings: QuadratureSettings = DEFAULT_QUADRATURE):
@@ -848,8 +858,7 @@ def _standard_sf(alpha: float, beta: float, z, settings: QuadratureSettings = DE
     return _standard(alpha, beta, z, "sf", settings)
 
 
-def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_QUADRATURE,
-               force_numeric: bool = False):
+def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_QUADRATURE):
     """Density of S(alpha, beta, gamma, delta; 0) at u.
 
     Cauchy and Gaussian parameters use their closed forms.  Every other
@@ -860,26 +869,17 @@ def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_Q
     is integrated again on finer panels and raises QuadratureFailureError
     if it still misses.  Within 4e-3 of alpha = 1, and of beta = 0 at
     alpha = 1, where Nolan's forms lose precision, the value is
-    interpolated from laws at and beyond that distance.  Requires
-    gamma > 0.
-
-    `force_numeric` routes every law, the special cases included, through
-    the independent Fourier inversion of the characteristic function by
-    adaptive QUADPACK quadrature, one point at a time.  It is slow, and
-    unreliable near the centre for alpha > 1 and for some skewed laws
-    with alpha < 1; the test-suite uses it as a second reference.
+    interpolated from laws at and beyond that distance.  The density is 0
+    at u = +-inf.  Requires gamma > 0.
     """
     if not params.gamma > 0.0:
         raise OutOfRangeError("gamma", "density requires a non-degenerate scale")
+    if params.is_gaussian:
+        return normal_pdf(params.delta, params.gamma * math.sqrt(2.0), u)
+    if params.is_symmetric_cauchy:
+        return cauchy_pdf(params.delta, params.gamma, u)
     z = (np.asarray(u, dtype=float) - params.delta) / params.gamma
-    if force_numeric:
-        out = _StandardNumericDensity(params.alpha, params.beta, settings)(z) / params.gamma
-    else:
-        if params.is_gaussian:
-            return normal_pdf(params.delta, params.gamma * math.sqrt(2.0), u)
-        if params.is_symmetric_cauchy:
-            return cauchy_pdf(params.delta, params.gamma, u)
-        out = _standard_pdf(params.alpha, params.beta, z, settings) / params.gamma
+    out = _standard_pdf(params.alpha, params.beta, z, settings) / params.gamma
     return float(out) if np.ndim(u) == 0 else out
 
 
@@ -966,9 +966,10 @@ def tail_asymptote(params: StableParams, x: float) -> TailAsymptote:
     )
 
 
-def truncated_cauchy_moments(gamma: float, a_cut: float) -> TruncatedCauchyMoments:
+def truncated_cauchy_moments(gamma, a_cut: float) -> TruncatedCauchyMoments:
     """Exceedance probability and truncated first/second absolute moments
-    of a centred Cauchy draw with width gamma at cutoff a_cut.
+    of a centred Cauchy draw with width gamma at cutoff a_cut; gamma may be
+    an array of widths (arrays out), a scalar gives floats.
 
     For u ~ C(0, gamma):
         P[|u| >= A]          = 1 - (2/pi) arctan(A/gamma)
@@ -980,16 +981,20 @@ def truncated_cauchy_moments(gamma: float, a_cut: float) -> TruncatedCauchyMomen
     """
     if not a_cut > 0.0:
         raise OutOfRangeError("A", "truncation level must be > 0")
-    if gamma < 0.0:
+    widths = np.asarray(gamma, dtype=float)
+    if np.any(widths < 0.0):
         raise OutOfRangeError("gamma", "width must be >= 0")
-    if gamma == 0.0:
-        return TruncatedCauchyMoments(0.0, 0.0, 0.0)
-    ratio = a_cut / gamma
-    at = math.atan(ratio)
-    p_exceed = 1.0 - (2.0 / math.pi) * at
-    m1 = (gamma / math.pi) * math.log1p(ratio * ratio)
-    m2 = (2.0 / math.pi) * gamma * (a_cut - gamma * at)
-    return TruncatedCauchyMoments(p_exceed, m1, m2)
+    pos = np.atleast_1d(widths) > 0.0
+    g = np.atleast_1d(widths)[pos]
+    ratio = a_cut / g
+    at = np.arctan(ratio)
+    terms = np.zeros((3,) + pos.shape)
+    terms[0, pos] = 1.0 - (2.0 / math.pi) * at
+    terms[1, pos] = (g / math.pi) * np.log1p(ratio * ratio)
+    terms[2, pos] = (2.0 / math.pi) * g * (a_cut - g * at)
+    if widths.ndim == 0:
+        return TruncatedCauchyMoments(*terms[:, 0].tolist())
+    return TruncatedCauchyMoments(*terms)
 
 
 # The body of a numeric moment integral: panels graded by factors of 2
@@ -1111,6 +1116,7 @@ def fractional_moment(params: StableParams, p: float,
 
 _PDF_FLOOR = 1e-300
 _SATURATION_P = 1e-150
+_MAX_DOUBLINGS = 40
 
 
 def kl_divergence_1d(
@@ -1120,7 +1126,6 @@ def kl_divergence_1d(
     settings: QuadratureSettings = DEFAULT_QUADRATURE,
     logpdf_p: Optional[Callable] = None,
     logpdf_q: Optional[Callable] = None,
-    max_doublings: int = 40,
 ) -> MomentValue:
     """Integral of p*log(p/q), with detection of an infinite divergence.
 
@@ -1172,7 +1177,7 @@ def kl_divergence_1d(
     if saturated:
         return MomentValue.infinite()
     shells = []
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         new_half = 2.0 * half
         shell = piece(center - new_half, center - half) + piece(center + half, center + new_half)
         half = new_half

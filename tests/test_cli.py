@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,8 @@ from stableinfer.series import Eigenbasis, StableFieldSpec
 def cfg_text(experiment, params=None, seed=11):
     return json.dumps({"experiment": experiment, "seed": seed, "params": params or {}})
 
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
 CAUCHY_SCALAR_PRIOR = {
     "alpha": 1.0,
@@ -238,15 +241,17 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
-    def test_repeated_runs_are_byte_identical(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(cfg_text("figure2", {"levels": 3, "n_samples": 3,
-                                            "grid_size": 128}))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t1")]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t2")]) == 0
-        a = (tmp_path / "t1" / "cauchy_fields.csv").read_bytes()
-        b = (tmp_path / "t2" / "cauchy_fields.csv").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize("cfg", DEMO_CONFIGS, ids=[c.stem for c in DEMO_CONFIGS])
+    def test_repeated_runs_are_byte_identical(self, tmp_path, cfg):
+        manifests = []
+        for out in (tmp_path / "t1", tmp_path / "t2"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            del manifests[-1]["wall_time_s"]
+        assert manifests[0] == manifests[1]  # the same files with the same sha256
+        for entry in manifests[0]["files"]:
+            name = entry["name"]
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
     @pytest.mark.parametrize("experiment,params,seed_override", [
         ("three_series", {"sequence": 1.0, "alpha": 1.0, "depth": "x"}, None),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stableinfer import (
     EuclideanSequence,
@@ -16,6 +18,7 @@ from stableinfer.ensemble_io import (
     MAGIC,
     read_sfe1,
     write_ensemble_csv,
+    write_matrix_csv,
     write_sfe1,
 )
 
@@ -79,3 +82,33 @@ def test_csv_grid_requires_synthesis(tmp_path):
     ens = sample_coefficients(spec, 3, 1)
     with pytest.raises(InvalidSpecError):
         write_ensemble_csv(tmp_path / "x.csv", ens, which="grid")
+
+
+def _read_table(path):
+    comment, header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return comment, header, np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+_floats = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(0, 30), elements=_floats))
+def test_csv_column_round_trips_every_float(tmp_path_factory, column):
+    path = tmp_path_factory.mktemp("csv") / "column.csv"
+    write_matrix_csv(path, column, ["draw"], "one column")
+    comment, header, table = _read_table(path)
+    assert (comment, header) == ("# one column", "draw")
+    assert table.reshape(-1).tobytes() == column.tobytes()  # -0.0 and inf included
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=_floats))
+def test_csv_table_round_trips_every_float(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    columns = [f"col{j}" for j in range(matrix.shape[1])]
+    write_matrix_csv(path, matrix, columns, "a table")
+    _, header, table = _read_table(path)
+    assert header == ",".join(columns)
+    assert table.shape == matrix.shape
+    assert table.tobytes() == matrix.tobytes()

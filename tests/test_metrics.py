@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from stableinfer import (
@@ -22,6 +24,7 @@ from stableinfer import (
     sample_stable,
     total_variation_empirical,
 )
+from stableinfer.metrics import rowwise_quasi_norm
 
 
 class TestQuasiNorm:
@@ -68,6 +71,19 @@ class TestQuasiNorm:
     def test_invalid_exponent(self):
         with pytest.raises(OutOfRangeError):
             QuasiNormSpec(q=0.0)
+
+    def test_empty_vector_has_norm_zero(self):
+        for q in (0.5, 2.0, math.inf):
+            assert quasi_norm([], QuasiNormSpec(q=q)) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)),
+           st.one_of(st.floats(0.05, 8.0), st.just(math.inf)),
+           st.sampled_from(["sequence", "grid"]))
+    def test_vector_norm_is_the_one_row_batch_norm(self, v, q, domain):
+        spec = QuasiNormSpec(q=q, domain=domain, grid_spacing=1.0 / v.size)
+        one = quasi_norm(v, spec)
+        assert np.float64(one).tobytes() == rowwise_quasi_norm(v[None, :], spec)[0].tobytes()
 
 
 @pytest.fixture(scope="module")

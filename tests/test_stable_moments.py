@@ -6,9 +6,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from stableinfer import (
+    OutOfRangeError,
     StableParams,
     cauchy_cdf,
     cauchy_pdf,
@@ -206,6 +208,24 @@ class TestTruncatedCauchyMoments:
 
     def test_vanishing_width_gives_zero(self):
         assert truncated_cauchy_moments(0.0, 2.0) == (0.0, 0.0, 0.0)
+        terms = truncated_cauchy_moments(np.array([0.0, 1.0]), 2.0)
+        assert [float(t[0]) for t in terms] == [0.0, 0.0, 0.0]  # no 0 * log1p(inf) NaN
+
+    def test_scalar_width_gives_floats(self):
+        assert all(type(t) is float for t in truncated_cauchy_moments(0.3, 2.0))
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            truncated_cauchy_moments(np.array([1.0, -1e-300]), 2.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-60, 1e60)), min_size=1, max_size=40),
+           st.floats(1e-60, 1e60))
+    def test_vectorised_equals_scalar_elementwise(self, widths, cut):
+        batch = truncated_cauchy_moments(np.array(widths), cut)
+        for i, g in enumerate(widths):
+            for whole, alone in zip(batch, truncated_cauchy_moments(g, cut)):
+                assert whole[i].tobytes() == np.float64(alone).tobytes()
 
     def test_against_quadrature_oracle(self):
         p, m1, m2 = truncated_cauchy_moments(0.3, 2.0)

@@ -102,7 +102,7 @@ def test_parity_with_fourier_inversion(alpha, beta):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = np.array([stable_pdf(p, z, force_numeric=True) for z in _PARITY_Z])
+        reference = stable._StandardNumericDensity(p.alpha, p.beta, stable.DEFAULT_QUADRATURE)(_PARITY_Z)
     assert np.allclose(batch, reference, rtol=1e-8, atol=0.0)
 
 
@@ -127,7 +127,7 @@ class TestNearAlphaOne:
         z = np.array([-30.0, -1.0, 0.0, 0.4, 5.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reference = np.array([stable_pdf(p, x, force_numeric=True) for x in z])
+            reference = stable._StandardNumericDensity(p.alpha, p.beta, stable.DEFAULT_QUADRATURE)(z)
         assert np.allclose(stable_pdf(p, z), reference, rtol=1e-8, atol=0.0)
 
     def test_vanishing_skewness_is_cauchy(self):
@@ -137,6 +137,39 @@ class TestNearAlphaOne:
                            rtol=1e-13, atol=0.0)
         upper = np.arctan2(1.0, z) / math.pi
         assert np.allclose(stable._standard_sf(1.0, -1e-200, z), upper, rtol=1e-13, atol=0.0)
+
+
+class TestLimits:
+    """The density is 0 at +-inf, the survival function 0 at +inf and 1 at
+    -inf, and the survival function never leaves [0, 1]."""
+
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 0.0), (1.0, 0.4), (0.7, -0.5), (1.001, 0.2),
+                                            (1.0, 0.002), (2.0, 0.0), (1.0, 0.0)])
+    def test_values_at_infinity(self, alpha, beta):
+        p = validate_params(alpha, beta, 1.0, 0.0)
+        z = np.array([math.inf, -math.inf])
+        assert stable_pdf(p, z).tolist() == [0.0, 0.0]
+        assert stable_pdf(p, -math.inf) == 0.0
+        assert stable._standard_sf(p.alpha, p.beta, z).tolist() == [0.0, 1.0]
+
+    def test_survival_beyond_the_float_range_is_zero(self):
+        sf = stable._standard_sf(1.5, 0.0, np.array([math.inf, 1e300, -1e300, -math.inf]))
+        assert sf.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_three_series_with_infinite_cuts_has_no_negative_sum(self):
+        from stableinfer.sequences import PowerLaw, three_series_check
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = three_series_check(PowerLaw(1e-320, 1.0), 1.5, 1.0, 1.0, depth=1024)
+        assert result.s0 == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(-0.95, 0.95),
+           st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    def test_survival_stays_in_the_unit_interval(self, alpha, beta, z):
+        sf = stable._standard_sf(alpha, beta, np.array(z))
+        assert np.all((sf >= 0.0) & (sf <= 1.0))
 
 
 _alphas = st.floats(0.5, 2.0)
