@@ -6,34 +6,20 @@ assigns exponentially small probability to tail regions the Cauchy
 visits polynomially often.  The defensive substitution in the other
 direction is cheap: KL(Gaussian || Cauchy) is about a quarter of a nat.
 
-The divergence detector widens the integration domain by doubling and
-watches the shell contributions: collapse means convergence, sustained
-growth (or a density ratio leaving the floating-point range) means the
-integral is infinite.
+The divergence detector takes the two log densities, widens the
+integration domain by doubling and watches the shell contributions:
+collapse means convergence, sustained growth (or a log density of q
+that is -inf where p has mass) means the integral is infinite.
 """
 
-from stableinfer import (
-    cauchy_logpdf,
-    cauchy_pdf,
-    kl_divergence_1d,
-    normal_logpdf,
-    normal_pdf,
-)
+from functools import partial
 
-forward = kl_divergence_1d(
-    lambda u: normal_pdf(0, 1, u),
-    lambda u: cauchy_pdf(0, 1, u),
-    (-8.0, 8.0),
-    logpdf_p=lambda u: normal_logpdf(0, 1, u),
-    logpdf_q=lambda u: cauchy_logpdf(0, 1, u),
-)
-reverse = kl_divergence_1d(
-    lambda u: cauchy_pdf(0, 1, u),
-    lambda u: normal_pdf(0, 1, u),
-    (-8.0, 8.0),
-    logpdf_p=lambda u: cauchy_logpdf(0, 1, u),
-    logpdf_q=lambda u: normal_logpdf(0, 1, u),
-)
+from stableinfer import cauchy_logpdf, kl_divergence_1d, normal_logpdf
+
+normal = partial(normal_logpdf, 0, 1)
+cauchy = partial(cauchy_logpdf, 0, 1)
+forward = kl_divergence_1d(normal, cauchy, (-8.0, 8.0))
+reverse = kl_divergence_1d(cauchy, normal, (-8.0, 8.0))
 
 print("KL( N(0,1) || C(0,1) ) =", f"{forward.value:.6f}" if forward.is_finite else forward.kind)
 print("KL( C(0,1) || N(0,1) ) =", "infinite" if reverse.is_infinite else reverse.value)

@@ -426,20 +426,10 @@ def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
 
 def _run_kl_table(cfg: ExperimentConfig, out: Path, comment: str):
     half = cfg.inputs.initial_halfwidth
-    fwd = stable.kl_divergence_1d(
-        lambda u: stable.normal_pdf(0.0, 1.0, u),
-        lambda u: stable.cauchy_pdf(0.0, 1.0, u),
-        (-half, half),
-        logpdf_p=lambda u: stable.normal_logpdf(0.0, 1.0, u),
-        logpdf_q=lambda u: stable.cauchy_logpdf(0.0, 1.0, u),
-    )
-    rev = stable.kl_divergence_1d(
-        lambda u: stable.cauchy_pdf(0.0, 1.0, u),
-        lambda u: stable.normal_pdf(0.0, 1.0, u),
-        (-half, half),
-        logpdf_p=lambda u: stable.cauchy_logpdf(0.0, 1.0, u),
-        logpdf_q=lambda u: stable.normal_logpdf(0.0, 1.0, u),
-    )
+    normal = partial(stable.normal_logpdf, 0.0, 1.0)
+    cauchy = partial(stable.cauchy_logpdf, 0.0, 1.0)
+    fwd = stable.kl_divergence_1d(normal, cauchy, (-half, half))
+    rev = stable.kl_divergence_1d(cauchy, normal, (-half, half))
     report_path = out / "kl_table.json"
     _json_dump(report_path, {
         "normal_vs_cauchy": fwd.value if fwd.is_finite else "infinite",

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -150,7 +154,8 @@ class TestRunExperiments:
         run(cfg, tmp_path)
         table = json.loads((tmp_path / "kl_table.json").read_text())
         assert table["cauchy_vs_normal"] == "infinite"
-        assert abs(table["normal_vs_cauchy"] - 0.2592) < 1e-3
+        # mpmath quadrature at 40 digits
+        assert table["normal_vs_cauchy"] == pytest.approx(0.2592445324888622636, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["radial_demo", "ratio_demo"])
     def test_projection_demos_pass_ks(self, tmp_path, kind):
@@ -169,6 +174,34 @@ class TestRunExperiments:
         assert report["verdict"] == "convergent"
         rows = (tmp_path / "partial_sums.csv").read_text().splitlines()
         assert rows[1] == "depth,s0,s1,s2"
+
+    def test_kl_and_stable_series_use_no_scipy_quadrature(self, tmp_path):
+        # in a fresh process: scipy.integrate.quad refuses to run, and
+        # scipy.interpolate is never imported
+        configs = [cfg_text("kl_table"), cfg_text("three_series", {
+            "sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+            "alpha": 1.5, "q": 1.0, "threshold": 1.0, "depth": 1024,
+        })]
+        script = textwrap.dedent(f"""
+            import sys
+            from pathlib import Path
+            from stableinfer import stable
+            from stableinfer.cli import run, validate_config
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("scipy.integrate.quad was called")
+
+            stable.integrate.quad = refuse
+            for i, text in enumerate({configs!r}):
+                run(validate_config(text), Path({str(tmp_path)!r}) / str(i))
+            assert "scipy.interpolate" not in sys.modules, "scipy.interpolate was imported"
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "1" / "three_series.json").read_text())["verdict"] == "divergent"
 
     def test_summability_artifact(self, tmp_path):
         cfg = validate_config(cfg_text("summability", {

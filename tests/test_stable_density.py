@@ -2,7 +2,9 @@
 divergence-detecting KL integral."""
 
 import math
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,6 +12,7 @@ from scipy import integrate
 from stableinfer import (
     MomentValue,
     OutOfRangeError,
+    QuadratureFailureError,
     StableParams,
     cauchy_cdf,
     cauchy_logpdf,
@@ -125,47 +128,53 @@ class TestNumericDensity:
         assert d < ks_critical_value(n, 0.01)
 
 
+# KL(N(0, 1) || C(0, 1)) by mpmath quadrature at 40 digits
+KL_NORMAL_CAUCHY = 0.2592445324888622636
+
+
 class TestKLDivergence:
     def test_identical_densities(self):
-        out = kl_divergence_1d(
-            lambda u: normal_pdf(0, 1, u), lambda u: normal_pdf(0, 1, u), (-8, 8),
-        )
+        normal = partial(normal_logpdf, 0, 1)
+        out = kl_divergence_1d(normal, normal, (-8, 8))
         assert out.is_finite
-        assert out.value == pytest.approx(0.0, abs=1e-9)
+        assert out.value == 0.0
 
     def test_normal_against_cauchy_is_finite(self):
-        out = kl_divergence_1d(
-            lambda u: normal_pdf(0, 1, u),
-            lambda u: cauchy_pdf(0, 1, u),
-            (-8, 8),
-            logpdf_p=lambda u: normal_logpdf(0, 1, u),
-            logpdf_q=lambda u: cauchy_logpdf(0, 1, u),
-        )
-        oracle, _ = integrate.quad(
-            lambda u: normal_pdf(0, 1, u) * (normal_logpdf(0, 1, u) - cauchy_logpdf(0, 1, u)),
-            -40, 40, limit=300, points=[0.0],
-        )
+        out = kl_divergence_1d(partial(normal_logpdf, 0, 1), partial(cauchy_logpdf, 0, 1), (-8, 8))
         assert out.is_finite
-        assert out.value == pytest.approx(oracle, abs=1e-8)
+        assert out.value == pytest.approx(KL_NORMAL_CAUCHY, rel=1e-9)
+
+    def test_normal_against_cauchy_against_mpmath(self):
+        # the constant above, recomputed
+        with mp.workdps(40):
+            def f(u):
+                lp = -u * u / 2 - mp.log(2 * mp.pi) / 2
+                return mp.exp(lp) * (lp + mp.log(mp.pi * (1 + u * u)))
+            want = 2 * mp.quad(f, [0, 2, 4, 8, 16, mp.inf])
+        assert float(want) == pytest.approx(KL_NORMAL_CAUCHY, rel=1e-15)
 
     def test_cauchy_against_normal_diverges(self):
-        out = kl_divergence_1d(
-            lambda u: cauchy_pdf(0, 1, u),
-            lambda u: normal_pdf(0, 1, u),
-            (-8, 8),
-            logpdf_p=lambda u: cauchy_logpdf(0, 1, u),
-            logpdf_q=lambda u: normal_logpdf(0, 1, u),
-        )
+        out = kl_divergence_1d(partial(cauchy_logpdf, 0, 1), partial(normal_logpdf, 0, 1), (-8, 8))
         assert out.is_infinite
 
-    def test_divergence_detected_without_log_densities(self):
-        # the plain-pdf route must reach the same verdict via saturation
-        out = kl_divergence_1d(
-            lambda u: cauchy_pdf(0, 1, u),
-            lambda u: normal_pdf(0, 1, u),
-            (-8, 8),
-        )
+    def test_divergence_detected_where_q_vanishes(self):
+        # q uniform on [-10, 10]: log q is -inf on the first shell, where p has mass
+        def uniform(u):
+            return np.where(np.abs(u) <= 10.0, -math.log(20.0), -np.inf)
+
+        out = kl_divergence_1d(partial(cauchy_logpdf, 0, 1), uniform, (-8, 8))
         assert out.is_infinite
+
+    def test_unresolved_integrand_raises(self):
+        # a spike of width 1e-3 falls between the nodes of unit-width panels
+        narrow = partial(normal_logpdf, 0.3, 1e-3)
+        with pytest.raises(QuadratureFailureError, match="error estimate"):
+            kl_divergence_1d(narrow, partial(normal_logpdf, 0, 1), (-16, 16))
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(QuadratureFailureError):
+            kl_divergence_1d(partial(normal_logpdf, 0, 1), lambda u: np.full(np.shape(u), np.nan),
+                             (-8, 8))
 
     def test_momentvalue_helpers(self):
         assert MomentValue.finite(2.0).is_finite

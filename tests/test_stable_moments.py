@@ -11,12 +11,14 @@ from scipy import integrate
 
 from stableinfer import (
     OutOfRangeError,
+    PowerLaw,
     StableParams,
     cauchy_cdf,
     cauchy_pdf,
     fractional_moment,
     stable_pdf,
     tail_asymptote,
+    three_series_check,
     truncated_cauchy_moments,
     validate_params,
 )
@@ -226,6 +228,17 @@ class TestTruncatedCauchyMoments:
         for i, g in enumerate(widths):
             for whole, alone in zip(batch, truncated_cauchy_moments(g, cut)):
                 assert whole[i].tobytes() == np.float64(alone).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_overflow_where_the_squared_ratio_would(self):
+        # (gamma/pi) log1p((A/gamma)^2) gave inf here
+        # widths on both sides of where the form switches, and far beyond
+        widths = np.array([1.0001e-154, 0.9999e-154, 1e-300])
+        with mp.workdps(30):
+            want = [float(mp.mpf(g) / mp.pi * mp.log1p(1 / mp.mpf(g) ** 2)) for g in widths]
+        assert truncated_cauchy_moments(widths, 1.0).m1 == pytest.approx(want, rel=1e-14)
+        assert truncated_cauchy_moments(1e-300, 1.0).m1 == pytest.approx(4.3976e-298, rel=1e-4)
+        assert math.isfinite(three_series_check(PowerLaw(1e-200, 1.0), 1.0, 1.0, 1.0, depth=1024).s1)
 
     def test_against_quadrature_oracle(self):
         p, m1, m2 = truncated_cauchy_moments(0.3, 2.0)

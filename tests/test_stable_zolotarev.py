@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stableinfer import (
+    OutOfRangeError,
     QuadratureFailureError,
     QuadratureSettings,
     stable_pdf,
@@ -115,6 +116,19 @@ class TestFailures:
         with pytest.raises(QuadratureFailureError):
             stable._standard_sf(1.5, 0.3, np.array([2.0]), strict)
 
+
+
+class TestNaNPoints:
+    def test_survival_rejects_nan(self):
+        # returned a tiny number silently
+        for alpha, beta in ((1.5, 0.0), (0.7, 0.3), (1.0, 0.0)):
+            with pytest.raises(OutOfRangeError, match="NaN"):
+                stable._standard_sf(alpha, beta, np.array([np.nan]))
+
+    def test_density_rejects_nan(self):
+        # raised QuadratureFailureError with "error estimate 0.0"
+        with pytest.raises(OutOfRangeError, match="NaN"):
+            stable_pdf(validate_params(1.5, 0.3, 1.0, 0.0), [0.0, np.nan])
 
 
 class TestNearAlphaOne:
