@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DivisionByZeroScaleError, OutOfRangeError
-from .stable import _standard_pdf, _standard_sf, truncated_cauchy_moments
+from .stable import _standard_pdf, _standard_sf, _tail_constant, truncated_cauchy_moments
 
 __all__ = [
     "PowerLaw",
@@ -314,9 +314,12 @@ class ThreeSeriesResult:
 
 
 # The truncated-moment tables: a uniform grid in log s from _TABLE_START,
-# whose _TABLE_STEPS steps and their midpoints are the density points
+# whose steps and their midpoints are the density points; _TABLE_STEPS
+# steps, more where a step would be wider than _TABLE_MAX_STEP (2048
+# steps reach 1.3e12 with it)
 _TABLE_START = 1e-3
 _TABLE_STEPS = 2048
+_TABLE_MAX_STEP = 0.017
 
 
 def _symmetric_truncated_term_tables(alpha: float, q: float, cuts: np.ndarray):
@@ -329,20 +332,28 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, cuts: np.ndarray):
     F starts at _TABLE_START with the exact rho(0) s^(m+1)/(m+1) (rho is
     flat to O(s^2) at 0), adds Simpson's rule over each step of the grid,
     which ends at the largest finite cut, and between nodes is the cubic
-    Hermite interpolant of F and its exact derivative.  Against mpmath at
-    cuts 1 to 1e12, alpha in {0.7, 1.5, 1.9}, q = 1, the relative error
-    is at most 2.5e-9.  An infinite cut takes the value at the last node.
+    Hermite interpolant of F and its exact derivative.  Where rho leaves
+    the normal float range (alpha < 2), log rho is taken from its leading
+    tail term alpha c s^-(alpha+1), which is exact to double precision so
+    far out.  Against mpmath at cuts 1 to 1e12, alpha in {0.7, 1.5, 1.9},
+    q = 1, the relative error is at most 2.5e-9, and the step bound keeps
+    it so at larger cuts.  An infinite cut takes the value at the last node.
     """
     top = max(float(cuts[np.isfinite(cuts)].max(initial=0.0)), 1.0)
     t0 = math.log(_TABLE_START)
-    h = (math.log(top) - t0) / _TABLE_STEPS
-    t = t0 + 0.5 * h * np.arange(2 * _TABLE_STEPS + 1)
+    steps = max(_TABLE_STEPS, math.ceil((math.log(top) - t0) / _TABLE_MAX_STEP))
+    h = (math.log(top) - t0) / steps
+    t = t0 + 0.5 * h * np.arange(2 * steps + 1)
+    rho = _standard_pdf(alpha, 0.0, np.exp(t))
     with np.errstate(divide="ignore"):
-        log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
+        log_rho = np.log(rho)
+    if alpha < 2.0:
+        far = rho < np.finfo(float).tiny
+        log_rho[far] = math.log(alpha * _tail_constant(alpha)) - (alpha + 1.0) * t[far]
     rho0 = math.gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
     # position of each cut on the grid: step i, fraction x of the step
     pos = (np.log(np.clip(cuts, _TABLE_START, top)) - t0) / h
-    i = np.clip(pos.astype(int), 0, _TABLE_STEPS - 1)
+    i = np.clip(pos.astype(int), 0, steps - 1)
     x = np.clip(pos - i, 0.0, 1.0)
     below = cuts < _TABLE_START
     moments = []
@@ -357,6 +368,16 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, cuts: np.ndarray):
         value[below] = rho0 * cuts[below] ** (m + 1.0) / (m + 1.0)
         moments.append(2.0 * value)
     return 2.0 * _standard_sf(alpha, 0.0, cuts), moments[0], moments[1]
+
+
+def _scaled_moment(gam: np.ndarray, m: float, table: np.ndarray) -> np.ndarray:
+    """gam^m * table, the truncated moment E[|gam u|^m; |u| <= cut].  Where
+    gam^m alone underflows, the product, which is about gam^alpha, is
+    formed from logs instead."""
+    with np.errstate(under="ignore", divide="ignore"):
+        power = gam ** m
+        return np.where(power < np.finfo(float).tiny,
+                        np.exp(m * np.log(gam) + np.log(table)), power * table)
 
 
 def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
@@ -387,8 +408,8 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
         surv, tq, t2q = _symmetric_truncated_term_tables(alpha, q, cuts)
         t0, t1, t2 = np.zeros((3, depth))
         t0[pos] = surv
-        t1[pos] = gam[pos] ** q * tq
-        t2[pos] = gam[pos] ** (2.0 * q) * t2q
+        t1[pos] = _scaled_moment(gam[pos], q, tq)
+        t2[pos] = _scaled_moment(gam[pos], 2.0 * q, t2q)
 
     traces = {
         "s0": _partial_sums_at(t0, depths),

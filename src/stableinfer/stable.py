@@ -24,9 +24,11 @@ QuadratureFailureError where it misses the tolerance: Nolan's (1997)
 finite-interval form of Zolotarev's integral for the densities and
 distribution functions without a closed form, the numeric fractional
 moments and the KL divergence.  QUADPACK serves only the Fourier-inversion
-reference `_StandardNumericDensity`, kept for the tests.  Moments of
-strictly stable laws and the tail constant are closed forms
-(Samorodnitsky & Taqqu 1994, Properties 1.2.15 and 1.2.17).
+reference `_StandardNumericDensity`, kept for the tests, so `scipy.integrate`
+is imported on its first call rather than with the module; importing this
+module loads numpy only.  Moments of strictly stable laws and the tail
+constant are closed forms (Samorodnitsky & Taqqu 1994, Properties 1.2.15
+and 1.2.17).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     AlphaMismatchError,
@@ -376,16 +377,30 @@ def normal_logpdf(mean: float, std: float, u):
 _QUAD_LIMIT = 200
 
 
+class _LazyIntegrate:
+    """`scipy.integrate`, imported on the first attribute looked up, so
+    that only the reference below pays for importing it."""
+
+    def __getattr__(self, name):
+        from scipy import integrate as module
+
+        return getattr(module, name)
+
+
+integrate = _LazyIntegrate()
+
+
 class _StandardNumericDensity:
     """Density of the standardised law S(alpha, beta, 1, 0; 0) by Fourier
     inversion of the characteristic function.
 
     rho(u) = (1/pi) Integral_0^inf [Re(phi) cos(ut) + Im(phi) sin(ut)] dt,
     evaluated point by point with QUADPACK's oscillatory-weight
-    quadrature; its error estimates are discarded.  It serves as an
-    independent check on the Zolotarev path below; it goes wrong near the
-    centre for alpha > 1 (at |u| < 0.02 for alpha = 1.5) and warns at
-    some points of skewed laws with alpha < 1.
+    quadrature, whose `scipy.integrate` module is imported on the first
+    point; its error estimates are discarded.  It serves as an independent
+    check on the Zolotarev path below; it goes wrong near the centre for
+    alpha > 1 (at |u| < 0.02 for alpha = 1.5) and warns at some points of
+    skewed laws with alpha < 1.
     """
 
     def __init__(self, alpha: float, beta: float, settings: QuadratureSettings):
@@ -476,6 +491,16 @@ _FALSE_POSITIONS = 2
 _REFINE = 4
 # points per vectorised pass, which bounds the working memory
 _CHUNK = 512
+
+# glibc's malloc returns the top of its heap to the system whenever more
+# than its trim threshold lies free there: 128 KB at start, then twice the
+# largest block yet freed from an mmap (mallopt(3), M_MMAP_THRESHOLD).
+# Each panel of a pass below frees about 0.5 MB of temporaries, so at the
+# start threshold every panel faults its memory back in: 50,000 page
+# faults and a quarter more time per alpha = 1.5 three-series table.
+# Freeing one 4 MB block raises the threshold to 8 MB; under another
+# allocator this line only allocates and frees.
+np.empty(1 << 19)
 
 
 class _Zolotarev:
@@ -809,6 +834,14 @@ def _lagrange_weights(u: float) -> np.ndarray:
     return np.array([math.prod((u - kj) / (ki - kj) for kj in k if kj != ki) for ki in k])
 
 
+def _points(z) -> np.ndarray:
+    """z as a float array; NaN points raise OutOfRangeError."""
+    z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise OutOfRangeError("z", "points must not be NaN")
+    return z
+
+
 def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSettings):
     """Density ("pdf") or survival function ("sf") of S(alpha, beta, 1, 0; 0)
     at z: the limits 0 (and survival 1 at -inf) at infinite z, closed forms
@@ -816,9 +849,7 @@ def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSetti
     near alpha = 1, Nolan's integrals otherwise.  The survival function is
     clipped to [0, 1], which rounding in the integrals can leave by a few
     ulps of 0 or 1.  NaN points raise OutOfRangeError."""
-    z = np.asarray(z, dtype=float)
-    if np.isnan(z).any():
-        raise OutOfRangeError("z", "points must not be NaN")
+    z = _points(z)
     infinite = np.isinf(z)
     if infinite.any():
         out = np.where(z > 0.0, 0.0, 1.0) if want == "sf" else np.zeros(z.shape)
@@ -874,15 +905,16 @@ def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_Q
     if it still misses.  Within 4e-3 of alpha = 1, and of beta = 0 at
     alpha = 1, where Nolan's forms lose precision, the value is
     interpolated from laws at and beyond that distance.  The density is 0
-    at u = +-inf.  Requires gamma > 0.
+    at u = +-inf; NaN points raise OutOfRangeError.  Requires gamma > 0.
     """
     if not params.gamma > 0.0:
         raise OutOfRangeError("gamma", "density requires a non-degenerate scale")
+    points = _points(u)
     if params.is_gaussian:
         return normal_pdf(params.delta, params.gamma * math.sqrt(2.0), u)
     if params.is_symmetric_cauchy:
         return cauchy_pdf(params.delta, params.gamma, u)
-    z = (np.asarray(u, dtype=float) - params.delta) / params.gamma
+    z = (points - params.delta) / params.gamma
     out = _standard_pdf(params.alpha, params.beta, z, settings) / params.gamma
     return float(out) if np.ndim(u) == 0 else out
 

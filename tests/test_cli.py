@@ -176,15 +176,26 @@ class TestRunExperiments:
         assert rows[1] == "depth,s0,s1,s2"
 
     def test_kl_and_stable_series_use_no_scipy_quadrature(self, tmp_path):
-        # in a fresh process: scipy.integrate.quad refuses to run, and
-        # scipy.interpolate is never imported
-        configs = [cfg_text("kl_table"), cfg_text("three_series", {
+        # in a fresh process: importing the CLI loads no scipy module; the
+        # demo configs, the alpha = 1.5 three-series run, two skewed 200-point
+        # densities and a strictly stable moment never import scipy.integrate
+        # (and scipy.integrate.quad refuses to run) nor scipy.interpolate; the
+        # QUADPACK reference still evaluates, importing scipy.integrate then
+        configs = [path.read_text() for path in DEMO_CONFIGS] + [cfg_text("three_series", {
             "sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
             "alpha": 1.5, "q": 1.0, "threshold": 1.0, "depth": 1024,
         })]
         script = textwrap.dedent(f"""
+            import math
             import sys
             from pathlib import Path
+
+            import stableinfer.cli
+
+            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            assert not loaded, f"import stableinfer.cli loaded {{len(loaded)}} scipy modules"
+
+            import numpy as np
             from stableinfer import stable
             from stableinfer.cli import run, validate_config
 
@@ -194,14 +205,25 @@ class TestRunExperiments:
             stable.integrate.quad = refuse
             for i, text in enumerate({configs!r}):
                 run(validate_config(text), Path({str(tmp_path)!r}) / str(i))
-            assert "scipy.interpolate" not in sys.modules, "scipy.interpolate was imported"
+            for alpha, beta in ((1.5, 0.3), (1.0, 0.4)):
+                stable.stable_pdf(stable.validate_params(alpha, beta, 1.0, 0.0), np.linspace(-20, 20, 200))
+            delta = 0.3 * 2.0 * math.tan(math.pi * 1.5 / 2.0)  # strictly stable
+            stable.fractional_moment(stable.validate_params(1.5, 0.3, 2.0, delta), 0.75)
+            for name in ("scipy.integrate", "scipy.interpolate"):
+                assert name not in sys.modules, f"{{name}} was imported"
+
+            del stable.integrate.quad
+            cauchy = stable._StandardNumericDensity(1.0, 0.0, stable.DEFAULT_QUADRATURE)
+            assert math.isclose(cauchy(1.0), 1.0 / (2.0 * math.pi), rel_tol=1e-10)
+            assert "scipy.integrate" in sys.modules
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads((tmp_path / "1" / "three_series.json").read_text())["verdict"] == "divergent"
+        last = tmp_path / str(len(configs) - 1) / "three_series.json"
+        assert json.loads(last.read_text())["verdict"] == "divergent"
 
     def test_summability_artifact(self, tmp_path):
         cfg = validate_config(cfg_text("summability", {

@@ -221,6 +221,17 @@ class TestThreeSeries:
             want = [_truncated_moment(alpha, m, cut) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-8)
 
+    def test_tiny_scales_keep_moment_terms(self):
+        # gamma_n = 1e-200/n, alpha = 0.7, q = 1: gamma^2 underflows and the
+        # density at the cuts 1e200 n leaves the float range; s2 was 0 and s1
+        # a thousand times too small, against terms of about gamma^alpha
+        seq = PowerLaw(1e-200, 1.0)
+        out = three_series_check(seq, 0.7, 1.0, 1.0, depth=1024)
+        gam = sequence_values(seq, 64)
+        for m, name in ((1, "s1"), (2, "s2")):
+            want = mp.fsum(mp.mpf(g) ** m * mp.mpf(_truncated_moment(0.7, m, 1.0 / g)) for g in gam)
+            assert out.traces[name][0] == pytest.approx(float(want), rel=1e-8, abs=0.0)
+
     def test_explicit_finite_data_converges(self):
         out = three_series_check(Explicit((1.0, 0.5, 0.25)), 1.0, 1.0, 1.0)
         assert out.verdict is SeriesVerdict.CONVERGENT

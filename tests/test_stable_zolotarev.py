@@ -14,6 +14,7 @@ from stableinfer import (
     OutOfRangeError,
     QuadratureFailureError,
     QuadratureSettings,
+    StableParams,
     stable_pdf,
     validate_params,
 )
@@ -129,6 +130,14 @@ class TestNaNPoints:
         # raised QuadratureFailureError with "error estimate 0.0"
         with pytest.raises(OutOfRangeError, match="NaN"):
             stable_pdf(validate_params(1.5, 0.3, 1.0, 0.0), [0.0, np.nan])
+
+    @pytest.mark.parametrize("params", [StableParams.cauchy(0.0, 1.0), StableParams.normal(0.0, 1.0)],
+                             ids=["cauchy", "normal"])
+    @pytest.mark.parametrize("u", [np.nan, [0.0, np.nan]], ids=["scalar", "array"])
+    def test_closed_form_densities_reject_nan(self, params, u):
+        # returned NaN silently
+        with pytest.raises(OutOfRangeError, match="NaN"):
+            stable_pdf(params, u)
 
 
 class TestNearAlphaOne:
