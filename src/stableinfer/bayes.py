@@ -19,10 +19,17 @@ moment order, and no faster.
 
 One misfit evaluation per posterior gives its weights, the normalising
 constant Z with its standard error, and the effective sample size
-(`ZEstimate.ess`).  Both perturbation sweeps build their perturbed
-posteriors one at a time and share one loop that compares each with the
-unperturbed posterior: Hellinger distance with its standard error, total
-variation, Z, and a log-log fit of distance against perturbation size.
+(`ZEstimate.ess`), each evaluated once: the weights are built in one
+buffer, one total of them gives the mean, Z and the ESS, one buffer of
+squares serves the ESS and then the deviations behind the standard error,
+and the weighted measure validates the weights once and keeps their
+total.  The results keep the bits of the textbook numpy expressions
+(w.mean(), w.std(ddof=1)).  Both perturbation sweeps build their
+perturbed posteriors one at a time and compare each with the unperturbed
+posterior, whose density w / mean w and its root are computed once per
+sweep; one fused kernel in `metrics` gives the Hellinger distance, its
+standard error and the total variation of each pair, and a log-log fit
+of distance against perturbation size closes the sweep.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ from .errors import (
 from .metrics import (
     QuasiNormSpec,
     WeightedSampleMeasure,
-    hellinger_with_error,
+    _density_and_root,
+    _distances,
     rowwise_quasi_norm,
-    total_variation_empirical,
 )
 from .series import FieldEnsemble
 
@@ -167,8 +174,13 @@ def gaussian_additive_potential(forward=None, noise_variance=1.0,
                 f"noise covariance has {var.size} entries for "
                 f"{g.shape[1]} data components"
             )
-        resid = (y_vec[None, :] - g) * inv_sd[None, :]
-        return 0.5 * (resid ** 2).sum(axis=1)
+        resid = np.subtract(y_vec[None, :], g)
+        resid *= inv_sd
+        np.square(resid, out=resid)
+        # one component: the squared residual column is its own row sum
+        total = resid.reshape(-1) if resid.shape[1] == 1 else resid.sum(axis=1)
+        total *= 0.5
+        return total
 
     def m0(r: float) -> float:
         return 0.5 * sigma_plus * (r + float(forward.g_plus(r))) ** 2
@@ -229,7 +241,11 @@ def evaluate_misfit_batch(potential: PotentialSpec, u, y) -> np.ndarray:
         raise DimensionMismatchError(
             f"misfit returned shape {values.shape} for {batch.shape[0]} samples"
         )
-    if not np.all(np.isfinite(values)):
+    # a finite total proves every value finite; a non-finite one may be
+    # finite values whose sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not math.isfinite(total) and not np.all(np.isfinite(values)):
         raise DimensionMismatchError("misfit produced non-finite values")
     return values
 
@@ -241,7 +257,9 @@ class ZEstimate:
     The sample mean is taken after shifting the misfits by their minimum
     (recorded in `shift`), which prevents exponential underflow without
     changing any normalised quantity; z and log_z undo the shift.  ess is
-    the effective sample size (sum w)^2 / sum w^2 of the weights.
+    the effective sample size (sum w)^2 / sum w^2 of the weights.  When
+    the shift is below about -709.78, exp(-shift) overflows: z and stderr
+    are then inf and underflow_flagged is set, while log_z stays finite.
     """
 
     z: float
@@ -258,19 +276,34 @@ def _weigh(potential: PotentialSpec, ensemble, y,
     from one misfit evaluation."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
     shift = float(misfits.min())
-    w = np.exp(-(misfits - shift))
+    # shift - Phi is -(Phi - shift) to the bit, but for the sign of a zero,
+    # which exp ignores
+    w = np.subtract(shift, misfits)
+    del misfits  # one n-length buffer fewer at the peak
+    np.exp(w, out=w)
+    n = w.size
     s = w.sum()
-    ess = float(s * s / (w ** 2).sum())
+    sq = np.square(w)
+    ess = float(s * s / sq.sum())
     if ess < min_ess:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} < {min_ess}: weights are "
             "carried by too few samples"
         )
-    n = w.size
-    mean_w = float(w.mean())
-    z = math.exp(-shift) * mean_w
+    # s / n is w.mean() to the bit; the deviations below follow w.std(ddof=1)
+    mean_w = s / n
     log_z = -shift + math.log(mean_w)
-    stderr = math.exp(-shift) * float(w.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    try:
+        scale = math.exp(-shift)
+    except OverflowError:  # Z is beyond the largest double; log_z is not
+        z = stderr = math.inf
+    else:
+        z = scale * float(mean_w)
+        stderr = 0.0
+        if n > 1:
+            np.subtract(w, mean_w, out=sq)
+            np.square(sq, out=sq)
+            stderr = scale * math.sqrt(sq.sum() / (n - 1)) / math.sqrt(n)
     return w, ZEstimate(
         z=z, stderr=stderr, log_z=log_z, shift=shift, ess=ess,
         underflow_flagged=bool(z == 0.0 or not math.isfinite(z)),
@@ -459,12 +492,14 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
     """Compare the posterior at (potential, y) with the posterior at each
     (potential, y) pair that `perturbed` yields, built one at a time, and
     fit the Hellinger distances against the perturbation sizes."""
-    base = posterior(potential, ensemble, y)
+    base = posterior(potential, ensemble, y).measure
+    n_samples = base.weights.size
+    density, root = _density_and_root(base)
+    del base  # the sweep needs only the base's density and its root
     columns = []  # (hellinger, its stderr, total variation, Z) per perturbation
     for pert_potential, pert_y in perturbed:
         pert = posterior(pert_potential, ensemble, pert_y)
-        columns.append((*hellinger_with_error(base.measure, pert.measure),
-                        total_variation_empirical(base.measure, pert.measure), pert.z.z))
+        columns.append((*_distances(density, root, pert.measure), pert.z.z))
     distances, stderrs, tvs, zs = np.array(columns, dtype=float).reshape(-1, 4).T
     sizes = np.asarray(sizes, dtype=float)
     slope, intercept, ci, resid = _loglog_fit(sizes, distances)
@@ -486,7 +521,7 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
         fit_residual=resid,
         verdicts=verdicts,
         seed=ensemble.seed if isinstance(ensemble, FieldEnsemble) else None,
-        n_samples=base.measure.weights.size,
+        n_samples=n_samples,
     )
 
 

@@ -12,12 +12,20 @@ measure, both estimators are plain averages:
 
 The plug-in normalisation makes them self-normalised; the O(1/n) bias is
 dwarfed by the Monte Carlo standard errors these tools report.
+
+Both distances, and the standard error of the Hellinger one, come from
+one kernel that takes the first measure as its density w / mean w and the
+root of that density.  A caller comparing one measure with many (the
+perturbation sweeps in `bayes`) computes that pair once and reuses it;
+each comparison then works in two n-length scratch buffers.  A measure
+validates its weights once, on construction, and keeps their total for
+`normalization` and `normalized()`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -89,29 +97,39 @@ class WeightedSampleMeasure:
 
     reference_id ties the weights to the ensemble they were evaluated on;
     two measures are only comparable when the ids match (the estimators
-    integrate against that common sample).
+    integrate against that common sample).  The weights' total is taken
+    once, on construction, so the weights must not be changed in place
+    afterwards.
     """
 
     reference_id: str
     weights: np.ndarray
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.size == 0:
+        self.weights = w = np.asarray(self.weights, dtype=float).ravel()
+        if w.size == 0:
             raise OutOfRangeError("weights", "need at least one sample")
-        if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
+        # the minimum is nan when a weight is nan; a total of +inf is either
+        # an infinite weight or finite weights whose sum overflows
+        if not w.min() >= 0:
             raise OutOfRangeError("weights", "weights must be finite and >= 0")
-        if not self.weights.any():
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if total == math.inf and np.isinf(w).any():
+            raise OutOfRangeError("weights", "weights must be finite and >= 0")
+        if total == 0:
             raise OutOfRangeError("weights", "all weights are zero")
+        self._total = total
 
     @property
     def normalization(self) -> float:
         """Plug-in estimate of the normalising constant (mean raw weight)."""
-        return float(self.weights.mean())
+        return float(self._total / self.weights.size)
 
     def normalized(self) -> np.ndarray:
         """Weights scaled to sum to one."""
-        return self.weights / self.weights.sum()
+        return self.weights / self._total
 
 
 def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure):
@@ -123,19 +141,45 @@ def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure
         )
 
 
+def _density_and_root(mu: WeightedSampleMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The density w / mean w of mu against the reference sample, and its root."""
+    density = mu.weights / mu.normalization
+    return density, np.sqrt(density)
+
+
+def _distances(density: np.ndarray, root: np.ndarray,
+               nu: WeightedSampleMeasure) -> tuple[float, float, float]:
+    """Hellinger distance, its Monte Carlo standard error and the total
+    variation between the measure of (density, root) and nu.
+
+    Works in two n-length scratch buffers with the operations, and their
+    order, of the textbook expressions sqrt(mean (a - b)^2), the
+    std(ddof=1) of (a - b)^2 over sqrt(n), and mean |p - q| / 2, so the
+    results are those expressions' bits.
+    """
+    n = density.size
+    q = nu.weights / nu.normalization
+    diff = np.subtract(density, q)
+    np.abs(diff, out=diff)
+    tv = float(0.5 * (diff.sum() / n))
+    g = np.sqrt(q, out=q)
+    np.subtract(root, g, out=g)
+    np.square(g, out=g)
+    d2 = g.sum() / n
+    d = math.sqrt(max(float(d2), 0.0))
+    if d <= 0.0 or n < 2:
+        return d, 0.0, tv
+    dev = np.subtract(g, d2, out=diff)
+    np.square(dev, out=dev)
+    se_d2 = math.sqrt(dev.sum() / (n - 1)) / math.sqrt(n)
+    return d, se_d2 / (2.0 * d), tv
+
+
 def hellinger_with_error(mu: WeightedSampleMeasure,
                          nu: WeightedSampleMeasure) -> tuple[float, float]:
     """Empirical Hellinger distance and its Monte Carlo standard error."""
     _check_shared_reference(mu, nu)
-    a = np.sqrt(mu.weights / mu.normalization)
-    b = np.sqrt(nu.weights / nu.normalization)
-    g = (a - b) ** 2
-    d2 = float(g.mean())
-    d = math.sqrt(max(d2, 0.0))
-    if d <= 0.0 or g.size < 2:
-        return d, 0.0
-    se_d2 = float(g.std(ddof=1) / math.sqrt(g.size))
-    return d, se_d2 / (2.0 * d)
+    return _distances(*_density_and_root(mu), nu)[:2]
 
 
 def hellinger_empirical(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> float:
@@ -147,9 +191,7 @@ def total_variation_empirical(mu: WeightedSampleMeasure,
                               nu: WeightedSampleMeasure) -> float:
     """Total-variation distance between the weighted measures; in [0, 1]."""
     _check_shared_reference(mu, nu)
-    return float(0.5 * np.abs(
-        mu.weights / mu.normalization - nu.weights / nu.normalization
-    ).mean())
+    return _distances(*_density_and_root(mu), nu)[2]
 
 
 @dataclass

@@ -240,7 +240,15 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     v = math.pi * (u1 - 0.5)
+    alpha_one = abs(alpha - 1.0) < _ALPHA_ONE_SNAP
+    if (alpha_one and not beta.any()
+            and np.broadcast_shapes(beta.shape, v.shape, u2.shape) == v.shape):
+        # symmetric Cauchy: b below is exactly pi/2, and the log term is
+        # +-0 times a finite number (w >= 1e-300 and cos v >= 6e-17 for
+        # u1, u2 in [0, 1)), so dropping both leaves every bit as it is
+        return (2.0 / math.pi) * ((math.pi / 2.0) * np.tan(v))
     w = -np.log1p(-u2)
     # floor the exponential draw so the 1/w power below cannot overflow
     # to inf (and poison products with 0); the floor has probability mass
@@ -252,8 +260,7 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     np.clip(w, w_floor, None, out=w)
     if alpha == 2.0:
         return 2.0 * np.sin(v) * np.sqrt(w)
-    beta = np.asarray(beta, dtype=float)
-    if abs(alpha - 1.0) < _ALPHA_ONE_SNAP:
+    if alpha_one:
         b = math.pi / 2.0 + beta * v
         z = (2.0 / math.pi) * (
             b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / b)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from stableinfer import (
@@ -24,6 +26,7 @@ from stableinfer import (
     evaluate_misfit_batch,
     gaussian_additive_potential,
     growth_admissibility,
+    hellinger_with_error,
     integrability_estimates,
     likelihood_perturbation_sweep,
     log_growth_envelopes,
@@ -33,9 +36,16 @@ from stableinfer import (
     posterior_expectation,
     sample_coefficients,
     spot_check_envelopes,
+    total_variation_empirical,
     z_lipschitz_check,
 )
 from stableinfer.metrics import rowwise_quasi_norm
+
+
+def fixed_misfit(values) -> PotentialSpec:
+    """A potential whose misfit is the given values, whatever u and y are."""
+    values = np.asarray(values, dtype=float)
+    return PotentialSpec(misfit=lambda u, y: values)
 
 
 def scalar_prior(kind: str, n: int, seed: int):
@@ -95,6 +105,31 @@ class TestMisfitBatch:
         with pytest.raises(DimensionMismatchError):
             evaluate_misfit_batch(pot, np.ones((3, 1)), np.zeros(1))
 
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+                                        [1.0, -math.inf, 2.0], [math.inf, -math.inf]])
+    def test_each_non_finite_value_rejected(self, values):
+        with pytest.raises(DimensionMismatchError):
+            evaluate_misfit_batch(fixed_misfit(values), np.ones((len(values), 1)),
+                                  np.zeros(1))
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 3.0]])
+    def test_finite_values_whose_sum_overflows_accepted(self, values):
+        out = evaluate_misfit_batch(fixed_misfit(values), np.ones((len(values), 1)),
+                                    np.zeros(1))
+        assert out.tolist() == values
+
+    @pytest.mark.parametrize("var", [1.0, 0.3, [0.5, 2.0]])
+    def test_gaussian_misfit_matches_textbook_bits(self, var):
+        rng = np.random.default_rng(12)
+        var = np.atleast_1d(np.asarray(var, dtype=float))
+        dim = 2 if var.size == 2 else 1
+        u = rng.standard_cauchy((1000, dim))
+        y = rng.standard_normal(dim)
+        pot = gaussian_additive_potential(IdentityForward(), var)
+        resid = (y[None, :] - u) * (1.0 / np.sqrt(var))[None, :]
+        want = 0.5 * (resid ** 2).sum(axis=1)
+        assert evaluate_misfit_batch(pot, u, y).tobytes() == want.tobytes()
+
     def test_data_dimension_checked(self, potential):
         # scalar field against two-component data must not broadcast
         with pytest.raises(DimensionMismatchError):
@@ -121,6 +156,23 @@ class TestNormalizationConstant:
             lambda u: math.exp(-0.5 * u * u) * cauchy_pdf(0, 1, u), -np.inf, np.inf,
         )
         assert abs(out.z - oracle) < 3.0 * out.stderr
+
+    def test_overflowing_z_is_flagged_not_raised(self):
+        # every misfit is below -709.78, so exp(-shift) overflows a double
+        u = np.linspace(0, 1, 100)[:, None]
+        pot = PotentialSpec(misfit=lambda u, y: u[:, 0] - 1000.0)
+        out = normalization_constant(pot, u, [0.0])
+        assert out.z == math.inf
+        assert out.stderr == math.inf
+        assert out.underflow_flagged
+        assert out.shift == -1000.0
+        assert out.log_z == pytest.approx(1000.0 + math.log(np.exp(-u[:, 0]).mean()),
+                                          rel=1e-15)
+        # the weights and the normalised posterior are unaffected
+        post = posterior(pot, u, [0.0])
+        assert post.z == out
+        phi = u[:, 0] - 1000.0
+        assert post.measure.weights.tobytes() == np.exp(-(phi + 1000.0)).tobytes()
 
     def test_degenerate_weights_raise(self, potential):
         ens = scalar_prior("gaussian", 10 ** 4, 5)
@@ -184,6 +236,43 @@ class TestPosterior:
         p1 = posterior(pot1, gaussian_ensemble, np.array([0.7]))
         p2 = posterior(pot2, gaussian_ensemble, np.array([0.7]))
         assert np.allclose(p1.measure.weights, p2.measure.weights, rtol=1e-12)
+
+
+def _textbook_z(phi):
+    """Z, its stderr, log Z and the ESS as plain numpy expressions."""
+    shift = float(phi.min())
+    w = np.exp(-(phi - shift))
+    n = w.size
+    mean_w = float(w.mean())
+    z = math.exp(-shift) * mean_w
+    stderr = math.exp(-shift) * float(w.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    log_z = -shift + math.log(mean_w)
+    s = w.sum()
+    ess = float(s * s / (w ** 2).sum())
+    return w, (z, stderr, log_z, ess)
+
+
+class TestSinglePassWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+        st.floats(-700.0, 800.0), st.sampled_from([0.0, -700.0, 745.0, 745.2]))))
+    @example(np.array([3.0]))
+    @example(np.array([-709.0, -709.0]))
+    @example(np.array([0.0, 744.5, 745.1]))  # weights down to subnormals and zero
+    def test_weights_and_z_match_textbook_bits(self, phi):
+        w, (z, stderr, log_z, ess) = _textbook_z(phi)
+        post = posterior(fixed_misfit(phi), np.zeros((phi.size, 1)), [0.0], min_ess=0.0)
+        got = post.z
+        assert (got.z, got.stderr, got.log_z, got.ess) == (z, stderr, log_z, ess)
+        assert post.measure.weights.tobytes() == w.tobytes()
+        assert post.measure.normalization == float(w.mean())
+        assert post.measure.normalized().tobytes() == (w / w.sum()).tobytes()
+        assert got.shift == float(phi.min())
+
+    def test_misfit_values_left_untouched(self):
+        phi = np.array([2.0, 0.5, 7.0])
+        posterior(fixed_misfit(phi), np.zeros((3, 1)), [0.0], min_ess=0.0)
+        assert phi.tolist() == [2.0, 0.5, 7.0]
 
 
 class TestIntegrability:
@@ -280,6 +369,17 @@ class TestDataSweep:
         assert payload["perturbation_sizes"] == [0.2, 0.1]
         assert len(payload["stderrs"]["hellinger"]) == 2
 
+    def test_columns_are_the_pairwise_distances_to_the_bit(self, potential, cauchy_ensemble):
+        y, eps, direction = np.array([0.3]), [0.2, 0.05, 0.0], np.array([1.0])
+        report = data_lipschitz_sweep(potential, cauchy_ensemble, y, eps, direction)
+        base = posterior(potential, cauchy_ensemble, y)
+        for k, e in enumerate(eps):
+            pert = posterior(potential, cauchy_ensemble, y + e * direction)
+            d, se = hellinger_with_error(base.measure, pert.measure)
+            tv = total_variation_empirical(base.measure, pert.measure)
+            assert (report.distances[k], report.distance_stderrs[k],
+                    report.tv_distances[k], report.z_values[k]) == (d, se, tv, pert.z.z)
+
 
 class TestLikelihoodSweep:
     def test_identical_family_gives_zero(self, potential, gaussian_ensemble):
@@ -312,6 +412,21 @@ class TestLikelihoodSweep:
             cauchy_ensemble, np.array([0.0]), [4, 8, 16, 32],
         )
         assert 0.9 <= report.slope <= 1.1
+
+    def test_columns_are_the_pairwise_distances_to_the_bit(self, potential, gaussian_ensemble):
+        def family(n):
+            return lambda u, y: potential.misfit(u, y) + np.cos(u[:, 0]) / n
+        y, n_list = np.array([0.2]), [4, 16]
+        report = likelihood_perturbation_sweep(potential, family, lambda n: 1.0 / n,
+                                               gaussian_ensemble, y, n_list)
+        base = posterior(potential, gaussian_ensemble, y)
+        for k, n in enumerate(n_list):
+            pert = posterior(dataclasses.replace(potential, misfit=family(n)),
+                             gaussian_ensemble, y)
+            d, se = hellinger_with_error(base.measure, pert.measure)
+            tv = total_variation_empirical(base.measure, pert.measure)
+            assert (report.distances[k], report.distance_stderrs[k],
+                    report.tv_distances[k], report.z_values[k]) == (d, se, tv, pert.z.z)
 
 
 class TestGrowthAdmissibility:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
@@ -207,3 +207,115 @@ class TestExpectationGapBound:
             WeightedSampleMeasure("r", np.array([1.0, -0.5]))
         with pytest.raises(OutOfRangeError):
             WeightedSampleMeasure("r", np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the fused distance kernel and the weight validation, pinned to the
+# textbook expressions bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(x) -> str:
+    x = float(x)
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def _textbook_distances(w, v):
+    """Hellinger, its stderr and TV as plain numpy expressions."""
+    mw, mv = float(w.mean()), float(v.mean())
+    a = np.sqrt(w / mw)
+    b = np.sqrt(v / mv)
+    g = (a - b) ** 2
+    d = math.sqrt(max(float(g.mean()), 0.0))
+    if d <= 0.0 or g.size < 2:
+        se = 0.0
+    else:
+        se = float(g.std(ddof=1) / math.sqrt(g.size)) / (2.0 * d)
+    tv = float(0.5 * np.abs(w / mw - v / mv).mean())
+    return d, se, tv
+
+
+_weight = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+def _weights(n):
+    return arrays(np.float64, n, elements=_weight).filter(lambda a: a.any())
+
+
+def _bounded_weights(n):
+    """Weights whose mean cannot underflow (a zero mean makes both distances nan)."""
+    elements = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+    return arrays(np.float64, n, elements=elements).filter(lambda a: a.any())
+
+
+@st.composite
+def weight_pairs(draw):
+    n = draw(st.integers(1, 40))
+    w = draw(_weights(n))
+    v = w.copy() if draw(st.booleans()) else draw(_weights(n))
+    return w, v
+
+
+class TestFusedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(weight_pairs())
+    @example(([3.0], [0.5]))
+    @example(([1.0, 0.0], [0.0, 1.0]))
+    @example(([1.0, 2.0], [1.0, 2.0]))
+    @example(([5e-324, 1.0], [1.0, 5e-324]))
+    @example(([0.0, 0.0, 7.0], [1e300, 0.0, 1e-300]))
+    def test_distances_match_textbook_bits(self, pair):
+        w, v = (np.array(x, dtype=float) for x in pair)
+        mu, nu = WeightedSampleMeasure("r", w), WeightedSampleMeasure("r", v)
+        with np.errstate(all="ignore"):
+            want = _textbook_distances(w, v)
+            d, se = hellinger_with_error(mu, nu)
+            tv = total_variation_empirical(mu, nu)
+        assert [_bits(x) for x in (d, se, tv)] == [_bits(x) for x in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_pairs())
+    def test_normalization_matches_textbook_bits(self, pair):
+        w, _ = pair
+        mu = WeightedSampleMeasure("r", w)
+        assert _bits(mu.normalization) == _bits(w.mean())
+        assert mu.normalized().tobytes() == (w / w.sum()).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(_bounded_weights(n),
+                                                          _bounded_weights(n))))
+    def test_total_variation_below_hellinger_below_root_two(self, pair):
+        mu, nu = (WeightedSampleMeasure("r", x) for x in pair)
+        tv = total_variation_empirical(mu, nu)
+        dh = hellinger_empirical(mu, nu)
+        assert tv <= dh + 1e-12
+        assert dh <= math.sqrt(2.0) + 1e-12
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("w", [
+        [1.0, -0.5], [2.0, -1.0], [-0.0, -1e-300, 3.0], [1.0, math.nan],
+        [math.nan], [1.0, math.inf], [math.inf, -math.inf], [1.0, -math.inf],
+        [0.0, 0.0, 0.0], [-0.0],
+    ])
+    def test_rejected(self, w):
+        with pytest.raises(OutOfRangeError):
+            WeightedSampleMeasure("r", np.array(w))
+
+    def test_empty_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            WeightedSampleMeasure("r", np.array([]))
+
+    def test_finite_weights_whose_sum_overflows_accepted(self):
+        mu = WeightedSampleMeasure("r", np.array([1e308, 1e308]))
+        assert mu.normalization == math.inf
+        with np.errstate(over="ignore"):
+            want = mu.weights / mu.weights.sum()
+        assert mu.normalized().tobytes() == want.tobytes()
+
+    def test_negative_zero_weights_accepted(self):
+        mu = WeightedSampleMeasure("r", np.array([-0.0, 2.0]))
+        assert mu.normalization == 1.0

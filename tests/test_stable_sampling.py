@@ -24,6 +24,7 @@ from stableinfer.gof import (
     ks_two_sample_critical_value,
     ks_two_sample_statistic,
 )
+from stableinfer.stable import standard_stable_from_uniforms
 
 N = 10 ** 5
 
@@ -65,6 +66,52 @@ class TestSampleStable:
             emp = np.exp(1j * t * draws).mean()
             se = 3.0 / math.sqrt(draws.size)
             assert abs(emp - char_fn(p, t)) < se
+
+
+def _general_alpha_one(beta, u1, u2):
+    """The alpha = 1 Chambers-Mallows-Stuck expression, every term kept."""
+    v = math.pi * (u1 - 0.5)
+    w = np.clip(-np.log1p(-u2), 1e-300, None)
+    b = math.pi / 2.0 + beta * v
+    return (2.0 / math.pi) * (
+        b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / b)
+    )
+
+
+class TestSymmetricCauchyShortcut:
+    ALPHAS = (1.0, 1.0 + 9e-9, 1.0 - 9e-9)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("beta", [0.0, -0.0, np.zeros((1, 3))])
+    def test_edge_uniforms_bitwise(self, alpha, beta):
+        top = 1.0 - 2.0 ** -53
+        u1, u2 = np.meshgrid([0.0, 0.5, top, 2.0 ** -53, 0.5 + 2.0 ** -53], [0.0, top, 0.5])
+        u1 = np.repeat(u1.reshape(-1, 1), 3, axis=1)
+        u2 = np.repeat(u2.reshape(-1, 1), 3, axis=1)
+        got = standard_stable_from_uniforms(alpha, beta, u1, u2)
+        want = _general_alpha_one(np.asarray(beta), u1, u2)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_random_uniforms_bitwise(self, alpha):
+        u = np.random.default_rng(31).random((10 ** 5, 2, 2))
+        beta = np.zeros((1, 2))
+        got = standard_stable_from_uniforms(alpha, beta, u[:, :, 0], u[:, :, 1])
+        assert got.tobytes() == _general_alpha_one(beta, u[:, :, 0], u[:, :, 1]).tobytes()
+
+    def test_mixed_skewness_takes_the_general_path(self):
+        u = np.random.default_rng(32).random((1000, 4, 2))
+        beta = np.array([[0.0, 0.5, 0.0, -0.3]])
+        got = standard_stable_from_uniforms(1.0, beta, u[:, :, 0], u[:, :, 1])
+        assert got.tobytes() == _general_alpha_one(beta, u[:, :, 0], u[:, :, 1]).tobytes()
+
+    def test_zero_skewness_broadcasting_beyond_the_uniforms(self):
+        u = np.random.default_rng(33).random((5, 2))
+        beta = np.zeros((3, 5))
+        got = standard_stable_from_uniforms(1.0, beta, u[:, 0], u[:, 1])
+        assert got.shape == (3, 5)
+        assert got.tobytes() == _general_alpha_one(beta, u[:, 0], u[:, 1]).tobytes()
 
 
 class TestCharFn:
