@@ -32,9 +32,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .stable import (
-    DEFAULT_QUADRATURE,
     MomentValue,
-    QuadratureSettings,
     StableParams,
     affine_transform,
     cauchy_cdf,

@@ -19,7 +19,8 @@ moment order, and no faster.
 
 One misfit evaluation per posterior gives its weights, the normalising
 constant Z with its standard error, and the effective sample size
-(`ZEstimate.ess`), each evaluated once: the weights are built in one
+(`ZEstimate.ess`), each evaluated once (an ESS below the fixed floor
+`_MIN_ESS` = 10 raises DegenerateWeightsError): the weights are built in one
 buffer, one total of them gives the mean, Z and the ESS, one buffer of
 squares serves the ESS and then the deviations behind the standard error,
 and the weighted measure validates the weights once and keeps their
@@ -270,8 +271,7 @@ class ZEstimate:
     underflow_flagged: bool
 
 
-def _weigh(potential: PotentialSpec, ensemble, y,
-           min_ess: float) -> tuple[np.ndarray, ZEstimate]:
+def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, ZEstimate]:
     """Shifted weights exp(-(Phi - min Phi)) and the Z estimate they give,
     from one misfit evaluation."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
@@ -285,9 +285,9 @@ def _weigh(potential: PotentialSpec, ensemble, y,
     s = w.sum()
     sq = np.square(w)
     ess = float(s * s / sq.sum())
-    if ess < min_ess:
+    if ess < _MIN_ESS:
         raise DegenerateWeightsError(
-            f"effective sample size {ess:.2f} < {min_ess}: weights are "
+            f"effective sample size {ess:.2f} < {_MIN_ESS}: weights are "
             "carried by too few samples"
         )
     # s / n is w.mean() to the bit; the deviations below follow w.std(ddof=1)
@@ -310,15 +310,14 @@ def _weigh(potential: PotentialSpec, ensemble, y,
     )
 
 
-def normalization_constant(potential: PotentialSpec, ensemble, y,
-                           min_ess: float = _MIN_ESS) -> ZEstimate:
+def normalization_constant(potential: PotentialSpec, ensemble, y) -> ZEstimate:
     """Monte Carlo estimate of Z(y), with standard error.
 
     Raises DegenerateWeightsError when the effective sample size drops
-    below min_ess; flags (without failing) the case where Z is zero
+    below _MIN_ESS (10); flags (without failing) the case where Z is zero
     relative to the recorded shift.
     """
-    return _weigh(potential, ensemble, y, min_ess)[1]
+    return _weigh(potential, ensemble, y)[1]
 
 
 @dataclass
@@ -330,8 +329,7 @@ class PosteriorEstimate:
     measure: WeightedSampleMeasure
 
 
-def posterior(potential: PotentialSpec, ensemble, y,
-              min_ess: float = _MIN_ESS) -> PosteriorEstimate:
+def posterior(potential: PotentialSpec, ensemble, y) -> PosteriorEstimate:
     """Posterior weights w_i = exp(-Phi(u_i; y)) / (n Z-hat) over the prior.
 
     The weighted measure realises the posterior density exp(-Phi)/Z with
@@ -339,7 +337,7 @@ def posterior(potential: PotentialSpec, ensemble, y,
     cancel exactly.
     """
     batch = _coerce_batch(ensemble)
-    w, z = _weigh(potential, batch, y, min_ess)
+    w, z = _weigh(potential, batch, y)
     if isinstance(ensemble, FieldEnsemble):
         ref_id = ensemble.reference_id()
     else:

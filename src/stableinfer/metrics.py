@@ -118,8 +118,8 @@ class WeightedSampleMeasure:
             total = w.sum()
         if total == math.inf and np.isinf(w).any():
             raise OutOfRangeError("weights", "weights must be finite and >= 0")
-        if total == 0:
-            raise OutOfRangeError("weights", "all weights are zero")
+        if total / w.size == 0:
+            raise OutOfRangeError("weights", "all weights are zero, or their mean underflows to 0")
         self._total = total
 
     @property
@@ -152,16 +152,19 @@ def _distances(density: np.ndarray, root: np.ndarray,
     """Hellinger distance, its Monte Carlo standard error and the total
     variation between the measure of (density, root) and nu.
 
-    Works in two n-length scratch buffers with the operations, and their
-    order, of the textbook expressions sqrt(mean (a - b)^2), the
-    std(ddof=1) of (a - b)^2 over sqrt(n), and mean |p - q| / 2, so the
-    results are those expressions' bits.
+    With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
+    both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
+    standard error of psi = g - (d^2/2)(p + q).  Works in two n-length
+    scratch buffers with the operations, and their order, of sqrt(mean g),
+    std(psi, ddof=1) / sqrt(n) and mean |p - q| / 2, so the results are
+    those textbook expressions' bits.
     """
     n = density.size
     q = nu.weights / nu.normalization
-    diff = np.subtract(density, q)
-    np.abs(diff, out=diff)
-    tv = float(0.5 * (diff.sum() / n))
+    buf = np.subtract(density, q)
+    np.abs(buf, out=buf)
+    tv = float(0.5 * (buf.sum() / n))
+    np.add(density, q, out=buf)
     g = np.sqrt(q, out=q)
     np.subtract(root, g, out=g)
     np.square(g, out=g)
@@ -169,9 +172,11 @@ def _distances(density: np.ndarray, root: np.ndarray,
     d = math.sqrt(max(float(d2), 0.0))
     if d <= 0.0 or n < 2:
         return d, 0.0, tv
-    dev = np.subtract(g, d2, out=diff)
-    np.square(dev, out=dev)
-    se_d2 = math.sqrt(dev.sum() / (n - 1)) / math.sqrt(n)
+    np.multiply(buf, d2 / 2, out=buf)
+    psi = np.subtract(g, buf, out=buf)
+    np.subtract(psi, psi.sum() / n, out=psi)
+    np.square(psi, out=psi)
+    se_d2 = math.sqrt(psi.sum() / (n - 1)) / math.sqrt(n)
     return d, se_d2 / (2.0 * d), tv
 
 

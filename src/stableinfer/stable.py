@@ -23,12 +23,14 @@ Gauss-Kronrod panels (`_gk_sum`), with QUADPACK's error estimate and
 QuadratureFailureError where it misses the tolerance: Nolan's (1997)
 finite-interval form of Zolotarev's integral for the densities and
 distribution functions without a closed form, the numeric fractional
-moments and the KL divergence.  QUADPACK serves only the Fourier-inversion
-reference `_StandardNumericDensity`, kept for the tests, so `scipy.integrate`
-is imported on its first call rather than with the module; importing this
-module loads numpy only.  Moments of strictly stable laws and the tail
-constant are closed forms (Samorodnitsky & Taqqu 1994, Properties 1.2.15
-and 1.2.17).
+moments and the KL divergence.  The tolerance is fixed, absolute
+_ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
+`_good_enough`, applies it.  QUADPACK serves only the Fourier-inversion
+reference `_StandardNumericDensity`, kept for the tests, so
+`scipy.integrate` is imported on its first call rather than with the
+module; importing this module loads numpy only.  Moments of strictly
+stable laws and the tail constant are closed forms (Samorodnitsky &
+Taqqu 1994, Properties 1.2.15 and 1.2.17).
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .errors import (
 from .rng import make_rng
 
 __all__ = [
-    "QuadratureSettings",
-    "DEFAULT_QUADRATURE",
     "StableParams",
     "MomentValue",
     "TailAsymptote",
@@ -78,16 +78,14 @@ __all__ = [
 # tan(pi*alpha/2) blows up while the two branches agree in distribution.
 _ALPHA_ONE_SNAP = 1e-8
 
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the numerical integrations in this module."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+# the tolerance of every numerical integral below
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
 
 
-DEFAULT_QUADRATURE = QuadratureSettings()
+def _good_enough(value, err):
+    """err <= max(_ABS_TOL, _REL_TOL*|value|), elementwise; a NaN fails."""
+    return err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(value))
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
         # +-0 times a finite number (w >= 1e-300 and cos v >= 6e-17 for
         # u1, u2 in [0, 1)), so dropping both leaves every bit as it is
         return (2.0 / math.pi) * ((math.pi / 2.0) * np.tan(v))
-    w = -np.log1p(-u2)
+    w = np.asarray(-np.log1p(-u2))  # an array for scalar uniforms too, for out= below
     # floor the exponential draw so the 1/w power below cannot overflow
     # to inf (and poison products with 0); the floor has probability mass
     # below 1e-290, far under any Monte Carlo resolution
@@ -340,7 +338,8 @@ def cauchy_pdf(delta: float, gamma: float, u):
         raise OutOfRangeError("gamma", "width must be > 0")
     u = np.asarray(u, dtype=float)
     s = (u - delta) / gamma
-    return 1.0 / (gamma * math.pi * (1.0 + s * s))
+    with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the density 0
+        return 1.0 / (gamma * math.pi * (1.0 + s * s))
 
 
 def cauchy_logpdf(delta: float, gamma: float, u):
@@ -410,10 +409,7 @@ class _StandardNumericDensity:
     skewed laws with alpha < 1.
     """
 
-    def __init__(self, alpha: float, beta: float, settings: QuadratureSettings):
-        self.alpha = alpha
-        self.beta = beta
-        self.settings = settings
+    def __init__(self, alpha: float, beta: float):
         if abs(alpha - 1.0) < _ALPHA_ONE_SNAP:
             def phase(t):
                 return -beta * (2.0 / math.pi) * np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
@@ -427,19 +423,18 @@ class _StandardNumericDensity:
         self._im = lambda t: np.exp(-np.abs(t) ** alpha) * np.sin(phase(np.abs(t)))
 
     def _point(self, u: float) -> float:
-        epsabs = min(self.settings.abs_tol, 1e-12)
         if u == 0.0:
-            val, _ = integrate.quad(self._re, 0.0, np.inf, epsabs=epsabs, limit=_QUAD_LIMIT)
+            val, _ = integrate.quad(self._re, 0.0, np.inf, epsabs=1e-12, limit=_QUAD_LIMIT)
             return val / math.pi
         w = abs(u)
         c, _ = integrate.quad(
             self._re, 0.0, np.inf, weight="cos", wvar=w,
-            epsabs=epsabs, limit=_QUAD_LIMIT, limlst=120,
+            epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
         )
         sign = 1.0 if u > 0 else -1.0
         s, _ = integrate.quad(
             self._im, 0.0, np.inf, weight="sin", wvar=w,
-            epsabs=epsabs, limit=_QUAD_LIMIT, limlst=120,
+            epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
         )
         val = (c + sign * s) / math.pi
         return max(val, 0.0)
@@ -726,8 +721,7 @@ def _zolotarev_panels(law: _Zolotarev, x: np.ndarray, integrand: str, split: int
     return total, err
 
 
-def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale,
-                        settings: QuadratureSettings):
+def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale):
     """scale * Integral for each point in chunks, with a refined second pass
     for the points whose error estimate misses the tolerance."""
     scale = np.broadcast_to(scale, x.shape)
@@ -739,7 +733,7 @@ def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale,
         with np.errstate(all="ignore"):
             total, e = _zolotarev_panels(law, xs, integrand)
             v, e = sc * total, sc * e
-            redo = ~(e <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(v)))
+            redo = ~_good_enough(v, e)
             if redo.any():
                 total, e2 = _zolotarev_panels(law, xs[redo], integrand, split=_REFINE)
                 v[redo], e[redo] = sc[redo] * total, sc[redo] * e2
@@ -747,7 +741,7 @@ def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale,
     return val, err
 
 
-def _upper_lower(law: _Zolotarev, x: np.ndarray, settings: QuadratureSettings):
+def _upper_lower(law: _Zolotarev, x: np.ndarray):
     """(1/pi) Int (1 - e^-g) and (1/pi) Int e^-g, which add up to width/pi,
     with the error estimate, per point.  Of the two integrands the one that
     is small over the bulk of the interval (around t = s) is integrated and
@@ -761,14 +755,14 @@ def _upper_lower(law: _Zolotarev, x: np.ndarray, settings: QuadratureSettings):
         pick = bulk_low == low
         if pick.any():
             v, e = _zolotarev_integral(law, x[pick], "1-exp(-g)" if low else "exp(-g)",
-                                       1.0 / math.pi, settings)
+                                       1.0 / math.pi)
             upper[pick] = v if low else total - v
             lower[pick] = total - v if low else v
             err[pick] = e
     return upper, lower, err
 
 
-def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str, settings: QuadratureSettings):
+def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     """Density (`want` = "pdf") or survival function P[X > x] ("sf") of
     S(alpha, beta, 1, 0; 0) at every point of the flat array x, by Nolan's
     integrals; alpha = 1 needs beta != 0 (the form divides by beta).
@@ -777,7 +771,7 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str, settings: Qu
     alpha = 1 with beta > 0, and (1/pi) Int e^-g for alpha > 1; alpha = 1
     with beta < 0 gives the distribution function at -x of the mirrored
     law, (1/pi) Int e^-g again.  Raises QuadratureFailureError where an
-    error estimate exceeds max(abs_tol, rel_tol*|value|).
+    error estimate misses the tolerance (`_good_enough`).
     """
     val = np.empty_like(x)
     err = np.zeros_like(x)
@@ -785,9 +779,9 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str, settings: Qu
         law = _Zolotarev(1.0, abs(beta))
         xs = x if beta > 0.0 else -x
         if want == "pdf":
-            val[:], err[:] = _zolotarev_integral(law, xs, "g*exp(-g)", 0.5 / abs(beta), settings)
+            val[:], err[:] = _zolotarev_integral(law, xs, "g*exp(-g)", 0.5 / abs(beta))
         else:
-            upper, lower, err[:] = _upper_lower(law, xs, settings)
+            upper, lower, err[:] = _upper_lower(law, xs)
             val[:] = upper if beta > 0.0 else lower
     else:
         law = _Zolotarev(alpha, beta)
@@ -802,9 +796,9 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str, settings: Qu
             xs = -x[pick] if mirror else x[pick]
             if want == "pdf":
                 scale = alpha / (math.pi * abs(alpha - 1.0) * (xs - side.zeta))
-                v, e = _zolotarev_integral(side, xs, "g*exp(-g)", scale, settings)
+                v, e = _zolotarev_integral(side, xs, "g*exp(-g)", scale)
             else:
-                upper, lower, e = _upper_lower(side, xs, settings)
+                upper, lower, e = _upper_lower(side, xs)
                 v = upper if alpha < 1.0 else lower
                 if mirror:
                     v = 1.0 - v  # P[X > x] = 1 - P[X' > -x] for the mirrored X'
@@ -814,7 +808,7 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str, settings: Qu
                        / (math.pi * (1.0 + law.zeta ** 2) ** (0.5 / alpha)))
         else:
             val[at] = law.width / math.pi
-    bad = ~(err <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(val)))
+    bad = ~_good_enough(val, err)
     if bad.any():
         worst = int(np.argmax(np.where(bad, err / np.maximum(np.abs(val), 1e-300), 0.0)))
         raise QuadratureFailureError(
@@ -849,7 +843,7 @@ def _points(z) -> np.ndarray:
     return z
 
 
-def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSettings):
+def _standard(alpha: float, beta: float, z, want: str):
     """Density ("pdf") or survival function ("sf") of S(alpha, beta, 1, 0; 0)
     at z: the limits 0 (and survival 1 at -inf) at infinite z, closed forms
     for the normal and the symmetric Cauchy law, the interpolation above
@@ -860,7 +854,7 @@ def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSetti
     infinite = np.isinf(z)
     if infinite.any():
         out = np.where(z > 0.0, 0.0, 1.0) if want == "sf" else np.zeros(z.shape)
-        out[~infinite] = _standard(alpha, beta, z[~infinite], want, settings)
+        out[~infinite] = _standard(alpha, beta, z[~infinite], want)
         return out
     if alpha == 2.0:
         if want == "pdf":
@@ -877,39 +871,38 @@ def _standard(alpha: float, beta: float, z, want: str, settings: QuadratureSetti
         return np.where(z > 0.0, upper, 1.0 - upper)
     h = _NEAR_ONE
     if 0.0 < abs(alpha - 1.0) < _NEAR_ONE:
-        nodes = [_standard(1.0 + h * k, beta, z, want, settings) for k in _NEAR_ONE_OFFSETS]
+        nodes = [_standard(1.0 + h * k, beta, z, want) for k in _NEAR_ONE_OFFSETS]
         val = np.tensordot(_lagrange_weights((alpha - 1.0) / h), nodes, axes=1)
     elif alpha == 1.0 and abs(beta) < _NEAR_ONE:
-        nodes = [_standard(1.0, h * k, z, want, settings) for k in _NEAR_ONE_OFFSETS]
+        nodes = [_standard(1.0, h * k, z, want) for k in _NEAR_ONE_OFFSETS]
         val = np.tensordot(_lagrange_weights(beta / h), nodes, axes=1)
     else:
-        val = _zolotarev(alpha, beta, z.ravel(), want, settings).reshape(z.shape)
+        val = _zolotarev(alpha, beta, z.ravel(), want).reshape(z.shape)
     return np.clip(val, 0.0, 1.0) if want == "sf" else val
 
 
-def _standard_pdf(alpha: float, beta: float, z, settings: QuadratureSettings = DEFAULT_QUADRATURE):
+def _standard_pdf(alpha: float, beta: float, z):
     """Density of S(alpha, beta, 1, 0; 0): closed forms for the normal and
     the symmetric Cauchy law, Nolan's integral otherwise."""
-    return _standard(alpha, beta, z, "pdf", settings)
+    return _standard(alpha, beta, z, "pdf")
 
 
-def _standard_sf(alpha: float, beta: float, z, settings: QuadratureSettings = DEFAULT_QUADRATURE):
+def _standard_sf(alpha: float, beta: float, z):
     """P[X > z] for X ~ S(alpha, beta, 1, 0; 0), accurate far into the
     upper tail: closed forms for the normal and the symmetric Cauchy law,
     Nolan's integral otherwise."""
-    return _standard(alpha, beta, z, "sf", settings)
+    return _standard(alpha, beta, z, "sf")
 
 
-def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_QUADRATURE):
+def stable_pdf(params: StableParams, u):
     """Density of S(alpha, beta, gamma, delta; 0) at u.
 
     Cauchy and Gaussian parameters use their closed forms.  Every other
     law goes through Nolan's (1997) finite-interval integral, evaluated
     for the whole array of points at once with a fixed Gauss-Kronrod
     rule on panels placed around the peak of the integrand; a point whose
-    error estimate exceeds max(settings.abs_tol, settings.rel_tol*value)
-    is integrated again on finer panels and raises QuadratureFailureError
-    if it still misses.  Within 4e-3 of alpha = 1, and of beta = 0 at
+    error estimate misses the fixed tolerance is integrated again on finer
+    panels and raises QuadratureFailureError if it still misses.  Within 4e-3 of alpha = 1, and of beta = 0 at
     alpha = 1, where Nolan's forms lose precision, the value is
     interpolated from laws at and beyond that distance.  The density is 0
     at u = +-inf; NaN points raise OutOfRangeError.  Requires gamma > 0.
@@ -922,7 +915,7 @@ def stable_pdf(params: StableParams, u, settings: QuadratureSettings = DEFAULT_Q
     if params.is_symmetric_cauchy:
         return cauchy_pdf(params.delta, params.gamma, u)
     z = (points - params.delta) / params.gamma
-    out = _standard_pdf(params.alpha, params.beta, z, settings) / params.gamma
+    out = _standard_pdf(params.alpha, params.beta, z) / params.gamma
     return float(out) if np.ndim(u) == 0 else out
 
 
@@ -1065,7 +1058,7 @@ def _strictly_stable_moment(params: StableParams, p: float) -> float:
             * math.cos(math.atan(z) * p / a))
 
 
-def _numeric_moment(params: StableParams, p: float, settings: QuadratureSettings) -> float:
+def _numeric_moment(params: StableParams, p: float) -> float:
     """E|u|^p on fixed Gauss-Kronrod panels: |u|^p against the batch
     density on the body |u - delta| <= R, and on each tail, integrated by
     parts, p |u|^(p-1) against the batch survival function, which keeps
@@ -1081,7 +1074,7 @@ def _numeric_moment(params: StableParams, p: float, settings: QuadratureSettings
     edges = np.unique(edges[np.abs(edges - d) <= body])
     half = 0.5 * np.diff(edges)
     u = (edges[:-1] + half)[:, None] + half[:, None] * _GK_NODES
-    f = np.abs(u) ** p * _standard_pdf(a, b, (u - d) / g, settings) / g
+    f = np.abs(u) ** p * _standard_pdf(a, b, (u - d) / g) / g
     val, err = _gk_sum(f, half)
     total, error = val.sum(), err.sum()
     # two panels in w on each tail
@@ -1095,14 +1088,14 @@ def _numeric_moment(params: StableParams, p: float, settings: QuadratureSettings
     for sign in (1.0, -1.0):
         # P[u - delta > r] on the right, P[u - delta < -r] on the left
         skew = sign * b
-        edge_sf = float(_standard_sf(a, skew, body / g, settings))
-        tail_sf = _standard_sf(a, skew, r / g, settings)
+        edge_sf = float(_standard_sf(a, skew, body / g))
+        tail_sf = _standard_sf(a, skew, r / g)
         lead = p * c * (1.0 + skew) * g ** a * body ** (p - a) / (a - p)
         f = np.where(far, lead, p * np.abs(d + sign * r) ** (p - 1.0) * tail_sf * r / (w * (a - p)))
         val, err = _gk_sum(f, w_half)
         total += abs(d + sign * body) ** p * edge_sf + val.sum()
         error += err.sum()
-    if not error <= max(settings.abs_tol, settings.rel_tol * abs(total)):
+    if not _good_enough(total, error):
         raise QuadratureFailureError(
             f"fractional moment of order {p} of {params}: value {total!r} "
             f"with error estimate {error!r}"
@@ -1110,8 +1103,7 @@ def _numeric_moment(params: StableParams, p: float, settings: QuadratureSettings
     return float(total)
 
 
-def fractional_moment(params: StableParams, p: float,
-                      settings: QuadratureSettings = DEFAULT_QUADRATURE) -> MomentValue:
+def fractional_moment(params: StableParams, p: float) -> MomentValue:
     """Absolute moment E|u|^p.
 
     Infinite when p >= alpha for alpha < 2.  Strictly stable laws (zero
@@ -1154,7 +1146,7 @@ def fractional_moment(params: StableParams, p: float,
             (g * g + d * d) ** (p / 2.0) * math.cos(p * math.atan2(d, g))
             / math.cos(p * math.pi / 2.0)
         )
-    return MomentValue.finite(_numeric_moment(params, p, settings))
+    return MomentValue.finite(_numeric_moment(params, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1181,18 +1173,18 @@ def _kl_panels(logpdf_p: Callable, logpdf_q: Callable, a: np.ndarray, b: np.ndar
     return val.sum(), err.sum()
 
 
-def kl_divergence_1d(logpdf_p: Callable, logpdf_q: Callable, domain: tuple,
-                     settings: QuadratureSettings = DEFAULT_QUADRATURE) -> MomentValue:
+def kl_divergence_1d(logpdf_p: Callable, logpdf_q: Callable, domain: tuple) -> MomentValue:
     """Integral of p*log(p/q), from the log densities of p and q (called
     on arrays), with detection of an infinite divergence.
 
     Integrates the initial `domain`, then keeps adding shells that double
     the half-width, each on `_KL_PANELS` Gauss-Kronrod panels.  Finite
-    verdict: the shell contribution drops below tol = max(abs_tol,
-    rel_tol*|total|).  Infinite verdict: shell contributions keep growing
-    for three consecutive doublings, or log q is -inf where p has mass,
-    or the doubling budget runs out.  Raises QuadratureFailureError when
-    the summed error estimate misses tol (a NaN integrand included).
+    verdict: the last shell's contribution, taken as an error of the
+    total, meets the tolerance (`_good_enough`).  Infinite verdict: shell
+    contributions keep growing past it for three consecutive doublings,
+    or log q is -inf where p has mass, or the doubling budget runs out.
+    Raises QuadratureFailureError when the summed error estimate misses
+    the tolerance (a NaN integrand included).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -1205,16 +1197,15 @@ def kl_divergence_1d(logpdf_p: Callable, logpdf_q: Callable, domain: tuple,
     while True:
         if total == math.inf:
             return MomentValue.infinite()
-        tol = max(settings.abs_tol, settings.rel_tol * abs(total))
-        if not error <= tol:
+        if not _good_enough(total, error):
             raise QuadratureFailureError(
                 f"KL integral over [{center - half}, {center + half}]: value {total!r} "
                 f"with error estimate {error!r}"
             )
-        if shells and shells[-1] < tol:
+        if shells and _good_enough(total, shells[-1]):
             return MomentValue.finite(total)
         if len(shells) == _MAX_DOUBLINGS or len(shells) >= 4 and all(
-            shells[-k] > shells[-k - 1] and shells[-k] > tol for k in (1, 2, 3)
+            shells[-k] > shells[-k - 1] and not _good_enough(total, shells[-k]) for k in (1, 2, 3)
         ):
             return MomentValue.infinite()
         steps = np.linspace(half, 2.0 * half, _KL_PANELS // 2 + 1)

@@ -3,6 +3,7 @@ integrability of growth envelopes, perturbation sweeps, admissibility."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from stableinfer import (
     total_variation_empirical,
     z_lipschitz_check,
 )
+from stableinfer import bayes
 from stableinfer.metrics import rowwise_quasi_norm
 
 
@@ -261,7 +263,8 @@ class TestSinglePassWeights:
     @example(np.array([0.0, 744.5, 745.1]))  # weights down to subnormals and zero
     def test_weights_and_z_match_textbook_bits(self, phi):
         w, (z, stderr, log_z, ess) = _textbook_z(phi)
-        post = posterior(fixed_misfit(phi), np.zeros((phi.size, 1)), [0.0], min_ess=0.0)
+        with mock.patch.object(bayes, "_MIN_ESS", 0.0):
+            post = posterior(fixed_misfit(phi), np.zeros((phi.size, 1)), [0.0])
         got = post.z
         assert (got.z, got.stderr, got.log_z, got.ess) == (z, stderr, log_z, ess)
         assert post.measure.weights.tobytes() == w.tobytes()
@@ -269,9 +272,10 @@ class TestSinglePassWeights:
         assert post.measure.normalized().tobytes() == (w / w.sum()).tobytes()
         assert got.shift == float(phi.min())
 
-    def test_misfit_values_left_untouched(self):
+    def test_misfit_values_left_untouched(self, monkeypatch):
         phi = np.array([2.0, 0.5, 7.0])
-        posterior(fixed_misfit(phi), np.zeros((3, 1)), [0.0], min_ess=0.0)
+        monkeypatch.setattr(bayes, "_MIN_ESS", 0.0)
+        posterior(fixed_misfit(phi), np.zeros((3, 1)), [0.0])
         assert phi.tolist() == [2.0, 0.5, 7.0]
 
 

@@ -213,7 +213,7 @@ class TestRunExperiments:
                 assert name not in sys.modules, f"{{name}} was imported"
 
             del stable.integrate.quad
-            cauchy = stable._StandardNumericDensity(1.0, 0.0, stable.DEFAULT_QUADRATURE)
+            cauchy = stable._StandardNumericDensity(1.0, 0.0)
             assert math.isclose(cauchy(1.0), 1.0 / (2.0 * math.pi), rel_tol=1e-10)
             assert "scipy.integrate" in sys.modules
         """)

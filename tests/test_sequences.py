@@ -2,16 +2,19 @@
 scale-space membership, and shift admissibility."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf, erfc
 
 from stableinfer import (
     DivisionByZeroScaleError,
     Explicit,
     Membership,
+    OutOfRangeError,
     PowerLaw,
     PowerLogLaw,
     SeriesVerdict,
@@ -25,7 +28,7 @@ from stableinfer import (
 )
 
 
-def _truncated_moment(alpha: float, m: int, cut: float) -> float:
+def _truncated_moment(alpha: float, m: int, cut: float):
     """E[|u|^m; |u| <= cut] for the standardised symmetric stable law in
     mpmath.  For alpha > 1 and cut < 8: the convergent power series of the
     density, (1/(pi alpha)) sum_k (-1)^k Gamma((2k+1)/alpha) s^(2k)/(2k)!,
@@ -36,13 +39,13 @@ def _truncated_moment(alpha: float, m: int, cut: float) -> float:
     of the density (continued analytically past m = alpha) plus
     sum_k a_k cut^(m - alpha k)/(m - alpha k); the series converges for
     alpha < 1 and is asymptotic for alpha > 1, where it is summed while
-    its terms shrink."""
+    its terms shrink.  Returns an mpmath number, which need not fit a float."""
     with mp.workdps(40):
         a, c = mp.mpf(alpha), mp.mpf(cut)
         if alpha > 1 and cut < 8:
             half = mp.nsum(lambda k: (-1) ** k * mp.gamma((2 * k + 1) / a) * c ** (2 * k + m + 1)
                            / (mp.factorial(2 * k) * (2 * k + m + 1)), [0, mp.inf]) / (mp.pi * a)
-            return float(2 * half)
+            return 2 * half
         half = mp.gamma(1 - m / a) * mp.gamma(m) * mp.sin(mp.pi * m / 2) / mp.pi
         last = mp.inf
         for k in range(1, 100):
@@ -51,7 +54,17 @@ def _truncated_moment(alpha: float, m: int, cut: float) -> float:
             if abs(term) < mp.mpf(10) ** -30 * abs(half) or (alpha > 1 and abs(term) > last):
                 break
             half, last = half + term, abs(term)
-        return float(2 * half)
+        return 2 * half
+
+
+def _tail_survival(alpha: float, cut: float):
+    """P[|u| > cut] for the standardised symmetric stable law with alpha < 1
+    in mpmath: Bergstrom's series of the density integrated beyond the cut,
+    2 sum_k a_k cut^(-alpha k)/(alpha k), which converges."""
+    with mp.workdps(40):
+        a, c = mp.mpf(alpha), mp.mpf(cut)
+        return 2 * mp.nsum(lambda k: (-1) ** (k + 1) * mp.gamma(a * k + 1) * mp.sin(mp.pi * a * k / 2)
+                           / (mp.pi * mp.factorial(k)) * c ** (-a * k) / (a * k), [1, mp.inf])
 
 
 class TestSequenceValues:
@@ -134,11 +147,24 @@ class TestThreeSeries:
 
     def test_cut_past_float_range_is_infinite(self):
         # threshold^(1/q) = 10^500: nothing exceeds the cut, and the truncated
-        # moments are the moments on the tabulated range
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            out = three_series_check(PowerLaw(1.0, 2.0), 1.5, 0.002, 10.0, depth=1024)
+        # moments are the full moments gamma^m E|u|^m, m = q, 2q (they were 0
+        # once the cut overflowed to inf, and before that the moments up to 1)
+        q = 0.002
+        out = three_series_check(PowerLaw(1.0, 2.0), 1.5, q, 10.0, depth=1024)
         assert abs(out.s0) < 1e-300
-        assert np.isfinite(out.s1) and np.isfinite(out.s2)
+        gam = sequence_values(PowerLaw(1.0, 2.0), 64)
+        for m, name in ((q, "s1"), (2.0 * q, "s2")):
+            with mp.workdps(30):
+                a, p = mp.mpf(1.5), mp.mpf(m)
+                moment = 2 / mp.pi * mp.gamma(1 - p / a) * mp.gamma(p) * mp.sin(mp.pi * p / 2)
+                want = moment * mp.fsum(mp.mpf(g) ** p for g in gam)
+            assert out.traces[name][0] == pytest.approx(float(want), rel=1e-8)
+
+    @pytest.mark.parametrize("a_cut", [0.0, -1.0, math.inf, math.nan])
+    def test_threshold_must_be_finite_and_positive(self, a_cut):
+        # an infinite threshold gave nan terms from inf * 0
+        with pytest.raises(OutOfRangeError):
+            three_series_check(PowerLaw(1.0, 2.0), 1.5, 1.0, a_cut, depth=1024)
 
     def test_log_family_diverges_through_first_moment(self):
         out = three_series_check(PowerLogLaw(1.0, 1.0, 2.0), 1.0, 1.0, 1.0)
@@ -189,7 +215,7 @@ class TestThreeSeries:
 
         alpha = mp.mpf(3) / 2
         cuts = np.array([0.5, 2.0, 20.0, 1000.0])
-        survival = _symmetric_truncated_term_tables(1.5, 1.0, cuts)[0]
+        survival = _symmetric_truncated_term_tables(1.5, 1.0, np.log(cuts))[0]
         for cut, got in zip(cuts, survival):
             with mp.workdps(40):
                 x = mp.mpf(cut)
@@ -212,13 +238,14 @@ class TestThreeSeries:
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
     def test_truncated_moments_against_mpmath(self, alpha):
-        # the tables were capped at cut 1e8 and good to a few parts in 1e6
+        # the tables were capped at cut 1e8 and good to a few parts in 1e6;
+        # they hold the moments over cut^m
         from stableinfer.sequences import _symmetric_truncated_term_tables
 
         cuts = np.array([1.0, 1e4, 1e8, 1e12])
-        _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, cuts)
+        _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, np.log(cuts))
         for m, got in ((1, first), (2, second)):
-            want = [_truncated_moment(alpha, m, cut) for cut in cuts]
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_tiny_scales_keep_moment_terms(self):
@@ -229,8 +256,39 @@ class TestThreeSeries:
         out = three_series_check(seq, 0.7, 1.0, 1.0, depth=1024)
         gam = sequence_values(seq, 64)
         for m, name in ((1, "s1"), (2, "s2")):
-            want = mp.fsum(mp.mpf(g) ** m * mp.mpf(_truncated_moment(0.7, m, 1.0 / g)) for g in gam)
+            want = mp.fsum(mp.mpf(g) ** m * _truncated_moment(0.7, m, 1.0 / g) for g in gam)
             assert out.traces[name][0] == pytest.approx(float(want), rel=1e-8, abs=0.0)
+
+    def test_large_moment_orders_stay_finite(self):
+        # gamma_n = 1e-100/n, alpha = 0.7, q = 2: the fourth moments at the
+        # cuts 1e100 n pass the float range, and s2 was nan with overflow warnings
+        seq = PowerLaw(1e-100, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = three_series_check(seq, 0.7, 2.0, 1.0, depth=1024)
+        assert all(math.isfinite(s) and s > 0.0 for s in (out.s0, out.s1, out.s2))
+        gam = sequence_values(seq, 64)
+        want = {
+            "s0": mp.fsum(_tail_survival(0.7, 1.0 / g) for g in gam),
+            "s1": mp.fsum(mp.mpf(g) ** 2 * _truncated_moment(0.7, 2, 1.0 / g) for g in gam),
+            "s2": mp.fsum(mp.mpf(g) ** 4 * _truncated_moment(0.7, 4, 1.0 / g) for g in gam),
+        }
+        for name, value in want.items():
+            assert out.traces[name][0] == pytest.approx(float(value), rel=1e-8, abs=0.0)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.sampled_from([0.7, 1.0, 1.5, 1.9]), st.floats(0.25, 2.0),
+           st.floats(-300.0, 0.0), st.floats(0.01, 100.0))
+    @example(0.7, 2.0, -300.0, 1.0)
+    @example(1.9, 0.25, -300.0, 0.01)
+    def test_tiny_scales_give_bounded_tables(self, alpha, q, log_scale, a_cut):
+        # the terms are P[|u| > cut], A G_q(cut) and A^2 G_2q(cut), so with
+        # every tabulated value in [0, 1] each term is finite and >= 0
+        from stableinfer.sequences import _symmetric_truncated_term_tables
+
+        log_cuts = math.log(a_cut) / q - log_scale * math.log(10.0) + np.log(np.arange(1.0, 1001.0))
+        for table in _symmetric_truncated_term_tables(alpha, q, log_cuts):
+            assert np.all((table >= 0.0) & (table <= 1.0))
 
     def test_explicit_finite_data_converges(self):
         out = three_series_check(Explicit((1.0, 0.5, 0.25)), 1.0, 1.0, 1.0)

@@ -23,12 +23,12 @@ from stableinfer import (
     stable_pdf,
     validate_params,
 )
-from stableinfer.stable import DEFAULT_QUADRATURE, _StandardNumericDensity
+from stableinfer.stable import _StandardNumericDensity
 
 
 def fourier_pdf(p: StableParams, u: float) -> float:
     """The density of p at u by the QUADPACK Fourier-inversion reference."""
-    standard = _StandardNumericDensity(p.alpha, p.beta, DEFAULT_QUADRATURE)
+    standard = _StandardNumericDensity(p.alpha, p.beta)
     return standard((u - p.delta) / p.gamma) / p.gamma
 
 

@@ -114,6 +114,17 @@ class TestSymmetricCauchyShortcut:
         assert got.tobytes() == _general_alpha_one(beta, u[:, 0], u[:, 1]).tobytes()
 
 
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.4), (1.5, 0.0),
+                                        (1.5, -0.3), (0.7, 0.5)])
+def test_scalar_uniforms_match_one_element_arrays(alpha, beta):
+    # every branch of the transform; scalars raised TypeError from the
+    # in-place floor of the exponential draw
+    scalar = standard_stable_from_uniforms(alpha, beta, 0.3, 0.7)
+    array = standard_stable_from_uniforms(alpha, beta, np.array([0.3]), np.array([0.7]))
+    assert np.ndim(scalar) == 0 and array.shape == (1,)
+    assert np.float64(scalar).tobytes() == array.tobytes()
+
+
 class TestCharFn:
     def test_gaussian_value(self):
         assert char_fn(validate_params(2, 0, 1 / math.sqrt(2), 0), 1.0) == pytest.approx(

@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from stableinfer import (
     OutOfRangeError,
     QuadratureFailureError,
-    QuadratureSettings,
     StableParams,
+    cauchy_logpdf,
+    fractional_moment,
+    kl_divergence_1d,
+    normal_logpdf,
     stable_pdf,
     validate_params,
 )
@@ -104,18 +107,28 @@ def test_parity_with_fourier_inversion(alpha, beta):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = stable._StandardNumericDensity(p.alpha, p.beta, stable.DEFAULT_QUADRATURE)(_PARITY_Z)
+        reference = stable._StandardNumericDensity(p.alpha, p.beta)(_PARITY_Z)
     assert np.allclose(batch, reference, rtol=1e-8, atol=0.0)
 
 
+_INTEGRALS = {
+    "pdf": lambda: stable_pdf(validate_params(1.5, 0.3, 1.0, 0.0), np.array([0.5, 3.0])),
+    "sf": lambda: stable._standard_sf(1.5, 0.3, np.array([2.0])),
+    # not strictly stable (delta != beta gamma tan(pi alpha/2)): the numeric path
+    "moment": lambda: fractional_moment(validate_params(1.5, 0.3, 1.0, 0.5), 0.5),
+    "kl": lambda: kl_divergence_1d(lambda u: normal_logpdf(0.0, 1.0, u),
+                                   lambda u: cauchy_logpdf(0.0, 1.0, u), (-5.0, 5.0)),
+}
+
+
 class TestFailures:
-    def test_unreachable_tolerance_raises(self):
-        strict = QuadratureSettings(abs_tol=0.0, rel_tol=1e-300)
-        p = validate_params(1.5, 0.3, 1.0, 0.0)
+    @pytest.mark.parametrize("name", list(_INTEGRALS))
+    def test_unreachable_tolerance_raises(self, name, monkeypatch):
+        _INTEGRALS[name]()  # meets the fixed tolerance
+        monkeypatch.setattr(stable, "_ABS_TOL", 0.0)
+        monkeypatch.setattr(stable, "_REL_TOL", 1e-300)
         with pytest.raises(QuadratureFailureError):
-            stable_pdf(p, np.array([0.5, 3.0]), settings=strict)
-        with pytest.raises(QuadratureFailureError):
-            stable._standard_sf(1.5, 0.3, np.array([2.0]), strict)
+            _INTEGRALS[name]()
 
 
 
@@ -150,7 +163,7 @@ class TestNearAlphaOne:
         z = np.array([-30.0, -1.0, 0.0, 0.4, 5.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reference = stable._StandardNumericDensity(p.alpha, p.beta, stable.DEFAULT_QUADRATURE)(z)
+            reference = stable._StandardNumericDensity(p.alpha, p.beta)(z)
         assert np.allclose(stable_pdf(p, z), reference, rtol=1e-8, atol=0.0)
 
     def test_vanishing_skewness_is_cauchy(self):
