@@ -9,12 +9,16 @@ CSV layout (`write_matrix_csv`, the one writer of every CSV table the
 package produces): a comment line, a header row naming the columns, then
 one row per sample in 17-significant-digit decimals, which read back as
 the same floats.  Ensemble files carry the spec hash and seed in the
-comment.
+comment.  Each row is formatted by one precomposed format string; in a row
+holding runs of equal values (a Haar field is piecewise constant), each
+run of equal bit patterns is formatted once and its text repeated, which
+writes the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from typing import Optional, Sequence
 
@@ -71,11 +75,24 @@ def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
     matrix = np.asarray(matrix)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
+    # equal bit patterns (not equal values: -0.0 and 0.0 print apart, and
+    # int64 above 2^53 must not meet a float cast) print the same text
+    bits = matrix.view(f"V{matrix.itemsize}")
+    repeats = bits[:, 1:] == bits[:, :-1]
+    has_runs = repeats.any(axis=1)
+    row_fmt = ",".join([_FLOAT_FMT] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
-        for row in matrix:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+        for row, runs, rep in zip(matrix, has_runs, repeats):
+            if not runs:
+                fh.write(row_fmt % tuple(row.tolist()))
+                continue
+            starts = np.flatnonzero(np.concatenate(([True], ~rep)))
+            counts = np.diff(starts, append=row.size).tolist()
+            cells = ((_FLOAT_FMT + ",\n") * starts.size % tuple(row[starts].tolist())).split("\n")
+            line = "".join(map(operator.mul, cells, counts))
+            fh.write(line[:-1] + "\n")
 
 
 def write_ensemble_csv(path, ensemble: FieldEnsemble, which: str = "coefficients") -> None:

@@ -263,20 +263,36 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int) -> Fie
 
 def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
                        basis: Union[HaarWavelet, HatHierarchical]) -> np.ndarray:
-    """Sum of the whole levels 0..basis.levels; level j starts at column 2^j - 1."""
-    out = np.zeros((coeffs.shape[0], grid.size))
-    # every translate is supported inside [0, 1); points outside get 0
+    """Sum of the whole levels 0..basis.levels; level j starts at column 2^j - 1.
+
+    Every translate is supported inside [0, 1); points outside get 0.  The
+    Haar sum is built once per row on the 2^(levels+1) finest half-cells
+    and gathered at h = floor(2^(levels+1) x).  This is exact on any grid:
+    2^j x, its floor k and frac = 2^j x - k are exact in binary floating
+    point, so level j's translate k is h >> (levels + 1 - j) and frac < 0.5
+    is bit levels - j of h being 0.  The levels are added coarse to fine,
+    as a per-level loop over the grid adds them, so every bit is the same.
+    """
+    amps = [2.0 ** (j / 2.0) if basis.unit_norm else 1.0 for j in range(basis.levels + 1)]
     inside = (grid >= 0.0) & (grid < 1.0)
-    for j in range(basis.levels + 1):
+    n = coeffs.shape[0]
+    if isinstance(basis, HaarWavelet):
+        cells = np.zeros((n, 1))
+        for j, amp in enumerate(amps):
+            # half-cell 2k (2k + 1) of level j: the parent cell k plus (-)amp c_jk
+            level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
+            cells = (cells[:, :, None] + level).reshape(n, -1)
+        h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0))
+        out = np.take(cells, h.astype(np.int64), axis=1)
+        out[:, ~inside] = 0.0
+        return out
+    out = np.zeros((n, grid.size))
+    for j, amp in enumerate(amps):
         scaled = 2.0 ** j * grid
         k = np.floor(scaled).astype(np.int64)
         np.clip(k, 0, 2 ** j - 1, out=k)
         frac = scaled - k
-        if isinstance(basis, HaarWavelet):
-            shape = np.where(frac < 0.5, 1.0, -1.0) * inside
-        else:  # hat
-            shape = (1.0 - np.abs(2.0 * frac - 1.0)) * inside
-        amp = 2.0 ** (j / 2.0) if basis.unit_norm else 1.0
+        shape = (1.0 - np.abs(2.0 * frac - 1.0)) * inside
         out += amp * shape[None, :] * coeffs[:, 2 ** j - 1 + k]
     return out
 

@@ -234,20 +234,28 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     Maps u1, u2 ~ U[0,1) to draws Z with gamma*Z + delta distributed as
     S(alpha, beta, gamma, delta; 0).  beta may be an array broadcastable
     against u1/u2, which is how a whole coefficient matrix with per-index
-    skewness is transformed in one call.
+    skewness is transformed in one call.  The uniforms are only read.
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
     beta = np.asarray(beta, dtype=float)
-    v = math.pi * (u1 - 0.5)
+    # v and w are fresh arrays (0-d for scalar uniforms), so the routes
+    # below can transform them in place with out=
+    v = np.subtract(u1, 0.5, out=np.empty(u1.shape))
+    v *= math.pi
     alpha_one = abs(alpha - 1.0) < _ALPHA_ONE_SNAP
-    if (alpha_one and not beta.any()
-            and np.broadcast_shapes(beta.shape, v.shape, u2.shape) == v.shape):
+    # beta = +-0 everywhere, without broadcasting the uniforms to a larger shape
+    unskewed = not beta.any() and np.broadcast_shapes(beta.shape, v.shape) == v.shape
+    if alpha_one and unskewed:
         # symmetric Cauchy: b below is exactly pi/2, and the log term is
         # +-0 times a finite number (w >= 1e-300 and cos v >= 6e-17 for
         # u1, u2 in [0, 1)), so dropping both leaves every bit as it is
-        return (2.0 / math.pi) * ((math.pi / 2.0) * np.tan(v))
-    w = np.asarray(-np.log1p(-u2))  # an array for scalar uniforms too, for out= below
+        np.tan(v, out=v)
+        v *= math.pi / 2.0
+        v *= 2.0 / math.pi
+        return v[()]
+    w = np.negative(u2, out=np.empty(u2.shape))
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
     # floor the exponential draw so the 1/w power below cannot overflow
     # to inf (and poison products with 0); the floor has probability mass
     # below 1e-290, far under any Monte Carlo resolution
@@ -257,13 +265,33 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
         w_floor = 1e-300
     np.clip(w, w_floor, None, out=w)
     if alpha == 2.0:
-        return 2.0 * np.sin(v) * np.sqrt(w)
+        np.sin(v, out=v)
+        v *= 2.0
+        np.sqrt(w, out=w)
+        v *= w
+        return v[()]
     if alpha_one:
         b = math.pi / 2.0 + beta * v
         z = (2.0 / math.pi) * (
             b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / b)
         )
         return z
+    if unskewed and not np.signbit(beta).any():
+        # t0 = +-0 and zeta = +-0 below: alpha*(v + t0) is alpha*v, cos(alpha*t0)
+        # is 1 and z - zeta is z, bit for bit (v is never -0).  A -0 beta
+        # would give zeta = -0 at alpha < 1, and z - zeta turns an
+        # underflowed -0 into +0, so it takes the general expression
+        z = np.multiply(alpha - 1.0, v, out=np.empty(v.shape))
+        np.cos(z, out=z)
+        np.divide(z, w, out=w)
+        w **= (1.0 - alpha) / alpha  # the ** operator's own rounding, as below
+        np.multiply(alpha, v, out=z)
+        np.sin(z, out=z)
+        np.cos(v, out=v)
+        v **= 1.0 / alpha
+        z /= v
+        z *= w
+        return z[()]
     zeta = beta * math.tan(math.pi * alpha / 2.0)
     t0 = np.arctan(zeta) / alpha
     z = (
@@ -346,8 +374,13 @@ def cauchy_logpdf(delta: float, gamma: float, u):
     if not gamma > 0.0:
         raise OutOfRangeError("gamma", "width must be > 0")
     u = np.asarray(u, dtype=float)
-    s = (u - delta) / gamma
-    return -np.log1p(s * s) - math.log(gamma * math.pi)
+    s = np.abs((u - delta) / gamma)
+    far = s > 1e150
+    # past 1e150, log1p(s^2) = 2 log s + log1p(s^-2) keeps s^2 from overflowing
+    r = np.where(far, s, 1.0)
+    near = np.where(far, 0.0, s)
+    log1p_s2 = np.where(far, 2.0 * np.log(r) + np.log1p(r ** -2.0), np.log1p(near * near))
+    return -log1p_s2 - math.log(gamma * math.pi)
 
 
 def cauchy_cdf(delta: float, gamma: float, u):

@@ -112,3 +112,58 @@ def test_csv_table_round_trips_every_float(tmp_path_factory, matrix):
     assert header == ",".join(columns)
     assert table.shape == matrix.shape
     assert table.tobytes() == matrix.tobytes()
+
+
+def _textbook_csv(matrix, columns, comment):
+    """The bytes of the plain writer: one '%.17g' per value, joined by commas."""
+    rows = np.asarray(matrix)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    lines = [f"# {comment}", ",".join(columns)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# NaNs with distinct payloads and signs, next to +-0 and +-inf
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                  0x7FF0000000000001], dtype=np.uint64).view(np.float64).tolist()
+_FLOAT_POOL = [0.0, -0.0, 1.5, -2.0 ** -1074, np.inf, -np.inf] + _NANS
+# above 2^53, neighbours differ in bits but print alike through a float cast
+_INT_POOL = [0, -1, 2 ** 53, 2 ** 53 + 1, 2 ** 60, 2 ** 60 + 1, 2 ** 63 - 1, -2 ** 63]
+
+
+@st.composite
+def _csv_matrices(draw):
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]))
+    if dtype is np.bool_:
+        elements = st.booleans()
+    elif dtype is np.int64:
+        elements = st.sampled_from(_INT_POOL) | st.integers(-2 ** 63, 2 ** 63 - 1)
+    else:
+        pool = _FLOAT_POOL if dtype is np.float64 else [0.0, -0.0, 1.5, np.inf, np.nan]
+        elements = st.sampled_from(pool) | st.floats(width=np.dtype(dtype).itemsize * 8)
+    shape = draw(st.integers(0, 6) | st.tuples(st.integers(0, 5), st.integers(1, 12)))
+    # small pools make runs of equal values common
+    matrix = draw(arrays(dtype, shape, elements=elements))
+    return matrix[:, ::-1] if matrix.ndim == 2 and draw(st.booleans()) else matrix  # a strided view
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_matrices())
+def test_csv_bytes_match_the_textbook_writer(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    columns = [f"c{j}" for j in range(1 if matrix.ndim == 1 else matrix.shape[1])]
+    write_matrix_csv(path, matrix, columns, "pinned")
+    assert path.read_bytes() == _textbook_csv(matrix, columns, "pinned")
+
+
+def test_csv_runs_are_written_in_full(tmp_path):
+    # piecewise-constant rows, as a Haar field on a fine grid gives them
+    row = np.repeat([0.25, -0.0, 0.0, 0.0, np.nan, 1.0 / 3.0], [8, 1, 3, 1, 2, 5])
+    matrix = np.stack([row, row[::-1], np.arange(row.size, dtype=float)])
+    columns = [f"x{j}" for j in range(row.size)]
+    write_matrix_csv(tmp_path / "runs.csv", matrix, columns, "runs")
+    assert (tmp_path / "runs.csv").read_bytes() == _textbook_csv(matrix, columns, "runs")
+    line = (tmp_path / "runs.csv").read_text().splitlines()[2]
+    assert line == ",".join(["0.25"] * 8 + ["-0"] + ["0"] * 4 + ["nan"] * 2
+                            + ["0.33333333333333331"] * 5)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stableinfer import (
     DimensionMismatchError,
@@ -220,6 +222,42 @@ class TestSynthesize:
         spec = StableFieldSpec.make(1.0, Explicit((1.0,) * 3), HaarWavelet(1, 64), 3)
         ens = synthesize_ensemble(sample_coefficients(spec, 4, 8))
         assert ens.grid_values.shape == (4, 64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.integers(0, 6), unit_norm=st.booleans(), n=st.integers(1, 3),
+           data=st.data())
+    def test_haar_matches_the_per_level_loop_bit_for_bit(self, levels, unit_norm, n, data):
+        # arbitrary grids: points outside [0, 1), 0, 1, dyadic points and
+        # their float neighbours, tiny and subnormal points
+        special = [0.0, -0.0, 1.0, -0.5, 1.5, 1e300, -np.inf, np.inf, 1.0 - 2.0 ** -53,
+                   5e-324, 2.0 ** -60] + [k / 2.0 ** m for m in range(1, 9) for k in (1, 3)]
+        points = (st.sampled_from(special) | st.floats(0.0, 1.0)
+                  | st.floats(-2.0, 3.0) | st.floats(allow_nan=False))
+        grid = data.draw(arrays(np.float64, st.integers(1, 40), elements=points))
+        coeffs = data.draw(arrays(np.float64, (n, 2 ** (levels + 1) - 1),
+                                  elements=st.floats(-1e300, 1e300)))
+        basis = HaarWavelet(levels, unit_norm=unit_norm)
+        # the largest float steps to inf, huge coefficients sum to +-inf, and
+        # the loop casts inf and huge points to int64
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+            got = synthesize(basis, coeffs, grid)
+            want = _haar_per_level(coeffs, grid, levels, unit_norm)
+        assert got.tobytes() == want.tobytes()
+
+
+def _haar_per_level(coeffs, grid, levels, unit_norm):
+    """Haar synthesis by the textbook loop: one pass over the grid per level."""
+    out = np.zeros((coeffs.shape[0], grid.size))
+    inside = (grid >= 0.0) & (grid < 1.0)
+    for j in range(levels + 1):
+        scaled = 2.0 ** j * grid
+        k = np.floor(scaled).astype(np.int64)  # any index outside [0, 1), zeroed below
+        np.clip(k, 0, 2 ** j - 1, out=k)
+        shape = np.where(scaled - k < 0.5, 1.0, -1.0) * inside
+        amp = 2.0 ** (j / 2.0) if unit_norm else 1.0
+        out += amp * shape[None, :] * coeffs[:, 2 ** j - 1 + k]
+    return out
 
 
 class TestGallery:

@@ -71,6 +71,22 @@ class TestCauchyClosedForms:
         with pytest.raises(OutOfRangeError):
             cauchy_pdf(0.0, 0.0, 1.0)
 
+    def test_logpdf_finite_where_the_square_overflows(self):
+        # s^2 overflows past |s| = 1.3e154; the log density stays finite
+        assert cauchy_logpdf(0.0, 1.0, 1e200) == pytest.approx(-922.1787670834677, rel=1e-15)
+        u = np.array([-1e300, -2e154, -1e151, 1e150, 3e150, 1.5e154, 1e200, 1e300])
+        for delta, gamma in ((0.0, 1.0), (2.5, 1e-3), (-1.0, 7.0)):
+            want = [float(-mp.log1p(((mp.mpf(x) - delta) / gamma) ** 2) - mp.log(mp.pi * gamma))
+                    for x in u]
+            assert np.allclose(cauchy_logpdf(delta, gamma, u), want, rtol=1e-15, atol=0.0)
+        assert cauchy_logpdf(0.0, 1.0, np.array([np.inf, -np.inf])).tolist() == [-np.inf] * 2
+
+    def test_logpdf_below_the_switch_keeps_the_textbook_bits(self):
+        u = np.concatenate([np.linspace(-1e3, 1e3, 2001), [0.0, -0.0, 1e150, -1e150, np.nan]])
+        s = (u - 0.25) / 1.5
+        want = -np.log1p(s * s) - math.log(1.5 * math.pi)
+        assert cauchy_logpdf(0.25, 1.5, u).tobytes() == want.tobytes()
+
 
 class TestNumericDensity:
     @pytest.mark.parametrize("u", [0.0, 0.7, -3.0, 25.0])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special, stats
 
 from stableinfer import (
@@ -112,6 +114,96 @@ class TestSymmetricCauchyShortcut:
         got = standard_stable_from_uniforms(1.0, beta, u[:, 0], u[:, 1])
         assert got.shape == (3, 5)
         assert got.tobytes() == _general_alpha_one(beta, u[:, 0], u[:, 1]).tobytes()
+
+
+def _exponential(alpha, u2):
+    """-log(1 - u2), floored as the transform floors it."""
+    floor = max(1e-300, 10.0 ** (-290.0 * alpha / (1.0 - alpha))) if alpha < 1.0 else 1e-300
+    return np.clip(-np.log1p(-u2), floor, None)
+
+
+def _general(alpha, beta, u1, u2):
+    """The alpha != 1 Chambers-Mallows-Stuck expression, every term kept."""
+    v = math.pi * (u1 - 0.5)
+    w = _exponential(alpha, u2)
+    zeta = beta * math.tan(math.pi * alpha / 2.0)
+    t0 = np.arctan(zeta) / alpha
+    z = (
+        np.sin(alpha * (v + t0))
+        / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
+        * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
+    )
+    return z - zeta
+
+
+_TOP = 1.0 - 2.0 ** -53
+_UNIFORMS = (st.sampled_from([0.0, 0.5, _TOP, 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53])
+             | st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestUnskewedInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True).filter(
+               lambda a: abs(a - 1.0) >= 1e-8) | st.sampled_from([0.05, 0.5, 2.0 / 3.0, 1.5]),
+           beta=st.sampled_from([0.0, -0.0, "row"]),
+           u=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4), st.just(2)),
+                    elements=_UNIFORMS))
+    def test_matches_the_general_expression(self, alpha, beta, u):
+        # alpha < 1 includes the range where the floor of w is active
+        beta = np.zeros((1, u.shape[1])) if beta == "row" else beta
+        with np.errstate(all="ignore"):  # edge uniforms overflow both alike
+            got = standard_stable_from_uniforms(alpha, beta, u[:, :, 0], u[:, :, 1])
+            want = _general(alpha, beta, u[:, :, 0], u[:, :, 1])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0])
+    def test_underflowed_draw_keeps_its_signed_zero(self, beta):
+        # at alpha = 0.001 the w power underflows, so z is -0 for u1 < 0.5;
+        # zeta = -0 for beta = -0, and z - zeta is then +0
+        u1, u2 = np.array([0.25, 0.75]), np.array([_TOP, _TOP])
+        got = standard_stable_from_uniforms(0.001, beta, u1, u2)
+        want = _general(0.001, beta, u1, u2)
+        assert not want.any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.7])
+    def test_zero_skewness_broadcasting_beyond_the_uniforms(self, alpha):
+        u = np.random.default_rng(34).random((5, 2))
+        beta = np.zeros((3, 5))
+        got = standard_stable_from_uniforms(alpha, beta, u[:, 0], u[:, 1])
+        assert got.shape == (3, 5)
+        assert got.tobytes() == _general(alpha, beta, u[:, 0], u[:, 1]).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.7])
+    def test_mixed_skewness_takes_the_general_path(self, alpha):
+        u = np.random.default_rng(35).random((1000, 4, 2))
+        beta = np.array([[0.0, 0.5, 0.0, -0.3]])
+        got = standard_stable_from_uniforms(alpha, beta, u[:, :, 0], u[:, :, 1])
+        assert got.tobytes() == _general(alpha, beta, u[:, :, 0], u[:, :, 1]).tobytes()
+
+    def test_gaussian_branch_matches_the_textbook_expression(self):
+        u = np.random.default_rng(36).random((1000, 4, 2))
+        u[0, :, 0] = [0.0, 0.5, _TOP, 2.0 ** -53]
+        u[0, :, 1] = [0.0, 0.5, _TOP, 2.0 ** -53]
+        v = math.pi * (u[:, :, 0] - 0.5)
+        want = 2.0 * np.sin(v) * np.sqrt(_exponential(2.0, u[:, :, 1]))
+        got = standard_stable_from_uniforms(2.0, 0.0, u[:, :, 0], u[:, :, 1])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.4), (1.5, 0.0),
+                                        (1.5, -0.3), (0.7, 0.5), (0.7, 0.0)])
+def test_uniforms_are_left_unmodified(alpha, beta):
+    # strided views into one array, as the coefficient sampler passes them
+    u = np.random.default_rng(37).random((100, 3, 2))
+    before = u.copy()
+    standard_stable_from_uniforms(alpha, beta, u[:, :, 0], u[:, :, 1])
+    u1, u2 = before[:, :, 0].copy(), before[:, :, 1].copy()
+    standard_stable_from_uniforms(alpha, beta, u1, u2)
+    assert u.tobytes() == before.tobytes()
+    assert u1.tobytes() == before[:, :, 0].tobytes()
+    assert u2.tobytes() == before[:, :, 1].tobytes()
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.4), (1.5, 0.0),
