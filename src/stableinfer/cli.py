@@ -411,11 +411,13 @@ def _write_sweep(out: Path, comment: str, report, size: str, name: str) -> list:
 def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
     x = cfg.inputs
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
+    # every approximate misfit is evaluated on this ensemble, so the
+    # perturbation sin(||u||)/N needs sin(||u||) once per sweep
+    wiggle = np.sin(metrics.rowwise_quasi_norm(ens.coefficients, x.potential.u_norm))
 
     def family(n_approx):
         def approx(u, yy):
-            t = metrics.rowwise_quasi_norm(u, x.potential.u_norm)
-            return x.potential.misfit(u, yy) + np.sin(t) / n_approx
+            return x.potential.misfit(u, yy) + wiggle / n_approx
         return approx
 
     report = bayes.likelihood_perturbation_sweep(

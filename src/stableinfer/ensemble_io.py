@@ -7,18 +7,38 @@ little-endian float64 in row-major order.
 
 CSV layout (`write_matrix_csv`, the one writer of every CSV table the
 package produces): a comment line, a header row naming the columns, then
-one row per sample in 17-significant-digit decimals, which read back as
-the same floats.  Ensemble files carry the spec hash and seed in the
-comment.  Each row is formatted by one precomposed format string; in a row
-holding runs of equal values (a Haar field is piecewise constant), each
-run of equal bit patterns is formatted once and its text repeated, which
-writes the same bytes.
+one row per sample, each value written as `"%.17g" % v` writes it (17
+significant digits, which read back as the same float).  Ensemble files
+carry the spec hash and seed in the comment.
+
+The writer produces those bytes without formatting one value at a time.
+It takes about 2^17 values per pass, as float64 (which is what `%`
+applies to an integer or float32).  A value x whose decade
+e = floor(log10|x|) lies in [-4, 16], where `%.17g` uses fixed notation,
+is encoded in numpy:
+
+- Its 17-digit significand is d = round(|x| * 10^p) with p = 16 - e.
+  10^p is an exact double for p <= 22, and Dekker's product of Veltkamp
+  halves (Dekker, Numer. Math. 18, 1971) gives |x| * 10^p exactly as
+  h + err.  Where d lies in [10^16, 10^17), h >= 2^53 is an even integer,
+  so d = h + rint(err) rounds the exact product half to even, as the
+  correctly rounded conversion behind `%` does (Gay 1990).
+- d's digits come from a table of the 10^4 four-digit groups.  Sign,
+  integer digits, point and fraction are laid out with slices, one
+  (decade, sign) group at a time, and trailing fraction zeros (with a
+  bare point) are dropped through each text's length.
+
+The other values are formatted by `%` itself: 0 and -0, inf and nan,
+values in exponent notation, and values whose d leaves [10^16, 10^17)
+because log10 rounded across a power of ten.  A sampled field has few of
+them.  A run of equal bit patterns (a Haar field is piecewise constant)
+is encoded once and its text repeated.  Commas and newlines go after the
+texts, a keep-mask selects the bytes, and each pass is one write.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import struct
 from typing import Optional, Sequence
 
@@ -68,31 +88,160 @@ def read_sfe1(path) -> tuple[dict, np.ndarray, Optional[np.ndarray]]:
     return header, coeffs, grid
 
 
+_CHUNK = 1 << 17  # values encoded per pass, which bounds the writer's memory
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _veltkamp(x):
+    """Split x exactly into hi + lo, each holding half of its significand."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+# the four ASCII digits of k < 10^4 as one native uint32, and their
+# trailing zeros
+_QUADS = np.empty((10,) * 4 + (4,), np.uint8)
+for _j in range(4):
+    _QUADS[..., _j] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - _j))
+_QUADS = _QUADS.reshape(-1, 4).view(np.uint32)[:, 0]
+_QUAD_ZEROS = np.zeros(10 ** 4, np.uint8)
+for _j in range(4):
+    _QUAD_ZEROS[::10 ** (_j + 1)] += 1
+del _j
+_GROUPS = [(e, neg) for e in range(-4, 17) for neg in (0, 1)]  # key 2 (e + 4) + neg
+
+
+def _format17(x: np.ndarray):
+    """The `%.17g` texts of the float64 values x, as (text, length, order):
+    row i of the uint8 matrix text holds the text of x[order[i]],
+    left-aligned in length[i] bytes, with at least one column to spare."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    slow = ~((e >= -4) & (e <= 16))  # true for 0, inf and nan
+    a[slow] = 1.0
+    e[slow] = 0.0
+    e += 4.0
+    e *= 2.0
+    e += np.signbit(x)
+    key = e.astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    a = a[order]
+    slow = slow[order]
+    counts = np.bincount(key, minlength=len(_GROUPS))
+    groups = [(slice(end - n, end), *_GROUPS[g])
+              for g, (n, end) in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if n]
+    # the 17-digit significand d = round(a * 10^p), p = 16 - e (see the
+    # module docstring for why it is exact)
+    d = np.empty(x.size, np.int64)
+    for rows, exp, _ in groups:
+        c = 10.0 ** (16 - exp)
+        c_hi, c_lo = _veltkamp(c)
+        a_hi, a_lo = _veltkamp(a[rows])
+        h = a[rows] * c
+        err = a_hi * c_hi
+        err -= h
+        err += a_hi * c_lo
+        err += a_lo * c_hi
+        err += a_lo * c_lo
+        d[rows] = h
+        d[rows] += np.rint(err).astype(np.int64)
+    slow |= (d < 10 ** 16) | (d >= 10 ** 17)  # a decade missed, or a carry to 10^17
+    slow_at = np.flatnonzero(slow)
+    d[slow_at] = 10 ** 16
+    texts = (_FLOAT_FMT + "\n") * slow_at.size % tuple(x[order[slow_at]].tolist())
+    slow_len = np.array([len(t) for t in texts.split("\n")[:-1]], dtype=np.uint8)
+    # the digits: a leading one, then four groups of four
+    top = d // 10 ** 8
+    low = (d - top * 10 ** 8).astype(np.uint32)
+    lead = top // 10 ** 8
+    mid = (top - lead * 10 ** 8).astype(np.uint32)
+    quads = np.empty((x.size, 5), np.uint32)
+    quads[:, 0] = _QUADS[lead]
+    for col, eight in ((1, mid), (3, low)):
+        hi = eight // 10 ** 4
+        quads[:, col] = _QUADS[hi]
+        quads[:, col + 1] = _QUADS[eight - hi * 10 ** 4]
+    digits = quads.view(np.uint8)[:, 3:]
+    # trailing zeros, four digits at a time while the groups are zero
+    part = low - low // 10 ** 4 * 10 ** 4
+    tz = _QUAD_ZEROS[part]
+    at = np.flatnonzero(part == 0)
+    for more in (low // 10 ** 4, mid - mid // 10 ** 4 * 10 ** 4, mid // 10 ** 4):
+        part = more[at]
+        tz[at] += _QUAD_ZEROS[part]
+        at = at[part == 0]
+    width = 1 + max([neg + 18 - min(exp, 0) for _, exp, neg in groups]
+                    + [int(slow_len.max(initial=0))])
+    text = np.empty((x.size, width), np.uint8)
+    length = np.empty(x.size, np.uint8)
+    for rows, exp, neg in groups:
+        out, dig = text[rows], digits[rows]
+        out[:, 0] = ord("-")
+        if exp >= 0:
+            out[:, neg:neg + exp + 1] = dig[:, :exp + 1]
+            out[:, neg + exp + 1] = ord(".")
+            out[:, neg + exp + 2:neg + 18] = dig[:, exp + 1:]
+            # with no fraction digits left, the point goes too
+            length[rows] = np.where(tz[rows] >= 16 - exp, neg + exp + 1, neg + 18 - tz[rows])
+        else:
+            lead_in = np.frombuffer(b"0." + b"0" * (-exp - 1), np.uint8)
+            out[:, neg:neg + lead_in.size] = lead_in
+            out[:, neg + lead_in.size:neg + lead_in.size + 17] = dig
+            length[rows] = neg + 18 - exp - tz[rows]
+    if slow_at.size:
+        length[slow_at] = slow_len
+        keep = np.arange(width) < slow_len[:, None]
+        block = text[slow_at]
+        block[keep] = np.frombuffer(texts.replace("\n", "").encode("ascii"), np.uint8)
+        text[slow_at] = block
+    return text, length, order
+
+
+def _encode(values: np.ndarray, n_cols: int) -> np.ndarray:
+    """The CSV bytes of whole rows, given as their row-major float64 values."""
+    bits = values.view(np.int64)
+    first = np.empty(values.size, bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    # a run of equal bit patterns (a Haar field is piecewise constant) is
+    # formatted once and its text repeated, across row ends too
+    starts = np.flatnonzero(first)
+    text, length, order = _format17(values[starts])
+    rank = np.empty(starts.size, np.intp)
+    rank[order] = np.arange(starts.size)
+    if starts.size < values.size:
+        rank = np.repeat(rank, np.diff(starts, append=values.size))
+    width = text.shape[1]
+    text = np.take(text.view(f"V{width}")[:, 0], rank).view(np.uint8)
+    length = np.take(length, rank)
+    ends = np.arange(0, text.size, width) + length
+    text[ends] = ord(",")
+    text[ends[n_cols - 1::n_cols]] = ord("\n")
+    return text[(np.arange(width, dtype=np.uint8) <= length[:, None]).reshape(-1)]
+
+
 def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
                      comment: str) -> None:
     """Write a table as CSV: comment line, header row of the column names,
-    one row per sample; a 1-D array is one column."""
+    one row per sample; a 1-D array is one column.  The bytes are those of
+    `"%.17g" % v` for each value v, joined by commas."""
     matrix = np.asarray(matrix)
+    if matrix.dtype.kind in "cSU":  # numpy would drop imaginary parts and parse text
+        raise TypeError(f"a CSV table holds real numbers, not {matrix.dtype}")
     if matrix.ndim == 1:
         matrix = matrix[:, None]
-    # equal bit patterns (not equal values: -0.0 and 0.0 print apart, and
-    # int64 above 2^53 must not meet a float cast) print the same text
-    bits = matrix.view(f"V{matrix.itemsize}")
-    repeats = bits[:, 1:] == bits[:, :-1]
-    has_runs = repeats.any(axis=1)
-    row_fmt = ",".join([_FLOAT_FMT] * matrix.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row, runs, rep in zip(matrix, has_runs, repeats):
-            if not runs:
-                fh.write(row_fmt % tuple(row.tolist()))
-                continue
-            starts = np.flatnonzero(np.concatenate(([True], ~rep)))
-            counts = np.diff(starts, append=row.size).tolist()
-            cells = ((_FLOAT_FMT + ",\n") * starts.size % tuple(row[starts].tolist())).split("\n")
-            line = "".join(map(operator.mul, cells, counts))
-            fh.write(line[:-1] + "\n")
+    n_rows, n_cols = matrix.shape
+    step = max(1, _CHUNK // max(n_cols, 1))
+    with open(path, "wb") as fh:
+        fh.write(f"# {comment}\n{','.join(columns)}\n".encode("utf-8"))
+        if n_cols == 0:
+            fh.write(b"\n" * n_rows)
+            return
+        for r in range(0, n_rows, step):
+            block = np.array(matrix[r:r + step], dtype=np.float64, order="C")
+            fh.write(_encode(block.reshape(-1), n_cols))
 
 
 def write_ensemble_csv(path, ensemble: FieldEnsemble, which: str = "coefficients") -> None:

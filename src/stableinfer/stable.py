@@ -234,7 +234,9 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     Maps u1, u2 ~ U[0,1) to draws Z with gamma*Z + delta distributed as
     S(alpha, beta, gamma, delta; 0).  beta may be an array broadcastable
     against u1/u2, which is how a whole coefficient matrix with per-index
-    skewness is transformed in one call.  The uniforms are only read.
+    skewness is transformed in one call.  The uniforms are only read.  At
+    alpha < 1 a draw is +-inf only where its value leaves the float range,
+    and never nan.
     """
     u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
     beta = np.asarray(beta, dtype=float)
@@ -291,15 +293,45 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
         v **= 1.0 / alpha
         z /= v
         z *= w
-        return z[()]
+    else:
+        zeta = beta * math.tan(math.pi * alpha / 2.0)
+        t0 = np.arctan(zeta) / alpha
+        z = np.asarray(
+            np.sin(alpha * (v + t0))
+            / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
+            * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
+            - zeta
+        )
+    if alpha < 1.0:
+        # near u1 = 0 or 1, cos(v)^(-1/alpha) and the w power can overflow
+        # and underflow apart, giving +-inf or nan (inf * 0) where the draw
+        # is finite or has a sign; only those draws are recomputed
+        edge = np.flatnonzero(~np.isfinite(z))
+        if edge.size:
+            beta, u1, u2 = (np.broadcast_to(a, z.shape).reshape(-1)[edge] for a in (beta, u1, u2))
+            z.reshape(-1)[edge] = _cms_from_logs(alpha, beta, u1, u2, w_floor)
+    return z[()]
+
+
+def _cms_from_logs(alpha: float, beta, u1, u2, w_floor: float) -> np.ndarray:
+    """The alpha < 1 Chambers-Mallows-Stuck draws formed from the logs of
+    their factors: +-inf only where |z + zeta| leaves the float range, and
+    never nan."""
+    v = math.pi * (u1 - 0.5)
+    w = np.clip(-np.log1p(-u2), w_floor, None)
     zeta = beta * math.tan(math.pi * alpha / 2.0)
     t0 = np.arctan(zeta) / alpha
-    z = (
-        np.sin(alpha * (v + t0))
-        / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
-        * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return z - zeta
+    head = np.sin(alpha * (v + t0))
+    # cos v > 0 for u1 in [0, 1) and |alpha * t0| < pi/2, so the bracket is
+    # finite or -inf (the last cosine is >= 0 in exact arithmetic); one
+    # division by alpha keeps a tiny alpha from making inf - inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_rest = ((1.0 - alpha)
+                    * (np.log(np.maximum(np.cos(alpha * t0 + (alpha - 1.0) * v), 0.0)) - np.log(w))
+                    - np.log(np.cos(alpha * t0)) - np.log(np.cos(v))) / alpha
+        size = np.exp(np.log(np.abs(head)) + log_rest)
+    size[head == 0.0] = 0.0  # sin = 0 makes the draw -zeta, whatever the rest
+    return np.copysign(size, head) - zeta
 
 
 def sample_stable(params: StableParams, n: int, rng) -> np.ndarray:

@@ -8,9 +8,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stableinfer import likelihood_perturbation_sweep, metrics, sample_coefficients
 from stableinfer.cli import EXPERIMENT_KINDS, main, run, validate_config
 from stableinfer.errors import ConfigError
 from stableinfer.series import Eigenbasis, StableFieldSpec
@@ -274,6 +276,31 @@ class TestRunExperiments:
         run(cfg, tmp_path)
         report = json.loads((tmp_path / "likelihood_sweep.json").read_text())
         assert 0.8 < report["slope"] < 1.2
+
+    def test_likelihood_sweep_matches_the_per_n_misfit_to_the_bit(self, tmp_path):
+        # the runner takes sin(||u||) once per sweep; the report is that of
+        # the misfit family which forms it again for every N
+        cfg = validate_config(cfg_text("likelihood_sweep", {
+            "prior": CAUCHY_SCALAR_PRIOR, "y": 0.5,
+            "n_list": [2, 5, 9, 40], "n_samples": 20000,
+        }))
+        run(cfg, tmp_path)
+        x = cfg.inputs
+
+        def family(n_approx):
+            def approx(u, yy):
+                t = metrics.rowwise_quasi_norm(u, x.potential.u_norm)
+                return x.potential.misfit(u, yy) + np.sin(t) / n_approx
+            return approx
+
+        ens = sample_coefficients(x.prior, x.n_samples, cfg.seed)
+        want = likelihood_perturbation_sweep(x.potential, family, lambda n: 1.0 / n, ens,
+                                             x.y, x.n_list)
+        got = json.loads((tmp_path / "likelihood_sweep.json").read_text())
+        assert got == json.loads(json.dumps(want.to_json_dict()))
+        table = (tmp_path / "hellinger_vs_psi.csv").read_text().splitlines()[2:]
+        assert [[float(v) for v in row.split(",")] for row in table] == np.column_stack(
+            [want.perturbation_sizes, want.distances, want.distance_stderrs]).tolist()
 
 
 class TestMainExitCodes:

@@ -1,5 +1,7 @@
 """Round trips and format checks for the ensemble file layouts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,3 +169,92 @@ def test_csv_runs_are_written_in_full(tmp_path):
     line = (tmp_path / "runs.csv").read_text().splitlines()[2]
     assert line == ",".join(["0.25"] * 8 + ["-0"] + ["0"] * 4 + ["nan"] * 2
                             + ["0.33333333333333331"] * 5)
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# where the encoder's decade and rounding are decided: powers of ten from
+# 1e-5 to 1e17 and their neighbours, 99999999999999992 (the double 1e17),
+# exact 18-digit ties (they go to the even digit), values just below 1e-4,
+# and 2^53 ... 1e17, where a 17-digit significand outgrows a double's
+# integers
+_DECIMAL_EDGES = sorted({float(v) for k in range(-5, 18) for v in _neighbours(10.0 ** k)}
+                        | {99999999999999992.0, 9.9999999999999999e-5, 9.999999999999999e-5,
+                           1234567890123456.75, 1234567890123456.25, 1e15 + 0.25, 1e14 + 0.375,
+                           2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 56 + 16, 0.1, 1.0 / 3.0,
+                           1.234567801234, 1.2340000050000001, 10203040506070809.0})
+
+
+@st.composite
+def _edge_matrices(draw):
+    raw = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    # n + k/8 with n of 15 digits, or n + k/4 with n of 16: the 18th
+    # significant digit is 0 or 5, and nothing follows it
+    tie = st.builds(lambda n, k, wide: 10 ** 15 + 10 * n + k / 4 if wide else 10 ** 14 + n + k / 8,
+                    st.integers(0, 10 ** 14 - 1), st.integers(0, 7), st.booleans())
+    # short decimals end in zeros, four at a time and across inner zeros
+    short = st.builds(lambda n, j: n / 10.0 ** j, st.integers(1, 10 ** 13), st.integers(0, 21))
+    edge = st.sampled_from(_DECIMAL_EDGES)
+    elements = raw | st.tuples(tie | short | edge, st.sampled_from([1.0, -1.0])).map(
+        lambda p: p[0] * p[1])
+    shape = draw(st.integers(0, 6) | st.tuples(st.integers(0, 5), st.integers(1, 12)))
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_matrices())
+def test_csv_bytes_match_the_textbook_writer_at_decimal_edges(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "edges.csv"
+    columns = [f"c{j}" for j in range(1 if matrix.ndim == 1 else matrix.shape[1])]
+    write_matrix_csv(path, matrix, columns, "edges")
+    assert path.read_bytes() == _textbook_csv(matrix, columns, "edges")
+
+
+def test_csv_decimal_edges_in_one_column(tmp_path):
+    column = np.concatenate([_DECIMAL_EDGES, np.negative(_DECIMAL_EDGES)])
+    write_matrix_csv(tmp_path / "edges.csv", column, ["v"], "edges")
+    assert (tmp_path / "edges.csv").read_bytes() == _textbook_csv(column, ["v"], "edges")
+    lines = (tmp_path / "edges.csv").read_text().splitlines()
+    for value, want in [(1234567890123456.75, "1234567890123456.8"),
+                        (1234567890123456.25, "1234567890123456.2"),
+                        (99999999999999992.0, "1e+17"), (-1e-5, "-1.0000000000000001e-05"),
+                        (9.999999999999999e-5, "9.9999999999999991e-05"), (1e-4, "0.0001")]:
+        assert lines[2 + column.tolist().index(value)] == want
+
+
+@pytest.mark.parametrize("table", [np.array([1.5 + 2j]), np.array(["1.5"]), np.array([b"1.5"])])
+def test_csv_rejects_what_percent_formatting_rejects(tmp_path, table):
+    with pytest.raises(TypeError):
+        "%.17g" % table.tolist()[0]
+    with pytest.raises(TypeError):
+        write_matrix_csv(tmp_path / "bad.csv", table, ["v"], "bad")
+
+
+def test_csv_runs_cross_row_and_chunk_ends(tmp_path):
+    # 9 x 40000 values take more than one encoding pass of 2^17 values;
+    # runs of equal values straddle the row ends and the ends of the passes
+    rng = np.random.default_rng(5)
+    values = np.repeat(rng.standard_cauchy(60), rng.integers(1, 20_000, 60))
+    values = np.resize(values, 9 * 40_000)
+    values[::7919] = rng.standard_normal(values[::7919].size)  # runs of one
+    values[39_990:40_010] = values[110_000:130_000] = values[239_999:240_001] = np.pi
+    matrix = values.reshape(9, 40_000)
+    columns = [f"x{j}" for j in range(matrix.shape[1])]
+    write_matrix_csv(tmp_path / "big.csv", matrix, columns, "big")
+    assert (tmp_path / "big.csv").read_bytes() == _textbook_csv(matrix, columns, "big")
+
+
+def test_csv_writer_memory_is_bounded(tmp_path):
+    # a 50 x 16384 gallery table is 6.5 MB of floats and about 17 MB of
+    # text; the writer encodes it a bounded block of rows at a time
+    matrix = np.random.default_rng(6).standard_cauchy((50, 16384))
+    columns = [f"x{j}" for j in range(matrix.shape[1])]
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "gallery.csv", matrix, columns, "memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

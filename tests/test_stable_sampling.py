@@ -4,6 +4,7 @@ function as an end-to-end oracle for the skewed cases."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,7 +156,11 @@ class TestUnskewedInPlace:
             got = standard_stable_from_uniforms(alpha, beta, u[:, :, 0], u[:, :, 1])
             want = _general(alpha, beta, u[:, :, 0], u[:, :, 1])
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        # below alpha = 1 the non-finite draws are formed again from logs
+        # (TestEdgeUniformsBelowOne); every finite one keeps its bits
+        kept = np.isfinite(want) if alpha < 1.0 else np.ones(want.shape, bool)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert not np.isnan(got).any()
 
     @pytest.mark.parametrize("beta", [0.0, -0.0])
     def test_underflowed_draw_keeps_its_signed_zero(self, beta):
@@ -190,6 +195,63 @@ class TestUnskewedInPlace:
         want = 2.0 * np.sin(v) * np.sqrt(_exponential(2.0, u[:, :, 1]))
         got = standard_stable_from_uniforms(2.0, 0.0, u[:, :, 0], u[:, :, 1])
         assert got.tobytes() == want.tobytes()
+
+
+def _exact_below_one(alpha, beta, u1, u2):
+    """The alpha < 1 expression in 40-digit arithmetic, at the float
+    arguments the transform forms (so an argument rounded near pi/2 is
+    judged as the transform sees it); the last cosine is floored at 0 as
+    in exact arithmetic."""
+    v = math.pi * (u1 - 0.5)
+    w = _exponential(alpha, u2)
+    zeta = beta * math.tan(math.pi * alpha / 2.0)
+    t0 = np.arctan(zeta) / alpha
+    head, mid, last = alpha * (v + t0), alpha * t0, alpha * t0 + (alpha - 1.0) * v
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return [mpmath.sin(h) / (mpmath.cos(m) * mpmath.cos(x)) ** (1 / a)
+                * (max(mpmath.cos(c), 0) / y) ** ((1 - a) / a) - z
+                for h, m, x, c, y, z in zip(*(np.broadcast_to(q, v.shape).ravel().tolist()
+                                               for q in (head, mid, v, last, w, zeta)))]
+
+
+class TestEdgeUniformsBelowOne:
+    """At alpha < 1, cos(v)^(-1/alpha) and the w power overflow and
+    underflow apart near u1 = 0 and 1; a draw is +-inf only where the
+    exact value leaves the float range, and never nan."""
+
+    EDGES = [0.0, 2.0 ** -53, 0.25, 0.5, _TOP]
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, 0.5])
+    def test_edge_draws_follow_the_exact_value(self, alpha, beta):
+        u1, u2 = (g.ravel() for g in np.meshgrid(self.EDGES, self.EDGES))
+        with np.errstate(all="ignore"):
+            got = standard_stable_from_uniforms(alpha, beta, u1, u2)
+        for g, want in zip(got.tolist(), _exact_below_one(alpha, beta, u1, u2)):
+            if abs(want) > np.finfo(float).max:
+                assert g == math.copysign(math.inf, want)
+            else:
+                assert g == pytest.approx(float(want), rel=1e-9, abs=1e-300)
+
+    def test_half_at_the_lowest_uniforms(self):
+        # the exact value, -1.3e322 at the floored w, is past the float range
+        with np.errstate(over="ignore"):
+            assert standard_stable_from_uniforms(0.5, 0.0, 0.0, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("u1", [0.0, 2.0 ** -53, _TOP])
+    def test_no_nan_at_alpha_one_thousandth(self, u1):
+        u2 = np.array([0.0, 2.0 ** -53, 0.5, _TOP])
+        with np.errstate(all="ignore"):
+            got = standard_stable_from_uniforms(0.001, 0.0, np.full(4, u1), u2)
+        assert np.all(got == (math.inf if u1 > 0.5 else -math.inf))
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.0), (0.7, -0.4), (0.05, 0.9)])
+    def test_interior_draws_keep_their_bits(self, alpha, beta):
+        u = np.random.default_rng(38).random((10 ** 4, 2))
+        got = standard_stable_from_uniforms(alpha, beta, u[:, 0], u[:, 1])
+        assert np.isfinite(got).all()
+        assert got.tobytes() == _general(alpha, beta, u[:, 0], u[:, 1]).tobytes()
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.4), (1.5, 0.0),
