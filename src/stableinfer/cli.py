@@ -37,7 +37,8 @@ __all__ = ["ExperimentConfig", "validate_config", "run", "main", "EXPERIMENT_KIN
 
 _SEED_MAX = 2 ** 128 - 1  # Philox keys are 128-bit
 # checking a prior evaluates its sequences over the whole truncation; the bound
-# also keeps a row's uniforms inside sample_coefficients' 2^24-double block
+# also bounds a row, and sample_coefficients' blocks are never shorter than a
+# row: a row of 2^23 coefficients is one block of 2^24 uniforms (128 MB)
 _MAX_TRUNCATION = 2 ** 23
 _MAX_LEVELS = 22  # 2^(levels + 1) - 1 functions, at most _MAX_TRUNCATION
 

@@ -278,30 +278,35 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
             b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / b)
         )
         return z
-    if unskewed and not np.signbit(beta).any():
-        # t0 = +-0 and zeta = +-0 below: alpha*(v + t0) is alpha*v, cos(alpha*t0)
-        # is 1 and z - zeta is z, bit for bit (v is never -0).  A -0 beta
-        # would give zeta = -0 at alpha < 1, and z - zeta turns an
-        # underflowed -0 into +0, so it takes the general expression
-        z = np.multiply(alpha - 1.0, v, out=np.empty(v.shape))
-        np.cos(z, out=z)
-        np.divide(z, w, out=w)
-        w **= (1.0 - alpha) / alpha  # the ** operator's own rounding, as below
-        np.multiply(alpha, v, out=z)
-        np.sin(z, out=z)
-        np.cos(v, out=v)
-        v **= 1.0 / alpha
-        z /= v
-        z *= w
-    else:
-        zeta = beta * math.tan(math.pi * alpha / 2.0)
-        t0 = np.arctan(zeta) / alpha
-        z = np.asarray(
-            np.sin(alpha * (v + t0))
-            / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
-            * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
-            - zeta
-        )
+    # at alpha < 1 every non-finite draw of this pass is formed again from
+    # logs below, so its divide, overflow and invalid-value warnings would
+    # speak of draws that are never returned
+    quiet = dict(divide="ignore", over="ignore", invalid="ignore") if alpha < 1.0 else {}
+    with np.errstate(**quiet):
+        if unskewed and not np.signbit(beta).any():
+            # t0 = +-0 and zeta = +-0 below: alpha*(v + t0) is alpha*v, cos(alpha*t0)
+            # is 1 and z - zeta is z, bit for bit (v is never -0).  A -0 beta
+            # would give zeta = -0 at alpha < 1, and z - zeta turns an
+            # underflowed -0 into +0, so it takes the general expression
+            z = np.multiply(alpha - 1.0, v, out=np.empty(v.shape))
+            np.cos(z, out=z)
+            np.divide(z, w, out=w)
+            w **= (1.0 - alpha) / alpha  # the ** operator's own rounding, as below
+            np.multiply(alpha, v, out=z)
+            np.sin(z, out=z)
+            np.cos(v, out=v)
+            v **= 1.0 / alpha
+            z /= v
+            z *= w
+        else:
+            zeta = beta * math.tan(math.pi * alpha / 2.0)
+            t0 = np.arctan(zeta) / alpha
+            z = np.asarray(
+                np.sin(alpha * (v + t0))
+                / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
+                * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
+                - zeta
+            )
     if alpha < 1.0:
         # near u1 = 0 or 1, cos(v)^(-1/alpha) and the w power can overflow
         # and underflow apart, giving +-inf or nan (inf * 0) where the draw

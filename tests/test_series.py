@@ -2,10 +2,11 @@
 the matched two-family gallery, field-norm moments, and frame bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stableinfer import (
@@ -31,7 +32,13 @@ from stableinfer import (
     wavelet_index,
 )
 from stableinfer import rng as srng
-from stableinfer.series import SummabilityWarning
+from stableinfer.metrics import QuasiNormSpec, rowwise_quasi_norm
+from stableinfer.series import (
+    FieldEnsemble,
+    SummabilityWarning,
+    _block_rows,
+    _coefficients_from_uniforms,
+)
 from stableinfer.gof import ks_two_sample_critical_value, ks_two_sample_statistic
 
 
@@ -131,6 +138,46 @@ class TestSampling:
         spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 0.5), EuclideanSequence(q=1.0), 4)
         with pytest.warns(SummabilityWarning):
             sample_coefficients(spec, 5, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=st.sampled_from([0.7, 1.0, 1.5, 2.0]),
+           truncation=st.sampled_from([1, 2, 7, 64, 20_000]),
+           beta=st.sampled_from([0.0, 0.5, -0.9]),
+           zero_scale=st.booleans(),
+           case=st.sampled_from(["below", "at", "past", "several"]),
+           seed=st.integers(0, 2 ** 64))
+    def test_row_blocks_match_one_transform_bit_for_bit(
+            self, alpha, truncation, beta, zero_scale, case, seed):
+        # n around and across the sampler's row blocks; T = 1 pads each
+        # row to a whole Philox block, and T = 20000 makes a block of one row
+        rows = _block_rows(truncation)
+        n = {"below": rows - 1, "at": rows, "past": rows + 1,
+             "several": 3 * rows + rows // 2 + 1}[case]
+        gam = np.arange(1, truncation + 1) ** -1.5
+        if zero_scale:
+            gam[::3] = 0.0
+        spec = StableFieldSpec.make(
+            alpha, Explicit(tuple(gam)), EuclideanSequence(q=1.0), truncation,
+            delta_seq=0.25, beta_seq=beta,
+        )
+        got = sample_coefficients(spec, n, seed).coefficients
+        want = _coefficients_from_uniforms(spec, srng.uniform_block(seed, n, truncation))
+        assert got.shape == (n, truncation)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("truncation", [8, 20_000])
+    def test_working_memory_is_bounded(self, truncation):
+        # beyond the output matrix, a fixed allowance at n and at 4n
+        spec = StableFieldSpec.make(1.5, PowerLaw(1.0, 1.0), EuclideanSequence(q=1.0),
+                                    truncation)
+        for n in (50_000 * 8 // truncation, 200_000 * 8 // truncation):
+            tracemalloc.start()
+            try:
+                sample_coefficients(spec, n, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 8 * n * truncation < 4 * 2 ** 20
 
 
 class TestSynthesize:
@@ -322,6 +369,44 @@ class TestFlom:
         ens = sample_coefficients(spec, 100, 1)
         with pytest.raises(MomentOrderTooHighError):
             flom_estimate(ens, 1.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(truncation=st.sampled_from([1, 2, 3, 5, 64, 20_000]),
+           extra=st.integers(1, 3),
+           p=st.sampled_from([0.3, 0.5, 1.0]),
+           q=st.sampled_from([0.5, 1.0, 2.0, 3.7, math.inf]),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_the_textbook_statistic_bit_for_bit(self, truncation, extra, p, q, seed):
+        # row counts that are no multiple of the row blocks, T < 4 (where
+        # the cuts coincide) and p < q
+        assume(p <= q)
+        n = 2 * _block_rows(truncation) + extra
+        spec = StableFieldSpec.make(1.5, PowerLaw(1.0, 1.0), EuclideanSequence(q=q), truncation)
+        ens = sample_coefficients(spec, n, seed)
+        out = flom_estimate(ens, p, q)
+        trace = []
+        for k in (max(truncation // 4, 1), max(truncation // 2, 1), truncation):
+            vals = rowwise_quasi_norm(ens.coefficients[:, :k], QuasiNormSpec(q)) ** p
+            trace.append((k, float(vals.mean()).hex()))
+        assert [(k, e.hex()) for k, e in out.truncation_trace] == trace
+        assert out.estimate.hex() == trace[-1][1]
+        assert out.stderr.hex() == float(vals.std(ddof=1) / math.sqrt(n)).hex()
+
+    def test_working_memory_does_not_grow_with_the_ensemble(self):
+        # beyond its input, the estimator holds the three n-length
+        # statistics, the standard deviation's n-length temporary and one
+        # block of rows; the n x T temporaries are gone
+        spec = StableFieldSpec.make(1.5, PowerLaw(1.0, 1.0), EuclideanSequence(q=1.0), 32)
+        gen = np.random.default_rng(4)
+        for n in (25_000, 100_000):
+            ens = FieldEnsemble(spec, 4, gen.standard_normal((n, 32)))
+            tracemalloc.start()
+            try:
+                flom_estimate(ens, 0.5, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 4 * 8 * n < 2 * 2 ** 20
 
     def test_trace_contracts_with_truncation(self):
         spec = cauchy_field_spec(256)

@@ -239,6 +239,15 @@ class TestEdgeUniformsBelowOne:
         with np.errstate(over="ignore"):
             assert standard_stable_from_uniforms(0.5, 0.0, 0.0, 0.0) == -math.inf
 
+    @pytest.mark.parametrize("alpha,beta", [(0.001, 0.0), (0.5, 0.0), (0.1, -1.0), (0.9, 0.5)])
+    def test_repaired_edge_draws_raise_no_warning(self, alpha, beta):
+        # the first pass's divide, overflow and invalid-value warnings are
+        # about draws formed again from logs, which the suite makes errors
+        u1, u2 = (g.ravel() for g in np.meshgrid(self.EDGES, self.EDGES))
+        got = standard_stable_from_uniforms(alpha, beta, u1, u2)
+        assert not np.isnan(got).any()
+        assert standard_stable_from_uniforms(0.001, 0.0, 0.0, 0.5) == -math.inf
+
     @pytest.mark.parametrize("u1", [0.0, 2.0 ** -53, _TOP])
     def test_no_nan_at_alpha_one_thousandth(self, u1):
         u2 = np.array([0.0, 2.0 ** -53, 0.5, _TOP])
