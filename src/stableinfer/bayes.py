@@ -20,17 +20,18 @@ moment order, and no faster.
 One misfit evaluation per posterior gives its weights, the normalising
 constant Z with its standard error, and the effective sample size
 (`ZEstimate.ess`), each evaluated once (an ESS below the fixed floor
-`_MIN_ESS` = 10 raises DegenerateWeightsError): the weights are built in one
-buffer, one total of them gives the mean, Z and the ESS, one buffer of
-squares serves the ESS and then the deviations behind the standard error,
-and the weighted measure validates the weights once and keeps their
-total.  The results keep the bits of the textbook numpy expressions
-(w.mean(), w.std(ddof=1)).  Both perturbation sweeps build their
-perturbed posteriors one at a time and compare each with the unperturbed
-posterior, whose density w / mean w and its root are computed once per
-sweep; one fused kernel in `metrics` gives the Hellinger distance, its
-standard error and the total variation of each pair, and a log-log fit
-of distance against perturbation size closes the sweep.
+`_MIN_ESS` = 10 raises DegenerateWeightsError).  The weights are built in
+one n-length buffer by two passes over the cache-sized leaves of
+`metrics._tree_sums`: the first forms them and sums w and w^2, which give
+the mean, Z and the ESS; the second sums the squared deviations behind
+the standard error.  The results keep the bits of the textbook numpy
+expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps weigh
+their perturbed posteriors one at a time, without building a weighted
+measure for them, and compare each with the unperturbed posterior, whose
+density w / mean w and its root are computed once per sweep; one fused
+kernel in `metrics` gives the Hellinger distance, its standard error and
+the total variation of each pair, and a log-log fit of distance against
+perturbation size closes the sweep.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from .errors import (
 from .metrics import (
     QuasiNormSpec,
     WeightedSampleMeasure,
-    _density_and_root,
     _distances,
+    _leaf_buffer,
+    _tree_sums,
     rowwise_quasi_norm,
 )
 from .series import FieldEnsemble
@@ -271,20 +273,25 @@ class ZEstimate:
     underflow_flagged: bool
 
 
-def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, ZEstimate]:
-    """Shifted weights exp(-(Phi - min Phi)) and the Z estimate they give,
-    from one misfit evaluation."""
+def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, ZEstimate]:
+    """Shifted weights exp(-(Phi - min Phi)), their mean and the Z estimate
+    they give, from one misfit evaluation."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
     shift = float(misfits.min())
-    # shift - Phi is -(Phi - shift) to the bit, but for the sign of a zero,
-    # which exp ignores
-    w = np.subtract(shift, misfits)
+    n = misfits.size
+    w = np.empty(n)
+    scratch = _leaf_buffer(n)
+
+    def weights_and_squares(a, b):
+        # shift - Phi is -(Phi - shift) to the bit, but for the sign of a
+        # zero, which exp ignores
+        leaf = np.subtract(shift, misfits[a:b], out=w[a:b])
+        np.exp(leaf, out=leaf)
+        return leaf.sum(), np.square(leaf, out=scratch[:b - a]).sum()
+
+    s, s2 = _tree_sums(n, weights_and_squares)
     del misfits  # one n-length buffer fewer at the peak
-    np.exp(w, out=w)
-    n = w.size
-    s = w.sum()
-    sq = np.square(w)
-    ess = float(s * s / sq.sum())
+    ess = float(s * s / s2)
     if ess < _MIN_ESS:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} < {_MIN_ESS}: weights are "
@@ -301,10 +308,13 @@ def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, ZEstimate
         z = scale * float(mean_w)
         stderr = 0.0
         if n > 1:
-            np.subtract(w, mean_w, out=sq)
-            np.square(sq, out=sq)
-            stderr = scale * math.sqrt(sq.sum() / (n - 1)) / math.sqrt(n)
-    return w, ZEstimate(
+            def squared_deviations(a, b):
+                dev = np.subtract(w[a:b], mean_w, out=scratch[:b - a])
+                return (np.square(dev, out=dev).sum(),)
+
+            ss = _tree_sums(n, squared_deviations)[0]
+            stderr = scale * math.sqrt(ss / (n - 1)) / math.sqrt(n)
+    return w, float(mean_w), ZEstimate(
         z=z, stderr=stderr, log_z=log_z, shift=shift, ess=ess,
         underflow_flagged=bool(z == 0.0 or not math.isfinite(z)),
     )
@@ -317,7 +327,7 @@ def normalization_constant(potential: PotentialSpec, ensemble, y) -> ZEstimate:
     below _MIN_ESS (10); flags (without failing) the case where Z is zero
     relative to the recorded shift.
     """
-    return _weigh(potential, ensemble, y)[1]
+    return _weigh(potential, ensemble, y)[2]
 
 
 @dataclass
@@ -337,7 +347,7 @@ def posterior(potential: PotentialSpec, ensemble, y) -> PosteriorEstimate:
     cancel exactly.
     """
     batch = _coerce_batch(ensemble)
-    w, z = _weigh(potential, batch, y)
+    w, _, z = _weigh(potential, batch, y)
     if isinstance(ensemble, FieldEnsemble):
         ref_id = ensemble.reference_id()
     else:
@@ -489,15 +499,26 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
            sizes) -> WellPosednessReport:
     """Compare the posterior at (potential, y) with the posterior at each
     (potential, y) pair that `perturbed` yields, built one at a time, and
-    fit the Hellinger distances against the perturbation sizes."""
-    base = posterior(potential, ensemble, y).measure
-    n_samples = base.weights.size
-    density, root = _density_and_root(base)
-    del base  # the sweep needs only the base's density and its root
-    columns = []  # (hellinger, its stderr, total variation, Z) per perturbation
-    for pert_potential, pert_y in perturbed:
-        pert = posterior(pert_potential, ensemble, pert_y)
-        columns.append((*_distances(density, root, pert.measure), pert.z.z))
+    fit the Hellinger distances against the perturbation sizes.
+
+    The posteriors are weighed directly, with no weighted measure: their
+    weights lie in [0, 1] with a maximum of exactly 1 by construction, and
+    `_weigh` raises below the ESS floor.
+    """
+    batch = _coerce_batch(ensemble)
+    w, normalization, _ = _weigh(potential, batch, y)
+    n_samples = w.size
+    # the sweep needs only the base's density and its root
+    density = np.divide(w, normalization, out=w)
+    root = np.sqrt(density)
+
+    def column(pert_potential, pert_y):
+        """(hellinger, its stderr, total variation, Z) of one perturbation;
+        its weights are freed before the next one is weighed."""
+        w, normalization, z = _weigh(pert_potential, batch, pert_y)
+        return (*_distances(density, root, w, normalization), z.z)
+
+    columns = [column(*pair) for pair in perturbed]
     distances, stderrs, tvs, zs = np.array(columns, dtype=float).reshape(-1, 4).T
     sizes = np.asarray(sizes, dtype=float)
     slope, intercept, ci, resid = _loglog_fit(sizes, distances)
@@ -662,17 +683,17 @@ def spot_check_envelopes(potential: PotentialSpec, ensemble, r: float,
 
     tol = 1e-9
     m0_bound = potential.m0(r)
+    inside = t < r
+    m1v = np.asarray(potential.m1(r, t), dtype=float)
+    lip = np.exp(np.asarray(potential.m2(r, t), dtype=float))
     m0_bad = m1_bad = m2_bad = 0
     for _ in range(8):
         y1 = draw_y()
         y2 = draw_y()
         phi1 = evaluate_misfit_batch(potential, u, y1)
         phi2 = evaluate_misfit_batch(potential, u, y2)
-        inside = t < r
         m0_bad += int(np.sum(np.abs(phi1[inside]) > m0_bound * (1 + tol) + tol))
-        m1v = np.asarray(potential.m1(r, t), dtype=float)
         m1_bad += int(np.sum(phi1 < m1v - tol))
-        lip = np.exp(np.asarray(potential.m2(r, t), dtype=float))
         gap = np.abs(phi1 - phi2)
         dy = math.sqrt(float(((y1 - y2) ** 2).sum()))
         m2_bad += int(np.sum(gap > lip * dy * (1 + tol) + tol))

@@ -17,9 +17,14 @@ Both distances, and the standard error of the Hellinger one, come from
 one kernel that takes the first measure as its density w / mean w and the
 root of that density.  A caller comparing one measure with many (the
 perturbation sweeps in `bayes`) computes that pair once and reuses it;
-each comparison then works in two n-length scratch buffers.  A measure
-validates its weights once, on construction, and keeps their total for
+each comparison then works in one n-length buffer.  A measure validates
+its weights once, on construction, in one pass, and keeps their total for
 `normalization` and `normalized()`.
+
+Every sum over the samples is numpy's pairwise sum, taken by
+`_tree_sums` over the leaves of numpy's own summation tree, so the
+elementwise work between two reductions runs on a cache-sized leaf while
+each sum keeps the bits of `arr.sum()` over the whole array.
 """
 
 from __future__ import annotations
@@ -43,6 +48,44 @@ __all__ = [
     "GapBoundCheck",
     "expectation_gap_bound_check",
 ]
+
+
+# Rows in a leaf of `_tree_sums`: 256 KB of doubles, so the elementwise work
+# on a leaf stays in the cache between its reductions.  numpy sums a node of
+# up to 128 values (its PW_BLOCKSIZE) without splitting it, so a smaller leaf
+# would not be a node of numpy's tree.
+_LEAF = 1 << 15
+
+
+def _tree_sums(n: int, fn) -> tuple:
+    """Sums over rows [0, n) of the tuples that fn(a, b) returns for row
+    ranges [a, b), with the bits of numpy's pairwise `arr.sum()`.
+
+    The ranges are leaves of numpy's pairwise-summation tree: a node of
+    more than _LEAF rows splits where numpy splits it, at n // 2 rounded
+    down to a multiple of 8, and the leaves' sums are added up the tree as
+    numpy adds its partial sums.  fn must take each sum with numpy's
+    `.sum()` over its whole range.
+    """
+    if _LEAF < 128:
+        raise ValueError(f"a leaf of {_LEAF} rows would split numpy's 128-value blocks")
+    return _node_sums(fn, 0, n)
+
+
+def _node_sums(fn, a: int, b: int) -> tuple:
+    # a module function, not a closure that calls itself: such a closure is
+    # a reference cycle, which would keep fn and its arrays alive until the
+    # garbage collector runs
+    if b - a <= _LEAF:
+        return fn(a, b)
+    h = (b - a) // 2
+    h -= h % 8
+    return tuple(x + y for x, y in zip(_node_sums(fn, a, a + h), _node_sums(fn, a + h, b)))
+
+
+def _leaf_buffer(n: int) -> np.ndarray:
+    """Scratch for the rows of any one leaf of `_tree_sums` over n rows."""
+    return np.empty(min(n, _LEAF))
 
 
 @dataclass(frozen=True)
@@ -110,12 +153,19 @@ class WeightedSampleMeasure:
         self.weights = w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0:
             raise OutOfRangeError("weights", "need at least one sample")
-        # the minimum is nan when a weight is nan; a total of +inf is either
-        # an infinite weight or finite weights whose sum overflows
-        if not w.min() >= 0:
+
+        def leaf(a, b):
+            # minima do not add up the tree, so a leaf counts 1 when its own
+            # minimum is negative or nan (a nan weight)
+            return w[a:b].sum(), float(not w[a:b].min() >= 0)
+
+        # weights of both signs of infinity make the total nan, with a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, bad_leaves = _tree_sums(w.size, leaf)
+        if bad_leaves:
             raise OutOfRangeError("weights", "weights must be finite and >= 0")
-        with np.errstate(over="ignore"):
-            total = w.sum()
+        # a total of +inf is either an infinite weight or finite weights
+        # whose sum overflows
         if total == math.inf and np.isinf(w).any():
             raise OutOfRangeError("weights", "weights must be finite and >= 0")
         if total / w.size == 0:
@@ -141,50 +191,72 @@ def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure
         )
 
 
-def _density_and_root(mu: WeightedSampleMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The density w / mean w of mu against the reference sample, and its root."""
-    density = mu.weights / mu.normalization
-    return density, np.sqrt(density)
-
-
-def _distances(density: np.ndarray, root: np.ndarray,
-               nu: WeightedSampleMeasure) -> tuple[float, float, float]:
+def _distances(density: np.ndarray, root: np.ndarray, weights: np.ndarray,
+               normalization: float) -> tuple[float, float, float]:
     """Hellinger distance, its Monte Carlo standard error and the total
-    variation between the measure of (density, root) and nu.
+    variation between the measure of (density, root) and the measure of
+    the given weights and normalization (their mean).
 
     With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
     both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
-    standard error of psi = g - (d^2/2)(p + q).  Works in two n-length
-    scratch buffers with the operations, and their order, of sqrt(mean g),
-    std(psi, ddof=1) / sqrt(n) and mean |p - q| / 2, so the results are
-    those textbook expressions' bits.
+    standard error of psi = g - (d^2/2)(p + q).  Three passes over the
+    leaves of `_tree_sums`: the first sums |p - q| and g, the second writes
+    psi into the one n-length buffer and sums it, the third sums
+    (psi - mean psi)^2.  Each leaf repeats the elementwise operations, in
+    their order, of sqrt(mean g), std(psi, ddof=1) / sqrt(n) and
+    mean |p - q| / 2, so the results are those textbook expressions' bits.
     """
     n = density.size
-    q = nu.weights / nu.normalization
-    buf = np.subtract(density, q)
-    np.abs(buf, out=buf)
-    tv = float(0.5 * (buf.sum() / n))
-    np.add(density, q, out=buf)
-    g = np.sqrt(q, out=q)
-    np.subtract(root, g, out=g)
-    np.square(g, out=g)
-    d2 = g.sum() / n
+    s, t = _leaf_buffer(n), _leaf_buffer(n)
+
+    def q_and_g(a, b):
+        q, g = s[:b - a], t[:b - a]
+        np.divide(weights[a:b], normalization, out=q)
+        np.sqrt(q, out=g)
+        np.subtract(root[a:b], g, out=g)
+        np.square(g, out=g)
+        return q, g
+
+    def moduli_and_g(a, b):
+        q, g = q_and_g(a, b)
+        np.subtract(density[a:b], q, out=q)
+        return np.abs(q, out=q).sum(), g.sum()
+
+    abs_sum, g_sum = _tree_sums(n, moduli_and_g)
+    tv = float(0.5 * (abs_sum / n))
+    d2 = g_sum / n
     d = math.sqrt(max(float(d2), 0.0))
     if d <= 0.0 or n < 2:
         return d, 0.0, tv
-    np.multiply(buf, d2 / 2, out=buf)
-    psi = np.subtract(g, buf, out=buf)
-    np.subtract(psi, psi.sum() / n, out=psi)
-    np.square(psi, out=psi)
-    se_d2 = math.sqrt(psi.sum() / (n - 1)) / math.sqrt(n)
+    psi = np.empty(n)
+
+    def psi_leaf(a, b):
+        q, g = q_and_g(a, b)
+        leaf = np.add(density[a:b], q, out=psi[a:b])
+        np.multiply(leaf, d2 / 2, out=leaf)
+        return (np.subtract(g, leaf, out=leaf).sum(),)
+
+    mean_psi = _tree_sums(n, psi_leaf)[0] / n
+
+    def squared_deviations(a, b):
+        dev = np.subtract(psi[a:b], mean_psi, out=s[:b - a])
+        return (np.square(dev, out=dev).sum(),)
+
+    se_d2 = math.sqrt(_tree_sums(n, squared_deviations)[0] / (n - 1)) / math.sqrt(n)
     return d, se_d2 / (2.0 * d), tv
+
+
+def _measure_distances(mu: WeightedSampleMeasure,
+                       nu: WeightedSampleMeasure) -> tuple[float, float, float]:
+    _check_shared_reference(mu, nu)
+    density = mu.weights / mu.normalization
+    return _distances(density, np.sqrt(density), nu.weights, nu.normalization)
 
 
 def hellinger_with_error(mu: WeightedSampleMeasure,
                          nu: WeightedSampleMeasure) -> tuple[float, float]:
     """Empirical Hellinger distance and its Monte Carlo standard error."""
-    _check_shared_reference(mu, nu)
-    return _distances(*_density_and_root(mu), nu)[:2]
+    return _measure_distances(mu, nu)[:2]
 
 
 def hellinger_empirical(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> float:
@@ -195,8 +267,7 @@ def hellinger_empirical(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) ->
 def total_variation_empirical(mu: WeightedSampleMeasure,
                               nu: WeightedSampleMeasure) -> float:
     """Total-variation distance between the weighted measures; in [0, 1]."""
-    _check_shared_reference(mu, nu)
-    return _distances(*_density_and_root(mu), nu)[2]
+    return _measure_distances(mu, nu)[2]
 
 
 @dataclass

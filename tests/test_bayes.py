@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
@@ -27,7 +27,6 @@ from stableinfer import (
     evaluate_misfit_batch,
     gaussian_additive_potential,
     growth_admissibility,
-    hellinger_with_error,
     integrability_estimates,
     likelihood_perturbation_sweep,
     log_growth_envelopes,
@@ -37,11 +36,11 @@ from stableinfer import (
     posterior_expectation,
     sample_coefficients,
     spot_check_envelopes,
-    total_variation_empirical,
     z_lipschitz_check,
 )
 from stableinfer import bayes
 from stableinfer.metrics import rowwise_quasi_norm
+from textbook import textbook_distances, textbook_z
 
 
 def fixed_misfit(values) -> PotentialSpec:
@@ -240,29 +239,28 @@ class TestPosterior:
         assert np.allclose(p1.measure.weights, p2.measure.weights, rtol=1e-12)
 
 
-def _textbook_z(phi):
-    """Z, its stderr, log Z and the ESS as plain numpy expressions."""
-    shift = float(phi.min())
-    w = np.exp(-(phi - shift))
-    n = w.size
-    mean_w = float(w.mean())
-    z = math.exp(-shift) * mean_w
-    stderr = math.exp(-shift) * float(w.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    log_z = -shift + math.log(mean_w)
-    s = w.sum()
-    ess = float(s * s / (w ** 2).sum())
-    return w, (z, stderr, log_z, ess)
+@st.composite
+def several_leaf_misfits(draw):
+    """Misfits over 1 to 6 leaves of 128 rows plus a remainder, built from a
+    seed (hypothesis draws too few floats for arrays this long); the widest
+    spread takes some weights down to subnormals and zero."""
+    n = 128 * draw(st.integers(1, 6)) + draw(st.integers(0, 127))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    width = draw(st.sampled_from([1.0, 30.0, 745.2]))
+    return draw(st.sampled_from([0.0, -700.0, 700.0])) + gen.uniform(0.0, width, n)
 
 
 class TestSinglePassWeights:
-    @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float64, st.integers(1, 50), elements=st.one_of(
-        st.floats(-700.0, 800.0), st.sampled_from([0.0, -700.0, 745.0, 745.2]))))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+        st.floats(-700.0, 800.0), st.sampled_from([0.0, -700.0, 745.0, 745.2]))),
+        several_leaf_misfits()))
     @example(np.array([3.0]))
     @example(np.array([-709.0, -709.0]))
     @example(np.array([0.0, 744.5, 745.1]))  # weights down to subnormals and zero
-    def test_weights_and_z_match_textbook_bits(self, phi):
-        w, (z, stderr, log_z, ess) = _textbook_z(phi)
+    def test_weights_and_z_match_textbook_bits(self, small_leaf, phi):
+        w, (z, stderr, log_z, ess) = textbook_z(phi)
         with mock.patch.object(bayes, "_MIN_ESS", 0.0):
             post = posterior(fixed_misfit(phi), np.zeros((phi.size, 1)), [0.0])
         got = post.z
@@ -373,16 +371,17 @@ class TestDataSweep:
         assert payload["perturbation_sizes"] == [0.2, 0.1]
         assert len(payload["stderrs"]["hellinger"]) == 2
 
-    def test_columns_are_the_pairwise_distances_to_the_bit(self, potential, cauchy_ensemble):
+    def test_columns_are_the_pairwise_distances_to_the_bit(self, small_leaf, potential,
+                                                           cauchy_ensemble):
         y, eps, direction = np.array([0.3]), [0.2, 0.05, 0.0], np.array([1.0])
         report = data_lipschitz_sweep(potential, cauchy_ensemble, y, eps, direction)
-        base = posterior(potential, cauchy_ensemble, y)
+        base, _ = textbook_z(evaluate_misfit_batch(potential, cauchy_ensemble, y))
         for k, e in enumerate(eps):
-            pert = posterior(potential, cauchy_ensemble, y + e * direction)
-            d, se = hellinger_with_error(base.measure, pert.measure)
-            tv = total_variation_empirical(base.measure, pert.measure)
+            phi = evaluate_misfit_batch(potential, cauchy_ensemble, y + e * direction)
+            w, (z, *_) = textbook_z(phi)
             assert (report.distances[k], report.distance_stderrs[k],
-                    report.tv_distances[k], report.z_values[k]) == (d, se, tv, pert.z.z)
+                    report.tv_distances[k], report.z_values[k]) == (
+                        *textbook_distances(base, w), z)
 
 
 class TestLikelihoodSweep:
@@ -417,20 +416,22 @@ class TestLikelihoodSweep:
         )
         assert 0.9 <= report.slope <= 1.1
 
-    def test_columns_are_the_pairwise_distances_to_the_bit(self, potential, gaussian_ensemble):
+    def test_columns_are_the_pairwise_distances_to_the_bit(self, small_leaf, potential,
+                                                           gaussian_ensemble):
         def family(n):
             return lambda u, y: potential.misfit(u, y) + np.cos(u[:, 0]) / n
         y, n_list = np.array([0.2]), [4, 16]
+        # 781 leaves and 35 rows: the smooth Gaussian-prior weights happen to
+        # sum to the same bits along some wrong trees at n = 2 * 10^5
+        batch = gaussian_ensemble.coefficients[:100_003]
         report = likelihood_perturbation_sweep(potential, family, lambda n: 1.0 / n,
-                                               gaussian_ensemble, y, n_list)
-        base = posterior(potential, gaussian_ensemble, y)
+                                               batch, y, n_list)
+        base, _ = textbook_z(evaluate_misfit_batch(potential, batch, y))
         for k, n in enumerate(n_list):
-            pert = posterior(dataclasses.replace(potential, misfit=family(n)),
-                             gaussian_ensemble, y)
-            d, se = hellinger_with_error(base.measure, pert.measure)
-            tv = total_variation_empirical(base.measure, pert.measure)
+            w, (z, *_) = textbook_z(family(n)(batch, y))
             assert (report.distances[k], report.distance_stderrs[k],
-                    report.tv_distances[k], report.z_values[k]) == (d, se, tv, pert.z.z)
+                    report.tv_distances[k], report.z_values[k]) == (
+                        *textbook_distances(base, w), z)
 
 
 class TestGrowthAdmissibility:
@@ -452,6 +453,29 @@ class TestGrowthAdmissibility:
     def test_moment_order_guard(self):
         with pytest.raises(InvalidMomentOrderError):
             growth_admissibility(0.5, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_envelope_spot_check_pinned_on_a_fixed_seed(gaussian_ensemble):
+    # envelopes too tight for the Gaussian misfit, so every check counts
+    # violations; m1 and m2 depend on (r, t) only and are evaluated once
+    calls = []
+
+    def m1(r, t):
+        calls.append("m1")
+        return np.full_like(t, 0.02)
+
+    def m2(r, t):
+        calls.append("m2")
+        return np.log(0.4 * (r + t))
+
+    pot = dataclasses.replace(
+        gaussian_additive_potential(IdentityForward(), 1.0, u_norm=QuasiNormSpec(q=2.0)),
+        m0=lambda r: 1.5, m1=m1, m2=m2)
+    rep = spot_check_envelopes(pot, gaussian_ensemble, r=3.0, y_dim=1,
+                               n_probes=500, seed=9)
+    assert (rep.n_probes, rep.m0_violations, rep.m1_violations,
+            rep.m2_violations) == (4000, 1211, 372, 687)
+    assert calls == ["m1", "m2"]
 
 
 def test_envelope_spot_check_clean(gaussian_ensemble):

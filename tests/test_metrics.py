@@ -2,10 +2,11 @@
 estimators, checked against quadrature oracles for Gaussian pairs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
@@ -24,7 +25,9 @@ from stableinfer import (
     sample_stable,
     total_variation_empirical,
 )
-from stableinfer.metrics import rowwise_quasi_norm
+from stableinfer import metrics
+from stableinfer.metrics import _tree_sums, rowwise_quasi_norm
+from textbook import bits as _bits, textbook_distances
 
 
 class TestQuasiNorm:
@@ -230,29 +233,6 @@ class TestExpectationGapBound:
 # textbook expressions bit for bit
 # ---------------------------------------------------------------------------
 
-def _bits(x) -> str:
-    x = float(x)
-    return "nan" if math.isnan(x) else x.hex()
-
-
-def _textbook_distances(w, v):
-    """Hellinger, its stderr and TV as plain numpy expressions; the stderr
-    is the delta method's, that of psi = g - (d^2/2)(p + q)."""
-    mw, mv = float(w.mean()), float(v.mean())
-    a = np.sqrt(w / mw)
-    b = np.sqrt(v / mv)
-    g = (a - b) ** 2
-    d2 = g.mean()
-    d = math.sqrt(max(float(d2), 0.0))
-    if d <= 0.0 or g.size < 2:
-        se = 0.0
-    else:
-        psi = g - (d2 / 2) * (w / mw + v / mv)
-        se = float(psi.std(ddof=1) / math.sqrt(g.size)) / (2.0 * d)
-    tv = float(0.5 * np.abs(w / mw - v / mv).mean())
-    return d, se, tv
-
-
 _weight = st.one_of(
     st.just(0.0),
     st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
@@ -279,26 +259,97 @@ def weight_pairs(draw):
     return w, v
 
 
+def _seeded_weights(gen, n, decades):
+    """Weights spread over 10^-decades..10^decades, a tenth of them zero and
+    a twentieth subnormal."""
+    w = 10.0 ** (decades * gen.uniform(-1.0, 1.0, n))
+    w[gen.random(n) < 0.1] = 0.0
+    subnormal = gen.random(n) < 0.05
+    w[subnormal] = gen.uniform(0.0, 2.2e-308, subnormal.sum())
+    return w
+
+
+@st.composite
+def several_leaf_pairs(draw):
+    """Pairs over 1 to 6 leaves of 128 rows plus a remainder, built from a
+    seed (hypothesis draws too few floats for arrays this long): equal,
+    slightly perturbed as in a sweep, or independent."""
+    n = 128 * draw(st.integers(1, 6)) + draw(st.integers(0, 127))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decades = draw(st.sampled_from([0.5, 5.0, 300.0]))
+    w = _seeded_weights(gen, n, decades)
+    kind = draw(st.sampled_from(["equal", "perturbed", "independent"]))
+    if kind == "equal":
+        return w, w.copy()
+    if kind == "perturbed":
+        return w, w * np.exp(0.01 * gen.standard_normal(n))
+    return w, _seeded_weights(gen, n, decades)
+
+
+@st.composite
+def leaves_and_values(draw):
+    """A leaf size and up to 20 leaves of Cauchy values at one of three
+    scales, with zeros, subnormals and 1e300 put in; one case in ten also
+    holds a nan or an infinity."""
+    leaf = draw(st.sampled_from([128, 1000, metrics._LEAF]))
+    n = max(1, leaf * draw(st.integers(0, 19)) + draw(st.integers(0, leaf)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = gen.standard_cauchy(n) * draw(st.sampled_from([1e-310, 1.0, 1e290]))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300])
+    values = draw(st.lists(st.tuples(st.integers(0, n - 1), special), max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+        values += draw(st.lists(st.tuples(st.integers(0, n - 1), nonfinite),
+                                min_size=1, max_size=2))
+    for position, value in values:
+        x[position] = value
+    return leaf, x
+
+
+class TestTreeSums:
+    """`_tree_sums` against numpy's own `arr.sum()`: this pins the order of
+    numpy's pairwise summation, which every reported sum relies on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(leaves_and_values())
+    @example((128, np.r_[np.ones(300), math.inf, -math.inf, np.ones(40)]))
+    @example((128, np.r_[np.ones(500), math.nan]))
+    def test_sums_have_the_bits_of_numpy_sum(self, case):
+        leaf, x = case
+        with mock.patch.object(metrics, "_LEAF", leaf), np.errstate(all="ignore"):
+            got = _tree_sums(x.size, lambda a, b: (x[a:b].sum(), np.square(x[a:b]).sum()))
+            want = (x.sum(), np.square(x).sum())
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    def test_leaf_below_numpy_block_rejected(self):
+        with mock.patch.object(metrics, "_LEAF", 127), pytest.raises(ValueError, match="128"):
+            _tree_sums(1000, lambda a, b: (1.0,))
+
+
+# the small_leaf fixture patches a constant, the same for every example
+_FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
 class TestFusedKernel:
-    @settings(max_examples=300, deadline=None)
-    @given(weight_pairs())
+    @settings(max_examples=300, deadline=None, suppress_health_check=_FIXTURE_OK)
+    @given(st.one_of(weight_pairs(), several_leaf_pairs()))
     @example(([3.0], [0.5]))
     @example(([1.0, 0.0], [0.0, 1.0]))
     @example(([1.0, 2.0], [1.0, 2.0]))
     @example(([5e-324, 1.0], [1.0, 5e-324]))
     @example(([0.0, 0.0, 7.0], [1e300, 0.0, 1e-300]))
-    def test_distances_match_textbook_bits(self, pair):
+    def test_distances_match_textbook_bits(self, small_leaf, pair):
         w, v = (np.array(x, dtype=float) for x in pair)
         mu, nu = WeightedSampleMeasure("r", w), WeightedSampleMeasure("r", v)
         with np.errstate(all="ignore"):
-            want = _textbook_distances(w, v)
+            want = textbook_distances(w, v)
             d, se = hellinger_with_error(mu, nu)
             tv = total_variation_empirical(mu, nu)
         assert [_bits(x) for x in (d, se, tv)] == [_bits(x) for x in want]
 
-    @settings(max_examples=200, deadline=None)
-    @given(weight_pairs())
-    def test_normalization_matches_textbook_bits(self, pair):
+    @settings(max_examples=200, deadline=None, suppress_health_check=_FIXTURE_OK)
+    @given(st.one_of(weight_pairs(), several_leaf_pairs()))
+    def test_normalization_matches_textbook_bits(self, small_leaf, pair):
         w, _ = pair
         mu = WeightedSampleMeasure("r", w)
         assert _bits(mu.normalization) == _bits(w.mean())
@@ -324,6 +375,14 @@ class TestWeightValidation:
     def test_rejected(self, w):
         with pytest.raises(OutOfRangeError):
             WeightedSampleMeasure("r", np.array(w))
+
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize("position", [0, 300, 999])
+    def test_rejected_in_any_leaf(self, small_leaf, bad, position):
+        w = np.ones(1000)
+        w[position] = bad
+        with pytest.raises(OutOfRangeError):
+            WeightedSampleMeasure("r", w)
 
     def test_mean_underflowing_to_zero_rejected(self):
         # accepted, and both distances were then nan from w / 0
