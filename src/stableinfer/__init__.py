@@ -76,6 +76,7 @@ from .series import (
     flom_estimate,
     qframe_upper_check,
     sample_coefficients,
+    sampled_flom_estimate,
     synthesize,
     synthesize_ensemble,
     wavelet_gallery_ensemble,

@@ -24,10 +24,12 @@ constant Z with its standard error, and the effective sample size
 one n-length buffer by two passes over the cache-sized leaves of
 `metrics._tree_sums`: the first forms them and sums w and w^2, which give
 the mean, Z and the ESS; the second sums the squared deviations behind
-the standard error.  The results keep the bits of the textbook numpy
-expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps weigh
-their perturbed posteriors one at a time, without building a weighted
-measure for them, and compare each with the unperturbed posterior, whose
+the standard error, and only `normalization_constant` and `posterior`,
+which report it, take it.  The results keep the bits of the textbook
+numpy expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps
+weigh their perturbed posteriors one at a time, without building a
+weighted measure for them or a standard error of Z, and compare each
+with the unperturbed posterior, whose
 density w / mean w and its root are computed once per sweep; one fused
 kernel in `metrics` gives the Hellinger distance, its standard error and
 the total variation of each pair, and a log-log fit of distance against
@@ -273,9 +275,9 @@ class ZEstimate:
     underflow_flagged: bool
 
 
-def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, ZEstimate]:
-    """Shifted weights exp(-(Phi - min Phi)), their mean and the Z estimate
-    they give, from one misfit evaluation."""
+def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, float, float]:
+    """Shifted weights exp(-(Phi - min Phi)), their mean, the shift and the
+    ESS, from one misfit evaluation and one pass over the weights."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
     shift = float(misfits.min())
     n = misfits.size
@@ -297,25 +299,40 @@ def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, ZE
             f"effective sample size {ess:.2f} < {_MIN_ESS}: weights are "
             "carried by too few samples"
         )
-    # s / n is w.mean() to the bit; the deviations below follow w.std(ddof=1)
-    mean_w = s / n
-    log_z = -shift + math.log(mean_w)
-    try:
-        scale = math.exp(-shift)
-    except OverflowError:  # Z is beyond the largest double; log_z is not
-        z = stderr = math.inf
-    else:
-        z = scale * float(mean_w)
-        stderr = 0.0
-        if n > 1:
-            def squared_deviations(a, b):
-                dev = np.subtract(w[a:b], mean_w, out=scratch[:b - a])
-                return (np.square(dev, out=dev).sum(),)
+    # s / n is w.mean() to the bit
+    return w, float(s / n), shift, ess
 
-            ss = _tree_sums(n, squared_deviations)[0]
-            stderr = scale * math.sqrt(ss / (n - 1)) / math.sqrt(n)
-    return w, float(mean_w), ZEstimate(
-        z=z, stderr=stderr, log_z=log_z, shift=shift, ess=ess,
+
+def _scale(shift: float) -> float:
+    """exp(-shift), the factor from shifted weights to Z; inf where Z is
+    beyond the largest double (log_z is not)."""
+    try:
+        return math.exp(-shift)
+    except OverflowError:
+        return math.inf
+
+
+def _z_estimate(w: np.ndarray, mean_w: float, shift: float, ess: float) -> ZEstimate:
+    """The Z estimate of `_weigh`'s results.  Its standard error takes a
+    second pass over the weights, the squared deviations in the order of
+    w.std(ddof=1); the sweeps, which report Z alone, skip it."""
+    n = w.size
+    scale = _scale(shift)
+    z = scale * mean_w
+    stderr = 0.0
+    if math.isinf(scale):
+        stderr = math.inf
+    elif n > 1:
+        scratch = _leaf_buffer(n)
+
+        def squared_deviations(a, b):
+            dev = np.subtract(w[a:b], mean_w, out=scratch[:b - a])
+            return (np.square(dev, out=dev).sum(),)
+
+        ss = _tree_sums(n, squared_deviations)[0]
+        stderr = scale * math.sqrt(ss / (n - 1)) / math.sqrt(n)
+    return ZEstimate(
+        z=z, stderr=stderr, log_z=-shift + math.log(mean_w), shift=shift, ess=ess,
         underflow_flagged=bool(z == 0.0 or not math.isfinite(z)),
     )
 
@@ -327,7 +344,7 @@ def normalization_constant(potential: PotentialSpec, ensemble, y) -> ZEstimate:
     below _MIN_ESS (10); flags (without failing) the case where Z is zero
     relative to the recorded shift.
     """
-    return _weigh(potential, ensemble, y)[2]
+    return _z_estimate(*_weigh(potential, ensemble, y))
 
 
 @dataclass
@@ -347,11 +364,14 @@ def posterior(potential: PotentialSpec, ensemble, y) -> PosteriorEstimate:
     cancel exactly.
     """
     batch = _coerce_batch(ensemble)
-    w, _, z = _weigh(potential, batch, y)
+    w, mean_w, shift, ess = _weigh(potential, batch, y)
+    z = _z_estimate(w, mean_w, shift, ess)
     if isinstance(ensemble, FieldEnsemble):
         ref_id = ensemble.reference_id()
     else:
-        ref_id = "array:" + sha1(batch.tobytes()).hexdigest()[:16]
+        # the buffer of the C-order batch: the bytes of batch.tobytes(),
+        # copied only when the batch is not C-contiguous
+        ref_id = "array:" + sha1(np.ascontiguousarray(batch)).hexdigest()[:16]
     measure = WeightedSampleMeasure(reference_id=ref_id, weights=w)
     return PosteriorEstimate(y=np.atleast_1d(np.asarray(y, dtype=float)),
                              z=z, measure=measure)
@@ -506,7 +526,7 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
     `_weigh` raises below the ESS floor.
     """
     batch = _coerce_batch(ensemble)
-    w, normalization, _ = _weigh(potential, batch, y)
+    w, normalization, _, _ = _weigh(potential, batch, y)
     n_samples = w.size
     # the sweep needs only the base's density and its root
     density = np.divide(w, normalization, out=w)
@@ -515,8 +535,8 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
     def column(pert_potential, pert_y):
         """(hellinger, its stderr, total variation, Z) of one perturbation;
         its weights are freed before the next one is weighed."""
-        w, normalization, z = _weigh(pert_potential, batch, pert_y)
-        return (*_distances(density, root, w, normalization), z.z)
+        w, normalization, shift, _ = _weigh(pert_potential, batch, pert_y)
+        return (*_distances(density, root, w, normalization), _scale(shift) * normalization)
 
     columns = [column(*pair) for pair in perturbed]
     distances, stderrs, tvs, zs = np.array(columns, dtype=float).reshape(-1, 4).T

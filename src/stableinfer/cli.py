@@ -293,10 +293,9 @@ def _write_table_and_report(out: Path, comment: str, table: str, columns, rows,
 def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
     x = cfg.inputs
     files = []
-    galleries = {}
+    extreme = {}  # max |c| per family; each gallery is freed once written
     for family in ("cauchy", "gaussian"):
         g = series.wavelet_gallery_ensemble(family, x.levels, x.n_samples, cfg.seed, x.grid_size)
-        galleries[family] = g
         path = out / f"{family}_fields.csv"
         ensemble_io.write_matrix_csv(
             path, g.rescaled_grid, [f"x{j}" for j in range(g.rescaled_grid.shape[1])],
@@ -306,10 +305,10 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
         binary = out / f"{family}_fields.sfe1"
         ensemble_io.write_sfe1(binary, g.ensemble)
         files.append(binary)
-    contrast = float(
-        np.abs(galleries["cauchy"].ensemble.coefficients).max()
-        / np.abs(galleries["gaussian"].ensemble.coefficients).max()
-    )
+        c = g.ensemble.coefficients
+        extreme[family] = np.maximum(c.max(), -c.min())  # max |c|, with no |c| array
+        del g, c
+    contrast = float(extreme["cauchy"] / extreme["gaussian"])
     summary = out / "gallery_summary.json"
     _json_dump(summary, {
         "levels": x.levels,
@@ -369,8 +368,8 @@ def _run_summability(cfg: ExperimentConfig, out: Path, comment: str):
 
 def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
     x = cfg.inputs
-    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
-    est = series.flom_estimate(ens, x.p, x.q)
+    # sampled and reduced one row block at a time: the rows are never all held
+    est = series.sampled_flom_estimate(x.prior, x.n_samples, cfg.seed, x.p, x.q)
     return _write_table_and_report(
         out, comment, "truncation_trace.csv", ["truncation", "estimate"],
         np.asarray(est.truncation_trace), "flom.json", {
@@ -458,6 +457,18 @@ EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 _RUNNERS = {kind: runner for kind, (_, runner) in _EXPERIMENTS.items()}
 
 
+def _file_sha256(path) -> str:
+    """The sha256 of a file, read 1 MB at a time (an artifact can be tens
+    of MB; hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
 def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
     """Execute the experiment; returns the manifest path.
 
@@ -482,7 +493,7 @@ def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
         "files": [
             {
                 "name": f.name,
-                "sha256": hashlib.sha256(Path(f).read_bytes()).hexdigest(),
+                "sha256": _file_sha256(f),
             }
             for f in files
         ],

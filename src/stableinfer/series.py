@@ -60,6 +60,7 @@ __all__ = [
     "wavelet_gallery_ensemble",
     "FlomEstimate",
     "flom_estimate",
+    "sampled_flom_estimate",
     "QFrameReport",
     "qframe_upper_check",
 ]
@@ -250,6 +251,44 @@ def _coefficients_from_uniforms(spec: StableFieldSpec, u: np.ndarray) -> np.ndar
     return out
 
 
+def _warn_unless_summable(spec: StableFieldSpec) -> None:
+    rep = summability_report(
+        spec.gamma_seq, spec.alpha, basis_norm_exponent(spec.basis),
+        probe_depth=max(1024, spec.truncation),
+    )
+    if rep.verdict is SummabilityVerdict.FAILS_ELL_ALPHA:
+        warnings.warn(
+            "scale sequence is not ell^alpha-summable: the untruncated "
+            "series would diverge almost surely",
+            SummabilityWarning,
+            stacklevel=3,  # the caller of the public sampling function
+        )
+
+
+def _sampled_blocks(spec: StableFieldSpec, n_samples: int, seed: int,
+                    out: Optional[np.ndarray] = None):
+    """Yield (start, block) for the sampler's row blocks: block holds the
+    coefficient rows start, start + 1, ... of the ensemble.
+
+    Each block is written into its rows of out, the whole coefficient
+    matrix, when out is given; otherwise every block is written into one
+    reused block-sized buffer, which must be read before the next block
+    is drawn.  Beyond out, the working memory is one block of rows, about
+    1 MB, or one row's uniforms and CMS arrays when a row is longer.
+    """
+    columns = _columns(spec)
+    rows = _block_rows(spec.truncation)
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(rows, n_samples), spec.truncation))
+    for start in range(0, n_samples, rows):
+        stop = min(start + rows, n_samples)
+        block = out[:stop - start] if reuse else out[start:stop]
+        _transform_rows(spec.alpha, columns,
+                        rng_mod.uniform_rows(seed, start, stop, spec.truncation), block)
+        yield start, block
+
+
 def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int) -> FieldEnsemble:
     """Draw n_samples independent coefficient vectors for the spec.
 
@@ -261,26 +300,10 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int) -> Fie
     """
     if n_samples < 0:
         raise InvalidSpecError("n_samples must be >= 0")
-    rep = summability_report(
-        spec.gamma_seq, spec.alpha, basis_norm_exponent(spec.basis),
-        probe_depth=max(1024, spec.truncation),
-    )
-    if rep.verdict is SummabilityVerdict.FAILS_ELL_ALPHA:
-        warnings.warn(
-            "scale sequence is not ell^alpha-summable: the untruncated "
-            "series would diverge almost surely",
-            SummabilityWarning,
-            stacklevel=2,
-        )
+    _warn_unless_summable(spec)
     coeffs = np.empty((n_samples, spec.truncation))
-    # beyond the output, the working memory is one block of rows, about
-    # 1 MB, or one row's uniforms and CMS arrays when a row is longer
-    columns = _columns(spec)
-    rows = _block_rows(spec.truncation)
-    for start in range(0, n_samples, rows):
-        stop = min(start + rows, n_samples)
-        u = rng_mod.uniform_rows(seed, start, stop, spec.truncation)
-        _transform_rows(spec.alpha, columns, u, coeffs[start:stop])
+    for _ in _sampled_blocks(spec, n_samples, seed, coeffs):
+        pass
     return FieldEnsemble(spec=spec, seed=int(seed), coefficients=coeffs)
 
 
@@ -306,9 +329,11 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
     if isinstance(basis, HaarWavelet):
         cells = np.zeros((n, 1))
         for j, amp in enumerate(amps):
-            # half-cell 2k (2k + 1) of level j: the parent cell k plus (-)amp c_jk
+            # half-cell 2k (2k + 1) of level j: the parent cell k plus (-)amp c_jk,
+            # added in place into the level's own array
             level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
-            cells = (cells[:, :, None] + level).reshape(n, -1)
+            level += cells[:, :, None]
+            cells = level.reshape(n, -1)
         h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0))
         out = np.take(cells, h.astype(np.int64), axis=1)
         out[:, ~inside] = 0.0
@@ -440,6 +465,34 @@ class FlomEstimate:
     truncation_trace: tuple  # ((N, estimate), ...) at N/4, N/2, N
 
 
+def _flom(alpha: float, blocks, n_rows: int, n_total: int, p: float,
+          q: float) -> FlomEstimate:
+    """The flom statistics of an n_rows x n_total coefficient matrix given
+    as (start, block) row blocks, each read once, in order."""
+    if not 0.0 < p <= q:
+        raise OutOfRangeError("p", "need 0 < p <= q")
+    if alpha < 2.0 and p >= alpha:
+        raise MomentOrderTooHighError(
+            f"moment order p={p} >= alpha={alpha}: E||u||^p is infinite"
+        )
+    norm = QuasiNormSpec(q)
+    cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
+    # the statistic of each row at each cut, taken block by block so that
+    # the |c|^q temporaries stay block-sized
+    stats = [np.empty(n_rows) for _ in cuts]
+    for start, block in blocks:
+        for cut, vals in zip(cuts, stats):
+            vals[start:start + block.shape[0]] = rowwise_quasi_norm(block[:, :cut], norm) ** p
+    trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
+    est = trace[-1][1]
+    vals = stats[-1]
+    if vals.size > 1 and vals.max() > vals.min():
+        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    else:
+        stderr = 0.0  # constant statistic (e.g. location-only field)
+    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace))
+
+
 def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
     """Monte Carlo estimate of E ||u||^p with the ell^q coefficient norm.
 
@@ -450,33 +503,28 @@ def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
     partial sums converge in p-th mean, so successive differences should
     shrink.
     """
-    alpha = ensemble.spec.alpha
-    if not 0.0 < p <= q:
-        raise OutOfRangeError("p", "need 0 < p <= q")
-    if alpha < 2.0 and p >= alpha:
-        raise MomentOrderTooHighError(
-            f"moment order p={p} >= alpha={alpha}: E||u||^p is infinite"
-        )
     coeffs = ensemble.coefficients
     n_rows, n_total = coeffs.shape
-    norm = QuasiNormSpec(q)
-    cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
-    # the statistic of each row at each cut, taken over the sampler's row
-    # blocks so that the |c|^q temporaries stay block-sized
-    stats = [np.empty(n_rows) for _ in cuts]
     rows = _block_rows(n_total)
-    for start in range(0, n_rows, rows):
-        block = coeffs[start:start + rows]
-        for cut, vals in zip(cuts, stats):
-            vals[start:start + rows] = rowwise_quasi_norm(block[:, :cut], norm) ** p
-    trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
-    est = trace[-1][1]
-    vals = stats[-1]
-    if vals.size > 1 and vals.max() > vals.min():
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    else:
-        stderr = 0.0  # constant statistic (e.g. location-only field)
-    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace))
+    blocks = ((start, coeffs[start:start + rows]) for start in range(0, n_rows, rows))
+    return _flom(ensemble.spec.alpha, blocks, n_rows, n_total, p, q)
+
+
+def sampled_flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
+                          p: float, q: float) -> FlomEstimate:
+    """flom_estimate(sample_coefficients(spec, n_samples, seed), p, q), to
+    the bit, without the coefficient matrix.
+
+    Each row block is drawn and reduced to its rows' statistics before the
+    next is drawn, so beyond the three n-length statistics (and the
+    standard error's n-length temporary) the working memory is one block
+    of rows, about 1 MB.  Warns as sample_coefficients does.
+    """
+    if n_samples < 0:
+        raise InvalidSpecError("n_samples must be >= 0")
+    _warn_unless_summable(spec)
+    return _flom(spec.alpha, _sampled_blocks(spec, n_samples, seed),
+                 n_samples, spec.truncation, p, q)
 
 
 # ---------------------------------------------------------------------------

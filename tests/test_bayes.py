@@ -3,6 +3,7 @@ integrability of growth envelopes, perturbation sweeps, admissibility."""
 
 import dataclasses
 import math
+from hashlib import sha1
 from unittest import mock
 
 import numpy as np
@@ -229,6 +230,20 @@ class TestPosterior:
         z = normalization_constant(potential, gaussian_ensemble, y)
         assert post.z == z
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "column", "list"])
+    def test_raw_array_reference_id_is_the_sha1_of_its_bytes(self, potential, layout):
+        base = np.linspace(-2.0, 2.0, 400).reshape(200, 2)
+        u = {"c": base, "fortran": np.asfortranarray(base), "strided": base[::-1, ::2],
+             "column": base[:, 1:], "list": base.tolist()}[layout]
+        want = "array:" + sha1(np.atleast_2d(np.asarray(u, dtype=float)).tobytes()).hexdigest()[:16]
+        y = np.zeros(np.atleast_2d(np.asarray(u)).shape[1])
+        assert posterior(potential, u, y).measure.reference_id == want
+
+    def test_raw_array_reference_id_pinned(self, potential):
+        u = np.linspace(-2.0, 2.0, 400).reshape(200, 2)
+        post = posterior(potential, u, np.zeros(2))
+        assert post.measure.reference_id == "array:71d8c82ed3b54e35"  # sha1 of u.tobytes()
+
     def test_weights_invariant_under_misfit_shift(self, gaussian_ensemble):
         # the shift cancels in the internal normalisation; the only residue
         # is the rounding of (phi + 57) itself inside the caller's function
@@ -382,6 +397,24 @@ class TestDataSweep:
             assert (report.distances[k], report.distance_stderrs[k],
                     report.tv_distances[k], report.z_values[k]) == (
                         *textbook_distances(base, w), z)
+
+
+def test_sweeps_take_no_standard_error_of_z(monkeypatch, potential, gaussian_ensemble):
+    # the sweeps report Z alone, so the squared-deviation pass behind its
+    # standard error is never run for them; their Z is normalization_constant's
+    y, eps, direction = np.array([0.3]), [0.2, 0.05], np.array([1.0])
+    zs = [normalization_constant(potential, gaussian_ensemble, y + e * direction).z for e in eps]
+
+    def no_stderr(*args):
+        raise AssertionError("a sweep took the standard error of Z")
+
+    monkeypatch.setattr(bayes, "_z_estimate", no_stderr)
+    report = data_lipschitz_sweep(potential, gaussian_ensemble, y, eps, direction)
+    assert [z.hex() for z in report.z_values] == [z.hex() for z in zs]
+    likelihood_perturbation_sweep(potential, lambda n: potential.misfit, lambda n: 1.0 / n,
+                                  gaussian_ensemble, y, [4, 8])
+    with pytest.raises(AssertionError):
+        normalization_constant(potential, gaussian_ensemble, y)
 
 
 class TestLikelihoodSweep:

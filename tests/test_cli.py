@@ -1,5 +1,6 @@
 """Config validation, experiment artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,8 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stableinfer import likelihood_perturbation_sweep, metrics, sample_coefficients
-from stableinfer.cli import EXPERIMENT_KINDS, main, run, validate_config
+from stableinfer import (
+    flom_estimate,
+    likelihood_perturbation_sweep,
+    metrics,
+    sample_coefficients,
+)
+from stableinfer.cli import EXPERIMENT_KINDS, _file_sha256, main, run, validate_config
 from stableinfer.errors import ConfigError
 from stableinfer.series import Eigenbasis, StableFieldSpec
 
@@ -247,6 +253,58 @@ class TestRunExperiments:
         run(cfg, tmp_path)
         report = json.loads((tmp_path / "flom.json").read_text())
         assert len(report["truncation_trace"]) == 3
+
+    def test_flom_is_the_estimate_of_the_sampled_matrix(self, tmp_path):
+        prior = {"alpha": 1.5, "gamma": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+                 "truncation": 64}
+        cfg = validate_config(cfg_text("flom", {"prior": prior, "p": 0.5, "q": 0.5,
+                                                "n_samples": 1000}))
+        run(cfg, tmp_path)
+        report = json.loads((tmp_path / "flom.json").read_text())
+        want = flom_estimate(sample_coefficients(cfg.inputs.prior, 1000, cfg.seed), 0.5, 0.5)
+        assert (report["estimate"], report["stderr"]) == (want.estimate, want.stderr)
+        assert report["truncation_trace"] == [[n, v] for n, v in want.truncation_trace]
+
+    @pytest.mark.parametrize("n,truncation", [(20_000, 64), (80_000, 64), (20_000, 256)])
+    def test_flom_working_memory_does_not_grow_with_the_ensemble(
+            self, tmp_path, traced_peak, n, truncation):
+        # the rows are sampled and reduced a block at a time: beyond the
+        # three n-length statistics and the standard deviation's temporary,
+        # a fixed allowance; the n x T matrix alone would be 10 to 40 MB
+        cfg = validate_config(cfg_text("flom", {
+            "prior": {"alpha": 1.5, "gamma": {"kind": "power", "amplitude": 1.0,
+                                              "exponent": 1.0},
+                      "truncation": truncation},
+            "p": 0.5, "q": 0.5, "n_samples": n,
+        }))
+        assert traced_peak(run, cfg, tmp_path) - 4 * 8 * n < 2 * 2 ** 20
+
+    def test_gallery_working_memory_is_one_gallery(self, tmp_path, traced_peak):
+        # one family at a time: its coefficient matrix, its grid values,
+        # their rescaled copy and one grid-sized synthesis temporary, plus a
+        # fixed allowance for the CSV writer's pass and the rest
+        levels, n_samples, grid_size = 13, 20, 2 ** 14
+        cfg = validate_config(cfg_text("figure2", {
+            "levels": levels, "n_samples": n_samples, "grid_size": grid_size}))
+        coefficients = 8 * n_samples * (2 ** (levels + 1) - 1)
+        grid = 8 * n_samples * grid_size
+        assert traced_peak(run, cfg, tmp_path) < coefficients + 3 * grid + 4 * 2 ** 20
+
+    def test_manifest_digests_are_the_sha256_of_the_files(self, tmp_path):
+        # the gallery CSVs are several MB, so they are hashed in several reads
+        cfg = validate_config(cfg_text(
+            "figure2", {"levels": 10, "n_samples": 20, "grid_size": 2 ** 14}))
+        manifest = json.loads(run(cfg, tmp_path).read_text())
+        assert max((tmp_path / f["name"]).stat().st_size for f in manifest["files"]) > 3 * 2 ** 20
+        for entry in manifest["files"]:
+            data = (tmp_path / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 3 * 2 ** 20 + 5])
+    def test_file_digest_across_read_ends(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        (tmp_path / "blob").write_bytes(data)
+        assert _file_sha256(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
 
     def test_bayes_run_artifact(self, tmp_path):
         cfg = validate_config(cfg_text("bayes_run", {

@@ -1,6 +1,8 @@
 """Round trips and format checks for the ensemble file layouts."""
 
-import tracemalloc
+import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -48,12 +50,47 @@ def test_binary_layout_starts_with_magic(tmp_path, ensemble):
     assert path.read_bytes()[:4] == MAGIC == b"SFE1"
 
 
+def _sfe1_by_copies(ensemble) -> bytes:
+    """The SFE1 bytes as built from `tobytes()` copies of the arrays."""
+    header = {
+        "spec_hash": ensemble.spec_hash,
+        "seed": ensemble.seed,
+        "n_samples": int(ensemble.coefficients.shape[0]),
+        "n_coefficients": int(ensemble.coefficients.shape[1]),
+        "grid_size": int(ensemble.grid_values.shape[1]) if ensemble.grid_values is not None else 0,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = MAGIC + struct.pack("<I", len(blob)) + blob
+    out += np.ascontiguousarray(ensemble.coefficients, dtype="<f8").tobytes()
+    if ensemble.grid_values is not None:
+        out += np.ascontiguousarray(ensemble.grid_values, dtype="<f8").tobytes()
+    return out
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided", "big_endian", "no_grid", "no_rows"])
+def test_sfe1_bytes_are_those_of_the_array_copies(tmp_path, ensemble, layout):
+    # the arrays go to the file through the buffer protocol, in any memory
+    # layout or byte order they come in
+    coeffs, grid = ensemble.coefficients, ensemble.grid_values
+    if layout == "fortran":
+        coeffs, grid = np.asfortranarray(coeffs), np.asfortranarray(grid)
+    elif layout == "strided":
+        coeffs, grid = np.repeat(coeffs, 2, axis=1)[:, ::2], grid[:, ::-1]
+    elif layout == "big_endian":
+        coeffs, grid = coeffs.astype(">f8"), grid.astype(">f8")
+    elif layout == "no_grid":
+        grid = None
+    elif layout == "no_rows":
+        coeffs, grid = coeffs[:0], grid[:0]
+    case = dataclasses.replace(ensemble, coefficients=coeffs, grid_values=grid)
+    write_sfe1(tmp_path / "ens.sfe1", case)
+    assert (tmp_path / "ens.sfe1").read_bytes() == _sfe1_by_copies(case)
+
+
 def test_payload_is_little_endian_float64(tmp_path, ensemble):
     path = tmp_path / "ens.sfe1"
     write_sfe1(path, ensemble)
     raw = path.read_bytes()
-    import json
-    import struct
     (hlen,) = struct.unpack("<I", raw[4:8])
     json.loads(raw[8:8 + hlen])
     first = np.frombuffer(raw[8 + hlen:8 + hlen + 8], dtype="<f8")[0]
@@ -233,8 +270,9 @@ def test_csv_rejects_what_percent_formatting_rejects(tmp_path, table):
 
 
 def test_csv_runs_cross_row_and_chunk_ends(tmp_path):
-    # 9 x 40000 values take more than one encoding pass of 2^17 values;
-    # runs of equal values straddle the row ends and the ends of the passes
+    # 9 x 40000 values take several encoding passes (a row longer than a
+    # pass is a pass by itself); runs of equal values straddle the row ends
+    # and the ends of the passes
     rng = np.random.default_rng(5)
     values = np.repeat(rng.standard_cauchy(60), rng.integers(1, 20_000, 60))
     values = np.resize(values, 9 * 40_000)
@@ -246,15 +284,21 @@ def test_csv_runs_cross_row_and_chunk_ends(tmp_path):
     assert (tmp_path / "big.csv").read_bytes() == _textbook_csv(matrix, columns, "big")
 
 
-def test_csv_writer_memory_is_bounded(tmp_path):
+def test_csv_passes_of_several_rows(tmp_path):
+    # 3 x 20000 values: passes of several whole rows, the last one short,
+    # with runs across the row and pass ends
+    rng = np.random.default_rng(8)
+    values = np.repeat(rng.standard_normal(400), rng.integers(1, 300, 400))
+    matrix = np.resize(values, (20_000, 3))
+    columns = ["a", "b", "c"]
+    write_matrix_csv(tmp_path / "rows.csv", matrix, columns, "rows")
+    assert (tmp_path / "rows.csv").read_bytes() == _textbook_csv(matrix, columns, "rows")
+
+
+def test_csv_writer_memory_is_bounded(tmp_path, traced_peak):
     # a 50 x 16384 gallery table is 6.5 MB of floats and about 17 MB of
     # text; the writer encodes it a bounded block of rows at a time
     matrix = np.random.default_rng(6).standard_cauchy((50, 16384))
     columns = [f"x{j}" for j in range(matrix.shape[1])]
-    tracemalloc.start()
-    try:
-        write_matrix_csv(tmp_path / "gallery.csv", matrix, columns, "memory")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_matrix_csv, tmp_path / "gallery.csv", matrix, columns, "memory")
     assert peak < 32 * 2 ** 20

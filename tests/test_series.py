@@ -2,7 +2,6 @@
 the matched two-family gallery, field-norm moments, and frame bounds."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from stableinfer import (
     qframe_upper_check,
     sample_coefficients,
     sample_stable,
+    sampled_flom_estimate,
     synthesize,
     synthesize_ensemble,
     wavelet_gallery_ensemble,
@@ -136,8 +136,10 @@ class TestSampling:
 
     def test_divergent_scales_warn(self):
         spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 0.5), EuclideanSequence(q=1.0), 4)
-        with pytest.warns(SummabilityWarning):
+        with pytest.warns(SummabilityWarning) as record:
             sample_coefficients(spec, 5, 1)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # the warning names the caller
 
     @settings(max_examples=80, deadline=None)
     @given(alpha=st.sampled_from([0.7, 1.0, 1.5, 2.0]),
@@ -166,17 +168,12 @@ class TestSampling:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("truncation", [8, 20_000])
-    def test_working_memory_is_bounded(self, truncation):
+    def test_working_memory_is_bounded(self, traced_peak, truncation):
         # beyond the output matrix, a fixed allowance at n and at 4n
         spec = StableFieldSpec.make(1.5, PowerLaw(1.0, 1.0), EuclideanSequence(q=1.0),
                                     truncation)
         for n in (50_000 * 8 // truncation, 200_000 * 8 // truncation):
-            tracemalloc.start()
-            try:
-                sample_coefficients(spec, n, 3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(sample_coefficients, spec, n, 3)
             assert peak - 8 * n * truncation < 4 * 2 ** 20
 
 
@@ -392,7 +389,7 @@ class TestFlom:
         assert out.estimate.hex() == trace[-1][1]
         assert out.stderr.hex() == float(vals.std(ddof=1) / math.sqrt(n)).hex()
 
-    def test_working_memory_does_not_grow_with_the_ensemble(self):
+    def test_working_memory_does_not_grow_with_the_ensemble(self, traced_peak):
         # beyond its input, the estimator holds the three n-length
         # statistics, the standard deviation's n-length temporary and one
         # block of rows; the n x T temporaries are gone
@@ -400,13 +397,41 @@ class TestFlom:
         gen = np.random.default_rng(4)
         for n in (25_000, 100_000):
             ens = FieldEnsemble(spec, 4, gen.standard_normal((n, 32)))
-            tracemalloc.start()
-            try:
-                flom_estimate(ens, 0.5, 1.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(flom_estimate, ens, 0.5, 1.0)
             assert peak - 4 * 8 * n < 2 * 2 ** 20
+
+    @settings(max_examples=80, deadline=None)
+    @given(truncation=st.sampled_from([1, 7, 64, 20_000]),
+           case=st.sampled_from(["one", "below", "at", "past", "several"]),
+           pq=st.sampled_from([(0.3, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 2.0), (0.7, math.inf)]),
+           alpha=st.sampled_from([1.2, 1.5, 2.0]),
+           seed=st.integers(0, 2 ** 64))
+    def test_streamed_estimate_is_that_of_the_sampled_matrix(self, truncation, case, pq,
+                                                            alpha, seed):
+        # n at and around the ends of the sampler's row blocks; T = 20000
+        # makes a block of one row, T = 1 one of 2^14 rows
+        p, q = pq
+        rows = _block_rows(truncation)
+        n = {"one": 1, "below": max(rows - 1, 1), "at": rows, "past": rows + 1,
+             "several": 3 * rows + rows // 2 + 1}[case]
+        spec = StableFieldSpec.make(alpha, PowerLaw(1.0, 1.0), EuclideanSequence(q=q),
+                                    truncation, delta_seq=0.25, beta_seq=0.5)
+        want = flom_estimate(sample_coefficients(spec, n, seed), p, q)
+        got = sampled_flom_estimate(spec, n, seed, p, q)
+        assert [(k, e.hex()) for k, e in got.truncation_trace] == \
+            [(k, e.hex()) for k, e in want.truncation_trace]
+        assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
+
+    def test_streamed_estimate_warns_once_and_checks_the_order(self):
+        spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 0.5), EuclideanSequence(q=1.0), 4)
+        with pytest.warns(SummabilityWarning) as record:
+            sampled_flom_estimate(spec, 50, 1, 0.5, 1.0)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # the warning names the caller
+        with pytest.raises(MomentOrderTooHighError):
+            sampled_flom_estimate(cauchy_field_spec(4), 50, 1, 1.0, 1.0)
+        with pytest.raises(InvalidSpecError):
+            sampled_flom_estimate(cauchy_field_spec(4), -1, 1, 0.5, 1.0)
 
     def test_trace_contracts_with_truncation(self):
         spec = cauchy_field_spec(256)
