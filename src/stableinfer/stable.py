@@ -684,7 +684,12 @@ class _Zolotarev:
     def log_scale(self, x):
         """log g - log V at the points x."""
         if self.alpha == 1.0:
-            return -math.pi * x / (2.0 * self.beta)
+            # past |x| ~ 1e307 beta the quotient overflows; the largest
+            # finite value keeps log g = log_scale + log V free of inf - inf
+            with np.errstate(over="ignore"):
+                log_scale = -math.pi * x / (2.0 * self.beta)
+            big = np.finfo(float).max
+            return np.clip(log_scale, -big, big)
         return self.exponent * np.log(x - self.zeta)
 
 

@@ -192,6 +192,15 @@ class TestLimits:
         sf = stable._standard_sf(1.5, 0.0, np.array([math.inf, 1e300, -1e300, -math.inf]))
         assert sf.tolist() == [0.0, 0.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("beta", [0.125, -0.125, 0.95])
+    def test_alpha_one_survival_where_the_scale_overflows(self, beta):
+        # pi z / (2 beta) overflows a double for these z
+        big = np.finfo(float).max
+        z = np.array([1.4305587428785142e307, big, -1.4305587428785142e307, -big])
+        sf = stable._standard_sf(1.0, beta, z)
+        assert np.all(sf[:2] < 1e-15)
+        assert np.all((sf[2:] > 1.0 - 1e-15) & (sf[2:] <= 1.0))
+
     def test_three_series_with_infinite_cuts_has_no_negative_sum(self):
         from stableinfer.sequences import PowerLaw, three_series_check
 
