@@ -27,13 +27,16 @@ the mean, Z and the ESS; the second sums the squared deviations behind
 the standard error, and only `normalization_constant` and `posterior`,
 which report it, take it.  The results keep the bits of the textbook
 numpy expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps
-weigh their perturbed posteriors one at a time, without building a
-weighted measure for them or a standard error of Z, and compare each
-with the unperturbed posterior, whose
-density w / mean w and its root are computed once per sweep; one fused
-kernel in `metrics` gives the Hellinger distance, its standard error and
-the total variation of each pair, and a log-log fit of distance against
-perturbation size closes the sweep.
+and `z_lipschitz_check` weigh their perturbed posteriors one at a time,
+without building a weighted measure for them or a standard error of Z.
+The sweeps compare each with the unperturbed posterior, whose density
+w / mean w is computed once per sweep; one fused kernel in `metrics`
+gives the Hellinger distance, its standard error and the total variation
+of each pair, taking the density's root leaf by leaf and writing its
+psi terms over the perturbed weights, and a log-log fit of distance
+against perturbation size closes the sweep.  Beyond the ensemble, a
+sweep holds three n-length vectors at most: the base density and one
+perturbation's misfits and weights.
 """
 
 from __future__ import annotations
@@ -528,15 +531,15 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
     batch = _coerce_batch(ensemble)
     w, normalization, _, _ = _weigh(potential, batch, y)
     n_samples = w.size
-    # the sweep needs only the base's density and its root
+    # the sweep needs only the base's density
     density = np.divide(w, normalization, out=w)
-    root = np.sqrt(density)
 
     def column(pert_potential, pert_y):
         """(hellinger, its stderr, total variation, Z) of one perturbation;
-        its weights are freed before the next one is weighed."""
+        its weights, dead once their mean is taken, hold the kernel's psi
+        terms and are freed before the next perturbation is weighed."""
         w, normalization, shift, _ = _weigh(pert_potential, batch, pert_y)
-        return (*_distances(density, root, w, normalization), _scale(shift) * normalization)
+        return (*_distances(density, w, normalization, w), _scale(shift) * normalization)
 
     columns = [column(*pair) for pair in perturbed]
     distances, stderrs, tvs, zs = np.array(columns, dtype=float).reshape(-1, 4).T
@@ -592,14 +595,21 @@ def z_lipschitz_check(potential: PotentialSpec, ensemble, y,
         direction = np.zeros_like(y)
         direction[0] = 1.0
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    z0 = normalization_constant(potential, ensemble, y).z
+    batch = _coerce_batch(ensemble)
+
+    def z(at):
+        # Z alone, as the sweeps take it: no squared-deviation pass for its
+        # standard error
+        _, mean_w, shift, _ = _weigh(potential, batch, at)
+        return _scale(shift) * mean_w
+
+    z0 = z(y)
     ratios = []
     for eps in epsilons:
         if eps == 0.0:
             ratios.append(0.0)
             continue
-        z1 = normalization_constant(potential, ensemble, y + eps * direction).z
-        ratios.append(abs(z0 - z1) / eps)
+        ratios.append(abs(z0 - z(y + eps * direction)) / eps)
     ratios = np.asarray(ratios, dtype=float)
     positive = ratios[ratios > 0]
     holds = True

@@ -14,10 +14,14 @@ The plug-in normalisation makes them self-normalised; the O(1/n) bias is
 dwarfed by the Monte Carlo standard errors these tools report.
 
 Both distances, and the standard error of the Hellinger one, come from
-one kernel that takes the first measure as its density w / mean w and the
-root of that density.  A caller comparing one measure with many (the
-perturbation sweeps in `bayes`) computes that pair once and reuses it;
-each comparison then works in one n-length buffer.  A measure validates
+one kernel that takes the first measure as its density w / mean w and
+takes that density's root leaf by leaf, so no root is stored.  A caller
+comparing one measure with many (the perturbation sweeps in `bayes`)
+computes the density once and reuses it.  Each comparison writes the
+terms of the standard error into an n-length buffer the caller passes:
+the sweeps pass the perturbed weights themselves, which are dead once
+their mean is taken, and the public functions a fresh one, so they never
+write into a measure's weights.  A measure validates
 its weights once, on construction, in one pass, and keeps their total for
 `normalization` and `normalized()`.
 
@@ -191,29 +195,33 @@ def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure
         )
 
 
-def _distances(density: np.ndarray, root: np.ndarray, weights: np.ndarray,
-               normalization: float) -> tuple[float, float, float]:
+def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
+               psi: np.ndarray) -> tuple[float, float, float]:
     """Hellinger distance, its Monte Carlo standard error and the total
-    variation between the measure of (density, root) and the measure of
-    the given weights and normalization (their mean).
+    variation between the measure of the density and the measure of the
+    given weights and normalization (their mean).
 
     With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
     both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
     standard error of psi = g - (d^2/2)(p + q).  Three passes over the
     leaves of `_tree_sums`: the first sums |p - q| and g, the second writes
-    psi into the one n-length buffer and sums it, the third sums
+    psi into the n-length `psi` and sums it, the third sums
     (psi - mean psi)^2.  Each leaf repeats the elementwise operations, in
     their order, of sqrt(mean g), std(psi, ddof=1) / sqrt(n) and
-    mean |p - q| / 2, so the results are those textbook expressions' bits.
+    mean |p - q| / 2, so the results are those textbook expressions' bits;
+    the root of p is taken leaf by leaf, with the bits of the whole-array
+    root.  A leaf reads its weights before it writes its psi, so `psi` may
+    be `weights` itself, which are then overwritten.
     """
     n = density.size
-    s, t = _leaf_buffer(n), _leaf_buffer(n)
+    r, s, t = _leaf_buffer(n), _leaf_buffer(n), _leaf_buffer(n)
 
     def q_and_g(a, b):
-        q, g = s[:b - a], t[:b - a]
+        root, q, g = r[:b - a], s[:b - a], t[:b - a]
         np.divide(weights[a:b], normalization, out=q)
         np.sqrt(q, out=g)
-        np.subtract(root[a:b], g, out=g)
+        np.sqrt(density[a:b], out=root)
+        np.subtract(root, g, out=g)
         np.square(g, out=g)
         return q, g
 
@@ -228,7 +236,6 @@ def _distances(density: np.ndarray, root: np.ndarray, weights: np.ndarray,
     d = math.sqrt(max(float(d2), 0.0))
     if d <= 0.0 or n < 2:
         return d, 0.0, tv
-    psi = np.empty(n)
 
     def psi_leaf(a, b):
         q, g = q_and_g(a, b)
@@ -250,7 +257,7 @@ def _measure_distances(mu: WeightedSampleMeasure,
                        nu: WeightedSampleMeasure) -> tuple[float, float, float]:
     _check_shared_reference(mu, nu)
     density = mu.weights / mu.normalization
-    return _distances(density, np.sqrt(density), nu.weights, nu.normalization)
+    return _distances(density, nu.weights, nu.normalization, np.empty(density.size))
 
 
 def hellinger_with_error(mu: WeightedSampleMeasure,

@@ -434,7 +434,8 @@ def normal_pdf(mean: float, std: float, u):
         raise OutOfRangeError("std", "standard deviation must be > 0")
     u = np.asarray(u, dtype=float)
     s = (u - mean) / std
-    return np.exp(-0.5 * s * s) / (std * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the density 0
+        return np.exp(-0.5 * s * s) / (std * math.sqrt(2.0 * math.pi))
 
 
 def normal_logpdf(mean: float, std: float, u):
@@ -870,7 +871,13 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
                 continue
             xs = -x[pick] if mirror else x[pick]
             if want == "pdf":
-                scale = alpha / (math.pi * abs(alpha - 1.0) * (xs - side.zeta))
+                with np.errstate(over="ignore"):
+                    denominator = math.pi * abs(alpha - 1.0) * (xs - side.zeta)
+                # past about 1e308 / (pi |alpha - 1|) the denominator
+                # overflows; dividing by its factors one at a time does not
+                scale = np.where(np.isinf(denominator),
+                                 alpha / (math.pi * abs(alpha - 1.0)) / (xs - side.zeta),
+                                 alpha / denominator)
                 v, e = _zolotarev_integral(side, xs, "g*exp(-g)", scale)
             else:
                 upper, lower, e = _upper_lower(side, xs)

@@ -335,6 +335,15 @@ class TestZLipschitz:
         assert holds
         assert ratios[-1] == pytest.approx(0.5 * y * z_exact, rel=0.05)
 
+    def test_ratios_are_those_of_normalization_constant(self, potential, cauchy_ensemble):
+        y, eps, direction = np.array([0.3]), [0.2, 0.05, 0.0, 0.0125], np.array([1.0])
+        ratios, _ = z_lipschitz_check(potential, cauchy_ensemble, y, eps, direction)
+        z0 = normalization_constant(potential, cauchy_ensemble, y).z
+        want = [abs(z0 - normalization_constant(potential, cauchy_ensemble,
+                                                y + e * direction).z) / e if e else 0.0
+                for e in eps]
+        assert [r.hex() for r in ratios.tolist()] == [r.hex() for r in want]
+
     def test_data_independent_misfit(self, gaussian_ensemble):
         pot = PotentialSpec(misfit=lambda u, y: 0.5 * u[:, 0] ** 2)
         ratios, holds = z_lipschitz_check(pot, gaussian_ensemble, np.array([0.0]),
@@ -385,6 +394,15 @@ class TestDataSweep:
         assert payload["seed"] == gaussian_ensemble.seed
         assert payload["perturbation_sizes"] == [0.2, 0.1]
         assert len(payload["stderrs"]["hellinger"]) == 2
+
+    @pytest.mark.parametrize("n", [2 * 10 ** 5, 8 * 10 ** 5])
+    def test_working_memory_is_three_vectors(self, traced_peak, potential, n):
+        # beyond the ensemble: the base density and one perturbation's
+        # misfits and weights, plus leaf scratch
+        ensemble = scalar_prior("cauchy", n, 2718)
+        peak = traced_peak(data_lipschitz_sweep, potential, ensemble, np.array([0.3]),
+                           [0.2, 0.1, 0.05], np.array([1.0]))
+        assert peak < 3 * 8 * n + 2 ** 20
 
     def test_columns_are_the_pairwise_distances_to_the_bit(self, small_leaf, potential,
                                                            cauchy_ensemble):

@@ -355,6 +355,28 @@ class TestFusedKernel:
         assert _bits(mu.normalization) == _bits(w.mean())
         assert mu.normalized().tobytes() == (w / w.sum()).tobytes()
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=_FIXTURE_OK)
+    @given(several_leaf_pairs())
+    def test_psi_written_over_the_weights_keeps_the_textbook_bits(self, small_leaf, pair):
+        # as in the sweeps: the kernel's psi terms go into the buffer that
+        # holds the second measure's weights
+        w, v = pair
+        buffer = v.copy()
+        with np.errstate(all="ignore"):
+            want = textbook_distances(w, v)
+            got = metrics._distances(w / w.mean(), buffer, float(v.mean()), buffer)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+    def test_weights_left_untouched(self, small_leaf):
+        gen = np.random.default_rng(7)
+        w, v = _seeded_weights(gen, 700, 5.0), _seeded_weights(gen, 700, 5.0)
+        mu, nu = WeightedSampleMeasure("r", w.copy()), WeightedSampleMeasure("r", v.copy())
+        d, _ = hellinger_with_error(mu, nu)
+        total_variation_empirical(mu, nu)
+        assert d > 0.0  # so the kernel wrote its psi terms
+        assert mu.weights.tobytes() == w.tobytes()
+        assert nu.weights.tobytes() == v.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 60).flatmap(lambda n: st.tuples(_bounded_weights(n),
                                                           _bounded_weights(n))))

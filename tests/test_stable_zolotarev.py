@@ -201,6 +201,27 @@ class TestLimits:
         assert np.all(sf[:2] < 1e-15)
         assert np.all((sf[2:] > 1.0 - 1e-15) & (sf[2:] <= 1.0))
 
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.3), (0.5, 0.0), (1.5, -0.9), (1.5, 0.0),
+                                            (2.0, 0.0), (2.0, 0.5)])
+    def test_density_where_the_scale_overflows(self, alpha, beta):
+        # pi |alpha - 1| z, or z^2 for the normal law, overflows a double
+        # for these z; the tail term c |z|^(-alpha-1) is below the smallest
+        # subnormal at every one of them
+        big = np.finfo(float).max
+        z = np.array([1e300, 1.4305587428785142e307, big])
+        z = np.concatenate([z, -z])
+        assert stable._standard_pdf(alpha, beta, z).tolist() == [0.0] * 6
+        assert stable_pdf(validate_params(alpha, beta, 1.0, 0.0), z).tolist() == [0.0] * 6
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_subnormal_density_where_the_scale_overflows_follows_the_tail(self, beta):
+        # at alpha = 0.01 the density at finfo.max is a subnormal, about
+        # 2e-314, and the leading tail term is within x^-alpha ~ 1e-3 of it
+        p = validate_params(0.01, beta, 1.0, 0.0)
+        big = np.finfo(float).max
+        pdf = stable._standard_pdf(0.01, beta, np.array([big]))[0]
+        assert pdf == pytest.approx(stable.tail_asymptote(p, big).pdf, rel=1e-2)
+
     def test_three_series_with_infinite_cuts_has_no_negative_sum(self):
         from stableinfer.sequences import PowerLaw, three_series_check
 
