@@ -74,13 +74,11 @@ from .series import (
     StableFieldSpec,
     default_grid,
     flom_estimate,
-    qframe_upper_check,
     sample_coefficients,
     sampled_flom_estimate,
     synthesize,
     synthesize_ensemble,
     wavelet_gallery_ensemble,
-    wavelet_index,
 )
 from .metrics import (
     QuasiNormSpec,
@@ -105,8 +103,6 @@ from .bayes import (
     normalization_constant,
     posterior,
     posterior_expectation,
-    spot_check_envelopes,
-    z_lipschitz_check,
 )
 
 __version__ = "0.1.0"

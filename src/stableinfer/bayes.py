@@ -8,10 +8,10 @@ perturbation comparisons reuse the same ensemble (common random
 numbers), so estimated Hellinger distances reflect the perturbation and
 not resampling noise.
 
-Misfit potentials carry declared growth envelopes: a local bound M0(r),
-a lower bound M1_r(t), and log-Lipschitz factors M2_r(t) (data) and
-M3_r(t) (likelihood approximation), all as evaluable functions of the
-field norm t.  The engine estimates the integrability quantities these
+Misfit potentials carry declared growth envelopes: a lower bound
+M1_r(t) and log-Lipschitz factors M2_r(t) (data) and M3_r(t)
+(likelihood approximation), all as evaluable functions of the field
+norm t.  The engine estimates the integrability quantities these
 envelopes control, fits Hellinger-vs-perturbation slopes, and checks the
 growth-rate tradeoff that keeps a heavy-tailed prior usable: envelopes
 may grow logarithmically with a coefficient below the prior's finite
@@ -27,8 +27,8 @@ the mean, Z and the ESS; the second sums the squared deviations behind
 the standard error, and only `normalization_constant` and `posterior`,
 which report it, take it.  The results keep the bits of the textbook
 numpy expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps
-and `z_lipschitz_check` weigh their perturbed posteriors one at a time,
-without building a weighted measure for them or a standard error of Z.
+weigh their perturbed posteriors one at a time, without building a
+weighted measure for them or a standard error of Z.
 The sweeps compare each with the unperturbed posterior, whose density
 w / mean w is computed once per sweep; one fused kernel in `metrics`
 gives the Hellinger distance, its standard error and the total variation
@@ -81,12 +81,9 @@ __all__ = [
     "integrability_estimates",
     "WellPosednessReport",
     "data_lipschitz_sweep",
-    "z_lipschitz_check",
     "likelihood_perturbation_sweep",
     "AdmissibilityReport",
     "growth_admissibility",
-    "EnvelopeProbeReport",
-    "spot_check_envelopes",
 ]
 
 _MIN_ESS = 10.0
@@ -100,17 +97,16 @@ class PotentialSpec:
     """A misfit Phi(u; y) with declared growth envelopes.
 
     misfit maps a (n_samples, dim_u) batch and a data vector to the n
-    misfit values.  The envelopes are declared, not inferred: m0(r)
-    bounds |Phi| on the ball ||u||, ||y|| < r; m1(r, t) lower-bounds Phi
-    when ||y|| < r; exp(m2(r, t)) is a Lipschitz factor of Phi in y; and
-    exp(m3(r, t)) scales a likelihood-approximation error.  The engine
-    checks their consequences and spot-checks the declarations on random
-    probes; it cannot verify them pointwise over an infinite domain.
+    misfit values.  The envelopes are declared, not inferred: m1(r, t)
+    lower-bounds Phi when ||y|| < r; exp(m2(r, t)) is a Lipschitz factor
+    of Phi in y; and exp(m3(r, t)) scales a likelihood-approximation
+    error.  The engine estimates their consequences under the prior
+    (`integrability_estimates`); it cannot verify them pointwise over an
+    infinite domain.
     """
 
     misfit: Callable[[np.ndarray, np.ndarray], np.ndarray]
     u_norm: QuasiNormSpec = field(default_factory=QuasiNormSpec)
-    m0: Callable[[float], float] = lambda r: math.inf
     m1: Callable[[float, np.ndarray], np.ndarray] = lambda r, t: np.zeros_like(t)
     m2: Callable[[float, np.ndarray], np.ndarray] = lambda r, t: np.zeros_like(t)
     m3: Callable[[float, np.ndarray], np.ndarray] = lambda r, t: np.zeros_like(t)
@@ -125,18 +121,13 @@ class IdentityForward:
     def g_plus(self, t):
         return np.asarray(t, dtype=float)
 
-    def g_minus(self, t):
-        return np.asarray(t, dtype=float)
-
 
 class LinearForward:
     """G(u) = u @ A.T for a fixed matrix A; growth via singular values."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        svals = np.linalg.svd(self.matrix, compute_uv=False)
-        self._smax = float(svals.max())
-        self._smin = float(svals.min())
+        self._smax = float(np.linalg.svd(self.matrix, compute_uv=False).max())
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if u.shape[1] != self.matrix.shape[1]:
@@ -148,9 +139,6 @@ class LinearForward:
 
     def g_plus(self, t):
         return self._smax * np.asarray(t, dtype=float)
-
-    def g_minus(self, t):
-        return self._smin * np.asarray(t, dtype=float)
 
 
 def gaussian_additive_potential(forward=None, noise_variance=1.0,
@@ -190,16 +178,12 @@ def gaussian_additive_potential(forward=None, noise_variance=1.0,
         total *= 0.5
         return total
 
-    def m0(r: float) -> float:
-        return 0.5 * sigma_plus * (r + float(forward.g_plus(r))) ** 2
-
     def m2(r: float, t: np.ndarray) -> np.ndarray:
         return np.log(sigma_plus * (r + forward.g_plus(t)))
 
     return PotentialSpec(
         misfit=misfit,
         u_norm=u_norm or QuasiNormSpec(q=2.0),
-        m0=m0,
         m1=lambda r, t: np.zeros_like(np.asarray(t, dtype=float)),
         m2=m2,
         m3=lambda r, t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -582,43 +566,6 @@ def data_lipschitz_sweep(potential: PotentialSpec, ensemble, y,
     return _sweep("data", potential, ensemble, y, perturbed, epsilons)
 
 
-def z_lipschitz_check(potential: PotentialSpec, ensemble, y,
-                      epsilons: Sequence[float], direction=None) -> tuple[np.ndarray, bool]:
-    """Difference quotients |Z(y) - Z(y + eps*dir)| / eps across eps.
-
-    With common random numbers the quotients converge to the directional
-    derivative of Z; `holds` reports that they stay bounded (no growth
-    trend as eps shrinks), the empirical form of Z being Lipschitz in y.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if direction is None:
-        direction = np.zeros_like(y)
-        direction[0] = 1.0
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    batch = _coerce_batch(ensemble)
-
-    def z(at):
-        # Z alone, as the sweeps take it: no squared-deviation pass for its
-        # standard error
-        _, mean_w, shift, _ = _weigh(potential, batch, at)
-        return _scale(shift) * mean_w
-
-    z0 = z(y)
-    ratios = []
-    for eps in epsilons:
-        if eps == 0.0:
-            ratios.append(0.0)
-            continue
-        ratios.append(abs(z0 - z(y + eps * direction)) / eps)
-    ratios = np.asarray(ratios, dtype=float)
-    positive = ratios[ratios > 0]
-    holds = True
-    if positive.size >= 2:
-        growth = positive[1:] / positive[:-1]
-        holds = bool(np.all(growth <= 1.25))
-    return ratios, holds
-
-
 def likelihood_perturbation_sweep(potential: PotentialSpec, perturbation_family,
                                   psi: Callable[[int], float], ensemble, y,
                                   n_list: Sequence[int]) -> WellPosednessReport:
@@ -670,66 +617,4 @@ def growth_admissibility(kappa: float, c_minus: float, sigma_minus: float,
         admissible=bool(exponent <= p),
         margin=float(p - exponent),
         exponent=float(exponent),
-    )
-
-
-# ---------------------------------------------------------------------------
-# spot checks of envelope declarations
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EnvelopeProbeReport:
-    n_probes: int
-    m0_violations: int
-    m1_violations: int
-    m2_violations: int
-
-    @property
-    def clean(self) -> bool:
-        return not (self.m0_violations or self.m1_violations or self.m2_violations)
-
-
-def spot_check_envelopes(potential: PotentialSpec, ensemble, r: float,
-                         y_dim: int = 1, n_probes: int = 1000,
-                         seed: int = 0) -> EnvelopeProbeReport:
-    """Probe the declared envelopes at random (u, y) pairs.
-
-    Draws probe data vectors of dimension y_dim inside the radius-r ball
-    and checks the local bound, the lower bound, and the data-Lipschitz
-    factor on sampled prior points.  Catches declaration errors; not a
-    proof.
-    """
-    batch = _coerce_batch(ensemble)
-    gen = np.random.default_rng(seed)
-    idx = gen.integers(0, batch.shape[0], size=min(n_probes, batch.shape[0]))
-    u = batch[idx]
-    t = rowwise_quasi_norm(u, potential.u_norm)
-
-    # random data pairs strictly inside the radius-r ball
-    def draw_y():
-        y = gen.standard_normal(y_dim)
-        norm = math.sqrt(float((y ** 2).sum()))
-        return y * (0.9 * r / max(norm, 1e-12)) * gen.random()
-
-    tol = 1e-9
-    m0_bound = potential.m0(r)
-    inside = t < r
-    m1v = np.asarray(potential.m1(r, t), dtype=float)
-    lip = np.exp(np.asarray(potential.m2(r, t), dtype=float))
-    m0_bad = m1_bad = m2_bad = 0
-    for _ in range(8):
-        y1 = draw_y()
-        y2 = draw_y()
-        phi1 = evaluate_misfit_batch(potential, u, y1)
-        phi2 = evaluate_misfit_batch(potential, u, y2)
-        m0_bad += int(np.sum(np.abs(phi1[inside]) > m0_bound * (1 + tol) + tol))
-        m1_bad += int(np.sum(phi1 < m1v - tol))
-        gap = np.abs(phi1 - phi2)
-        dy = math.sqrt(float(((y1 - y2) ** 2).sum()))
-        m2_bad += int(np.sum(gap > lip * dy * (1 + tol) + tol))
-    return EnvelopeProbeReport(
-        n_probes=int(u.shape[0] * 8),
-        m0_violations=m0_bad,
-        m1_violations=m1_bad,
-        m2_violations=m2_bad,
     )

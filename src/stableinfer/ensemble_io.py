@@ -8,8 +8,7 @@ little-endian float64 in row-major order.
 CSV layout (`write_matrix_csv`, the one writer of every CSV table the
 package produces): a comment line, a header row naming the columns, then
 one row per sample, each value written as `"%.17g" % v` writes it (17
-significant digits, which read back as the same float).  Ensemble files
-carry the spec hash and seed in the comment.
+significant digits, which read back as the same float).
 
 The writer produces those bytes without formatting one value at a time.
 It takes about 2^14 values per pass, as float64 (which is what `%`
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import InvalidSpecError
 from .series import FieldEnsemble
 
-__all__ = ["MAGIC", "write_sfe1", "read_sfe1", "write_ensemble_csv", "write_matrix_csv"]
+__all__ = ["MAGIC", "write_sfe1", "read_sfe1", "write_matrix_csv"]
 
 MAGIC = b"SFE1"
 _FLOAT_FMT = "%.17g"
@@ -252,15 +251,3 @@ def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
             block = np.array(matrix[r:r + step], dtype=np.float64, order="C")
             fh.write(_encode(block.reshape(-1), n_cols))
 
-
-def write_ensemble_csv(path, ensemble: FieldEnsemble, which: str = "coefficients") -> None:
-    if which == "coefficients":
-        mat, prefix = ensemble.coefficients, "c"
-    elif which == "grid":
-        if ensemble.grid_values is None:
-            raise InvalidSpecError("ensemble has no grid synthesis")
-        mat, prefix = ensemble.grid_values, "x"
-    else:
-        raise InvalidSpecError(f"unknown section {which!r}")
-    comment = f"spec_hash={ensemble.spec_hash} seed={ensemble.seed}"
-    write_matrix_csv(path, mat, [f"{prefix}{j}" for j in range(mat.shape[1])], comment)

@@ -4,9 +4,8 @@ A field is u = sum_n u_n psi_n with independent stable coefficients
 u_n ~ S(alpha, beta_n, gamma_n, delta_n; 0) against a declared basis.
 This module holds the basis descriptions, the field specification, the
 deterministic counter-based sampler, grid synthesis, and the Monte Carlo
-diagnostics that probe the convergence and moment theory: fractional
-lower-order moments of the field norm and empirical upper frame bounds
-for the synthesis operator.
+diagnostic that probes the convergence and moment theory: fractional
+lower-order moments of the field norm.
 
 Wavelet coefficients are ordered lexicographically in (level j,
 translate k), i.e. sequence index n = 2^j + k, which makes scalar
@@ -52,7 +51,6 @@ __all__ = [
     "SummabilityWarning",
     "basis_size",
     "default_grid",
-    "wavelet_index",
     "sample_coefficients",
     "synthesize",
     "synthesize_ensemble",
@@ -61,8 +59,6 @@ __all__ = [
     "FlomEstimate",
     "flom_estimate",
     "sampled_flom_estimate",
-    "QFrameReport",
-    "qframe_upper_check",
 ]
 
 
@@ -124,13 +120,6 @@ def basis_norm_exponent(basis: BasisSpec) -> float:
     if isinstance(basis, EuclideanSequence):
         return basis.q
     return 2.0
-
-
-def wavelet_index(j: int, k: int) -> int:
-    """Sequence index (1-based) of the level-j, translate-k wavelet."""
-    if j < 0 or not 0 <= k < 2 ** j:
-        raise OutOfRangeError("(j, k)", "need j >= 0 and 0 <= k < 2^j")
-    return 2 ** j + k
 
 
 def default_grid(basis: BasisSpec) -> np.ndarray:
@@ -317,7 +306,9 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
 
     Every translate is supported inside [0, 1); points outside get 0.  The
     Haar sum is built once per row on the 2^(levels+1) finest half-cells
-    and gathered at h = floor(2^(levels+1) x).  This is exact on any grid:
+    and gathered at h = floor(2^(levels+1) x); where h is 0, 1, ...,
+    2^(levels+1) - 1 (the half-cell midpoints of `default_grid`, say) the
+    half-cells are returned as they are.  This is exact on any grid:
     2^j x, its floor k and frac = 2^j x - k are exact in binary floating
     point, so level j's translate k is h >> (levels + 1 - j) and frac < 0.5
     is bit levels - j of h being 0.  The levels are added coarse to fine,
@@ -334,8 +325,10 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
             level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
             level += cells[:, :, None]
             cells = level.reshape(n, -1)
-        h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0))
-        out = np.take(cells, h.astype(np.int64), axis=1)
+        h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0)).astype(np.int64)
+        if inside.all() and np.array_equal(h, np.arange(cells.shape[1])):
+            return cells  # one point per half-cell, in order: no gathered copy
+        out = np.take(cells, h, axis=1)
         out[:, ~inside] = 0.0
         return out
     out = np.zeros((n, grid.size))
@@ -525,41 +518,3 @@ def sampled_flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
     _warn_unless_summable(spec)
     return _flom(spec.alpha, _sampled_blocks(spec, n_samples, seed),
                  n_samples, spec.truncation, p, q)
-
-
-# ---------------------------------------------------------------------------
-# empirical frame bound of the synthesis operator
-# ---------------------------------------------------------------------------
-
-@dataclass
-class QFrameReport:
-    max_ratio: float
-    verdict: str  # "parseval_tight" | "empirical_bound"
-    ratios: np.ndarray
-
-
-def qframe_upper_check(basis: BasisSpec, q: float, n_trials: int,
-                       seed: int) -> QFrameReport:
-    """Empirical upper bound for ||sum_n v_n psi_n|| <= C ||v||_{ell^q}.
-
-    Draws Gaussian coefficient vectors, synthesizes them, and reports the
-    largest ratio of the synthesis norm (grid L^q, or ell^q for sequence
-    bases) to the coefficient ell^q norm.  For the orthonormal step-
-    wavelet basis with q = 2 the ratio is 1 up to grid quadrature error;
-    for other bases the constant is recorded as a measured quantity.
-    """
-    gen = rng_mod.make_rng(seed)
-    n = basis_size(basis) or 64
-    coeffs = gen.standard_normal((n_trials, n))
-    if isinstance(basis, EuclideanSequence):
-        ratios = np.ones(n_trials)
-    else:
-        grid = default_grid(basis)
-        fields = synthesize(basis, coeffs, grid)
-        synth_norm = rowwise_quasi_norm(fields, QuasiNormSpec(q, "grid", 1.0 / grid.size))
-        ratios = synth_norm / rowwise_quasi_norm(coeffs, QuasiNormSpec(q))
-    max_ratio = float(ratios.max())
-    orthonormal = isinstance(basis, HaarWavelet) and basis.unit_norm and q == 2.0
-    verdict = "parseval_tight" if orthonormal and abs(max_ratio - 1.0) < 1e-3 \
-        else "empirical_bound"
-    return QFrameReport(max_ratio=max_ratio, verdict=verdict, ratios=ratios)

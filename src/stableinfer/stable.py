@@ -443,7 +443,8 @@ def normal_logpdf(mean: float, std: float, u):
         raise OutOfRangeError("std", "standard deviation must be > 0")
     u = np.asarray(u, dtype=float)
     s = (u - mean) / std
-    return -0.5 * s * s - math.log(std * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the log density -inf
+        return -0.5 * s * s - math.log(std * math.sqrt(2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ from stableinfer import (
     posterior,
     posterior_expectation,
     sample_coefficients,
-    spot_check_envelopes,
-    z_lipschitz_check,
 )
 from stableinfer import bayes
 from stableinfer.metrics import rowwise_quasi_norm
@@ -321,37 +319,6 @@ class TestIntegrability:
         assert abs(rep.s12.value - math.sqrt(2.0)) < 4.0 * rep.s12.stderr
 
 
-class TestZLipschitz:
-    def test_zero_epsilon_gives_zero(self, potential, gaussian_ensemble):
-        ratios, _ = z_lipschitz_check(potential, gaussian_ensemble, np.array([0.5]),
-                                      [0.0])
-        assert ratios[0] == 0.0
-
-    def test_conjugate_derivative(self, potential, gaussian_ensemble):
-        y = 1.0
-        ratios, holds = z_lipschitz_check(
-            potential, gaussian_ensemble, np.array([y]), [0.2, 0.1, 0.05, 0.025])
-        z_exact = math.exp(-y * y / 4.0) / math.sqrt(2.0)
-        assert holds
-        assert ratios[-1] == pytest.approx(0.5 * y * z_exact, rel=0.05)
-
-    def test_ratios_are_those_of_normalization_constant(self, potential, cauchy_ensemble):
-        y, eps, direction = np.array([0.3]), [0.2, 0.05, 0.0, 0.0125], np.array([1.0])
-        ratios, _ = z_lipschitz_check(potential, cauchy_ensemble, y, eps, direction)
-        z0 = normalization_constant(potential, cauchy_ensemble, y).z
-        want = [abs(z0 - normalization_constant(potential, cauchy_ensemble,
-                                                y + e * direction).z) / e if e else 0.0
-                for e in eps]
-        assert [r.hex() for r in ratios.tolist()] == [r.hex() for r in want]
-
-    def test_data_independent_misfit(self, gaussian_ensemble):
-        pot = PotentialSpec(misfit=lambda u, y: 0.5 * u[:, 0] ** 2)
-        ratios, holds = z_lipschitz_check(pot, gaussian_ensemble, np.array([0.0]),
-                                          [0.2, 0.1])
-        assert np.all(ratios == 0.0)
-        assert holds
-
-
 class TestDataSweep:
     def test_zero_perturbation_distance_is_zero(self, potential, gaussian_ensemble):
         p0 = posterior(potential, gaussian_ensemble, np.array([0.4]))
@@ -505,33 +472,3 @@ class TestGrowthAdmissibility:
         with pytest.raises(InvalidMomentOrderError):
             growth_admissibility(0.5, 1.0, 1.0, 1.0, 1.0)
 
-
-def test_envelope_spot_check_pinned_on_a_fixed_seed(gaussian_ensemble):
-    # envelopes too tight for the Gaussian misfit, so every check counts
-    # violations; m1 and m2 depend on (r, t) only and are evaluated once
-    calls = []
-
-    def m1(r, t):
-        calls.append("m1")
-        return np.full_like(t, 0.02)
-
-    def m2(r, t):
-        calls.append("m2")
-        return np.log(0.4 * (r + t))
-
-    pot = dataclasses.replace(
-        gaussian_additive_potential(IdentityForward(), 1.0, u_norm=QuasiNormSpec(q=2.0)),
-        m0=lambda r: 1.5, m1=m1, m2=m2)
-    rep = spot_check_envelopes(pot, gaussian_ensemble, r=3.0, y_dim=1,
-                               n_probes=500, seed=9)
-    assert (rep.n_probes, rep.m0_violations, rep.m1_violations,
-            rep.m2_violations) == (4000, 1211, 372, 687)
-    assert calls == ["m1", "m2"]
-
-
-def test_envelope_spot_check_clean(gaussian_ensemble):
-    pot = gaussian_additive_potential(IdentityForward(), 1.0,
-                                      u_norm=QuasiNormSpec(q=2.0))
-    rep = spot_check_envelopes(pot, gaussian_ensemble, r=3.0, y_dim=1,
-                               n_probes=500, seed=9)
-    assert rep.clean

@@ -1,0 +1,44 @@
+"""The package's outside users run against it: the benchmark's tracer
+binds every public name of every layer, and each demo script runs clean."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args, cwd, *paths, timeout=120):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in paths))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+# -B: importing the tracer writes no bytecode under bench/
+_INSTALL = """
+import importlib
+import tracer
+for layer in tracer.LAYERS:
+    module = importlib.import_module("stableinfer." + layer)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, (layer, missing)
+tracer.install(tracer.Tracer("t"))
+"""
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    proc = _run(["-B", "-c", _INSTALL], tmp_path, "src", "bench")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    # a copy, so the files a demo writes next to itself land in tmp_path
+    script = shutil.copy(demo, tmp_path)
+    proc = _run(["-W", "error::RuntimeWarning", script], tmp_path, "src")
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stableinfer import (
-    EuclideanSequence,
     Explicit,
     HaarWavelet,
     InvalidSpecError,
@@ -21,7 +20,6 @@ from stableinfer import (
 from stableinfer.ensemble_io import (
     MAGIC,
     read_sfe1,
-    write_ensemble_csv,
     write_matrix_csv,
     write_sfe1,
 )
@@ -102,25 +100,6 @@ def test_magic_is_checked(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(InvalidSpecError):
         read_sfe1(path)
-
-
-def test_csv_layout(tmp_path, ensemble):
-    path = tmp_path / "ens.csv"
-    write_ensemble_csv(path, ensemble, which="coefficients")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# spec_hash=")
-    assert f"seed={ensemble.seed}" in lines[0]
-    assert lines[1] == "c0,c1,c2"
-    assert len(lines) == 2 + ensemble.n_samples
-    row = np.array([float(x) for x in lines[2].split(",")])
-    assert np.array_equal(row, ensemble.coefficients[0])
-
-
-def test_csv_grid_requires_synthesis(tmp_path):
-    spec = StableFieldSpec.make(1.0, Explicit((1.0,)), EuclideanSequence(q=1.0), 1)
-    ens = sample_coefficients(spec, 3, 1)
-    with pytest.raises(InvalidSpecError):
-        write_ensemble_csv(tmp_path / "x.csv", ens, which="grid")
 
 
 def _read_table(path):

@@ -87,6 +87,19 @@ class TestCauchyClosedForms:
         want = -np.log1p(s * s) - math.log(1.5 * math.pi)
         assert cauchy_logpdf(0.25, 1.5, u).tobytes() == want.tobytes()
 
+    def test_normal_logpdf_where_the_square_overflows(self):
+        # s^2 overflows past |s| = 1.3e154: the log density rounds to -inf,
+        # with no overflow warning, scalar or array
+        big = np.finfo(float).max
+        u = np.array([1e155, -1e200, big, -big])
+        for x in u:
+            assert normal_logpdf(0.0, 1.0, x) == -np.inf
+        assert normal_logpdf(0.0, 1.0, u).tolist() == [-np.inf] * 4
+        below = np.array([0.0, 2.5, -1e100, 1e154])
+        s = (below - 0.25) / 1.5
+        want = -0.5 * s * s - math.log(1.5 * math.sqrt(2.0 * math.pi))
+        assert normal_logpdf(0.25, 1.5, below).tobytes() == want.tobytes()
+
 
 class TestNumericDensity:
     @pytest.mark.parametrize("u", [0.0, 0.7, -3.0, 25.0])
