@@ -3,10 +3,11 @@
 A scale sequence (gamma_n), shift sequence (delta_n), or skewness
 sequence (beta_n) is described either in closed form (`PowerLaw`,
 `PowerLogLaw`) or as an explicit list with a declared tail rule
-(`Explicit`).  Closed-form kinds admit exact integral-test verdicts for
-the summability questions that decide whether the associated random
-series converges; explicit kinds are probed numerically at doubling
-depths, and those verdicts are finite-depth diagnostics, not proofs.
+(`Explicit`).  Every convergence question is judged by one rule: the
+integral test gives the exact answer where the tail is a closed form,
+and otherwise partial sums are probed at doubling depths, a finite-depth
+diagnostic, not a proof.  Summability reports probe explicit data with a
+tail; memberships of a ratio are exact only when both sides are closed.
 """
 
 from __future__ import annotations
@@ -122,43 +123,26 @@ def _log_exponent(seq: Union[PowerLaw, PowerLogLaw]) -> float:
     return getattr(seq, "log_exponent", 0.0)
 
 
-def _lp_summable(seq: CoefficientSequence, p: float) -> Optional[bool]:
-    """Exact integral-test answer to sum |v_n|^p < inf, or None if the
-    sequence has no usable closed form."""
-    if isinstance(seq, (PowerLaw, PowerLogLaw)):
-        if seq.amplitude == 0.0:
-            return True
-        rp = seq.exponent * p
-        if rp > 1.0:
-            return True
-        if rp == 1.0:
-            return _log_exponent(seq) * p > 1.0
-        return False
+def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> Optional[bool]:
+    """Exact integral-test answer to sum |v_n|^p < inf, or with orlicz to
+    the log-weighted sum |v_n^p log v_n| < inf that the series theorems
+    need at the resonant indices; None where the tail is explicit data.
+
+    A finite head never matters; at exponent * p = 1 the term is
+    n^-1 (log n)^-(log_exponent p), one more power of the log with orlicz.
+    """
     if isinstance(seq, Explicit):
         if seq.tail is None:
             return True
-        return _lp_summable(seq.tail, p)
-    return None
-
-
-def _orlicz_summable(seq: CoefficientSequence, alpha: float) -> Optional[bool]:
-    """Exact answer to sum |v_n^alpha * log v_n| < inf (the extra condition
-    the series theorems need at the resonant indices)."""
-    if isinstance(seq, (PowerLaw, PowerLogLaw)):
-        if seq.amplitude == 0.0:
-            return True
-        ra = seq.exponent * alpha
-        if ra > 1.0:
-            return True
-        if ra == 1.0:
-            # term ~ n^-1 (log n)^(1 - s a)
-            return _log_exponent(seq) * alpha > 2.0
-        return False
-    if isinstance(seq, Explicit):
-        if seq.tail is None:
-            return True
-        return _orlicz_summable(seq.tail, alpha)
-    return None
+        seq = seq.tail
+        if isinstance(seq, Explicit):
+            return None
+    if seq.amplitude == 0.0:
+        return True
+    rp = seq.exponent * p
+    if rp != 1.0:
+        return rp > 1.0
+    return _log_exponent(seq) * p > 1.0 + orlicz
 
 
 class SeriesVerdict(enum.Enum):
@@ -207,6 +191,13 @@ def _numeric_verdict(partial_sums: np.ndarray) -> SeriesVerdict:
     return SeriesVerdict.INCONCLUSIVE
 
 
+def _verdict(exact: Optional[bool], partial_sums: np.ndarray) -> SeriesVerdict:
+    """The exact answer where there is one, else the doubling diagnostic."""
+    if exact is None:
+        return _numeric_verdict(partial_sums)
+    return SeriesVerdict.CONVERGENT if exact else SeriesVerdict.DIVERGENT
+
+
 def _fit_decay_exponent(values: np.ndarray) -> Optional[float]:
     n = values.size
     lo = n // 4
@@ -238,9 +229,9 @@ def summability_report(gamma_seq, alpha: float, q: float,
     Reports partial sums of sum gamma_n^alpha and of the log-weighted
     sum |gamma_n^alpha log gamma_n| at doubling depths, a fitted tail
     decay exponent, the resonance regime (the log-weighted condition is
-    only required when alpha equals q or 2q), and a verdict.  Closed-form
-    sequences are settled exactly by the integral test; explicit ones get
-    the finite-depth numeric verdict.
+    only required when alpha equals q or 2q), and a verdict.  The integral
+    test settles closed forms and finite lists exactly; explicit data with
+    a tail gets the finite-depth numeric verdict.
     """
     if probe_depth < _MIN_PROBE_DEPTH:
         raise OutOfRangeError("probe_depth", f"need at least {_MIN_PROBE_DEPTH}")
@@ -261,25 +252,16 @@ def summability_report(gamma_seq, alpha: float, q: float,
     else:
         regime = "neither"
 
-    ell = _lp_summable(gamma_seq, alpha)
-    orl = _orlicz_summable(gamma_seq, alpha) if regime != "neither" else True
-    if isinstance(gamma_seq, Explicit) and gamma_seq.tail is not None:
-        # numeric route for explicit data with a nontrivial continuation
-        ell_v = _numeric_verdict(sums_alpha)
-        orl_v = _numeric_verdict(sums_orlicz) if regime != "neither" else SeriesVerdict.CONVERGENT
-        if ell_v is SeriesVerdict.DIVERGENT:
-            verdict = SummabilityVerdict.FAILS_ELL_ALPHA
-        elif ell_v is SeriesVerdict.CONVERGENT and orl_v is SeriesVerdict.DIVERGENT:
-            verdict = SummabilityVerdict.FAILS_ORLICZ
-        elif ell_v is SeriesVerdict.CONVERGENT and orl_v is SeriesVerdict.CONVERGENT:
-            verdict = SummabilityVerdict.SATISFIES
-        else:
-            verdict = SummabilityVerdict.INCONCLUSIVE
-    elif ell is False:
+    # explicit data with a continuation takes the doubling diagnostic
+    numeric = isinstance(gamma_seq, Explicit) and gamma_seq.tail is not None
+    ell = _verdict(None if numeric else _summable(gamma_seq, alpha), sums_alpha)
+    orl = (_verdict(None if numeric else _summable(gamma_seq, alpha, orlicz=True), sums_orlicz)
+           if regime != "neither" else SeriesVerdict.CONVERGENT)
+    if ell is SeriesVerdict.DIVERGENT:
         verdict = SummabilityVerdict.FAILS_ELL_ALPHA
-    elif ell is True and orl is False:
+    elif ell is SeriesVerdict.CONVERGENT and orl is SeriesVerdict.DIVERGENT:
         verdict = SummabilityVerdict.FAILS_ORLICZ
-    elif ell is True and orl is True:
+    elif ell is SeriesVerdict.CONVERGENT and orl is SeriesVerdict.CONVERGENT:
         verdict = SummabilityVerdict.SATISFIES
     else:
         verdict = SummabilityVerdict.INCONCLUSIVE
@@ -394,9 +376,9 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
     the terms are the closed-form truncated Cauchy moments; otherwise
     A G_q and A^2 G_2q, from the bounded tables G_m(c) = E[|u|^m; |u| <= c]
     / c^m at the cuts c = A^(1/q)/gamma_n, and the exceedance probabilities.
-    Closed-form scale sequences get the exact integral-test verdict;
-    explicit data gets the finite-depth doubling diagnostic.  The
-    threshold A must be finite and > 0.
+    Scale sequences with a closed-form tail (or none) get the exact
+    integral-test verdict; a nested explicit tail gets the finite-depth
+    doubling diagnostic.  The threshold A must be finite and > 0.
     """
     if not 0.0 < a_cut < math.inf:
         raise OutOfRangeError("A", "threshold must be finite and > 0")
@@ -422,22 +404,15 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
         "s2": _partial_sums_at(t2, depths),
     }
 
-    analytic = _three_series_analytic(gamma_seq, alpha, q)
-    failing = []
-    if analytic is not None:
-        for name, ok in analytic.items():
-            if not ok:
-                failing.append(name)
-        verdict = SeriesVerdict.CONVERGENT if not failing else SeriesVerdict.DIVERGENT
+    verdicts = {name: _verdict(exact, traces[name])
+                for name, exact in _three_series_exact(gamma_seq, alpha, q).items()}
+    failing = [name for name, v in verdicts.items() if v is SeriesVerdict.DIVERGENT]
+    if failing:
+        verdict = SeriesVerdict.DIVERGENT
+    elif all(v is SeriesVerdict.CONVERGENT for v in verdicts.values()):
+        verdict = SeriesVerdict.CONVERGENT
     else:
-        verdicts = {name: _numeric_verdict(tr) for name, tr in traces.items()}
-        failing = [n for n, v in verdicts.items() if v is SeriesVerdict.DIVERGENT]
-        if failing:
-            verdict = SeriesVerdict.DIVERGENT
-        elif all(v is SeriesVerdict.CONVERGENT for v in verdicts.values()):
-            verdict = SeriesVerdict.CONVERGENT
-        else:
-            verdict = SeriesVerdict.INCONCLUSIVE
+        verdict = SeriesVerdict.INCONCLUSIVE
 
     return ThreeSeriesResult(
         s0=float(traces["s0"][-1]),
@@ -450,33 +425,21 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
     )
 
 
-def _three_series_analytic(gamma_seq, alpha: float, q: float) -> Optional[dict]:
-    """Exact convergence answers for the three series, or None.
+def _three_series_exact(gamma_seq, alpha: float, q: float) -> dict:
+    """Exact convergence answers for the three series (None: explicit tail).
 
     Termwise asymptotics as gamma_n -> 0: the exceedance term scales like
     gamma^alpha; a truncated moment of order m*q scales like gamma^{m q}
     when m q < alpha, like gamma^alpha when m q > alpha, and like
     gamma^alpha |log gamma| at the resonance m q = alpha.
     """
-    tail = gamma_seq.tail if isinstance(gamma_seq, Explicit) else gamma_seq
-    if tail is not None and not isinstance(tail, (PowerLaw, PowerLogLaw)):
-        return None
-
-    def moment_series_ok(order: float) -> Optional[bool]:
+    def moment_series(order: float) -> Optional[bool]:
         if math.isclose(order, alpha, rel_tol=1e-12):
-            return _orlicz_summable(gamma_seq, alpha)
-        if order < alpha:
-            return _lp_summable(gamma_seq, order)
-        return _lp_summable(gamma_seq, alpha)
+            return _summable(gamma_seq, alpha, orlicz=True)
+        return _summable(gamma_seq, min(order, alpha))
 
-    answers = {
-        "s0": _lp_summable(gamma_seq, alpha),
-        "s1": moment_series_ok(q),
-        "s2": moment_series_ok(2.0 * q),
-    }
-    if any(v is None for v in answers.values()):
-        return None
-    return answers
+    return {"s0": _summable(gamma_seq, alpha), "s1": moment_series(q),
+            "s2": moment_series(2.0 * q)}
 
 
 @dataclass
@@ -492,32 +455,31 @@ class HilbertScaleReport:
         )
 
 
-def _divide_by_eigen_power(seq, lam, s: float):
-    """Closed form of v_n / lambda_n^s when both sides are closed-form."""
-    if isinstance(seq, (PowerLaw, PowerLogLaw)) and isinstance(lam, (PowerLaw, PowerLogLaw)):
-        return PowerLogLaw(seq.amplitude / lam.amplitude ** s,
-                           seq.exponent - s * lam.exponent,
-                           _log_exponent(seq) - s * _log_exponent(lam))
-    return None
-
-
-def _membership(seq_or_values, p: float, probe_depth: int) -> Membership:
-    if isinstance(seq_or_values, (PowerLaw, PowerLogLaw, Explicit)):
-        ans = _lp_summable(seq_or_values, p)
-        if ans is True:
-            return Membership.MEMBER
-        if ans is False:
-            return Membership.NOT_MEMBER
-        values = np.abs(sequence_values(seq_or_values, probe_depth))
+def _ratio_membership(num, den, s: float, p: float, depth: int) -> Membership:
+    """Is (num_n / den_n^s) in ell^p?  Exact when both are closed forms,
+    else the doubling diagnostic on the first `depth` ratios; a nonzero
+    numerator over a zero scale is an error."""
+    exact = sums = None
+    if isinstance(num, (PowerLaw, PowerLogLaw)) and isinstance(den, (PowerLaw, PowerLogLaw)):
+        if num.amplitude != 0.0 and den.amplitude == 0.0:
+            raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes")
+        exact = num.amplitude == 0.0 or _summable(
+            PowerLogLaw(num.amplitude / den.amplitude ** s, num.exponent - s * den.exponent,
+                        _log_exponent(num) - s * _log_exponent(den)), p)
     else:
-        values = np.abs(np.asarray(seq_or_values, dtype=float))
-    depths = _doubling_depths(values.size)
-    verdict = _numeric_verdict(_partial_sums_at(values ** p, depths))
+        top = np.abs(sequence_values(num, depth))
+        bottom = np.abs(sequence_values(den, depth)) ** s
+        bad = (top != 0.0) & (bottom == 0.0)
+        if bad.any():
+            raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes "
+                                           f"(first index {int(np.argmax(bad)) + 1})")
+        ratio = np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0.0)
+        sums = _partial_sums_at(ratio ** p, _doubling_depths(depth))
     return {
         SeriesVerdict.CONVERGENT: Membership.MEMBER,
         SeriesVerdict.DIVERGENT: Membership.NOT_MEMBER,
         SeriesVerdict.INCONCLUSIVE: Membership.INCONCLUSIVE,
-    }[verdict]
+    }[_verdict(exact, sums)]
 
 
 def hilbert_scale_membership(gamma_seq, delta_seq, lambda_seq, s: float,
@@ -535,18 +497,9 @@ def hilbert_scale_membership(gamma_seq, delta_seq, lambda_seq, s: float,
     lam_head = sequence_values(lambda_seq, 16)
     if np.any(np.diff(lam_head) > 0) or np.any(lam_head <= 0):
         raise OutOfRangeError("lambda_seq", "eigenvalues must be positive and decreasing")
-
-    def condition(seq, p):
-        closed = _divide_by_eigen_power(seq, lambda_seq, s)
-        if closed is not None:
-            return _membership(closed, p, probe_depth)
-        vals = sequence_values(seq, probe_depth)
-        lam = sequence_values(lambda_seq, probe_depth)
-        return _membership(vals / lam ** s, p, probe_depth)
-
     return HilbertScaleReport(
-        gamma_condition=condition(gamma_seq, alpha),
-        delta_condition=condition(delta_seq, 2.0),
+        gamma_condition=_ratio_membership(gamma_seq, lambda_seq, s, alpha, probe_depth),
+        delta_condition=_ratio_membership(delta_seq, lambda_seq, s, 2.0, probe_depth),
     )
 
 
@@ -559,25 +512,4 @@ def cameron_martin_shift_admissible(h_seq, gamma_seq,
     lies in ell^2.  Zero shifts are always admissible; a nonzero shift
     against a vanishing scale is an error.
     """
-    h_seq = as_sequence(h_seq)
-    gamma_seq = as_sequence(gamma_seq)
-    # closed-form ratio when both are pure power laws
-    if isinstance(h_seq, PowerLaw) and isinstance(gamma_seq, PowerLaw):
-        if h_seq.amplitude == 0.0:
-            return Membership.MEMBER
-        if gamma_seq.amplitude == 0.0:
-            raise DivisionByZeroScaleError("shift is nonzero where the scale vanishes")
-        ratio = PowerLaw(h_seq.amplitude / gamma_seq.amplitude,
-                         h_seq.exponent - gamma_seq.exponent)
-        return _membership(ratio, 2.0, probe_depth)
-    h = sequence_values(h_seq, probe_depth)
-    g = np.abs(sequence_values(gamma_seq, probe_depth))
-    bad = (h != 0.0) & (g == 0.0)
-    if bad.any():
-        raise DivisionByZeroScaleError(
-            f"shift is nonzero where the scale vanishes (first index {int(np.argmax(bad)) + 1})"
-        )
-    ratio = np.zeros_like(h)
-    nz = g > 0
-    ratio[nz] = h[nz] / g[nz]
-    return _membership(ratio, 2.0, probe_depth)
+    return _ratio_membership(as_sequence(h_seq), as_sequence(gamma_seq), 1.0, 2.0, probe_depth)

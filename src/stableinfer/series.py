@@ -324,7 +324,7 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
             # added in place into the level's own array
             level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
             level += cells[:, :, None]
-            cells = level.reshape(n, -1)
+            cells = level.reshape(n, 2 ** (j + 1))
         h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0)).astype(np.int64)
         if inside.all() and np.array_equal(h, np.arange(cells.shape[1])):
             return cells  # one point per half-cell, in order: no gathered copy

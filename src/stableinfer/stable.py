@@ -397,21 +397,25 @@ def sample_cauchy_via_circle(gamma: float, n: int, rng) -> np.ndarray:
 # closed-form densities
 # ---------------------------------------------------------------------------
 
+def _standardised(loc: float, scale: float, u, name: str, what: str):
+    """(u - loc) / scale as floats, once scale > 0 is checked; a quotient
+    or difference past the float range is +-inf, whose limits the closed
+    forms below return (density 0, log density -inf, distribution 0 or 1)."""
+    if not scale > 0.0:
+        raise OutOfRangeError(name, what)
+    with np.errstate(over="ignore"):
+        return (np.asarray(u, dtype=float) - loc) / scale
+
+
 def cauchy_pdf(delta: float, gamma: float, u):
     """Density of C(delta, gamma): 1/(gamma*pi) / (1 + ((u-delta)/gamma)^2)."""
-    if not gamma > 0.0:
-        raise OutOfRangeError("gamma", "width must be > 0")
-    u = np.asarray(u, dtype=float)
-    s = (u - delta) / gamma
+    s = _standardised(delta, gamma, u, "gamma", "width must be > 0")
     with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the density 0
         return 1.0 / (gamma * math.pi * (1.0 + s * s))
 
 
 def cauchy_logpdf(delta: float, gamma: float, u):
-    if not gamma > 0.0:
-        raise OutOfRangeError("gamma", "width must be > 0")
-    u = np.asarray(u, dtype=float)
-    s = np.abs((u - delta) / gamma)
+    s = np.abs(_standardised(delta, gamma, u, "gamma", "width must be > 0"))
     far = s > 1e150
     # past 1e150, log1p(s^2) = 2 log s + log1p(s^-2) keeps s^2 from overflowing
     r = np.where(far, s, 1.0)
@@ -422,27 +426,19 @@ def cauchy_logpdf(delta: float, gamma: float, u):
 
 def cauchy_cdf(delta: float, gamma: float, u):
     """Distribution function 1/2 + arctan((u-delta)/gamma)/pi."""
-    if not gamma > 0.0:
-        raise OutOfRangeError("gamma", "width must be > 0")
-    u = np.asarray(u, dtype=float)
-    out = 0.5 + np.arctan((u - delta) / gamma) / math.pi
+    s = _standardised(delta, gamma, u, "gamma", "width must be > 0")
+    out = 0.5 + np.arctan(s) / math.pi
     return float(out) if np.ndim(u) == 0 else out
 
 
 def normal_pdf(mean: float, std: float, u):
-    if not std > 0.0:
-        raise OutOfRangeError("std", "standard deviation must be > 0")
-    u = np.asarray(u, dtype=float)
-    s = (u - mean) / std
+    s = _standardised(mean, std, u, "std", "standard deviation must be > 0")
     with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the density 0
         return np.exp(-0.5 * s * s) / (std * math.sqrt(2.0 * math.pi))
 
 
 def normal_logpdf(mean: float, std: float, u):
-    if not std > 0.0:
-        raise OutOfRangeError("std", "standard deviation must be > 0")
-    u = np.asarray(u, dtype=float)
-    s = (u - mean) / std
+    s = _standardised(mean, std, u, "std", "standard deviation must be > 0")
     with np.errstate(over="ignore"):  # s*s = inf past 1.3e154 gives the log density -inf
         return -0.5 * s * s - math.log(std * math.sqrt(2.0 * math.pi))
 

@@ -1,5 +1,6 @@
 """The package's outside users run against it: the benchmark's tracer
-binds every public name of every layer, and each demo script runs clean."""
+binds every public name of every layer, and each demo script runs clean
+(the series diagnostics printing the text they always printed)."""
 
 import os
 import shutil
@@ -42,3 +43,6 @@ def test_demo_runs(tmp_path, demo):
     script = shutil.copy(demo, tmp_path)
     proc = _run(["-W", "error::RuntimeWarning", script], tmp_path, "src")
     assert proc.returncode == 0, proc.stderr
+    if demo.stem == "series_diagnostics":
+        # it prints every kind of sequences verdict, and prints it deterministically
+        assert proc.stdout == (ROOT / "tests" / "series_diagnostics.stdout").read_text()

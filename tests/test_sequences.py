@@ -127,6 +127,30 @@ class TestSummabilityReport:
             assert inc[-1] > 1e-4
 
 
+    @pytest.mark.parametrize("seq,alpha,q,expected", [
+        # explicit data with a tail: the doubling diagnostic
+        (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 2.0)), 1.0, 1.0, SummabilityVerdict.INCONCLUSIVE),
+        (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 1.0)), 1.0, 1.0, SummabilityVerdict.FAILS_ELL_ALPHA),
+        (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 0.5)), 1.0, 0.7, SummabilityVerdict.FAILS_ELL_ALPHA),
+        (Explicit((3.0, 2.0), tail=PowerLogLaw(1.0, 1.0, 3.0)), 1.0, 1.0,
+         SummabilityVerdict.INCONCLUSIVE),
+        (Explicit((3.0, 2.0), tail=PowerLaw(0.0, 0.0)), 1.5, 0.75, SummabilityVerdict.SATISFIES),
+        (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 2.0))), 1.0, 1.0,
+         SummabilityVerdict.INCONCLUSIVE),
+        # resonances alpha = q and alpha = 2q: the log-weighted integral test
+        (PowerLogLaw(1.0, 1.0, 3.0), 1.0, 1.0, SummabilityVerdict.SATISFIES),
+        (PowerLogLaw(1.0, 1.0, 2.0), 1.0, 0.5, SummabilityVerdict.FAILS_ORLICZ),
+        (PowerLogLaw(1.0, 0.5, 1.0), 2.0, 1.0, SummabilityVerdict.FAILS_ORLICZ),
+        (PowerLogLaw(1.0, 0.5, 2.0), 2.0, 1.0, SummabilityVerdict.SATISFIES),
+        (PowerLaw(1.0, 0.5), 2.0, 1.0, SummabilityVerdict.FAILS_ELL_ALPHA),
+        # zero amplitudes
+        (PowerLogLaw(0.0, 0.5, -1.0), 1.5, 0.75, SummabilityVerdict.SATISFIES),
+        (PowerLaw(0.0, 0.0), 0.5, 0.5, SummabilityVerdict.SATISFIES),
+    ])
+    def test_verdicts_on_a_grid(self, seq, alpha, q, expected):
+        assert summability_report(seq, alpha, q).verdict is expected
+
+
 class TestThreeSeries:
     @pytest.mark.parametrize("r,expected", [
         (0.5, SeriesVerdict.DIVERGENT),
@@ -294,6 +318,28 @@ class TestThreeSeries:
         out = three_series_check(Explicit((1.0, 0.5, 0.25)), 1.0, 1.0, 1.0)
         assert out.verdict is SeriesVerdict.CONVERGENT
 
+    @pytest.mark.parametrize("seq,alpha,q,expected,failing", [
+        # a nested explicit tail: the doubling diagnostic
+        (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 2.0))), 1.0, 1.0,
+         SeriesVerdict.INCONCLUSIVE, ()),
+        (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 1.0))), 1.0, 1.0,
+         SeriesVerdict.DIVERGENT, ("s0", "s1", "s2")),
+        (Explicit((2.0,), tail=Explicit((1.0, 0.5))), 1.0, 1.0, SeriesVerdict.CONVERGENT, ()),
+        # a closed-form tail and the resonances m q = alpha
+        (Explicit((3.0, 2.0), tail=PowerLogLaw(1.0, 1.0, 2.0)), 1.0, 1.0,
+         SeriesVerdict.DIVERGENT, ("s1",)),
+        (PowerLogLaw(1.0, 1.0, 3.0), 1.0, 1.0, SeriesVerdict.CONVERGENT, ()),
+        (PowerLogLaw(1.0, 1.0, 2.0), 1.0, 0.5, SeriesVerdict.DIVERGENT, ("s1", "s2")),
+        (PowerLogLaw(1.0, 2.0, 1.0), 1.0, 0.5, SeriesVerdict.DIVERGENT, ("s1",)),
+        (PowerLogLaw(1.0, 2.0 / 3.0, 2.0), 1.5, 0.75, SeriesVerdict.DIVERGENT, ("s1",)),
+        # zero amplitudes
+        (PowerLaw(0.0, 1.0), 1.5, 0.75, SeriesVerdict.CONVERGENT, ()),
+        (PowerLogLaw(0.0, 0.5, -1.0), 1.0, 1.0, SeriesVerdict.CONVERGENT, ()),
+    ])
+    def test_verdicts_on_a_grid(self, seq, alpha, q, expected, failing):
+        out = three_series_check(seq, alpha, q, 1.0, depth=1024)
+        assert (out.verdict, out.failing_series) == (expected, failing)
+
 
 class TestHilbertScale:
     def test_harmonic_ratio_not_member(self):
@@ -333,6 +379,15 @@ class TestCameronMartinShift:
         assert cameron_martin_shift_admissible(
             PowerLaw(0.0, 0.0), PowerLaw(1.0, 2.0)
         ) is Membership.MEMBER
+
+    def test_log_laws_settled_exactly(self):
+        # (h/gamma)^2 = n^-2 log^8 n is summable; the doubling diagnostic read
+        # its partial sums, still climbing, as divergent at depth 2^11 and as
+        # inconclusive at 2^14
+        for depth in (2 ** 11, 2 ** 14):
+            assert cameron_martin_shift_admissible(
+                PowerLogLaw(1.0, 3.0, -1.0), PowerLogLaw(1.0, 2.0, 3.0), probe_depth=depth
+            ) is Membership.MEMBER
 
     def test_shift_against_vanishing_scale(self):
         with pytest.raises(DivisionByZeroScaleError):

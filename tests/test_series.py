@@ -183,6 +183,15 @@ class TestSynthesize:
         basis = HaarWavelet(3, grid_size=64)
         assert not synthesize(basis, np.zeros(15)).any()
 
+    @pytest.mark.parametrize("basis", [HaarWavelet(2, grid_size=8), HatHierarchical(2, grid_size=8)],
+                             ids=["haar", "hat"])
+    def test_empty_batch(self, basis):
+        # the Haar half-cells took their width from the batch, which an
+        # empty batch leaves undefined
+        assert synthesize(basis, np.zeros((0, 7))).shape == (0, 8)
+        spec = StableFieldSpec.make(1.0, Explicit((1.0,) * 7), basis, 7)
+        assert synthesize_ensemble(sample_coefficients(spec, 0, 8)).grid_values.shape == (0, 8)
+
     def test_points_outside_unit_interval_get_zero(self):
         basis = HaarWavelet(1, grid_size=8)
         field = synthesize(basis, np.ones(3), np.array([-0.5, 0.25, 1.0, 1.5]))

@@ -100,6 +100,17 @@ class TestCauchyClosedForms:
         want = -0.5 * s * s - math.log(1.5 * math.sqrt(2.0 * math.pi))
         assert normal_logpdf(0.25, 1.5, below).tobytes() == want.tobytes()
 
+    def test_standardised_point_past_the_float_range(self):
+        # (u - loc)/scale overflows in the divide or in the subtract: each
+        # closed form returns its limit, with no overflow warning
+        big = np.finfo(float).max
+        for loc, scale, u in ((0.0, 0.5, big), (0.0, 0.5, -big), (-big, 1.0, big),
+                              (big, 1.0, -big), (0.0, 0.5, np.array([big, -big]))):
+            for pdf, logpdf in ((normal_pdf, normal_logpdf), (cauchy_pdf, cauchy_logpdf)):
+                assert np.all(pdf(loc, scale, u) == 0.0)
+                assert np.all(logpdf(loc, scale, u) == -np.inf)
+            assert np.array_equal(cauchy_cdf(loc, scale, u), np.asarray(u) > 0.0)
+
 
 class TestNumericDensity:
     @pytest.mark.parametrize("u", [0.0, 0.7, -3.0, 25.0])
