@@ -23,9 +23,10 @@ constant Z with its standard error, and the effective sample size
 `_MIN_ESS` = 10 raises DegenerateWeightsError).  The weights are built in
 one n-length buffer by two passes over the cache-sized leaves of
 `metrics._tree_sums`: the first forms them and sums w and w^2, which give
-the mean, Z and the ESS; the second sums the squared deviations behind
-the standard error, and only `normalization_constant` and `posterior`,
-which report it, take it.  The results keep the bits of the textbook
+the mean, Z and the ESS (and a posterior's weighted measure keeps that
+total); the second sums the squared deviations behind the standard
+error, and only `normalization_constant` and `posterior`, which report
+it, take it.  The results keep the bits of the textbook
 numpy expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps
 weigh their perturbed posteriors one at a time, without building a
 weighted measure for them or a standard error of Z.
@@ -59,6 +60,7 @@ from .metrics import (
     WeightedSampleMeasure,
     _distances,
     _leaf_buffer,
+    _measure_of_total,
     _tree_sums,
     rowwise_quasi_norm,
 )
@@ -263,8 +265,9 @@ class ZEstimate:
 
 
 def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, float, float]:
-    """Shifted weights exp(-(Phi - min Phi)), their mean, the shift and the
-    ESS, from one misfit evaluation and one pass over the weights."""
+    """Shifted weights exp(-(Phi - min Phi)), their total, the shift and the
+    ESS, from one misfit evaluation and one pass over the weights; the
+    total over n is w.mean() to the bit."""
     misfits = evaluate_misfit_batch(potential, ensemble, y)
     shift = float(misfits.min())
     n = misfits.size
@@ -286,8 +289,7 @@ def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, fl
             f"effective sample size {ess:.2f} < {_MIN_ESS}: weights are "
             "carried by too few samples"
         )
-    # s / n is w.mean() to the bit
-    return w, float(s / n), shift, ess
+    return w, float(s), shift, ess
 
 
 def _scale(shift: float) -> float:
@@ -299,11 +301,12 @@ def _scale(shift: float) -> float:
         return math.inf
 
 
-def _z_estimate(w: np.ndarray, mean_w: float, shift: float, ess: float) -> ZEstimate:
+def _z_estimate(w: np.ndarray, total: float, shift: float, ess: float) -> ZEstimate:
     """The Z estimate of `_weigh`'s results.  Its standard error takes a
     second pass over the weights, the squared deviations in the order of
     w.std(ddof=1); the sweeps, which report Z alone, skip it."""
     n = w.size
+    mean_w = total / n
     scale = _scale(shift)
     z = scale * mean_w
     stderr = 0.0
@@ -351,15 +354,17 @@ def posterior(potential: PotentialSpec, ensemble, y) -> PosteriorEstimate:
     cancel exactly.
     """
     batch = _coerce_batch(ensemble)
-    w, mean_w, shift, ess = _weigh(potential, batch, y)
-    z = _z_estimate(w, mean_w, shift, ess)
+    w, total, shift, ess = _weigh(potential, batch, y)
+    z = _z_estimate(w, total, shift, ess)
     if isinstance(ensemble, FieldEnsemble):
         ref_id = ensemble.reference_id()
     else:
         # the buffer of the C-order batch: the bytes of batch.tobytes(),
         # copied only when the batch is not C-contiguous
         ref_id = "array:" + sha1(np.ascontiguousarray(batch)).hexdigest()[:16]
-    measure = WeightedSampleMeasure(reference_id=ref_id, weights=w)
+    # `_weigh`'s weights lie in [0, 1] with a maximum of 1, so their total
+    # is the measure's, and no second pass validates and sums them
+    measure = _measure_of_total(ref_id, w, total)
     return PosteriorEstimate(y=np.atleast_1d(np.asarray(y, dtype=float)),
                              z=z, measure=measure)
 
@@ -513,16 +518,17 @@ def _sweep(kind: str, potential: PotentialSpec, ensemble, y, perturbed,
     `_weigh` raises below the ESS floor.
     """
     batch = _coerce_batch(ensemble)
-    w, normalization, _, _ = _weigh(potential, batch, y)
+    w, total, _, _ = _weigh(potential, batch, y)
     n_samples = w.size
     # the sweep needs only the base's density
-    density = np.divide(w, normalization, out=w)
+    density = np.divide(w, total / n_samples, out=w)
 
     def column(pert_potential, pert_y):
         """(hellinger, its stderr, total variation, Z) of one perturbation;
         its weights, dead once their mean is taken, hold the kernel's psi
         terms and are freed before the next perturbation is weighed."""
-        w, normalization, shift, _ = _weigh(pert_potential, batch, pert_y)
+        w, total, shift, _ = _weigh(pert_potential, batch, pert_y)
+        normalization = total / w.size
         return (*_distances(density, w, normalization, w), _scale(shift) * normalization)
 
     columns = [column(*pair) for pair in perturbed]

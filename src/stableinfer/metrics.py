@@ -23,7 +23,8 @@ the sweeps pass the perturbed weights themselves, which are dead once
 their mean is taken, and the public functions a fresh one, so they never
 write into a measure's weights.  A measure validates
 its weights once, on construction, in one pass, and keeps their total for
-`normalization` and `normalized()`.
+`normalization` and `normalized()`; a posterior's measure takes the total
+its weights were formed with (`_measure_of_total`) and makes no pass.
 
 Every sum over the samples is numpy's pairwise sum, taken by
 `_tree_sums` over the leaves of numpy's own summation tree, so the
@@ -184,6 +185,15 @@ class WeightedSampleMeasure:
     def normalized(self) -> np.ndarray:
         """Weights scaled to sum to one."""
         return self.weights / self._total
+
+
+def _measure_of_total(reference_id: str, weights: np.ndarray, total: float) -> WeightedSampleMeasure:
+    """A measure over 1-d weights already known to be finite and >= 0, with
+    their total (numpy's pairwise sum) and a mean above 0, built without
+    the validating pass of the constructor."""
+    measure = object.__new__(WeightedSampleMeasure)
+    measure.reference_id, measure.weights, measure._total = reference_id, weights, total
+    return measure
 
 
 def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure):

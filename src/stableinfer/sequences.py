@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DivisionByZeroScaleError, OutOfRangeError
-from .stable import _standard_pdf, _standard_sf, _tail_constant, truncated_cauchy_moments
+from .stable import _bergstrom, _standard_pdf, _symmetric_sf, truncated_cauchy_moments
 
 __all__ = [
     "PowerLaw",
@@ -128,8 +128,9 @@ def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> Optio
     the log-weighted sum |v_n^p log v_n| < inf that the series theorems
     need at the resonant indices; None where the tail is explicit data.
 
-    A finite head never matters; at exponent * p = 1 the term is
-    n^-1 (log n)^-(log_exponent p), one more power of the log with orlicz.
+    A finite head never matters; at exponent * p = 1 (to within 1e-12)
+    the term is n^-1 (log n)^-(log_exponent p), one more power of the log
+    with orlicz.
     """
     if isinstance(seq, Explicit):
         if seq.tail is None:
@@ -139,8 +140,10 @@ def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> Optio
             return None
     if seq.amplitude == 0.0:
         return True
+    # a ratio's exponent is a float difference: within rounding of 1/p it
+    # is the resonance, as in `_three_series_exact`
     rp = seq.exponent * p
-    if rp != 1.0:
+    if not math.isclose(rp, 1.0, rel_tol=1e-12):
         return rp > 1.0
     return _log_exponent(seq) * p > 1.0 + orlicz
 
@@ -295,13 +298,12 @@ class ThreeSeriesResult:
     traces: dict = field(default_factory=dict)
 
 
-# The truncated-moment tables: a uniform grid in log s from _TABLE_START,
-# whose steps and their midpoints are the density points; _TABLE_STEPS
-# steps, more where a step would be wider than _TABLE_MAX_STEP (2048
-# steps reach 1.3e12 with it)
+# Truncated-moment tables: a uniform grid of _TABLE_STEPS steps in log s
+# from _TABLE_START to the largest cut or the crossover x* of Bergström's
+# series, whichever comes first; the steps and their midpoints are the
+# density points
 _TABLE_START = 1e-3
 _TABLE_STEPS = 2048
-_TABLE_MAX_STEP = 0.017
 
 
 def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarray):
@@ -309,42 +311,38 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     [0, 1], m = q and 2q, for the standardised symmetric stable law at the
     cuts c = e^log_cut, taken as logs so that cuts past 1e308 keep their value.
 
-    P comes from the distribution function, and past the float range from
-    its tail term 2 k c^-alpha (k: the tail constant).  With
-    F(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F(t) e^(-mt), and
+    With F(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F(t) e^(-mt), and
     dG/dt = 2 s rho(s) - m G.  log F starts at _TABLE_START from the exact
     rho(0) s^(m+1)/(m+1) (rho is flat to O(s^2) at 0) and adds Simpson's
-    rule over each step of the grid, which ends at the largest finite cut,
-    by `np.logaddexp.accumulate`, so that neither F nor a step of it leaves
-    the float range; between nodes G is the cubic Hermite interpolant of G
-    and its derivative.  Where rho leaves the normal float range
-    (alpha < 2), log rho is its leading tail term alpha k s^-(alpha+1),
-    exact to double precision so far out.  Against mpmath at cuts 1 to
-    1e12, alpha in {0.7, 1.5, 1.9}, q = 1, the relative error is at most
-    1.7e-9, and the step bound keeps it so at larger cuts.  Below
+    rule over each step of the grid by `np.logaddexp.accumulate`, so that
+    neither F nor a step of it leaves the float range; between nodes G is
+    the cubic Hermite interpolant of G and its derivative.  The grid ends at
+    the largest finite cut or at the crossover x* of Bergström's series
+    (`_bergstrom`), whichever comes first.  Past x* rho is that series, so F
+    goes on termwise in closed form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha,
+    taken through expm1 so that d = 0 gives its limit a_k log(c/x*).  P is
+    `_symmetric_sf`.  Against mpmath at cuts 1 to 1e12, 1e100 and 1e300, alpha in {0.7,
+    1.5, 1.9}, q = 1, the relative error is at most 2e-11.  Below
     _TABLE_START G is 2 rho(0) c/(m+1); an infinite cut (a zero scale)
     gives G = 0.
     """
-    top = max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0)
+    tail = _bergstrom(alpha, 0.0)
     t0 = math.log(_TABLE_START)
-    steps = max(_TABLE_STEPS, math.ceil((top - t0) / _TABLE_MAX_STEP))
-    h = (top - t0) / steps
-    t = t0 + 0.5 * h * np.arange(2 * steps + 1)
-    with np.errstate(over="ignore"):  # inf past e^709, where rho is its tail term
-        rho = _standard_pdf(alpha, 0.0, np.exp(t))
-        cuts = np.exp(log_cuts)
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(rho)
-    if alpha < 2.0:
-        far = rho < np.finfo(float).tiny
-        log_rho[far] = math.log(alpha * _tail_constant(alpha)) - (alpha + 1.0) * t[far]
+    top = min(max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0),
+              tail.log_crossover)
+    h = (top - t0) / _TABLE_STEPS
+    t = t0 + 0.5 * h * np.arange(2 * _TABLE_STEPS + 1)
+    log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
     two_s_rho = 2.0 * np.exp(t[::2] + log_rho[::2])
     rho0 = math.gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
     # position of each cut on the grid: step i, fraction x of the step
     pos = (np.clip(log_cuts, t0, top) - t0) / h
-    i = np.clip(pos.astype(int), 0, steps - 1)
+    i = np.clip(pos.astype(int), 0, _TABLE_STEPS - 1)
     x = np.clip(pos - i, 0.0, 1.0)
     below = log_cuts < t0
+    past = (log_cuts > top) & (log_cuts < np.inf)
+    log_c = log_cuts[past]
+    delta = log_c - top
     ratios = []
     for m in (q, 2.0 * q):
         log_f = (m + 1.0) * t + log_rho
@@ -356,14 +354,18 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
         dg = h * (two_s_rho - m * g)
         value = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * g[i] + x * (1.0 - x) ** 2 * dg[i]
                  + x * x * (3.0 - 2.0 * x) * g[i + 1] - x * x * (1.0 - x) * dg[i + 1])
-        value[below] = 2.0 * rho0 * cuts[below] / (m + 1.0)
+        value[below] = 2.0 * rho0 * np.exp(log_cuts[below]) / (m + 1.0)
+        # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, each term's power
+        # taken at the end where it is largest
+        past_value = 2.0 * np.exp(log_big_f[-1] - m * log_c)
+        for k, a_k in enumerate(tail.coefficients, start=1):
+            d = m - k * alpha
+            span = delta if d == 0.0 else -np.expm1(-abs(d) * delta) / abs(d)
+            past_value += 2.0 * a_k * np.exp(d * (log_c if d > 0.0 else top) - m * log_c) * span
+        value[past] = past_value
         value[log_cuts == np.inf] = 0.0
         ratios.append(value)
-    survival = 2.0 * _standard_sf(alpha, 0.0, cuts)
-    if alpha < 2.0:  # the leading tail term again, past the float range
-        far = np.isinf(cuts) & (log_cuts < np.inf)
-        survival[far] = 2.0 * _tail_constant(alpha) * np.exp(-alpha * log_cuts[far])
-    return survival, ratios[0], ratios[1]
+    return 2.0 * _symmetric_sf(alpha, log_cuts), ratios[0], ratios[1]
 
 
 def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,

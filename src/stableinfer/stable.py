@@ -23,7 +23,10 @@ Gauss-Kronrod panels (`_gk_sum`), with QUADPACK's error estimate and
 QuadratureFailureError where it misses the tolerance: Nolan's (1997)
 finite-interval form of Zolotarev's integral for the densities and
 distribution functions without a closed form, the numeric fractional
-moments and the KL divergence.  The tolerance is fixed, absolute
+moments and the KL divergence.  Far in the tails the densities and
+distribution functions are Bergström's (1952) series instead
+(`_bergstrom`, for alpha != 1 or beta = 0), past a crossover computed from
+its coefficients.  The tolerance is fixed, absolute
 _ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
 `_good_enough`, applies it.  QUADPACK serves only the Fourier-inversion
 reference `_StandardNumericDensity`, kept for the tests, so
@@ -835,6 +838,60 @@ def _upper_lower(law: _Zolotarev, x: np.ndarray):
     return upper, lower, err
 
 
+# the terms of Bergström's series
+_TAIL_TERMS = 8
+
+
+class _FarTail(NamedTuple):
+    """Bergström's (1952) series for the upper tail of S(alpha, beta, 1, 0; 0),
+    alpha != 1 or beta = 0 (Zolotarev 1986, section 2.5): at y = x - zeta
+    past the crossover x*,
+
+        rho(x) = sum_k a_k y^(-k alpha - 1),  P[X > x] = sum_k a_k y^(-k alpha)/(k alpha),
+        a_k = (-1)^(k+1) Gamma(k alpha + 1) (1 + zeta^2)^(k/2) sin(k alpha (pi/2 + theta0)) / (pi k!),
+
+    k <= _TAIL_TERMS, zeta and theta0 as in `_Zolotarev`; it converges for
+    alpha < 1 and is asymptotic for alpha > 1.  x* is where the first
+    omitted term, its sine taken as 1, falls to 2^-53 of the leading term.
+    The lower tail is the upper tail of S(alpha, -beta) at -x.  alpha = 2
+    has no power tail (every a_k is 0), and its x* = 2 sqrt(1022 log 2) is
+    where the normal density and tail fall below 2^-1022."""
+
+    alpha: float
+    coefficients: np.ndarray  # a_1 ... a_K
+    log_crossover: float  # log x*
+
+    def __call__(self, log_y, want: str, y=None):
+        """The density ("pdf") or survival function ("sf") at y = e^log_y,
+        which may pass the float range; given y, the leading power is taken
+        of y itself, to the last bit."""
+        sf = want == "sf"
+        terms = self.coefficients / (np.arange(1, self.coefficients.size + 1) * self.alpha if sf else 1.0)
+        power = np.exp(-self.alpha * np.asarray(log_y))
+        total = terms[-1]
+        for term in terms[-2::-1]:
+            total = total * power + term
+        lead = self.alpha + (0.0 if sf else 1.0)
+        return (np.exp(-lead * log_y) if y is None else y ** -lead) * total
+
+
+def _bergstrom(alpha: float, beta: float) -> _FarTail:
+    """The far-tail series (`_FarTail`) of S(alpha, beta, 1, 0; 0)."""
+    if alpha == 2.0:
+        return _FarTail(alpha, np.zeros(1), math.log(2.0 * math.sqrt(1022.0 * math.log(2.0))))
+    tpa = math.tan(math.pi * alpha / 2.0)  # at alpha = 1 beta is 0, and so is zeta
+    zeta = -beta * tpa
+    # alpha (pi/2 + theta0) is psi, or psi + pi for alpha > 1, with psi from
+    # factors that keep their precision as 1 + beta -> 0, and so does a_1
+    psi = math.atan2((1.0 + beta) * tpa, 1.0 - beta * tpa * tpa)
+    k = np.arange(1.0, _TAIL_TERMS + 2.0)
+    log_size = (np.array([math.lgamma(j * alpha + 1.0) - math.lgamma(j + 1.0) for j in k])
+                + 0.5 * k * math.log1p(zeta * zeta) - math.log(math.pi))
+    a = (-1.0 if alpha > 1.0 else (-1.0) ** (k + 1.0)) * np.exp(log_size) * np.sin(k * psi)
+    log_crossover = (53.0 * math.log(2.0) + log_size[-1] - math.log(a[0])) / (_TAIL_TERMS * alpha)
+    return _FarTail(alpha, a[:-1], log_crossover)
+
+
 def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     """Density (`want` = "pdf") or survival function P[X > x] ("sf") of
     S(alpha, beta, 1, 0; 0) at every point of the flat array x, by Nolan's
@@ -843,8 +900,10 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     The survival function is (1/pi) Int (1 - e^-g) for alpha < 1 and for
     alpha = 1 with beta > 0, and (1/pi) Int e^-g for alpha > 1; alpha = 1
     with beta < 0 gives the distribution function at -x of the mirrored
-    law, (1/pi) Int e^-g again.  Raises QuadratureFailureError where an
-    error estimate misses the tolerance (`_good_enough`).
+    law, (1/pi) Int e^-g again.  For alpha != 1, points beyond the
+    crossover of Bergström's series (`_bergstrom`) take the series
+    instead.  Raises QuadratureFailureError where an error estimate misses
+    the tolerance (`_good_enough`).
     """
     val = np.empty_like(x)
     err = np.zeros_like(x)
@@ -867,18 +926,19 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
             if not pick.any():
                 continue
             xs = -x[pick] if mirror else x[pick]
+            y = xs - side.zeta
+            log_y = np.log(y)
+            tail = _bergstrom(alpha, -beta if mirror else beta)
+            far = log_y > tail.log_crossover
+            v, e = np.empty(y.shape), np.zeros(y.shape)
+            v[far] = tail(log_y[far], want, y[far])
+            near = ~far
             if want == "pdf":
-                with np.errstate(over="ignore"):
-                    denominator = math.pi * abs(alpha - 1.0) * (xs - side.zeta)
-                # past about 1e308 / (pi |alpha - 1|) the denominator
-                # overflows; dividing by its factors one at a time does not
-                scale = np.where(np.isinf(denominator),
-                                 alpha / (math.pi * abs(alpha - 1.0)) / (xs - side.zeta),
-                                 alpha / denominator)
-                v, e = _zolotarev_integral(side, xs, "g*exp(-g)", scale)
+                v[near], e[near] = _zolotarev_integral(
+                    side, xs[near], "g*exp(-g)", alpha / (math.pi * abs(alpha - 1.0) * y[near]))
             else:
-                upper, lower, e = _upper_lower(side, xs)
-                v = upper if alpha < 1.0 else lower
+                upper, lower, e[near] = _upper_lower(side, xs[near])
+                v[near] = upper if alpha < 1.0 else lower
                 if mirror:
                     v = 1.0 - v  # P[X > x] = 1 - P[X' > -x] for the mirrored X'
             val[pick], err[pick] = v, e
@@ -926,7 +986,8 @@ def _standard(alpha: float, beta: float, z, want: str):
     """Density ("pdf") or survival function ("sf") of S(alpha, beta, 1, 0; 0)
     at z: the limits 0 (and survival 1 at -inf) at infinite z, closed forms
     for the normal and the symmetric Cauchy law, the interpolation above
-    near alpha = 1, Nolan's integrals otherwise.  The survival function is
+    near alpha = 1, Nolan's integrals and, far out, Bergström's series
+    (`_zolotarev`) otherwise.  The survival function is
     clipped to [0, 1], which rounding in the integrals can leave by a few
     ulps of 0 or 1.  NaN points raise OutOfRangeError."""
     z = _points(z)
@@ -961,16 +1022,26 @@ def _standard(alpha: float, beta: float, z, want: str):
 
 
 def _standard_pdf(alpha: float, beta: float, z):
-    """Density of S(alpha, beta, 1, 0; 0): closed forms for the normal and
-    the symmetric Cauchy law, Nolan's integral otherwise."""
+    """Density of S(alpha, beta, 1, 0; 0) (`_standard`)."""
     return _standard(alpha, beta, z, "pdf")
 
 
 def _standard_sf(alpha: float, beta: float, z):
     """P[X > z] for X ~ S(alpha, beta, 1, 0; 0), accurate far into the
-    upper tail: closed forms for the normal and the symmetric Cauchy law,
-    Nolan's integral otherwise."""
+    upper tail (`_standard`)."""
     return _standard(alpha, beta, z, "sf")
+
+
+def _symmetric_sf(alpha: float, log_z: np.ndarray) -> np.ndarray:
+    """P[X > e^log_z] for X ~ S(alpha, 0, 1, 0; 0) at points given by their
+    logs, which may pass the float range: Bergström's series past its
+    crossover, `_standard_sf` within it."""
+    tail = _bergstrom(alpha, 0.0)
+    far = log_z > tail.log_crossover
+    out = np.empty(log_z.shape)
+    out[far] = tail(log_z[far], "sf")
+    out[~far] = _standard_sf(alpha, 0.0, np.exp(log_z[~far]))
+    return out
 
 
 def stable_pdf(params: StableParams, u):
@@ -981,8 +1052,9 @@ def stable_pdf(params: StableParams, u):
     for the whole array of points at once with a fixed Gauss-Kronrod
     rule on panels placed around the peak of the integrand; a point whose
     error estimate misses the fixed tolerance is integrated again on finer
-    panels and raises QuadratureFailureError if it still misses.  Within 4e-3 of alpha = 1, and of beta = 0 at
-    alpha = 1, where Nolan's forms lose precision, the value is
+    panels and raises QuadratureFailureError if it still misses; far in
+    the tails the density is Bergström's series.  Within 4e-3 of alpha = 1,
+    and of beta = 0 at alpha = 1, where Nolan's forms lose precision, the value is
     interpolated from laws at and beyond that distance.  The density is 0
     at u = +-inf; NaN points raise OutOfRangeError.  Requires gamma > 0.
     """
@@ -1121,7 +1193,8 @@ def truncated_cauchy_moments(gamma, a_cut: float) -> TruncatedCauchyMoments:
 # R = max(_MOMENT_BODY gamma, 2|delta|).
 _MOMENT_BODY = 1e4
 _MOMENT_FINEST = -24
-# tail nodes beyond this many gammas from delta take the leading tail term
+# tail nodes beyond this many gammas from delta take the leading tail term,
+# which is the survival function there to double precision for alpha >= 0.1
 _MOMENT_FAR = 1e250
 
 

@@ -228,6 +228,29 @@ class TestPosterior:
         z = normalization_constant(potential, gaussian_ensemble, y)
         assert post.z == z
 
+    def test_posterior_sums_its_weights_once(self, potential, gaussian_ensemble, monkeypatch):
+        # one pass forms and sums the weights, one sums the deviations behind
+        # Z's standard error; the measure takes the first pass's total
+        from stableinfer import OutOfRangeError, WeightedSampleMeasure, metrics
+
+        calls = []
+
+        def counted(n, fn):
+            calls.append(n)
+            return tree_sums(n, fn)
+
+        tree_sums = metrics._tree_sums
+        monkeypatch.setattr(bayes, "_tree_sums", counted)
+        monkeypatch.setattr(metrics, "_tree_sums", counted)
+        post = posterior(potential, gaussian_ensemble, np.array([0.3]))
+        assert calls == [gaussian_ensemble.n_samples] * 2
+        built = WeightedSampleMeasure(post.measure.reference_id, post.measure.weights.copy())
+        assert post.measure.normalization == built.normalization
+        assert post.measure.normalized().tobytes() == built.normalized().tobytes()
+        # a measure built by its caller still validates its weights
+        with pytest.raises(OutOfRangeError):
+            WeightedSampleMeasure("bad", np.array([1.0, -0.5]))
+
     @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "column", "list"])
     def test_raw_array_reference_id_is_the_sha1_of_its_bytes(self, potential, layout):
         base = np.linspace(-2.0, 2.0, 400).reshape(200, 2)

@@ -1,7 +1,10 @@
 """The package's outside users run against it: the benchmark's tracer
-binds every public name of every layer, and each demo script runs clean
-(the series diagnostics printing the text they always printed)."""
+binds every public name of every layer, each demo script runs clean
+(the series diagnostics printing the text they always printed), and
+`stableinfer run` writes the artifacts it always wrote for each config in
+demos/configs."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -46,3 +49,26 @@ def test_demo_runs(tmp_path, demo):
     if demo.stem == "series_diagnostics":
         # it prints every kind of sequences verdict, and prints it deterministically
         assert proc.stdout == (ROOT / "tests" / "series_diagnostics.stdout").read_text()
+
+
+CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_demo_config_artifacts_keep_their_digests(tmp_path, config):
+    # every artifact is a deterministic function of the config, so it keeps
+    # the digest in tests/demo_configs.sha256 (`sha256sum` format); the
+    # manifest, which records the wall time, is left out
+    proc = _run(["-W", "error::RuntimeWarning", "-m", "stableinfer.cli", "run", "--config",
+                 str(config), "--out", str(tmp_path / config.stem)], tmp_path, "src")
+    assert proc.returncode == 0, proc.stderr
+    want = {}
+    for line in (ROOT / "tests" / "demo_configs.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        if name.startswith(config.stem + "/"):
+            want[name] = digest
+    assert want
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
+    written = {f"{config.stem}/{p.name}" for p in (tmp_path / config.stem).iterdir()}
+    assert written - set(want) == {f"{config.stem}/manifest.json"}

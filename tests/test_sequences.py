@@ -272,6 +272,62 @@ class TestThreeSeries:
             want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
+    def test_truncated_moments_past_the_crossover_against_mpmath(self, alpha):
+        # past the crossover x* of Bergstrom's series the tables continue in
+        # closed form; at 1e300 a moment ratio below the float range is 0
+        from stableinfer.sequences import _symmetric_truncated_term_tables
+
+        cuts = np.array([1e100, 1e300])
+        _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, np.log(cuts))
+        for m, got in ((1, first), (2, second)):
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            for g, w in zip(got, want):
+                assert g == (pytest.approx(w, rel=1.7e-9) if w else 0.0)
+
+    def test_small_alpha_tables_past_the_crossover_against_mpmath(self):
+        # at alpha = 0.1 the crossover x* is about e^32, so the grid's steps are
+        # 0.019 wide in log s, wider than at any alpha above 0.12; q = 0.33
+        # keeps the oracle off the poles of Gamma(1 - m/alpha)
+        from stableinfer.sequences import _symmetric_truncated_term_tables
+
+        cuts = np.array([1e100, 1e300])
+        _, first, second = _symmetric_truncated_term_tables(0.1, 0.33, np.log(cuts))
+        for m, got in ((0.33, first), (0.66, second)):
+            want = [float(_truncated_moment(0.1, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            assert got == pytest.approx(want, rel=1.7e-9)
+
+    def test_survival_past_the_float_range_against_mpmath(self):
+        from stableinfer.sequences import _symmetric_truncated_term_tables
+
+        log_cuts = np.array([100.0, 300.0, 400.0]) * math.log(10.0)
+        survival = _symmetric_truncated_term_tables(0.7, 1.0, log_cuts)[0]
+        with mp.workdps(40):
+            want = [float(_tail_survival(0.7, mp.mpf(10) ** e)) for e in (100, 300, 400)]
+        assert survival == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_scale_table_stops_at_the_crossover(self, monkeypatch):
+        # gamma_n = 1e-300/n puts every cut past 1e300; the density grid stops
+        # at the crossover x* of Bergstrom's series, not at the largest cut
+        # (which would take about 82,000 points)
+        from stableinfer import sequences
+
+        points = []
+
+        def counted(alpha, beta, z):
+            points.append(np.size(z))
+            return pdf(alpha, beta, z)
+
+        pdf = sequences._standard_pdf
+        monkeypatch.setattr(sequences, "_standard_pdf", counted)
+        seq = PowerLaw(1e-300, 1.0)
+        out = three_series_check(seq, 1.9, 0.5, 1.0, depth=1024)
+        assert sum(points) <= 4097
+        gam = sequence_values(seq, 64)
+        for m, name in ((0.5, "s1"), (1.0, "s2")):
+            want = mp.fsum(mp.mpf(g) ** m * _truncated_moment(1.9, m, 1.0 / g) for g in gam)
+            assert out.traces[name][0] == pytest.approx(float(want), rel=1e-8, abs=0.0)
+
     def test_tiny_scales_keep_moment_terms(self):
         # gamma_n = 1e-200/n, alpha = 0.7, q = 1: gamma^2 underflows and the
         # density at the cuts 1e200 n leaves the float range; s2 was 0 and s1
@@ -363,6 +419,12 @@ class TestHilbertScale:
             hilbert_scale_membership(PowerLaw(1, 2), PowerLaw(0, 0),
                                      PowerLaw(1.0, -1.0), 1.0, 1.0)
 
+    def test_resonant_ratio_one_ulp_off(self):
+        # gamma_n / lambda_n = n^-0.5000000000000001, whose alpha = 2 power is n^-1
+        rep = hilbert_scale_membership(PowerLaw(1.0, 1.1), PowerLaw(0.0, 0.0),
+                                       PowerLaw(1.0, 0.6), 1.0, 2.0)
+        assert rep.gamma_condition is Membership.NOT_MEMBER
+
 
 class TestCameronMartinShift:
     def test_equal_sequences_not_member(self):
@@ -388,6 +450,15 @@ class TestCameronMartinShift:
             assert cameron_martin_shift_admissible(
                 PowerLogLaw(1.0, 3.0, -1.0), PowerLogLaw(1.0, 2.0, 3.0), probe_depth=depth
             ) is Membership.MEMBER
+
+    @pytest.mark.parametrize("h,gamma,expected", [
+        # (h/gamma)^2 = n^-1 with 1.1 - 0.6 = 0.5000000000000001: not in ell^2
+        (PowerLaw(1.0, 1.1), PowerLaw(1.0, 0.6), Membership.NOT_MEMBER),
+        # (h/gamma)^2 = n^-1 log^-2 n with 0.7 - 0.2 = 0.49999999999999994: in ell^2
+        (PowerLogLaw(1.0, 0.7, 1.0), PowerLaw(1.0, 0.2), Membership.MEMBER),
+    ])
+    def test_resonance_one_ulp_off(self, h, gamma, expected):
+        assert cameron_martin_shift_admissible(h, gamma) is expected
 
     def test_shift_against_vanishing_scale(self):
         with pytest.raises(DivisionByZeroScaleError):

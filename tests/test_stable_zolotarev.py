@@ -269,3 +269,80 @@ class TestProperties:
         batch = np.linspace(-60.0, 60.0, 3 * stable._CHUNK)
         batch[where] = z
         assert stable_pdf(p, batch)[where] == pytest.approx(stable_pdf(p, z), rel=1e-14, abs=1e-300)
+
+
+def _nolan_tail(alpha: float, beta: float, x: float):
+    """Density and survival function of S(alpha, beta, 1, 0; 0) at x > zeta,
+    alpha != 1, by Nolan's (1997) integrals in mpmath at 50 digits:
+
+        rho(x) = alpha / (pi |alpha - 1| y) Int g e^-g dtheta,
+        P[X > x] = (1/pi) Int e^-g dtheta (alpha > 1), (1/pi) Int (1 - e^-g) (alpha < 1),
+
+    y = x - zeta, g = y^(alpha/(alpha-1)) V(theta), theta in (-theta0, pi/2).
+    g crosses 1 where pi/2 - theta is about y^-alpha, so the integrals run
+    over u = log(pi/2 - theta), split around that point and taken relative
+    to e^u there (mpmath's convergence test is absolute)."""
+    with mp.workdps(50):
+        a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+        tpa = mp.tan(mp.pi * a / 2)
+        theta0 = mp.atan(b * tpa) / a
+        top = mp.log(mp.pi / 2 + theta0)
+        y, e = x + b * tpa, 1 / (a - 1)
+        head = a * e * mp.log(y) + e * mp.log(mp.cos(a * theta0))
+        peak = -a * mp.log(y)
+        memo = {}
+
+        def log_g(u):
+            # V in the distances s = pi/2 - theta and t = theta + theta0
+            if u not in memo:
+                s = mp.exp(u)
+                t = mp.exp(top) - s
+                memo[u] = None if t <= 0 else (
+                    head + e * mp.log(mp.sin(s)) - a * e * mp.log(mp.sin(a * t))
+                    + mp.log(mp.cos(theta0 + (a - 1) * t)))
+            return memo[u]
+
+        def density(u):
+            lg = log_g(u)
+            return 0 if lg is None else mp.exp(lg - mp.exp(lg) + u - peak)
+
+        def survival(u):
+            lg = log_g(u)
+            if lg is None:
+                return 0
+            g = mp.exp(lg)
+            return (-mp.expm1(-g) if a < 1 else mp.exp(-g)) * mp.exp(u - peak)
+
+        cuts = [u for u in (peak - 120, peak - 10, peak, peak + 10) if u < top] + [top]
+        return (a / (mp.pi * abs(a - 1) * y) * mp.quad(density, cuts) * mp.exp(peak),
+                mp.quad(survival, cuts) * mp.exp(peak) / mp.pi)
+
+
+class TestFarTailSeries:
+    """Past the crossover x* of Bergström's series the density and the
+    survival function are the series, not Nolan's integrals."""
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5])
+    def test_against_nolan_in_mpmath(self, alpha, beta):
+        zeta = -beta * math.tan(math.pi * alpha / 2.0)
+        crossover = math.exp(stable._bergstrom(alpha, beta).log_crossover)
+        for x in (zeta + crossover, zeta + 10.0 * crossover, 1e100):
+            pdf, sf = (float(v) for v in _nolan_tail(alpha, beta, x))
+            z = np.array([x])
+            assert stable._standard_pdf(alpha, beta, z)[0] == pytest.approx(pdf, rel=1e-13)
+            assert stable._standard_sf(alpha, beta, z)[0] == pytest.approx(sf, rel=1e-13)
+            # the lower tail of the mirrored law, by reflection
+            assert stable._standard_pdf(alpha, -beta, -z)[0] == pytest.approx(pdf, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.5, 1.99).filter(lambda a: abs(a - 1.0) >= stable._NEAR_ONE), _betas,
+           st.sampled_from([1.0, -1.0]))
+    def test_continuous_at_the_crossover(self, alpha, beta, side):
+        # y = x - zeta just below x* takes Nolan's integrals, just above the series
+        zeta = -side * beta * math.tan(math.pi * alpha / 2.0)  # of the law on this side
+        y = math.exp(stable._bergstrom(alpha, side * beta).log_crossover) * np.array(
+            [1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40])
+        z = side * (zeta + y)
+        for values in (stable._standard_pdf(alpha, beta, z), stable._standard_sf(alpha, beta, z)):
+            assert values[1] == pytest.approx(values[0], rel=1e-10)
