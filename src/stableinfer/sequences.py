@@ -8,6 +8,8 @@ integral test gives the exact answer where the tail is a closed form,
 and otherwise partial sums are probed at doubling depths, a finite-depth
 diagnostic, not a proof.  Summability reports probe explicit data with a
 tail; memberships of a ratio are exact only when both sides are closed.
+The three-series terms come from `stable` (the truncated Cauchy moments
+and the symmetric law's tables); this module evaluates no stable law.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DivisionByZeroScaleError, OutOfRangeError
-from .stable import _bergstrom, _standard_pdf, _symmetric_sf, truncated_cauchy_moments
+from .stable import _symmetric_truncated_term_tables, truncated_cauchy_moments
 
 __all__ = [
     "PowerLaw",
@@ -296,76 +298,6 @@ class ThreeSeriesResult:
     failing_series: tuple = ()
     depths: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     traces: dict = field(default_factory=dict)
-
-
-# Truncated-moment tables: a uniform grid of _TABLE_STEPS steps in log s
-# from _TABLE_START to the largest cut or the crossover x* of Bergström's
-# series, whichever comes first; the steps and their midpoints are the
-# density points
-_TABLE_START = 1e-3
-_TABLE_STEPS = 2048
-
-
-def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarray):
-    """P[|u| > c] and the bounded ratios G_m(c) = E[|u|^m; |u| <= c] / c^m in
-    [0, 1], m = q and 2q, for the standardised symmetric stable law at the
-    cuts c = e^log_cut, taken as logs so that cuts past 1e308 keep their value.
-
-    With F(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F(t) e^(-mt), and
-    dG/dt = 2 s rho(s) - m G.  log F starts at _TABLE_START from the exact
-    rho(0) s^(m+1)/(m+1) (rho is flat to O(s^2) at 0) and adds Simpson's
-    rule over each step of the grid by `np.logaddexp.accumulate`, so that
-    neither F nor a step of it leaves the float range; between nodes G is
-    the cubic Hermite interpolant of G and its derivative.  The grid ends at
-    the largest finite cut or at the crossover x* of Bergström's series
-    (`_bergstrom`), whichever comes first.  Past x* rho is that series, so F
-    goes on termwise in closed form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha,
-    taken through expm1 so that d = 0 gives its limit a_k log(c/x*).  P is
-    `_symmetric_sf`.  Against mpmath at cuts 1 to 1e12, 1e100 and 1e300, alpha in {0.7,
-    1.5, 1.9}, q = 1, the relative error is at most 2e-11.  Below
-    _TABLE_START G is 2 rho(0) c/(m+1); an infinite cut (a zero scale)
-    gives G = 0.
-    """
-    tail = _bergstrom(alpha, 0.0)
-    t0 = math.log(_TABLE_START)
-    top = min(max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0),
-              tail.log_crossover)
-    h = (top - t0) / _TABLE_STEPS
-    t = t0 + 0.5 * h * np.arange(2 * _TABLE_STEPS + 1)
-    log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
-    two_s_rho = 2.0 * np.exp(t[::2] + log_rho[::2])
-    rho0 = math.gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
-    # position of each cut on the grid: step i, fraction x of the step
-    pos = (np.clip(log_cuts, t0, top) - t0) / h
-    i = np.clip(pos.astype(int), 0, _TABLE_STEPS - 1)
-    x = np.clip(pos - i, 0.0, 1.0)
-    below = log_cuts < t0
-    past = (log_cuts > top) & (log_cuts < np.inf)
-    log_c = log_cuts[past]
-    delta = log_c - top
-    ratios = []
-    for m in (q, 2.0 * q):
-        log_f = (m + 1.0) * t + log_rho
-        log_steps = math.log(h / 6.0) + np.logaddexp(
-            np.logaddexp(log_f[:-2:2], log_f[2::2]), math.log(4.0) + log_f[1::2])
-        log_start = math.log(rho0 / (m + 1.0)) + (m + 1.0) * t0
-        log_big_f = np.logaddexp.accumulate(np.concatenate([[log_start], log_steps]))
-        g = 2.0 * np.exp(log_big_f - m * t[::2])
-        dg = h * (two_s_rho - m * g)
-        value = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * g[i] + x * (1.0 - x) ** 2 * dg[i]
-                 + x * x * (3.0 - 2.0 * x) * g[i + 1] - x * x * (1.0 - x) * dg[i + 1])
-        value[below] = 2.0 * rho0 * np.exp(log_cuts[below]) / (m + 1.0)
-        # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, each term's power
-        # taken at the end where it is largest
-        past_value = 2.0 * np.exp(log_big_f[-1] - m * log_c)
-        for k, a_k in enumerate(tail.coefficients, start=1):
-            d = m - k * alpha
-            span = delta if d == 0.0 else -np.expm1(-abs(d) * delta) / abs(d)
-            past_value += 2.0 * a_k * np.exp(d * (log_c if d > 0.0 else top) - m * log_c) * span
-        value[past] = past_value
-        value[log_cuts == np.inf] = 0.0
-        ratios.append(value)
-    return 2.0 * _symmetric_sf(alpha, log_cuts), ratios[0], ratios[1]
 
 
 def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,

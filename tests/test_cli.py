@@ -381,6 +381,15 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_tiny_alpha_three_series_exits_without_a_traceback(self, tmp_path, capsys):
+        # below alpha ~ 1/170.6 the density at 0, Gamma(1 + 1/alpha)/pi, passes
+        # the float range; it raised OverflowError
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text("three_series", {
+            "sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+            "alpha": 0.005, "q": 1.0, "threshold": 1.0, "depth": 1024}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 3)
+
     @pytest.mark.parametrize("cfg", DEMO_CONFIGS, ids=[c.stem for c in DEMO_CONFIGS])
     def test_repeated_runs_are_byte_identical(self, tmp_path, cfg):
         manifests = []

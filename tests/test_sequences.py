@@ -235,7 +235,7 @@ class TestThreeSeries:
     def test_stable_survival_against_series(self):
         # P[|u| > c] for the symmetric alpha = 1.5 law in mpmath: 1 - 2 int_0^c f
         # by its convergent power series below 8, by the asymptotic tail series above
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         alpha = mp.mpf(3) / 2
         cuts = np.array([0.5, 2.0, 20.0, 1000.0])
@@ -264,7 +264,7 @@ class TestThreeSeries:
     def test_truncated_moments_against_mpmath(self, alpha):
         # the tables were capped at cut 1e8 and good to a few parts in 1e6;
         # they hold the moments over cut^m
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1.0, 1e4, 1e8, 1e12])
         _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, np.log(cuts))
@@ -276,7 +276,7 @@ class TestThreeSeries:
     def test_truncated_moments_past_the_crossover_against_mpmath(self, alpha):
         # past the crossover x* of Bergstrom's series the tables continue in
         # closed form; at 1e300 a moment ratio below the float range is 0
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1e100, 1e300])
         _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, np.log(cuts))
@@ -289,7 +289,7 @@ class TestThreeSeries:
         # at alpha = 0.1 the crossover x* is about e^32, so the grid's steps are
         # 0.019 wide in log s, wider than at any alpha above 0.12; q = 0.33
         # keeps the oracle off the poles of Gamma(1 - m/alpha)
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1e100, 1e300])
         _, first, second = _symmetric_truncated_term_tables(0.1, 0.33, np.log(cuts))
@@ -298,7 +298,7 @@ class TestThreeSeries:
             assert got == pytest.approx(want, rel=1.7e-9)
 
     def test_survival_past_the_float_range_against_mpmath(self):
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         log_cuts = np.array([100.0, 300.0, 400.0]) * math.log(10.0)
         survival = _symmetric_truncated_term_tables(0.7, 1.0, log_cuts)[0]
@@ -310,7 +310,7 @@ class TestThreeSeries:
         # gamma_n = 1e-300/n puts every cut past 1e300; the density grid stops
         # at the crossover x* of Bergstrom's series, not at the largest cut
         # (which would take about 82,000 points)
-        from stableinfer import sequences
+        from stableinfer import stable
 
         points = []
 
@@ -318,8 +318,8 @@ class TestThreeSeries:
             points.append(np.size(z))
             return pdf(alpha, beta, z)
 
-        pdf = sequences._standard_pdf
-        monkeypatch.setattr(sequences, "_standard_pdf", counted)
+        pdf = stable._standard_pdf
+        monkeypatch.setattr(stable, "_standard_pdf", counted)
         seq = PowerLaw(1e-300, 1.0)
         out = three_series_check(seq, 1.9, 0.5, 1.0, depth=1024)
         assert sum(points) <= 4097
@@ -364,7 +364,7 @@ class TestThreeSeries:
     def test_tiny_scales_give_bounded_tables(self, alpha, q, log_scale, a_cut):
         # the terms are P[|u| > cut], A G_q(cut) and A^2 G_2q(cut), so with
         # every tabulated value in [0, 1] each term is finite and >= 0
-        from stableinfer.sequences import _symmetric_truncated_term_tables
+        from stableinfer.stable import _symmetric_truncated_term_tables
 
         log_cuts = math.log(a_cut) / q - log_scale * math.log(10.0) + np.log(np.arange(1.0, 1001.0))
         for table in _symmetric_truncated_term_tables(alpha, q, log_cuts):

@@ -103,6 +103,50 @@ class TestFractionalMoment:
         out = fractional_moment(validate_params(alpha, beta, 1.0, delta), p)
         assert out.value == pytest.approx(body + right + left, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha,beta,gamma,delta,p", [
+        (0.7, -0.5, 2.0, 1.0, 0.5), (0.7, -0.5, 1.0, 0.5, 0.3), (0.6, -0.8, 1.0, 0.3, 0.5)])
+    def test_skewed_numeric_path_against_quadrature(self, alpha, beta, gamma, delta, p):
+        # as above, with breakpoints at 0, delta and delta + gamma zeta, where
+        # Nolan's integrals switch sides
+        from stableinfer.stable import _standard_pdf, _standard_sf
+
+        def quad(f, lo, hi):
+            return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+
+        def sf(skew, x):
+            return float(_standard_sf(alpha, skew, x / gamma))
+
+        L = 1e3
+        switch = delta - beta * gamma * math.tan(math.pi * alpha / 2.0)
+        cuts = sorted([-L, 0.0, delta, switch, L])
+        body = sum(quad(lambda u: abs(u) ** p * float(_standard_pdf(alpha, beta, (u - delta) / gamma))
+                        / gamma, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        right = L ** p * sf(beta, L - delta) + quad(
+            lambda u: p * u ** (p - 1) * sf(beta, u - delta), L, np.inf)
+        left = L ** p * sf(-beta, L + delta) + quad(
+            lambda u: p * u ** (p - 1) * sf(-beta, u + delta), L, np.inf)
+        out = fractional_moment(validate_params(alpha, beta, gamma, delta), p)
+        assert out.value == pytest.approx(body + right + left, rel=1e-8)
+
+    def test_skewed_alpha_one_moment_near_one(self):
+        # p = 0.9 puts the tail nodes past 1e15, where the alpha = 1 survival
+        # function once stopped following the tail.  The oracle integrates
+        # p r^(p-1) P[|u| > r] in log r up to R = 1e12; beyond R, P[|u| > r]
+        # is 2/(pi r) to a relative O(log R/R + delta/R), which integrates to
+        # 2 p R^(p-1)/(pi (1 - p))
+        from stableinfer.stable import _standard_sf
+
+        beta, delta, p, big = 0.4, 3.0, 0.9, 1e12
+
+        def tails(r):
+            return float(_standard_sf(1.0, beta, r - delta) + _standard_sf(1.0, -beta, r + delta))
+
+        near = integrate.quad(lambda s: p * math.exp(p * s) * tails(math.exp(s)), -60.0,
+                              math.log(big), epsabs=0.0, epsrel=1e-11, limit=400)[0]
+        far = 2.0 * p * big ** (p - 1.0) / (math.pi * (1.0 - p))
+        out = fractional_moment(validate_params(1.0, beta, 1.0, delta), p)
+        assert out.value == pytest.approx(near + far, rel=1e-8)
+
     @pytest.mark.parametrize("delta,gamma,p", [(0.7, 1.0, 0.5), (-3.0, 0.4, 1.7),
                                                (25.0, 1.0, 3.0), (1e-3, 2.0, 0.1)])
     def test_gaussian_closed_form_against_mpmath(self, delta, gamma, p):

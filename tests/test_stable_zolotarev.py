@@ -91,6 +91,15 @@ class TestAgainstOracles:
         assert sf == pytest.approx(c * (1.0 + beta) * x ** -alpha, rel=1e-9)
 
 
+    @pytest.mark.parametrize("beta", [0.4, 0.125, -0.125, 0.9, 0.01])
+    def test_alpha_one_survival_follows_the_tail(self, beta):
+        # P[X > z] = (1 + beta)/(pi z) + O(log z/z^2): the leading term is the
+        # survival function to double precision at these z
+        z = np.array([1e20, 1e50, 1e100])
+        sf = stable._standard_sf(1.0, beta, z)
+        assert sf == pytest.approx((1.0 + beta) / (math.pi * z), rel=1e-14, abs=0.0)
+
+
 _PARITY_ALPHAS = [0.5, 0.8, 0.99, 1.0, 1.01, 1.3, 1.5, 1.7, 1.95]
 _PARITY_LAWS = [(a, b) for a in _PARITY_ALPHAS for b in (0.0, 0.5, -0.9) if not (a == 1.0 and b == 0.0)]
 _PARITY_Z = np.array([s * v for v in (0.1, 0.3, 1.0, 2.5, 6.0, 15.0, 50.0) for s in (1.0, -1.0)])
@@ -221,6 +230,18 @@ class TestLimits:
         big = np.finfo(float).max
         pdf = stable._standard_pdf(0.01, beta, np.array([big]))[0]
         assert pdf == pytest.approx(stable.tail_asymptote(p, big).pdf, rel=1e-2)
+
+    def test_tiny_alpha_raises_no_overflow(self):
+        # Gamma(1 + 1/alpha), which the density at zeta takes, passes the
+        # float range below alpha ~ 1/170.6; it raised OverflowError at every
+        # point.  The density at zeta is then inf, its rounded value; away
+        # from zeta the quadrature may still miss its tolerance
+        p = validate_params(0.005, 0.0, 1.0, 0.0)
+        try:
+            stable_pdf(p, [1.0])
+        except QuadratureFailureError:
+            pass
+        assert stable_pdf(p, [0.0]).tolist() == [math.inf]
 
     def test_three_series_with_infinite_cuts_has_no_negative_sum(self):
         from stableinfer.sequences import PowerLaw, three_series_check
