@@ -65,7 +65,8 @@ print("\n=== fractional moment of the field norm, gamma_n = n^-2 ===")
 spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 2.0), EuclideanSequence(q=1.0), 256)
 ens = sample_coefficients(spec, 10 ** 5, seed=6001)
 out = flom_estimate(ens, p=0.5, q=1.0)
-print(f"  E ||u||^(1/2) ~ {out.estimate:.4f} +- {out.stderr:.4f}")
+print(f"  E ||u||^(1/2) ~ {out.estimate:.4f} (tail index alpha/p = {out.tail_index:g})")
+print(f"  no error bar: {out.stderr_reason}")
 print("  truncation trace (should contract):")
 for n_trunc, est in out.truncation_trace:
     print(f"    N = {n_trunc:3d}: {est:.5f}")

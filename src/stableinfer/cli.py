@@ -13,11 +13,16 @@ list with hashes, wall time, config hash).  Identical configs produce
 byte-identical numeric artifacts; every CSV carries a comment line with
 the config hash and seed.  Exit codes: 0 success, 2 config error,
 3 runtime/numeric failure.
+
+Importing this module loads numpy and, of the package, `errors`, `rng`,
+`stable` and `ensemble_io` only.  The other layers an experiment kind
+runs on (`sequences`, `series`, `metrics`, `bayes`, `gof`) are imported
+by the kind's parser, that is, while its config is validated; so `run`
+loads no module of the package and its time is the experiment's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -30,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import bayes, ensemble_io, gof, metrics, sequences, series, stable
+from . import ensemble_io, stable
 from .errors import ConfigError, StableInferError
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main", "EXPERIMENT_KINDS"]
@@ -120,6 +125,8 @@ class _Params:
 
 
 def _parse_sequence(obj, where: str):
+    from . import sequences
+
     if not isinstance(obj, dict):
         return sequences.PowerLaw(_number(obj, where), 0.0)
     r = _Params(obj, where)
@@ -137,6 +144,8 @@ def _parse_sequence(obj, where: str):
 
 
 def _parse_basis(obj, where: str):
+    from . import series
+
     if obj is None:
         return series.EuclideanSequence(q=2.0)
     r = _Params(obj, where)
@@ -153,7 +162,9 @@ def _parse_basis(obj, where: str):
                       "(expected euclidean | haar | hat | eigen)")
 
 
-def _parse_prior(obj, where: str) -> series.StableFieldSpec:
+def _parse_prior(obj, where: str):
+    from . import series
+
     r = _Params(obj, where)
     return series.StableFieldSpec.make(
         r.read("alpha", _number), r.read("gamma", _parse_sequence),
@@ -164,13 +175,20 @@ def _parse_prior(obj, where: str) -> series.StableFieldSpec:
     )
 
 
+# A kind's parser imports every module its runner uses (see the module
+# docstring); the runner's own import then finds it loaded.
+
 def _parse_figure2(r: _Params) -> None:
+    from . import series  # noqa: F401
+
     r.read("levels", _integer, 10)
     r.read("n_samples", _integer, 20)
     r.read("grid_size", _integer, 2 ** 14)
 
 
 def _parse_projection_demo(r: _Params) -> None:
+    from . import gof  # noqa: F401
+
     r.read("gamma", _number, 1.0, low=0)
     r.read("delta", _number, 0.0)
     r.read("n", _integer, 10 ** 5)
@@ -207,6 +225,8 @@ def _parse_flom(r: _Params) -> None:
 
 def _parse_posterior(r: _Params) -> None:
     """Prior ensemble, Gaussian-noise potential (identity forward map), data y."""
+    from . import bayes, metrics
+
     dim = r.read("prior", _parse_prior).truncation
     r.read("n_samples", _integer, 10 ** 5)
     r.inputs.potential = bayes.gaussian_additive_potential(
@@ -291,6 +311,8 @@ def _write_table_and_report(out: Path, comment: str, table: str, columns, rows,
 
 
 def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import series
+
     x = cfg.inputs
     files = []
     extreme = {}  # max |c| per family; each gallery is freed once written
@@ -322,6 +344,8 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_projection_demo(cfg: ExperimentConfig, out: Path, comment: str, kind: str):
+    from . import gof
+
     x = cfg.inputs
     if kind == "radial":
         draws = stable.sample_cauchy_via_circle(x.gamma, x.n, cfg.seed) + x.delta
@@ -338,6 +362,8 @@ def _run_projection_demo(cfg: ExperimentConfig, out: Path, comment: str, kind: s
 
 
 def _run_three_series(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import sequences
+
     x = cfg.inputs
     result = sequences.three_series_check(x.sequence, x.alpha, x.q, x.threshold, depth=x.depth)
     rows = np.column_stack([
@@ -354,6 +380,8 @@ def _run_three_series(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_summability(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import sequences
+
     x = cfg.inputs
     rep = sequences.summability_report(x.sequence, x.alpha, x.q, probe_depth=x.probe_depth)
     rows = np.column_stack([rep.depths, rep.alpha_partial_sums, rep.orlicz_partial_sums])
@@ -367,6 +395,8 @@ def _run_summability(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import series
+
     x = cfg.inputs
     # sampled and reduced one row block at a time: the rows are never all held
     est = series.sampled_flom_estimate(x.prior, x.n_samples, cfg.seed, x.p, x.q)
@@ -374,11 +404,14 @@ def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
         out, comment, "truncation_trace.csv", ["truncation", "estimate"],
         np.asarray(est.truncation_trace), "flom.json", {
             "estimate": est.estimate, "stderr": est.stderr,
+            "stderr_reason": est.stderr_reason, "tail_index": est.tail_index,
             "truncation_trace": [[int(n), v] for n, v in est.truncation_trace],
         })
 
 
 def _run_bayes_run(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import bayes, series
+
     x = cfg.inputs
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
     post = bayes.posterior(x.potential, ens, x.y)
@@ -394,6 +427,8 @@ def _run_bayes_run(cfg: ExperimentConfig, out: Path, comment: str):
 
 
 def _run_data_sweep(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import bayes, series
+
     x = cfg.inputs
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
     report = bayes.data_lipschitz_sweep(x.potential, ens, x.y, x.epsilons, x.direction)
@@ -409,6 +444,8 @@ def _write_sweep(out: Path, comment: str, report, size: str, name: str) -> list:
 
 
 def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
+    from . import bayes, metrics, series
+
     x = cfg.inputs
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
     # every approximate misfit is evaluated on this ensemble, so the
@@ -504,6 +541,8 @@ def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stableinfer",
         description="Heavy-tailed stable field sampling and Bayesian "

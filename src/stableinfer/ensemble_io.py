@@ -39,12 +39,14 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .series import FieldEnsemble
+
+if TYPE_CHECKING:  # an annotation only: writing a CSV table loads no sampler
+    from .series import FieldEnsemble
 
 __all__ = ["MAGIC", "write_sfe1", "read_sfe1", "write_matrix_csv"]
 

@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AlphaMismatchError",
+    "ConfigError",
+    "DegenerateWeightsError",
+    "DimensionMismatchError",
+    "DivisionByZeroScaleError",
+    "InvalidMomentOrderError",
+    "InvalidSpecError",
+    "MismatchedReferenceError",
+    "MomentOrderTooHighError",
+    "OutOfRangeError",
+    "QuadratureFailureError",
+    "StableInferError",
+    "ZeroScaleError",
+]
+
 
 class StableInferError(Exception):
     """Base class for all errors raised by stableinfer."""

@@ -58,7 +58,10 @@ def uniform_block(seed, n_samples: int, n_coefficients: int) -> np.ndarray:
 
 def uniform_rows(seed, row_start: int, row_stop: int, n_coefficients: int) -> np.ndarray:
     """Uniforms for sample rows [row_start, row_stop), bitwise equal to the
-    corresponding slice of `uniform_block`."""
+    corresponding slice of `uniform_block`.
+
+    The result is a view into the drawn buffer, not a copy: with an odd
+    n_coefficients, whose rows are padded, it is strided."""
     n_rows = row_stop - row_start
     if n_rows <= 0 or n_coefficients <= 0:
         return np.empty((max(n_rows, 0), max(n_coefficients, 0), 2))
@@ -69,4 +72,4 @@ def uniform_rows(seed, row_start: int, row_stop: int, n_coefficients: int) -> np
         bg.advance(row_start * bpr)
     raw = np.random.Generator(bg).random(n_rows * stride)
     raw = raw.reshape(n_rows, stride)[:, : 2 * n_coefficients]
-    return np.ascontiguousarray(raw.reshape(n_rows, n_coefficients, 2))
+    return raw.reshape(n_rows, n_coefficients, 2)

@@ -454,8 +454,10 @@ def wavelet_gallery_ensemble(family: str, levels: int, n_samples: int, seed: int
 @dataclass
 class FlomEstimate:
     estimate: float
-    stderr: float
+    stderr: Optional[float]  # None, for stderr_reason, when Var ||u||^p is infinite
     truncation_trace: tuple  # ((N, estimate), ...) at N/4, N/2, N
+    tail_index: Optional[float]  # alpha / p for alpha < 2 (P(||u||^p > x) ~ C x^-(alpha/p))
+    stderr_reason: Optional[str]
 
 
 def _flom(alpha: float, blocks, n_rows: int, n_total: int, p: float,
@@ -479,11 +481,17 @@ def _flom(alpha: float, blocks, n_rows: int, n_total: int, p: float,
     trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
     est = trace[-1][1]
     vals = stats[-1]
+    tail_index = alpha / p if alpha < 2.0 else None
+    stderr, reason = 0.0, None  # constant statistic (e.g. location-only field)
     if vals.size > 1 and vals.max() > vals.min():
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    else:
-        stderr = 0.0  # constant statistic (e.g. location-only field)
-    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace))
+        if tail_index is not None and tail_index <= 2.0:
+            stderr, reason = None, (
+                f"Var ||u||^p is infinite for 2p = {2 * p:g} >= alpha = {alpha:g}, so the "
+                "sample deviation over sqrt(n) is no standard error")
+        else:
+            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace),
+                        tail_index=tail_index, stderr_reason=reason)
 
 
 def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
@@ -495,6 +503,11 @@ def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
     computed at quarter and half truncation as a convergence trace: the
     partial sums converge in p-th mean, so successive differences should
     shrink.
+
+    ||u||^p has tail index alpha/p when alpha < 2.  The standard error,
+    the sample deviation over sqrt(n), is reported only where that index
+    exceeds 2; at 2p >= alpha the variance is infinite, and `stderr` is
+    None with the reason in `stderr_reason`.
     """
     coeffs = ensemble.coefficients
     n_rows, n_total = coeffs.shape

@@ -261,9 +261,26 @@ class TestRunExperiments:
                                                 "n_samples": 1000}))
         run(cfg, tmp_path)
         report = json.loads((tmp_path / "flom.json").read_text())
-        want = flom_estimate(sample_coefficients(cfg.inputs.prior, 1000, cfg.seed), 0.5, 0.5)
+        ens = sample_coefficients(cfg.inputs.prior, 1000, cfg.seed)
+        want = flom_estimate(ens, 0.5, 0.5)
         assert (report["estimate"], report["stderr"]) == (want.estimate, want.stderr)
         assert report["truncation_trace"] == [[n, v] for n, v in want.truncation_trace]
+        # the benchmark's setting: tail index 3, so the textbook standard
+        # error stands, to the bit
+        vals = metrics.rowwise_quasi_norm(ens.coefficients, metrics.QuasiNormSpec(0.5)) ** 0.5
+        assert report["stderr"].hex() == float(vals.std(ddof=1) / math.sqrt(1000)).hex()
+        assert (report["tail_index"], report["stderr_reason"]) == (3.0, None)
+
+    def test_flom_reports_no_stderr_when_the_variance_is_infinite(self, tmp_path):
+        prior = {"alpha": 1.5, "gamma": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+                 "truncation": 16}
+        cfg = validate_config(cfg_text("flom", {"prior": prior, "p": 1.0, "n_samples": 1000}))
+        run(cfg, tmp_path)
+        report = json.loads((tmp_path / "flom.json").read_text())
+        assert report["stderr"] is None and "infinite" in report["stderr_reason"]
+        assert report["tail_index"] == 1.5
+        want = flom_estimate(sample_coefficients(cfg.inputs.prior, 1000, cfg.seed), 1.0, 1.0)
+        assert report["estimate"] == want.estimate
 
     @pytest.mark.parametrize("n,truncation", [(20_000, 64), (80_000, 64), (20_000, 256)])
     def test_flom_working_memory_does_not_grow_with_the_ensemble(

@@ -367,10 +367,18 @@ class TestGallery:
 
 class TestFlom:
     def test_single_term_cauchy_half_moment(self):
+        # |X|^(1/2) of a standard Cauchy X has tail index 2, so its variance
+        # is infinite and no standard error is reported.  The mean of n
+        # draws then errs by about sqrt(E[|X|; |X| < n] / n), the truncated
+        # second moment being (1/pi) log(1 + n^2)
+        n = 10 ** 5
         spec = StableFieldSpec.make(1.0, Explicit((1.0,)), EuclideanSequence(q=1.0), 1)
-        ens = sample_coefficients(spec, 10 ** 5, 55)
+        ens = sample_coefficients(spec, n, 55)
         out = flom_estimate(ens, 0.5, 1.0)
-        assert abs(out.estimate - math.sqrt(2.0)) < 3.0 * out.stderr
+        assert out.stderr is None and "infinite" in out.stderr_reason
+        assert out.tail_index == 2.0
+        spread = math.sqrt(math.log1p(float(n) ** 2) / math.pi / n)
+        assert abs(out.estimate - math.sqrt(2.0)) < 3.0 * spread
 
     def test_location_only_field_is_exact(self):
         spec = StableFieldSpec.make(
@@ -408,7 +416,12 @@ class TestFlom:
             trace.append((k, float(vals.mean()).hex()))
         assert [(k, e.hex()) for k, e in out.truncation_trace] == trace
         assert out.estimate.hex() == trace[-1][1]
-        assert out.stderr.hex() == float(vals.std(ddof=1) / math.sqrt(n)).hex()
+        assert out.tail_index == 1.5 / p
+        if 2 * p >= 1.5:  # Var ||u||^p is infinite
+            assert out.stderr is None and out.stderr_reason
+        else:
+            assert out.stderr.hex() == float(vals.std(ddof=1) / math.sqrt(n)).hex()
+            assert out.stderr_reason is None
 
     def test_working_memory_does_not_grow_with_the_ensemble(self, traced_peak):
         # beyond its input, the estimator holds the three n-length
@@ -441,7 +454,9 @@ class TestFlom:
         got = sampled_flom_estimate(spec, n, seed, p, q)
         assert [(k, e.hex()) for k, e in got.truncation_trace] == \
             [(k, e.hex()) for k, e in want.truncation_trace]
-        assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
+        bits = lambda x: None if x is None else x.hex()  # noqa: E731
+        assert (got.estimate.hex(), bits(got.stderr), got.stderr_reason, got.tail_index) == \
+            (want.estimate.hex(), bits(want.stderr), want.stderr_reason, want.tail_index)
 
     def test_streamed_estimate_warns_once_and_checks_the_order(self):
         spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 0.5), EuclideanSequence(q=1.0), 4)
