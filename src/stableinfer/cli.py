@@ -181,7 +181,7 @@ def _parse_prior(obj, where: str):
 def _parse_figure2(r: _Params) -> None:
     from . import series  # noqa: F401
 
-    r.read("levels", _integer, 10)
+    r.read("levels", _integer, 10, high=_MAX_LEVELS)
     r.read("n_samples", _integer, 20)
     r.read("grid_size", _integer, 2 ** 14)
 
@@ -194,33 +194,28 @@ def _parse_projection_demo(r: _Params) -> None:
     r.read("n", _integer, 10 ** 5)
 
 
+def _parse_sequence_test(r: _Params, depth: str) -> None:
+    """The sequence, alpha and q of a sequence test, and its depth, read as
+    `depth` and no less than `sequences` accepts."""
+    from . import sequences
+
+    r.read("sequence", _parse_sequence)
+    r.read("alpha", _number, low=0, high=2)
+    r.read("q", _number, 1.0, low=0)
+    r.read(depth, _integer, 2 ** 14, low=sequences._MIN_PROBE_DEPTH)
+
+
 def _parse_three_series(r: _Params) -> None:
-    r.read("sequence", _parse_sequence)
-    r.read("alpha", _number, low=0, high=2)
-    r.read("q", _number, 1.0, low=0)
+    _parse_sequence_test(r, "depth")
     r.read("threshold", _number, 1.0, low=0)
-    r.read("depth", _integer, 2 ** 14)
-
-
-def _parse_summability(r: _Params) -> None:
-    r.read("sequence", _parse_sequence)
-    r.read("alpha", _number, low=0, high=2)
-    r.read("q", _number, 1.0, low=0)
-    r.read("probe_depth", _integer, 2 ** 14)
 
 
 def _parse_flom(r: _Params) -> None:
+    from . import series
+
     alpha = r.read("prior", _parse_prior).alpha
     r.read("n_samples", _integer, 10 ** 5)
-    p, q = r.read("p", _number), r.read("q", _number, 1.0)
-    if alpha < 2.0 and p >= alpha:
-        raise ConfigError(
-            f"{r.where}: p={p} >= alpha={alpha}; fractional moments "
-            "of order at or above the stability index are infinite, so "
-            "the estimator cannot converge (need p < alpha)"
-        )
-    if not 0 < p <= q:
-        raise ConfigError(f"{r.where}: need 0 < p <= q, got p={p}, q={q}")
+    series._check_flom_orders(alpha, r.read("p", _number), r.read("q", _number, 1.0))
 
 
 def _parse_posterior(r: _Params) -> None:
@@ -483,7 +478,7 @@ _EXPERIMENTS = {
     "radial_demo": (_parse_projection_demo, partial(_run_projection_demo, kind="radial")),
     "ratio_demo": (_parse_projection_demo, partial(_run_projection_demo, kind="ratio")),
     "three_series": (_parse_three_series, _run_three_series),
-    "summability": (_parse_summability, _run_summability),
+    "summability": (partial(_parse_sequence_test, depth="probe_depth"), _run_summability),
     "flom": (_parse_flom, _run_flom),
     "bayes_run": (_parse_posterior, _run_bayes_run),
     "data_sweep": (_parse_data_sweep, _run_data_sweep),

@@ -22,13 +22,14 @@ terms of the standard error into an n-length buffer the caller passes:
 the sweeps pass the perturbed weights themselves, which are dead once
 their mean is taken, and the public functions a fresh one, so they never
 write into a measure's weights.  A measure validates
-its weights once, on construction, in one pass, and keeps their total for
-`normalization` and `normalized()`; a posterior's measure takes the total
-its weights were formed with (`_measure_of_total`) and makes no pass.
+its weights once, on construction, with two numpy reductions (their sum
+and their minimum), and keeps their total for `normalization` and
+`normalized()`; a posterior's measure takes the total its weights were
+formed with (`_measure_of_total`) and makes no pass.
 
-Every sum over the samples is numpy's pairwise sum, taken by
-`_tree_sums` over the leaves of numpy's own summation tree, so the
-elementwise work between two reductions runs on a cache-sized leaf while
+Every sum over the samples is numpy's pairwise sum.  A sum of elementwise
+work is taken by `_tree_sums` over the leaves of numpy's own summation
+tree, so the work between two reductions runs on a cache-sized leaf while
 each sum keeps the bits of `arr.sum()` over the whole array.
 """
 
@@ -159,19 +160,12 @@ class WeightedSampleMeasure:
         if w.size == 0:
             raise OutOfRangeError("weights", "need at least one sample")
 
-        def leaf(a, b):
-            # minima do not add up the tree, so a leaf counts 1 when its own
-            # minimum is negative or nan (a nan weight)
-            return w[a:b].sum(), float(not w[a:b].min() >= 0)
-
         # weights of both signs of infinity make the total nan, with a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            total, bad_leaves = _tree_sums(w.size, leaf)
-        if bad_leaves:
-            raise OutOfRangeError("weights", "weights must be finite and >= 0")
-        # a total of +inf is either an infinite weight or finite weights
-        # whose sum overflows
-        if total == math.inf and np.isinf(w).any():
+            total = w.sum()
+        # a nan weight fails the minimum; a total of +inf is either an
+        # infinite weight or finite weights whose sum overflows
+        if not w.min() >= 0 or (total == math.inf and np.isinf(w).any()):
             raise OutOfRangeError("weights", "weights must be finite and >= 0")
         if total / w.size == 0:
             raise OutOfRangeError("weights", "all weights are zero, or their mean underflows to 0")
@@ -190,7 +184,7 @@ class WeightedSampleMeasure:
 def _measure_of_total(reference_id: str, weights: np.ndarray, total: float) -> WeightedSampleMeasure:
     """A measure over 1-d weights already known to be finite and >= 0, with
     their total (numpy's pairwise sum) and a mean above 0, built without
-    the validating pass of the constructor."""
+    the constructor's validation."""
     measure = object.__new__(WeightedSampleMeasure)
     measure.reference_id, measure.weights, measure._total = reference_id, weights, total
     return measure

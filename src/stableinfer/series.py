@@ -460,16 +460,21 @@ class FlomEstimate:
     stderr_reason: Optional[str]
 
 
+def _check_flom_orders(alpha: float, p: float, q: float) -> None:
+    """Raise unless 0 < p <= q and, for alpha < 2, p < alpha: absolute
+    moments of order >= alpha are infinite, so the estimator would diverge."""
+    if not 0.0 < p <= q:
+        raise OutOfRangeError("p", f"need 0 < p <= q, got p={p}, q={q}")
+    if alpha < 2.0 and p >= alpha:
+        raise MomentOrderTooHighError(
+            f"moment order p={p} >= alpha={alpha}: E||u||^p is infinite (need p < alpha)")
+
+
 def _flom(alpha: float, blocks, n_rows: int, n_total: int, p: float,
           q: float) -> FlomEstimate:
     """The flom statistics of an n_rows x n_total coefficient matrix given
     as (start, block) row blocks, each read once, in order."""
-    if not 0.0 < p <= q:
-        raise OutOfRangeError("p", "need 0 < p <= q")
-    if alpha < 2.0 and p >= alpha:
-        raise MomentOrderTooHighError(
-            f"moment order p={p} >= alpha={alpha}: E||u||^p is infinite"
-        )
+    _check_flom_orders(alpha, p, q)
     norm = QuasiNormSpec(q)
     cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
     # the statistic of each row at each cut, taken block by block so that

@@ -32,11 +32,11 @@ its coefficients; this module alone decides which points lie past it.
 The tolerance is fixed, absolute
 _ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
 `_good_enough`, applies it.  QUADPACK serves only the Fourier-inversion
-reference `_StandardNumericDensity`, kept for the tests, so
-`scipy.integrate` is imported on its first call rather than with the
-module; importing this module loads numpy only.  Moments of strictly
-stable laws and the tail constant are closed forms (Samorodnitsky &
-Taqqu 1994, Properties 1.2.15 and 1.2.17).
+reference `_StandardNumericDensity`, which inverts `char_fn` and is kept
+for the tests, so `scipy.integrate` is imported on its first call rather
+than with the module; importing this module loads numpy only.  Moments
+of strictly stable laws and the tail constant are closed forms
+(Samorodnitsky & Taqqu 1994, Properties 1.2.15 and 1.2.17).
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ integrate = _LazyIntegrate()
 
 class _StandardNumericDensity:
     """Density of the standardised law S(alpha, beta, 1, 0; 0) by Fourier
-    inversion of the characteristic function.
+    inversion of its characteristic function phi = `char_fn`.
 
     rho(u) = (1/pi) Integral_0^inf [Re(phi) cos(ut) + Im(phi) sin(ut)] dt,
     evaluated point by point with QUADPACK's oscillatory-weight
@@ -484,17 +484,9 @@ class _StandardNumericDensity:
     """
 
     def __init__(self, alpha: float, beta: float):
-        if abs(alpha - 1.0) < _ALPHA_ONE_SNAP:
-            def phase(t):
-                return -beta * (2.0 / math.pi) * np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-        else:
-            tanpa = math.tan(math.pi * alpha / 2.0)
-
-            def phase(t):
-                return -beta * tanpa * (t - t ** alpha)
-
-        self._re = lambda t: np.exp(-np.abs(t) ** alpha) * np.cos(phase(np.abs(t)))
-        self._im = lambda t: np.exp(-np.abs(t) ** alpha) * np.sin(phase(np.abs(t)))
+        params = validate_params(alpha, beta, 1.0, 0.0)
+        self._re = lambda t: char_fn(params, t).real
+        self._im = lambda t: char_fn(params, t).imag
 
     def _point(self, u: float) -> float:
         if u == 0.0:
@@ -1131,16 +1123,11 @@ def stable_pdf(params: StableParams, u):
     the tails the density is Bergström's series.  Within 4e-3 of alpha = 1,
     and of beta = 0 at alpha = 1, where Nolan's forms lose precision, the value is
     interpolated from laws at and beyond that distance.  The density is 0
-    at u = +-inf; NaN points raise OutOfRangeError.  Requires gamma > 0.
+    at u = +-inf and wherever (u - delta)/gamma passes the float range; NaN
+    points raise OutOfRangeError.  Requires gamma > 0.
     """
-    if not params.gamma > 0.0:
-        raise OutOfRangeError("gamma", "density requires a non-degenerate scale")
-    points = _points(u)
-    if params.is_gaussian:
-        return normal_pdf(params.delta, params.gamma * math.sqrt(2.0), u)
-    if params.is_symmetric_cauchy:
-        return cauchy_pdf(params.delta, params.gamma, u)
-    z = (points - params.delta) / params.gamma
+    z = _standardised(params.delta, params.gamma, u, "gamma",
+                      "density requires a non-degenerate scale")
     out = _standard_pdf(params.alpha, params.beta, z) / params.gamma
     return float(out) if np.ndim(u) == 0 else out
 

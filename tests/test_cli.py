@@ -442,6 +442,31 @@ class TestMainExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # (kind, key, a value rejected at the bound, the value accepted at or
+    # next to it): validate rejects what run would reject, and no more
+    _SEQUENCE_TEST = {"sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+                      "alpha": 1.5}
+    _BASE = {"three_series": _SEQUENCE_TEST, "summability": _SEQUENCE_TEST, "figure2": {},
+             "flom": {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5}}
+    BOUNDS = [
+        ("three_series", "depth", 999, 1000),
+        ("summability", "probe_depth", 999, 1000),
+        ("figure2", "levels", 23, 22),  # validated only: 22 levels are not run here
+        ("flom", "p", 1.0, 0.99),  # p = alpha
+        ("flom", "q", 0.49, 0.5),  # p > q
+    ]
+
+    @pytest.mark.parametrize("experiment,key,rejected,accepted", BOUNDS,
+                             ids=[f"{kind}.{key}" for kind, key, _, _ in BOUNDS])
+    def test_validate_enforces_the_bounds_run_needs(self, tmp_path, capsys, experiment, key,
+                                                    rejected, accepted):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(experiment, dict(self._BASE[experiment], **{key: rejected})))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        cfg.write_text(cfg_text(experiment, dict(self._BASE[experiment], **{key: accepted})))
+        assert main(["validate", "--config", str(cfg)]) == 0
+
 
 # Configs from a grammar of the config schema in which any value may be
 # replaced by an arbitrary JSON value (including Infinity and NaN, which

@@ -222,6 +222,15 @@ class TestLimits:
         assert stable._standard_pdf(alpha, beta, z).tolist() == [0.0] * 6
         assert stable_pdf(validate_params(alpha, beta, 1.0, 0.0), z).tolist() == [0.0] * 6
 
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 0.3), (0.7, -0.5), (1.0, 0.4)])
+    def test_density_where_the_standardised_point_overflows(self, alpha, beta):
+        # (u - delta)/gamma passes the float range; it warned of an overflow
+        # in the division for every law without a closed form
+        p = validate_params(alpha, beta, 1e-300, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stable_pdf(p, [1e10, -1e10]).tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_subnormal_density_where_the_scale_overflows_follows_the_tail(self, beta):
         # at alpha = 0.01 the density at finfo.max is a subnormal, about
