@@ -23,11 +23,13 @@ constant Z with its standard error, and the effective sample size
 `_MIN_ESS` = 10 raises DegenerateWeightsError).  The weights are built in
 one n-length buffer by two passes over the cache-sized leaves of
 `metrics._tree_sums`: the first forms them and sums w and w^2, which give
-the mean, Z and the ESS (and a posterior's weighted measure keeps that
-total); the second sums the squared deviations behind the standard
-error, and only `normalization_constant` and `posterior`, which report
-it, take it.  The results keep the bits of the textbook
-numpy expressions (w.mean(), w.std(ddof=1)).  Both perturbation sweeps
+the mean, Z and the ESS; the second sums the squared deviations behind
+the standard error, and only `normalization_constant` and `posterior`,
+which report it, take it.  The results keep the bits of the textbook
+numpy expressions (w.mean(), w.std(ddof=1)).  A posterior's weighted
+measure validates and sums its weights on construction, as any
+`WeightedSampleMeasure` does, and its total has the bits of the first
+pass's.  Both perturbation sweeps
 weigh their perturbed posteriors one at a time, without building a
 weighted measure for them or a standard error of Z.
 The sweeps compare each with the unperturbed posterior, whose density
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import (
     DegenerateWeightsError,
     DimensionMismatchError,
-    InvalidMomentOrderError,
+    MomentOrderTooHighError,
     OutOfRangeError,
 )
 from .metrics import (
@@ -60,7 +62,6 @@ from .metrics import (
     WeightedSampleMeasure,
     _distances,
     _leaf_buffer,
-    _measure_of_total,
     _tree_sums,
     rowwise_quasi_norm,
 )
@@ -362,11 +363,8 @@ def posterior(potential: PotentialSpec, ensemble, y) -> PosteriorEstimate:
         # the buffer of the C-order batch: the bytes of batch.tobytes(),
         # copied only when the batch is not C-contiguous
         ref_id = "array:" + sha1(np.ascontiguousarray(batch)).hexdigest()[:16]
-    # `_weigh`'s weights lie in [0, 1] with a maximum of 1, so their total
-    # is the measure's, and no second pass validates and sums them
-    measure = _measure_of_total(ref_id, w, total)
     return PosteriorEstimate(y=np.atleast_1d(np.asarray(y, dtype=float)),
-                             z=z, measure=measure)
+                             z=z, measure=WeightedSampleMeasure(ref_id, w))
 
 
 def posterior_expectation(f_values, post: PosteriorEstimate) -> tuple[float, float]:
@@ -614,7 +612,7 @@ def growth_admissibility(kappa: float, c_minus: float, sigma_minus: float,
         if v < 0:
             raise OutOfRangeError(name, "must be >= 0")
     if p >= alpha:
-        raise InvalidMomentOrderError(
+        raise MomentOrderTooHighError(
             f"admissibility needs a prior moment order p < alpha, got "
             f"p={p}, alpha={alpha}"
         )

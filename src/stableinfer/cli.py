@@ -46,6 +46,12 @@ _SEED_MAX = 2 ** 128 - 1  # Philox keys are 128-bit
 # row: a row of 2^23 coefficients is one block of 2^24 uniforms (128 MB)
 _MAX_TRUNCATION = 2 ** 23
 _MAX_LEVELS = 22  # 2^(levels + 1) - 1 functions, at most _MAX_TRUNCATION
+# every other count a run allocates by (a sample count, a depth, a grid size),
+# and every samples-by-row matrix it holds, has at most 2^28 entries, 2 GiB of
+# doubles.  Measured peaks are about 17 bytes per matrix entry for figure2 and
+# the posterior kinds, 24 per flom sample and 120 per three_series term, so
+# whether a run below the bound fits in memory depends on the machine.
+_MAX_ENTRIES = 2 ** 28
 
 
 @dataclass
@@ -57,12 +63,11 @@ class ExperimentConfig:
     params: dict
     inputs: SimpleNamespace
 
-    def canonical_json(self) -> str:
-        payload = {"experiment": self.experiment, "seed": self.seed, "params": self.params}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        """16 hex digits of the sha256 of the canonical JSON config."""
+        payload = {"experiment": self.experiment, "seed": self.seed, "params": self.params}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +186,10 @@ def _parse_prior(obj, where: str):
 def _parse_figure2(r: _Params) -> None:
     from . import series  # noqa: F401
 
-    r.read("levels", _integer, 10, high=_MAX_LEVELS)
-    r.read("n_samples", _integer, 20)
-    r.read("grid_size", _integer, 2 ** 14)
+    levels = r.read("levels", _integer, 10, high=_MAX_LEVELS)
+    grid_size = r.read("grid_size", _integer, 2 ** 14, high=_MAX_ENTRIES)
+    # a row of a family's grid values, and of its 2^(levels + 1) Haar half-cells
+    r.read("n_samples", _integer, 20, high=_MAX_ENTRIES // max(grid_size, 2 ** (levels + 1)))
 
 
 def _parse_projection_demo(r: _Params) -> None:
@@ -191,7 +197,7 @@ def _parse_projection_demo(r: _Params) -> None:
 
     r.read("gamma", _number, 1.0, low=0)
     r.read("delta", _number, 0.0)
-    r.read("n", _integer, 10 ** 5)
+    r.read("n", _integer, 10 ** 5, high=_MAX_ENTRIES)
 
 
 def _parse_sequence_test(r: _Params, depth: str) -> None:
@@ -202,7 +208,7 @@ def _parse_sequence_test(r: _Params, depth: str) -> None:
     r.read("sequence", _parse_sequence)
     r.read("alpha", _number, low=0, high=2)
     r.read("q", _number, 1.0, low=0)
-    r.read(depth, _integer, 2 ** 14, low=sequences._MIN_PROBE_DEPTH)
+    r.read(depth, _integer, 2 ** 14, low=sequences._MIN_PROBE_DEPTH, high=_MAX_ENTRIES)
 
 
 def _parse_three_series(r: _Params) -> None:
@@ -214,7 +220,7 @@ def _parse_flom(r: _Params) -> None:
     from . import series
 
     alpha = r.read("prior", _parse_prior).alpha
-    r.read("n_samples", _integer, 10 ** 5)
+    r.read("n_samples", _integer, 10 ** 5, high=_MAX_ENTRIES)  # no matrix is held
     series._check_flom_orders(alpha, r.read("p", _number), r.read("q", _number, 1.0))
 
 
@@ -223,7 +229,7 @@ def _parse_posterior(r: _Params) -> None:
     from . import bayes, metrics
 
     dim = r.read("prior", _parse_prior).truncation
-    r.read("n_samples", _integer, 10 ** 5)
+    r.read("n_samples", _integer, 10 ** 5, high=_MAX_ENTRIES // dim)  # a row per sample
     r.inputs.potential = bayes.gaussian_additive_potential(
         bayes.IdentityForward(),
         noise_variance=r.read("noise_variance", _vector, 1.0, sizes=(1, dim)),
@@ -513,13 +519,14 @@ def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
         config = replace(config, seed=_integer(seed_override, "seed override", 0, _SEED_MAX))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    comment = f"config={config.config_hash()} seed={config.seed}"
+    config_hash = config.config_hash()
+    comment = f"config={config_hash} seed={config.seed}"
     started = time.perf_counter()
     files = _RUNNERS[config.experiment](config, out, comment)
     elapsed = time.perf_counter() - started
     manifest = {
         "experiment": config.experiment,
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "seed": config.seed,
         "wall_time_s": elapsed,
         "files": [

@@ -6,7 +6,6 @@ __all__ = [
     "DegenerateWeightsError",
     "DimensionMismatchError",
     "DivisionByZeroScaleError",
-    "InvalidMomentOrderError",
     "InvalidSpecError",
     "MismatchedReferenceError",
     "MomentOrderTooHighError",
@@ -55,10 +54,6 @@ class DivisionByZeroScaleError(StableInferError, ZeroDivisionError):
 
 class MomentOrderTooHighError(StableInferError, ValueError):
     """Requested moment order p >= alpha: the absolute moment is infinite."""
-
-
-class InvalidMomentOrderError(StableInferError, ValueError):
-    """A growth-admissibility check needs a moment order p < alpha."""
 
 
 class MismatchedReferenceError(StableInferError, ValueError):

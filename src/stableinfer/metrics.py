@@ -1,8 +1,8 @@
 """Quasi-norms and empirical probability metrics.
 
-The ell^q and grid L^q functionals for any q > 0 (quasi-norms when
-q < 1, where the triangle inequality only holds with the constant
-2^(1/q - 1)), and estimators of Hellinger and total-variation distance
+The ell^q functionals for any q > 0 (quasi-norms when q < 1, where
+the triangle inequality only holds with the constant 2^(1/q - 1)), and
+estimators of Hellinger and total-variation distance
 between two measures given by importance weights over one shared
 reference sample.  With the reference sample playing the dominating
 measure, both estimators are plain averages:
@@ -24,8 +24,7 @@ their mean is taken, and the public functions a fresh one, so they never
 write into a measure's weights.  A measure validates
 its weights once, on construction, with two numpy reductions (their sum
 and their minimum), and keeps their total for `normalization` and
-`normalized()`; a posterior's measure takes the total its weights were
-formed with (`_measure_of_total`) and makes no pass.
+`normalized()`.
 
 Every sum over the samples is numpy's pairwise sum.  A sum of elementwise
 work is taken by `_tree_sums` over the leaves of numpy's own summation
@@ -96,42 +95,22 @@ def _leaf_buffer(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuasiNormSpec:
-    """An ell^q or grid-function L^q (quasi-)norm.
-
-    q may be any positive exponent or inf; grid functionals integrate
-    with the declared spacing.  The attached constant C(q) is the factor
-    in the weakened triangle inequality ||u+v|| <= C(||u|| + ||v||).
-    """
+    """The ell^q (quasi-)norm of a coefficient sequence, for any positive
+    exponent q or inf."""
 
     q: float = 2.0
-    domain: str = "sequence"  # "sequence" | "grid"
-    grid_spacing: Optional[float] = None
 
     def __post_init__(self):
         if not self.q > 0.0:
             raise OutOfRangeError("q", "exponent must be > 0")
-        if self.domain not in ("sequence", "grid"):
-            raise OutOfRangeError("domain", "must be 'sequence' or 'grid'")
-        if self.domain == "grid" and not (self.grid_spacing or 0) > 0:
-            raise OutOfRangeError("grid_spacing", "grid norms need a positive spacing")
-
-    @property
-    def quasi_triangle_constant(self) -> float:
-        if math.isinf(self.q):
-            return 1.0
-        return max(1.0, 2.0 ** (1.0 / self.q - 1.0))
 
 
 def rowwise_quasi_norm(matrix: np.ndarray, spec: QuasiNormSpec) -> np.ndarray:
-    """(sum |v|^q)^(1/q) of every row v of a batch, max |v| for q = inf,
-    with the sum weighted by the grid spacing on grids."""
+    """(sum |v|^q)^(1/q) of every row v of a batch, max |v| for q = inf."""
     m = np.abs(np.atleast_2d(np.asarray(matrix, dtype=float)))
     if math.isinf(spec.q):
         return m.max(axis=1)
-    total = (m ** spec.q).sum(axis=1)
-    if spec.domain == "grid":
-        total = total * spec.grid_spacing
-    return total ** (1.0 / spec.q)
+    return (m ** spec.q).sum(axis=1) ** (1.0 / spec.q)
 
 
 def quasi_norm(values, spec: QuasiNormSpec) -> float:
@@ -179,15 +158,6 @@ class WeightedSampleMeasure:
     def normalized(self) -> np.ndarray:
         """Weights scaled to sum to one."""
         return self.weights / self._total
-
-
-def _measure_of_total(reference_id: str, weights: np.ndarray, total: float) -> WeightedSampleMeasure:
-    """A measure over 1-d weights already known to be finite and >= 0, with
-    their total (numpy's pairwise sum) and a mean above 0, built without
-    the constructor's validation."""
-    measure = object.__new__(WeightedSampleMeasure)
-    measure.reference_id, measure.weights, measure._total = reference_id, weights, total
-    return measure
 
 
 def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure):

@@ -217,6 +217,23 @@ def _fit_decay_exponent(values: np.ndarray) -> Optional[float]:
     return float(-slope)
 
 
+def _numeric(gamma_seq: CoefficientSequence) -> bool:
+    """Explicit data with a continuation takes the doubling diagnostic."""
+    return isinstance(gamma_seq, Explicit) and gamma_seq.tail is not None
+
+
+def _ell_alpha_verdict(gamma_seq: CoefficientSequence, alpha: float, probe_depth: int,
+                       sums_alpha: Optional[np.ndarray] = None) -> SeriesVerdict:
+    """Is (gamma_n) in ell^alpha?  The integral test, else the doubling diagnostic
+    on the partial sums of gamma_n^alpha to probe_depth, `sums_alpha` if given."""
+    if not _numeric(gamma_seq):
+        return _verdict(_summable(gamma_seq, alpha), None)
+    if sums_alpha is None:
+        terms = np.abs(sequence_values(gamma_seq, probe_depth)) ** alpha
+        sums_alpha = _partial_sums_at(terms, _doubling_depths(probe_depth))
+    return _numeric_verdict(sums_alpha)
+
+
 @dataclass
 class SummabilityReport:
     depths: np.ndarray
@@ -257,10 +274,9 @@ def summability_report(gamma_seq, alpha: float, q: float,
     else:
         regime = "neither"
 
-    # explicit data with a continuation takes the doubling diagnostic
-    numeric = isinstance(gamma_seq, Explicit) and gamma_seq.tail is not None
-    ell = _verdict(None if numeric else _summable(gamma_seq, alpha), sums_alpha)
-    orl = (_verdict(None if numeric else _summable(gamma_seq, alpha, orlicz=True), sums_orlicz)
+    ell = _ell_alpha_verdict(gamma_seq, alpha, probe_depth, sums_alpha)
+    orl = (_verdict(None if _numeric(gamma_seq) else _summable(gamma_seq, alpha, orlicz=True),
+                    sums_orlicz)
            if regime != "neither" else SeriesVerdict.CONVERGENT)
     if ell is SeriesVerdict.DIVERGENT:
         verdict = SummabilityVerdict.FAILS_ELL_ALPHA

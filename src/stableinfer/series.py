@@ -33,10 +33,10 @@ from .metrics import QuasiNormSpec, rowwise_quasi_norm
 from .sequences import (
     CoefficientSequence,
     Explicit,
-    SummabilityVerdict,
+    SeriesVerdict,
+    _ell_alpha_verdict,
     as_sequence,
     sequence_values,
-    summability_report,
 )
 from .stable import standard_stable_from_uniforms, validate_params
 
@@ -113,13 +113,6 @@ def basis_size(basis: BasisSpec) -> Optional[int]:
     if isinstance(basis, (HaarWavelet, HatHierarchical)):
         return 2 ** (basis.levels + 1) - 1
     return None
-
-
-def basis_norm_exponent(basis: BasisSpec) -> float:
-    """The q of the coefficient ell^q norm naturally paired with the basis."""
-    if isinstance(basis, EuclideanSequence):
-        return basis.q
-    return 2.0
 
 
 def default_grid(basis: BasisSpec) -> np.ndarray:
@@ -241,11 +234,8 @@ def _coefficients_from_uniforms(spec: StableFieldSpec, u: np.ndarray) -> np.ndar
 
 
 def _warn_unless_summable(spec: StableFieldSpec) -> None:
-    rep = summability_report(
-        spec.gamma_seq, spec.alpha, basis_norm_exponent(spec.basis),
-        probe_depth=max(1024, spec.truncation),
-    )
-    if rep.verdict is SummabilityVerdict.FAILS_ELL_ALPHA:
+    verdict = _ell_alpha_verdict(spec.gamma_seq, spec.alpha, max(1024, spec.truncation))
+    if verdict is SeriesVerdict.DIVERGENT:
         warnings.warn(
             "scale sequence is not ell^alpha-summable: the untruncated "
             "series would diverge almost surely",

@@ -124,9 +124,9 @@ class StableParams:
 
 @dataclass(frozen=True)
 class MomentValue:
-    """A moment that is a finite number, infinite, or undefined."""
+    """A moment that is a finite number or infinite."""
 
-    kind: str  # "finite" | "infinite" | "undefined"
+    kind: str  # "finite" | "infinite"
     value: Optional[float] = None
 
     @classmethod
@@ -136,10 +136,6 @@ class MomentValue:
     @classmethod
     def infinite(cls) -> "MomentValue":
         return cls("infinite")
-
-    @classmethod
-    def undefined(cls) -> "MomentValue":
-        return cls("undefined")
 
     @property
     def is_finite(self) -> bool:
@@ -431,9 +427,12 @@ def cauchy_logpdf(delta: float, gamma: float, u):
 
 
 def cauchy_cdf(delta: float, gamma: float, u):
-    """Distribution function 1/2 + arctan((u-delta)/gamma)/pi."""
+    """Distribution function 1/2 + arctan(s)/pi at s = (u-delta)/gamma; below
+    s = 0 as arctan(1/|s|)/pi, which keeps its relative precision."""
     s = _standardised(delta, gamma, u, "gamma", "width must be > 0")
-    out = 0.5 + np.arctan(s) / math.pi
+    with np.errstate(divide="ignore", over="ignore"):  # |s| = 0 or subnormal: 1/|s| = inf
+        lower = np.arctan(1.0 / np.abs(s)) / math.pi
+    out = np.where(s < 0.0, lower, 0.5 + np.arctan(s) / math.pi)
     return float(out) if np.ndim(u) == 0 else out
 
 
@@ -1085,7 +1084,7 @@ def _standard(alpha: float, beta: float, z, want: str):
         if want == "pdf":
             return cauchy_pdf(0.0, 1.0, z)
         # arctan(1/z)/pi keeps its relative precision for large z
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # z = 0 or subnormal: 1/|z| = inf
             upper = np.arctan(1.0 / np.abs(z)) / math.pi
         return np.where(z > 0.0, upper, 1.0 - upper)
     h = _NEAR_ONE

@@ -18,8 +18,8 @@ from stableinfer import (
     EuclideanSequence,
     Explicit,
     IdentityForward,
-    InvalidMomentOrderError,
     LinearForward,
+    MomentOrderTooHighError,
     PotentialSpec,
     QuasiNormSpec,
     StableFieldSpec,
@@ -229,8 +229,9 @@ class TestPosterior:
         assert post.z == z
 
     def test_posterior_sums_its_weights_once(self, potential, gaussian_ensemble, monkeypatch):
-        # one pass forms and sums the weights, one sums the deviations behind
-        # Z's standard error; the measure takes the first pass's total
+        # one pass over the leaves forms and sums the weights, one sums the
+        # deviations behind Z's standard error; the measure's own sum, taken
+        # on construction, has the bits of the first pass's total
         from stableinfer import OutOfRangeError, WeightedSampleMeasure, metrics
 
         calls = []
@@ -244,9 +245,8 @@ class TestPosterior:
         monkeypatch.setattr(metrics, "_tree_sums", counted)
         post = posterior(potential, gaussian_ensemble, np.array([0.3]))
         assert calls == [gaussian_ensemble.n_samples] * 2
-        built = WeightedSampleMeasure(post.measure.reference_id, post.measure.weights.copy())
-        assert post.measure.normalization == built.normalization
-        assert post.measure.normalized().tobytes() == built.normalized().tobytes()
+        _, total, _, _ = bayes._weigh(potential, gaussian_ensemble, np.array([0.3]))
+        assert post.measure.normalization == float(total / gaussian_ensemble.n_samples)
         # a measure built by its caller still validates its weights
         with pytest.raises(OutOfRangeError):
             WeightedSampleMeasure("bad", np.array([1.0, -0.5]))
@@ -492,6 +492,6 @@ class TestGrowthAdmissibility:
         assert out.margin == pytest.approx(0.0)
 
     def test_moment_order_guard(self):
-        with pytest.raises(InvalidMomentOrderError):
+        with pytest.raises(MomentOrderTooHighError):
             growth_admissibility(0.5, 1.0, 1.0, 1.0, 1.0)
 

@@ -446,8 +446,12 @@ class TestMainExitCodes:
     # next to it): validate rejects what run would reject, and no more
     _SEQUENCE_TEST = {"sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
                       "alpha": 1.5}
+    # a posterior over two coefficients: its n_samples x 2 coefficient matrix
+    _PAIR_PRIOR = {"alpha": 1.0, "gamma": {"kind": "explicit", "values": [1.0, 0.5]},
+                   "truncation": 2}
     _BASE = {"three_series": _SEQUENCE_TEST, "summability": _SEQUENCE_TEST, "figure2": {},
-             "flom": {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5}}
+             "flom": {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5}, "radial_demo": {},
+             "bayes_run": {"prior": _PAIR_PRIOR, "y": [0.0, 0.0]}}
     BOUNDS = [
         ("three_series", "depth", 999, 1000),
         ("summability", "probe_depth", 999, 1000),
@@ -455,9 +459,21 @@ class TestMainExitCodes:
         ("flom", "p", 1.0, 0.99),  # p = alpha
         ("flom", "q", 0.49, 0.5),  # p > q
     ]
+    # every other count is at most 2^28, and so is every matrix a run holds;
+    # validated only, none of these is run at the bound
+    MAX_COUNTS = [
+        ("three_series", "depth", 1e13, 2 ** 28),
+        ("summability", "probe_depth", 2 ** 28 + 1, 2 ** 28),
+        ("flom", "n_samples", 1e12, 2 ** 28),
+        ("radial_demo", "n", 2 ** 28 + 1, 2 ** 28),
+        ("figure2", "grid_size", 2 ** 28 // 20 + 1, 2 ** 28 // 20),  # x 20 samples
+        ("figure2", "n_samples", 2 ** 14 + 1, 2 ** 14),  # x 2^14 grid values
+        ("bayes_run", "n_samples", 2 ** 27 + 1, 2 ** 27),  # x 2 coefficients
+    ]
 
-    @pytest.mark.parametrize("experiment,key,rejected,accepted", BOUNDS,
-                             ids=[f"{kind}.{key}" for kind, key, _, _ in BOUNDS])
+    @pytest.mark.parametrize("experiment,key,rejected,accepted", BOUNDS + MAX_COUNTS,
+                             ids=[f"{kind}.{key}" for kind, key, _, _ in BOUNDS]
+                             + [f"{kind}.{key}.max" for kind, key, _, _ in MAX_COUNTS])
     def test_validate_enforces_the_bounds_run_needs(self, tmp_path, capsys, experiment, key,
                                                     rejected, accepted):
         cfg = tmp_path / "c.json"
@@ -465,6 +481,19 @@ class TestMainExitCodes:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         cfg.write_text(cfg_text(experiment, dict(self._BASE[experiment], **{key: accepted})))
+        assert main(["validate", "--config", str(cfg)]) == 0
+
+    # large but ordinary configs, at their default n_samples, validate
+    @pytest.mark.parametrize("experiment,params", [
+        ("bayes_run", {"prior": dict(_PAIR_PRIOR, gamma=1.0, truncation=500),
+                       "y": [0.0] * 500}),  # 10^5 x 500 coefficients
+        ("data_sweep", {"prior": dict(_PAIR_PRIOR, gamma=1.0, truncation=2684),
+                        "y": [0.0] * 2684, "epsilons": [0.1]}),  # 10^5 x 2684, the most
+        ("figure2", {"levels": 18}),  # 20 x 2^19 Haar half-cells; 22 levels: BOUNDS
+    ], ids=["bayes_run.truncation500", "data_sweep.truncation2684", "figure2.levels18"])
+    def test_validate_accepts_large_ordinary_configs(self, tmp_path, experiment, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(experiment, params))
         assert main(["validate", "--config", str(cfg)]) == 0
 
 

@@ -2,6 +2,7 @@
 the matched two-family gallery, and field-norm moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,16 @@ from stableinfer import (
     InvalidSpecError,
     MomentOrderTooHighError,
     PowerLaw,
+    PowerLogLaw,
     StableFieldSpec,
     StableParams,
+    SummabilityVerdict,
     default_grid,
     flom_estimate,
     sample_coefficients,
     sample_stable,
     sampled_flom_estimate,
+    summability_report,
     synthesize,
     synthesize_ensemble,
     wavelet_gallery_ensemble,
@@ -134,6 +138,37 @@ class TestSampling:
             sample_coefficients(spec, 5, 1)
         assert len(record) == 1
         assert record[0].filename == __file__  # the warning names the caller
+
+    # (alpha, scale sequence, whether it fails ell^alpha): each kind of
+    # sequence, on both sides; explicit data with a tail takes the doubling
+    # diagnostic, the others the integral test
+    SCALES = {
+        "power": (1.0, PowerLaw(1.0, 0.5), True),
+        "power_summable": (1.5, PowerLaw(1.0, 1.0), False),
+        "powerlog": (1.0, PowerLogLaw(1.0, 1.0, 0.5), True),
+        "powerlog_summable": (1.0, PowerLogLaw(1.0, 1.0, 2.0), False),
+        "finite": (1.0, Explicit((1.0, 0.5, 0.25)), False),
+        "power_tail": (1.0, Explicit((1.0, 0.5), PowerLaw(1.0, 0.5)), True),
+        "power_tail_summable": (1.5, Explicit((1.0, 0.5), PowerLaw(1.0, 2.0)), False),
+        "explicit_tail": (1.0, Explicit((1.0,), Explicit((1.0,) * 30_000)), True),
+        "explicit_tail_summable": (1.0, Explicit((1.0,), Explicit((0.5,) * 8)), False),
+    }
+
+    @pytest.mark.parametrize("truncation", [4, 20_000])
+    @pytest.mark.parametrize("draw", [
+        lambda spec: sample_coefficients(spec, 2, 1),
+        lambda spec: sampled_flom_estimate(spec, 2, 1, 0.5, 1.0),
+    ], ids=["sample_coefficients", "sampled_flom_estimate"])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_warns_exactly_when_the_report_fails_ell_alpha(self, scale, draw, truncation):
+        alpha, gamma, fails = self.SCALES[scale]
+        spec = StableFieldSpec.make(alpha, gamma, EuclideanSequence(q=1.0), truncation)
+        report = summability_report(gamma, alpha, 2.0, probe_depth=max(1024, truncation))
+        assert (report.verdict is SummabilityVerdict.FAILS_ELL_ALPHA) is fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SummabilityWarning)
+            draw(spec)
+        assert sum(issubclass(w.category, SummabilityWarning) for w in caught) == fails
 
     @settings(max_examples=80, deadline=None)
     @given(alpha=st.sampled_from([0.7, 1.0, 1.5, 2.0]),

@@ -23,7 +23,7 @@ from stableinfer import (
     stable_pdf,
     validate_params,
 )
-from stableinfer.stable import _StandardNumericDensity
+from stableinfer.stable import _StandardNumericDensity, _standard_sf
 
 
 def fourier_pdf(p: StableParams, u: float) -> float:
@@ -55,6 +55,19 @@ class TestCauchyClosedForms:
         assert np.all(np.diff(c) > 0)
         assert cauchy_cdf(0.3, 2.0, -1e12) < 1e-10
         assert cauchy_cdf(0.3, 2.0, 1e12) > 1 - 1e-10
+
+    @pytest.mark.parametrize("s", [-1e3, -1e10, -1e15, -1e17, -1e300])
+    def test_cdf_lower_tail_against_mpmath(self, s):
+        # 1/2 + arctan(s)/pi cancels for s << 0; enough digits to resolve it
+        with mp.workdps(400):
+            exact = mp.mpf(1) / 2 + mp.atan(mp.mpf(s)) / mp.pi
+            assert abs(cauchy_cdf(0.0, 1.0, s) / exact - 1) < 4 * np.finfo(float).eps
+
+    def test_cdf_and_survival_at_subnormal_points(self):
+        # 1/|s| overflows to inf there, which must warn of nothing
+        tiny = np.array([-1e-310, 1e-310])
+        assert np.array_equal(cauchy_cdf(0.0, 1.0, tiny), [0.5, 0.5])
+        assert np.array_equal(_standard_sf(1.0, 0.0, tiny), [0.5, 0.5])
 
     def test_cdf_derivative_matches_pdf(self):
         probes = np.linspace(-8.0, 8.0, 100)
@@ -219,4 +232,5 @@ class TestKLDivergence:
     def test_momentvalue_helpers(self):
         assert MomentValue.finite(2.0).is_finite
         assert MomentValue.infinite().is_infinite
-        assert not MomentValue.undefined().is_finite
+        assert not MomentValue.infinite().is_finite
+        assert not MomentValue.finite(2.0).is_infinite
