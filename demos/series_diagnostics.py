@@ -21,7 +21,6 @@ from stableinfer import (
     cameron_martin_shift_admissible,
     flom_estimate,
     hilbert_scale_membership,
-    sample_coefficients,
     summability_report,
     three_series_check,
 )
@@ -63,8 +62,7 @@ for label, h in [("h = gamma    ", PowerLaw(1.0, 2.0)),
 
 print("\n=== fractional moment of the field norm, gamma_n = n^-2 ===")
 spec = StableFieldSpec.make(1.0, PowerLaw(1.0, 2.0), EuclideanSequence(q=1.0), 256)
-ens = sample_coefficients(spec, 10 ** 5, seed=6001)
-out = flom_estimate(ens, p=0.5, q=1.0)
+out = flom_estimate(spec, 10 ** 5, seed=6001, p=0.5, q=1.0)
 print(f"  E ||u||^(1/2) ~ {out.estimate:.4f} (tail index alpha/p = {out.tail_index:g})")
 print(f"  no error bar: {out.stderr_reason}")
 print("  truncation trace (should contract):")

@@ -46,7 +46,7 @@ _EXPORTS = {
     "series": (
         "Eigenbasis", "EuclideanSequence", "FieldEnsemble", "HaarWavelet", "HatHierarchical",
         "StableFieldSpec", "default_grid", "flom_estimate", "sample_coefficients",
-        "sampled_flom_estimate", "synthesize", "synthesize_ensemble", "wavelet_gallery_ensemble",
+        "synthesize", "wavelet_gallery_ensemble",
     ),
     "metrics": (
         "QuasiNormSpec", "WeightedSampleMeasure", "expectation_gap_bound_check",
@@ -56,7 +56,7 @@ _EXPORTS = {
         "IdentityForward", "LinearForward", "PotentialSpec", "data_lipschitz_sweep",
         "evaluate_misfit_batch", "gaussian_additive_potential", "growth_admissibility",
         "integrability_estimates", "likelihood_perturbation_sweep", "log_growth_envelopes",
-        "normalization_constant", "posterior", "posterior_expectation",
+        "posterior", "posterior_expectation",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

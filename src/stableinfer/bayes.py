@@ -24,14 +24,13 @@ constant Z with its standard error, and the effective sample size
 one n-length buffer by two passes over the cache-sized leaves of
 `metrics._tree_sums`: the first forms them and sums w and w^2, which give
 the mean, Z and the ESS; the second sums the squared deviations behind
-the standard error, and only `normalization_constant` and `posterior`,
-which report it, take it.  The results keep the bits of the textbook
-numpy expressions (w.mean(), w.std(ddof=1)).  A posterior's weighted
-measure validates and sums its weights on construction, as any
-`WeightedSampleMeasure` does, and its total has the bits of the first
-pass's.  Both perturbation sweeps
-weigh their perturbed posteriors one at a time, without building a
-weighted measure for them or a standard error of Z.
+the standard error, and only `posterior`, which reports it, takes it.
+The results keep the bits of the textbook numpy expressions (w.mean(),
+w.std(ddof=1)).  A posterior's weighted measure validates and sums its
+weights on construction, as any `WeightedSampleMeasure` does, and its
+total has the bits of the first pass's.  Both perturbation sweeps weigh
+their perturbed posteriors one at a time, without building a weighted
+measure for them or a standard error of Z.
 The sweeps compare each with the unperturbed posterior, whose density
 w / mean w is computed once per sweep; one fused kernel in `metrics`
 gives the Hellinger distance, its standard error and the total variation
@@ -76,7 +75,6 @@ __all__ = [
     "ZEstimate",
     "PosteriorEstimate",
     "evaluate_misfit_batch",
-    "normalization_constant",
     "posterior",
     "posterior_expectation",
     "EstimateTrace",
@@ -328,16 +326,6 @@ def _z_estimate(w: np.ndarray, total: float, shift: float, ess: float) -> ZEstim
     )
 
 
-def normalization_constant(potential: PotentialSpec, ensemble, y) -> ZEstimate:
-    """Monte Carlo estimate of Z(y), with standard error.
-
-    Raises DegenerateWeightsError when the effective sample size drops
-    below _MIN_ESS (10); flags (without failing) the case where Z is zero
-    relative to the recorded shift.
-    """
-    return _z_estimate(*_weigh(potential, ensemble, y))
-
-
 @dataclass
 class PosteriorEstimate:
     """A posterior realised as weights over the prior ensemble."""
@@ -478,14 +466,20 @@ class WellPosednessReport:
                 "z": [float(x) for x in self.z_values],
             },
             "stderrs": {"hellinger": [float(x) for x in self.distance_stderrs]},
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-            "slope_ci": [float(self.slope_ci[0]), float(self.slope_ci[1])],
-            "fit_residual": float(self.fit_residual),
+            # null where fewer than two positive distances leave no fit
+            "slope": _finite_or_none(self.slope),
+            "intercept": _finite_or_none(self.intercept),
+            "slope_ci": [_finite_or_none(self.slope_ci[0]), _finite_or_none(self.slope_ci[1])],
+            "fit_residual": _finite_or_none(self.fit_residual),
             "verdicts": self.verdicts,
             "seed": self.seed,
             "n_samples": self.n_samples,
         }
+
+
+def _finite_or_none(x: float) -> Optional[float]:
+    """x, or None (JSON null) where x is not finite."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple, float]:

@@ -6,10 +6,11 @@ One experiment per invocation, described by a JSON config file:
 
 ``stableinfer validate --config cfg.json`` parses the config once into
 the typed inputs its experiment uses and cross-checks them, so every
-malformed value is a config error before anything runs.  ``stableinfer
-run --config cfg.json [--out DIR] [--seed N]`` executes the experiment
-on those inputs and writes CSV/JSON artifacts plus a manifest (file
-list with hashes, wall time, config hash).  Identical configs produce
+malformed value, and every key the experiment does not read, is a
+config error before anything runs.  ``stableinfer run --config cfg.json
+[--out DIR] [--seed N]`` executes the experiment on those inputs and
+writes strict-JSON and CSV artifacts plus a manifest (file list with
+hashes, wall time, config hash).  Identical configs produce
 byte-identical numeric artifacts; every CSV carries a comment line with
 the config hash and seed.  Exit codes: 0 success, 2 config error,
 3 runtime/numeric failure.
@@ -112,7 +113,8 @@ _REQUIRED = object()
 
 
 class _Params:
-    """Reads one JSON object, keeping each converted value on `inputs`."""
+    """Reads one JSON object, keeping each converted value on `inputs` and
+    the name of every key it consults on `seen`."""
 
     def __init__(self, obj, where: str):
         if not isinstance(obj, dict):
@@ -120,12 +122,25 @@ class _Params:
         self.obj = obj
         self.where = where
         self.inputs = SimpleNamespace()
+        self.seen = set()
+
+    def get(self, name: str, default=None):
+        self.seen.add(name)
+        return self.obj.get(name, default)
 
     def read(self, name: str, convert, default=_REQUIRED, **kwargs):
         if name not in self.obj and default is _REQUIRED:
             raise ConfigError(f"{self.where}: missing required parameter {name!r}")
-        value = convert(self.obj.get(name, default), f"{self.where}.{name}", **kwargs)
+        value = convert(self.get(name, default), f"{self.where}.{name}", **kwargs)
         setattr(self.inputs, name, value)
+        return value
+
+    def done(self, value=None):
+        """value, once no key of the object is left unconsulted: a key that
+        no parser reads is a typo, or a parameter of another kind."""
+        unknown = sorted(set(self.obj) - self.seen)
+        if unknown:
+            raise ConfigError(f"{self.where}: unknown key {', '.join(map(repr, unknown))}")
         return value
 
 
@@ -135,17 +150,19 @@ def _parse_sequence(obj, where: str):
     if not isinstance(obj, dict):
         return sequences.PowerLaw(_number(obj, where), 0.0)
     r = _Params(obj, where)
-    kind = obj.get("kind")
+    kind = r.get("kind")
     if kind == "power":
-        return sequences.PowerLaw(r.read("amplitude", _number), r.read("exponent", _number))
-    if kind == "powerlog":
-        return sequences.PowerLogLaw(r.read("amplitude", _number), r.read("exponent", _number),
-                                     r.read("log_exponent", _number))
-    if kind == "explicit":
-        return sequences.Explicit(tuple(r.read("values", _list, item=_number)),
-                                  r.read("tail", _parse_sequence) if obj.get("tail") else None)
-    raise ConfigError(f"{where}: unknown sequence kind {kind!r} "
-                      "(expected power | powerlog | explicit)")
+        seq = sequences.PowerLaw(r.read("amplitude", _number), r.read("exponent", _number))
+    elif kind == "powerlog":
+        seq = sequences.PowerLogLaw(r.read("amplitude", _number), r.read("exponent", _number),
+                                    r.read("log_exponent", _number))
+    elif kind == "explicit":
+        seq = sequences.Explicit(tuple(r.read("values", _list, item=_number)),
+                                 r.read("tail", _parse_sequence) if r.get("tail") else None)
+    else:
+        raise ConfigError(f"{where}: unknown sequence kind {kind!r} "
+                          "(expected power | powerlog | explicit)")
+    return r.done(seq)
 
 
 def _parse_basis(obj, where: str):
@@ -154,15 +171,15 @@ def _parse_basis(obj, where: str):
     if obj is None:
         return series.EuclideanSequence(q=2.0)
     r = _Params(obj, where)
-    kind = obj.get("kind")
+    kind = r.get("kind")
     if kind == "euclidean":
-        return series.EuclideanSequence(q=r.read("q", _number, 2.0, low=0))
+        return r.done(series.EuclideanSequence(q=r.read("q", _number, 2.0, low=0)))
     if kind in ("haar", "hat"):
         family = series.HaarWavelet if kind == "haar" else series.HatHierarchical
-        return family(r.read("levels", _integer, low=0, high=_MAX_LEVELS),
-                      r.read("grid_size", _integer, 2 ** 14))
+        return r.done(family(r.read("levels", _integer, low=0, high=_MAX_LEVELS),
+                             r.read("grid_size", _integer, 2 ** 14)))
     if kind == "eigen":
-        return series.Eigenbasis()
+        return r.done(series.Eigenbasis())
     raise ConfigError(f"{where}: unknown basis kind {kind!r} "
                       "(expected euclidean | haar | hat | eigen)")
 
@@ -171,13 +188,13 @@ def _parse_prior(obj, where: str):
     from . import series
 
     r = _Params(obj, where)
-    return series.StableFieldSpec.make(
+    return r.done(series.StableFieldSpec.make(
         r.read("alpha", _number), r.read("gamma", _parse_sequence),
         r.read("basis", _parse_basis, None),
         r.read("truncation", _integer, high=_MAX_TRUNCATION),
         delta_seq=r.read("delta", _parse_sequence, 0.0),
         beta_seq=r.read("beta", _parse_sequence, 0.0),
-    )
+    ))
 
 
 # A kind's parser imports every module its runner uses (see the module
@@ -245,7 +262,7 @@ def _parse_data_sweep(r: _Params) -> None:
     eps = r.read("epsilons", _list, item=_number, low=0)
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError(f"{r.where}: epsilons must be a non-empty, strictly decreasing list")
-    if r.obj.get("r_bound") is not None:
+    if r.get("r_bound") is not None:
         r_bound = r.read("r_bound", _number)
         reach = float(np.sqrt((y ** 2).sum())) + max(eps)
         if reach >= r_bound:
@@ -278,17 +295,20 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
-    experiment = raw.get("experiment")
+    top = _Params(raw, "top level")
+    experiment = top.get("experiment")
     if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment kind {experiment!r}; expected one of "
             + " | ".join(EXPERIMENT_KINDS)
         )
-    seed = _integer(raw.get("seed", 0), "seed", 0, _SEED_MAX)
-    params = raw.get("params", {})
+    seed = _integer(top.get("seed", 0), "seed", 0, _SEED_MAX)
+    params = top.get("params", {})
+    top.done()
     reader = _Params(params, f"params ({experiment})")
     try:
         _EXPERIMENTS[experiment][0](reader)
+        reader.done()
     except ConfigError:
         raise
     except StableInferError as exc:
@@ -301,7 +321,9 @@ def validate_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _json_dump(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # strict JSON: a non-finite float is a writer's bug, not an artifact
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_table_and_report(out: Path, comment: str, table: str, columns, rows,
@@ -400,7 +422,7 @@ def _run_flom(cfg: ExperimentConfig, out: Path, comment: str):
 
     x = cfg.inputs
     # sampled and reduced one row block at a time: the rows are never all held
-    est = series.sampled_flom_estimate(x.prior, x.n_samples, cfg.seed, x.p, x.q)
+    est = series.flom_estimate(x.prior, x.n_samples, cfg.seed, x.p, x.q)
     return _write_table_and_report(
         out, comment, "truncation_trace.csv", ["truncation", "estimate"],
         np.asarray(est.truncation_trace), "flom.json", {

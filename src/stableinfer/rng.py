@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "blocks_per_row",
-    "uniform_block",
     "uniform_rows",
 ]
 
@@ -47,18 +46,9 @@ def blocks_per_row(n_coefficients: int) -> int:
     return -(-doubles // _WORDS_PER_BLOCK)
 
 
-def uniform_block(seed, n_samples: int, n_coefficients: int) -> np.ndarray:
-    """Uniform[0,1) draws of shape (n_samples, n_coefficients, 2).
-
-    Element (i, j, k) sits at a fixed counter position determined only by
-    (seed, i, j, k); see `uniform_rows` for addressing a row range directly.
-    """
-    return uniform_rows(seed, 0, n_samples, n_coefficients)
-
-
 def uniform_rows(seed, row_start: int, row_stop: int, n_coefficients: int) -> np.ndarray:
-    """Uniforms for sample rows [row_start, row_stop), bitwise equal to the
-    corresponding slice of `uniform_block`.
+    """Uniform[0,1) draws for sample rows [row_start, row_stop), shape (rows,
+    n_coefficients, 2); element (i, j, k) is fixed by (seed, row_start + i, j, k).
 
     The result is a view into the drawn buffer, not a copy: with an odd
     n_coefficients, whose rows are padded, it is strided."""

@@ -53,12 +53,10 @@ __all__ = [
     "default_grid",
     "sample_coefficients",
     "synthesize",
-    "synthesize_ensemble",
     "GalleryEnsemble",
     "wavelet_gallery_ensemble",
     "FlomEstimate",
     "flom_estimate",
-    "sampled_flom_estimate",
 ]
 
 
@@ -372,13 +370,6 @@ def synthesize(basis: BasisSpec, coefficients: np.ndarray,
     return out[0] if single else out
 
 
-def synthesize_ensemble(ensemble: FieldEnsemble,
-                        grid: Optional[np.ndarray] = None) -> FieldEnsemble:
-    """Fill (and return) the ensemble with its grid synthesis."""
-    ensemble.grid_values = synthesize(ensemble.spec.basis, ensemble.coefficients, grid)
-    return ensemble
-
-
 # ---------------------------------------------------------------------------
 # matched heavy-tail / light-tail wavelet gallery
 # ---------------------------------------------------------------------------
@@ -426,7 +417,7 @@ def wavelet_gallery_ensemble(family: str, levels: int, n_samples: int, seed: int
         raise InvalidSpecError("the gallery needs at least one refinement level")
     spec = _gallery_spec(family.lower(), levels, grid_size)
     ens = sample_coefficients(spec, n_samples, seed)
-    synthesize_ensemble(ens)
+    ens.grid_values = synthesize(spec.basis, ens.coefficients)
     lo = float(ens.grid_values.min())
     hi = float(ens.grid_values.max())
     span = hi - lo if hi > lo else 1.0
@@ -460,37 +451,10 @@ def _check_flom_orders(alpha: float, p: float, q: float) -> None:
             f"moment order p={p} >= alpha={alpha}: E||u||^p is infinite (need p < alpha)")
 
 
-def _flom(alpha: float, blocks, n_rows: int, n_total: int, p: float,
-          q: float) -> FlomEstimate:
-    """The flom statistics of an n_rows x n_total coefficient matrix given
-    as (start, block) row blocks, each read once, in order."""
-    _check_flom_orders(alpha, p, q)
-    norm = QuasiNormSpec(q)
-    cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
-    # the statistic of each row at each cut, taken block by block so that
-    # the |c|^q temporaries stay block-sized
-    stats = [np.empty(n_rows) for _ in cuts]
-    for start, block in blocks:
-        for cut, vals in zip(cuts, stats):
-            vals[start:start + block.shape[0]] = rowwise_quasi_norm(block[:, :cut], norm) ** p
-    trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
-    est = trace[-1][1]
-    vals = stats[-1]
-    tail_index = alpha / p if alpha < 2.0 else None
-    stderr, reason = 0.0, None  # constant statistic (e.g. location-only field)
-    if vals.size > 1 and vals.max() > vals.min():
-        if tail_index is not None and tail_index <= 2.0:
-            stderr, reason = None, (
-                f"Var ||u||^p is infinite for 2p = {2 * p:g} >= alpha = {alpha:g}, so the "
-                "sample deviation over sqrt(n) is no standard error")
-        else:
-            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace),
-                        tail_index=tail_index, stderr_reason=reason)
-
-
-def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
-    """Monte Carlo estimate of E ||u||^p with the ell^q coefficient norm.
+def flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
+                  p: float, q: float) -> FlomEstimate:
+    """Monte Carlo estimate of E ||u||^p with the ell^q coefficient norm,
+    over the n_samples rows of sample_coefficients(spec, n_samples, seed).
 
     Requires 0 < p <= q and p below the spec's stability index (absolute
     moments of order >= alpha are infinite, so the estimator would
@@ -501,28 +465,41 @@ def flom_estimate(ensemble: FieldEnsemble, p: float, q: float) -> FlomEstimate:
 
     ||u||^p has tail index alpha/p when alpha < 2.  The standard error,
     the sample deviation over sqrt(n), is reported only where that index
-    exceeds 2; at 2p >= alpha the variance is infinite, and `stderr` is
+    exceeds 2 and there are two samples or more; otherwise `stderr` is
     None with the reason in `stderr_reason`.
-    """
-    coeffs = ensemble.coefficients
-    n_rows, n_total = coeffs.shape
-    rows = _block_rows(n_total)
-    blocks = ((start, coeffs[start:start + rows]) for start in range(0, n_rows, rows))
-    return _flom(ensemble.spec.alpha, blocks, n_rows, n_total, p, q)
-
-
-def sampled_flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
-                          p: float, q: float) -> FlomEstimate:
-    """flom_estimate(sample_coefficients(spec, n_samples, seed), p, q), to
-    the bit, without the coefficient matrix.
 
     Each row block is drawn and reduced to its rows' statistics before the
-    next is drawn, so beyond the three n-length statistics (and the
-    standard error's n-length temporary) the working memory is one block
-    of rows, about 1 MB.  Warns as sample_coefficients does.
+    next is drawn, so the coefficient matrix is never held: beyond the
+    three n-length statistics (and the standard error's n-length
+    temporary) the working memory is one block of rows, about 1 MB.
+    Warns as sample_coefficients does.
     """
-    if n_samples < 0:
-        raise InvalidSpecError("n_samples must be >= 0")
+    if n_samples < 1:
+        raise InvalidSpecError("the flom estimate needs n_samples >= 1")
     _warn_unless_summable(spec)
-    return _flom(spec.alpha, _sampled_blocks(spec, n_samples, seed),
-                 n_samples, spec.truncation, p, q)
+    alpha, n_total = spec.alpha, spec.truncation
+    _check_flom_orders(alpha, p, q)
+    norm = QuasiNormSpec(q)
+    cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
+    # the statistic of each row at each cut, taken block by block so that
+    # the |c|^q temporaries stay block-sized
+    stats = [np.empty(n_samples) for _ in cuts]
+    for start, block in _sampled_blocks(spec, n_samples, seed):
+        for cut, vals in zip(cuts, stats):
+            vals[start:start + block.shape[0]] = rowwise_quasi_norm(block[:, :cut], norm) ** p
+    trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
+    est = trace[-1][1]
+    vals = stats[-1]
+    tail_index = alpha / p if alpha < 2.0 else None
+    stderr, reason = 0.0, None  # constant statistic (e.g. location-only field)
+    if n_samples == 1:
+        stderr, reason = None, "one sample has no sample deviation, so no standard error"
+    elif vals.max() > vals.min():
+        if tail_index is not None and tail_index <= 2.0:
+            stderr, reason = None, (
+                f"Var ||u||^p is infinite for 2p = {2 * p:g} >= alpha = {alpha:g}, so the "
+                "sample deviation over sqrt(n) is no standard error")
+        else:
+            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace),
+                        tail_index=tail_index, stderr_reason=reason)

@@ -122,8 +122,7 @@ def test_criterion_05_three_series_verdicts():
 def test_criterion_06_flom_truncation_stability():
     spec = si.StableFieldSpec.make(1.0, si.PowerLaw(1.0, 2.0),
                                    si.EuclideanSequence(q=1.0), 256)
-    ens = si.sample_coefficients(spec, N_KS, 6001)
-    out = si.flom_estimate(ens, 0.5, 1.0)
+    out = si.flom_estimate(spec, N_KS, 6001, 0.5, 1.0)
     (n1, e1), (n2, e2), (n3, e3) = out.truncation_trace
     assert (n1, n2, n3) == (64, 128, 256)
     assert abs(e3 - e2) < abs(e2 - e1)

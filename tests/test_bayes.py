@@ -32,7 +32,6 @@ from stableinfer import (
     likelihood_perturbation_sweep,
     log_growth_envelopes,
     normal_pdf,
-    normalization_constant,
     posterior,
     posterior_expectation,
     sample_coefficients,
@@ -139,19 +138,19 @@ class TestMisfitBatch:
 class TestNormalizationConstant:
     def test_flat_misfit_gives_unit_mass(self, gaussian_ensemble):
         pot = PotentialSpec(misfit=lambda u, y: np.zeros(u.shape[0]))
-        out = normalization_constant(pot, gaussian_ensemble, np.zeros(1))
+        out = posterior(pot, gaussian_ensemble, np.zeros(1)).z
         assert out.z == 1.0
         assert out.stderr == 0.0
 
     def test_conjugate_oracle(self, potential, gaussian_ensemble):
         y = 1.3
-        out = normalization_constant(potential, gaussian_ensemble, np.array([y]))
+        out = posterior(potential, gaussian_ensemble, np.array([y])).z
         exact = math.exp(-y * y / 4.0) / math.sqrt(2.0)
         assert abs(out.z - exact) < 4.0 * out.stderr
         assert abs(out.z / exact - 1.0) < 0.01
 
     def test_cauchy_prior_against_quadrature(self, potential, cauchy_ensemble):
-        out = normalization_constant(potential, cauchy_ensemble, np.array([0.0]))
+        out = posterior(potential, cauchy_ensemble, np.array([0.0])).z
         oracle, _ = integrate.quad(
             lambda u: math.exp(-0.5 * u * u) * cauchy_pdf(0, 1, u), -np.inf, np.inf,
         )
@@ -161,7 +160,8 @@ class TestNormalizationConstant:
         # every misfit is below -709.78, so exp(-shift) overflows a double
         u = np.linspace(0, 1, 100)[:, None]
         pot = PotentialSpec(misfit=lambda u, y: u[:, 0] - 1000.0)
-        out = normalization_constant(pot, u, [0.0])
+        post = posterior(pot, u, [0.0])
+        out = post.z
         assert out.z == math.inf
         assert out.stderr == math.inf
         assert out.underflow_flagged
@@ -169,15 +169,13 @@ class TestNormalizationConstant:
         assert out.log_z == pytest.approx(1000.0 + math.log(np.exp(-u[:, 0]).mean()),
                                           rel=1e-15)
         # the weights and the normalised posterior are unaffected
-        post = posterior(pot, u, [0.0])
-        assert post.z == out
         phi = u[:, 0] - 1000.0
         assert post.measure.weights.tobytes() == np.exp(-(phi + 1000.0)).tobytes()
 
     def test_degenerate_weights_raise(self, potential):
         ens = scalar_prior("gaussian", 10 ** 4, 5)
         with pytest.raises(DegenerateWeightsError):
-            normalization_constant(potential, ens, np.array([3000.0]))
+            posterior(potential, ens, np.array([3000.0]))
 
 
 class TestPosterior:
@@ -224,9 +222,8 @@ class TestPosterior:
         y = np.array([0.4])
         post = posterior(dataclasses.replace(potential, misfit=counted), gaussian_ensemble, y)
         assert calls == [gaussian_ensemble.n_samples]
-        # the posterior's Z is the one normalization_constant computes, bit for bit
-        z = normalization_constant(potential, gaussian_ensemble, y)
-        assert post.z == z
+        # counting the calls leaves Z's bits as they are
+        assert post.z == posterior(potential, gaussian_ensemble, y).z
 
     def test_posterior_sums_its_weights_once(self, potential, gaussian_ensemble, monkeypatch):
         # one pass over the leaves forms and sums the weights, one sums the
@@ -409,9 +406,9 @@ class TestDataSweep:
 
 def test_sweeps_take_no_standard_error_of_z(monkeypatch, potential, gaussian_ensemble):
     # the sweeps report Z alone, so the squared-deviation pass behind its
-    # standard error is never run for them; their Z is normalization_constant's
+    # standard error is never run for them; their Z is the posterior's
     y, eps, direction = np.array([0.3]), [0.2, 0.05], np.array([1.0])
-    zs = [normalization_constant(potential, gaussian_ensemble, y + e * direction).z for e in eps]
+    zs = [posterior(potential, gaussian_ensemble, y + e * direction).z.z for e in eps]
 
     def no_stderr(*args):
         raise AssertionError("a sweep took the standard error of Z")
@@ -422,7 +419,7 @@ def test_sweeps_take_no_standard_error_of_z(monkeypatch, potential, gaussian_ens
     likelihood_perturbation_sweep(potential, lambda n: potential.misfit, lambda n: 1.0 / n,
                                   gaussian_ensemble, y, [4, 8])
     with pytest.raises(AssertionError):
-        normalization_constant(potential, gaussian_ensemble, y)
+        posterior(potential, gaussian_ensemble, y)
 
 
 class TestLikelihoodSweep:

@@ -261,13 +261,13 @@ class TestRunExperiments:
                                                 "n_samples": 1000}))
         run(cfg, tmp_path)
         report = json.loads((tmp_path / "flom.json").read_text())
-        ens = sample_coefficients(cfg.inputs.prior, 1000, cfg.seed)
-        want = flom_estimate(ens, 0.5, 0.5)
-        assert (report["estimate"], report["stderr"]) == (want.estimate, want.stderr)
+        want = flom_estimate(cfg.inputs.prior, 1000, cfg.seed, 0.5, 0.5)
         assert report["truncation_trace"] == [[n, v] for n, v in want.truncation_trace]
-        # the benchmark's setting: tail index 3, so the textbook standard
-        # error stands, to the bit
+        # the benchmark's setting: tail index 3, so the textbook statistics
+        # of the sampled matrix stand, to the bit
+        ens = sample_coefficients(cfg.inputs.prior, 1000, cfg.seed)
         vals = metrics.rowwise_quasi_norm(ens.coefficients, metrics.QuasiNormSpec(0.5)) ** 0.5
+        assert report["estimate"].hex() == float(vals.mean()).hex()
         assert report["stderr"].hex() == float(vals.std(ddof=1) / math.sqrt(1000)).hex()
         assert (report["tail_index"], report["stderr_reason"]) == (3.0, None)
 
@@ -279,8 +279,36 @@ class TestRunExperiments:
         report = json.loads((tmp_path / "flom.json").read_text())
         assert report["stderr"] is None and "infinite" in report["stderr_reason"]
         assert report["tail_index"] == 1.5
-        want = flom_estimate(sample_coefficients(cfg.inputs.prior, 1000, cfg.seed), 1.0, 1.0)
+        want = flom_estimate(cfg.inputs.prior, 1000, cfg.seed, 1.0, 1.0)
         assert report["estimate"] == want.estimate
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("data_sweep", {"prior": CAUCHY_SCALAR_PRIOR, "epsilons": [0.1], "n_samples": 1000}),
+        ("likelihood_sweep", {"prior": CAUCHY_SCALAR_PRIOR, "n_list": [4],
+                              "n_samples": 1000}),
+    ], ids=["data_sweep.one_epsilon", "likelihood_sweep.one_n"])
+    def test_a_sweep_without_a_fit_writes_strict_json(self, tmp_path, experiment, params):
+        # one perturbation leaves no log-log fit: its fields are null, not NaN
+        run(validate_config(cfg_text(experiment, params)), tmp_path)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        reports = {path.name: json.loads(path.read_text(), parse_constant=refuse)
+                   for path in tmp_path.glob("*.json")}
+        report = reports[f"{experiment}.json"]
+        assert (report["slope"], report["intercept"], report["slope_ci"],
+                report["fit_residual"]) == (None, None, [None, None], None)
+
+    def test_flom_of_one_sample_reports_no_stderr(self, tmp_path):
+        # p = 0.5 < alpha / 2, yet one sample has no sample deviation
+        prior = {"alpha": 1.5, "gamma": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+                 "truncation": 16}
+        cfg = validate_config(cfg_text("flom", {"prior": prior, "p": 0.5, "n_samples": 1}))
+        run(cfg, tmp_path)
+        report = json.loads((tmp_path / "flom.json").read_text())
+        assert report["stderr"] is None and "one sample" in report["stderr_reason"]
+        assert report["estimate"] == report["truncation_trace"][-1][1]
 
     @pytest.mark.parametrize("n,truncation", [(20_000, 64), (80_000, 64), (20_000, 256)])
     def test_flom_working_memory_does_not_grow_with_the_ensemble(
@@ -441,6 +469,48 @@ class TestMainExitCodes:
                          "--seed", seed_override]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # a key no parser reads is rejected by name, at the top level and in
+    # every object; it used to be ignored, and its default used instead
+    _POWER = {"kind": "power", "amplitude": 1.0, "exponent": 2.0}
+
+    @pytest.mark.parametrize("config,key", [
+        ({"experiment": "kl_table", "sead": 5, "params": {"initial_halfwidth": 3.0}}, "sead"),
+        ({"experiment": "kl_table", "params": {"initial_halfwidht": 3.0}}, "initial_halfwidht"),
+        ({"experiment": "flom", "params": {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5,
+                                           "n_sample": 10}}, "n_sample"),
+        ({"experiment": "flom", "params": {"prior": dict(CAUCHY_SCALAR_PRIOR, aplha=1.5),
+                                           "p": 0.5}}, "aplha"),
+        ({"experiment": "flom", "params": {"prior": dict(
+            CAUCHY_SCALAR_PRIOR, basis={"kind": "haar", "levels": 2, "grid_szie": 64}),
+            "p": 0.5}}, "grid_szie"),
+        ({"experiment": "flom", "params": {"prior": dict(
+            CAUCHY_SCALAR_PRIOR, basis={"kind": "eigen", "grid_size": 64}), "p": 0.5}},
+         "grid_size"),
+        ({"experiment": "flom", "params": {"prior": dict(
+            CAUCHY_SCALAR_PRIOR, gamma=dict(_POWER, exponnet=3.0)), "p": 0.5}}, "exponnet"),
+        ({"experiment": "flom", "params": {"prior": dict(
+            CAUCHY_SCALAR_PRIOR, gamma={"kind": "explicit", "values": [1.0],
+                                        "tail": dict(_POWER, log_exponent=1.0)}),
+            "p": 0.5}}, "log_exponent"),
+        ({"experiment": "three_series", "params": {"sequence": dict(_POWER, tail=_POWER),
+                                                   "alpha": 1.0}}, "tail"),
+    ], ids=["top", "params", "params.flom", "prior", "basis.haar", "basis.eigen",
+            "sequence", "sequence.tail", "sequence.power_tail"])
+    def test_unknown_keys_are_config_errors(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"unknown key {key!r}" in err
+
+    def test_every_key_a_parser_consults_is_known(self):
+        # the euclidean q, an explicit sequence's null tail and a null
+        # r_bound are read, so they are no unknown keys
+        prior = {"alpha": 1.0, "truncation": 1, "basis": {"kind": "euclidean", "q": 1.0},
+                 "gamma": {"kind": "explicit", "values": [1.0], "tail": None}}
+        validate_config(json.dumps({"experiment": "data_sweep", "seed": 1, "params": {
+            "prior": prior, "epsilons": [0.1], "r_bound": None}}))
 
     # (kind, key, a value rejected at the bound, the value accepted at or
     # next to it): validate rejects what run would reject, and no more

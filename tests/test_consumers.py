@@ -1,5 +1,6 @@
 """The package's outside users run against it: the benchmark's tracer
-binds every public name of every layer, each demo script runs clean
+binds every public name of every layer and every config the benchmark
+runs validates, each demo script runs clean
 (the series diagnostics printing the text they always printed), and
 `stableinfer run` writes the artifacts it always wrote for each config in
 demos/configs."""
@@ -37,6 +38,35 @@ tracer.install(tracer.Tracer("t"))
 
 def test_benchmark_tracer_installs(tmp_path):
     proc = _run(["-B", "-c", _INSTALL], tmp_path, "src", "bench")
+    assert proc.returncode == 0, proc.stderr
+
+
+# every config the benchmark runs: its config files, each `cli` operation
+# of each workload for two seeds, and the demo configs it copies
+_VALIDATE_BENCHMARK_CONFIGS = """
+import json, pathlib, sys
+import workloads
+from stableinfer.cli import validate_config
+from stableinfer.errors import ConfigError
+root = pathlib.Path(sys.argv[1])
+texts = {str(p): p.read_text(encoding="utf-8")
+         for d in ("bench/configs", "demos/configs") for p in sorted((root / d).glob("*.json"))}
+for name, workload in workloads.WORKLOADS.items():
+    for seed in (1, 2):
+        for op in workload(seed):
+            if op.spec["kind"] == "cli":
+                texts[f"{name}/{seed}/{op.name}"] = json.dumps(op.spec["config"])
+assert len(texts) > 10, sorted(texts)
+for where, text in texts.items():
+    try:
+        validate_config(text)
+    except ConfigError as exc:
+        raise SystemExit(f"{where}: {exc}")
+"""
+
+
+def test_every_benchmark_config_validates(tmp_path):
+    proc = _run(["-B", "-c", _VALIDATE_BENCHMARK_CONFIGS, str(ROOT)], tmp_path, "src", "bench")
     assert proc.returncode == 0, proc.stderr
 
 

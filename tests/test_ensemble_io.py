@@ -15,7 +15,7 @@ from stableinfer import (
     InvalidSpecError,
     StableFieldSpec,
     sample_coefficients,
-    synthesize_ensemble,
+    synthesize,
 )
 from stableinfer.ensemble_io import (
     MAGIC,
@@ -28,7 +28,9 @@ from stableinfer.ensemble_io import (
 @pytest.fixture
 def ensemble():
     spec = StableFieldSpec.make(1.0, Explicit((1.0, 0.5, 0.25)), HaarWavelet(1, 64), 3)
-    return synthesize_ensemble(sample_coefficients(spec, 7, 99))
+    ens = sample_coefficients(spec, 7, 99)
+    ens.grid_values = synthesize(spec.basis, ens.coefficients)
+    return ens
 
 
 def test_binary_round_trip(tmp_path, ensemble):
