@@ -17,14 +17,17 @@ growth-rate tradeoff that keeps a heavy-tailed prior usable: envelopes
 may grow logarithmically with a coefficient below the prior's finite
 moment order, and no faster.
 
-One misfit evaluation per posterior gives its weights, the normalising
-constant Z with its standard error, and the effective sample size
-(`ZEstimate.ess`), each evaluated once (an ESS below the fixed floor
-`_MIN_ESS` = 10 raises DegenerateWeightsError).  The weights are built in
-one n-length buffer by two passes over the cache-sized leaves of
-`metrics._tree_sums`: the first forms them and sums w and w^2, which give
-the mean, Z and the ESS; the second sums the squared deviations behind
-the standard error, and only `posterior`, which reports it, takes it.
+One misfit evaluation per sample gives a posterior its weights, the
+normalising constant Z with its standard error, and the effective sample
+size (`ZEstimate.ess`), each evaluated once (an ESS below the fixed floor
+`_MIN_ESS` = 10 raises DegenerateWeightsError).  A misfit is row-local,
+so it is evaluated leaf by leaf, on row ranges of at most
+`metrics._LEAF` rows, straight into the one n-length buffer that then
+holds the weights; no n-length misfit vector is formed.  Two passes over
+the cache-sized leaves of `metrics._tree_sums` follow: the first turns
+the misfits into weights in place and sums w and w^2, which give the
+mean, Z and the ESS; the second sums the squared deviations behind the
+standard error, and only `posterior`, which reports it, takes it.
 The results keep the bits of the textbook numpy expressions (w.mean(),
 w.std(ddof=1)).  A posterior's weighted measure validates and sums its
 weights on construction, as any `WeightedSampleMeasure` does, and its
@@ -37,8 +40,8 @@ gives the Hellinger distance, its standard error and the total variation
 of each pair, taking the density's root leaf by leaf and writing its
 psi terms over the perturbed weights, and a log-log fit of distance
 against perturbation size closes the sweep.  Beyond the ensemble, a
-sweep holds three n-length vectors at most: the base density and one
-perturbation's misfits and weights.
+sweep holds two n-length vectors at most: the base density and one
+perturbation's weights.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .metrics import (
     WeightedSampleMeasure,
     _distances,
     _leaf_buffer,
+    _leaf_ranges,
     _tree_sums,
     rowwise_quasi_norm,
 )
@@ -98,10 +102,12 @@ class PotentialSpec:
     """A misfit Phi(u; y) with declared growth envelopes.
 
     misfit maps a (n_samples, dim_u) batch and a data vector to the n
-    misfit values.  The envelopes are declared, not inferred: m1(r, t)
-    lower-bounds Phi when ||y|| < r; exp(m2(r, t)) is a Lipschitz factor
-    of Phi in y; and exp(m3(r, t)) scales a likelihood-approximation
-    error.  The engine estimates their consequences under the prior
+    misfit values.  It must be row-local, misfit(u[a:b], y) equal to
+    misfit(u, y)[a:b], because a posterior evaluates it on row ranges.
+    The envelopes are declared, not inferred: m1(r, t) lower-bounds Phi
+    when ||y|| < r; exp(m2(r, t)) is a Lipschitz factor of Phi in y; and
+    exp(m3(r, t)) scales a likelihood-approximation error.  The engine
+    estimates their consequences under the prior
     (`integrability_estimates`); it cannot verify them pointwise over an
     infinite domain.
     """
@@ -263,25 +269,31 @@ class ZEstimate:
     underflow_flagged: bool
 
 
-def _weigh(potential: PotentialSpec, ensemble, y) -> tuple[np.ndarray, float, float, float]:
+def _weigh(potential: PotentialSpec, batch, y) -> tuple[np.ndarray, float, float, float]:
     """Shifted weights exp(-(Phi - min Phi)), their total, the shift and the
-    ESS, from one misfit evaluation and one pass over the weights; the
-    total over n is w.mean() to the bit."""
-    misfits = evaluate_misfit_batch(potential, ensemble, y)
-    shift = float(misfits.min())
-    n = misfits.size
+    ESS, in one n-length buffer that first holds the misfits, formed leaf
+    by leaf; the shift, the least of the leaf minima, is the minimum of
+    all n, and the total over n is w.mean() to the bit."""
+    batch = _coerce_batch(batch)
+    n = batch.shape[0]
+    if n == 0:
+        raise OutOfRangeError("ensemble", "need at least one sample")
     w = np.empty(n)
+    shift = math.inf
+    for a, b in _leaf_ranges(n):
+        leaf = w[a:b]
+        leaf[...] = evaluate_misfit_batch(potential, batch[a:b], y)
+        shift = min(shift, float(leaf.min()))
     scratch = _leaf_buffer(n)
 
     def weights_and_squares(a, b):
         # shift - Phi is -(Phi - shift) to the bit, but for the sign of a
         # zero, which exp ignores
-        leaf = np.subtract(shift, misfits[a:b], out=w[a:b])
+        leaf = np.subtract(shift, w[a:b], out=w[a:b])
         np.exp(leaf, out=leaf)
         return leaf.sum(), np.square(leaf, out=scratch[:b - a]).sum()
 
     s, s2 = _tree_sums(n, weights_and_squares)
-    del misfits  # one n-length buffer fewer at the peak
     ess = float(s * s / s2)
     if ess < _MIN_ESS:
         raise DegenerateWeightsError(

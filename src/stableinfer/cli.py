@@ -471,12 +471,12 @@ def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
 
     x = cfg.inputs
     ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
-    # every approximate misfit is evaluated on this ensemble, so the
-    # perturbation sin(||u||)/N needs sin(||u||) once per sweep
-    wiggle = np.sin(metrics.rowwise_quasi_norm(ens.coefficients, x.potential.u_norm))
 
     def family(n_approx):
         def approx(u, yy):
+            # a misfit is row-local, so the perturbation sin(||u||)/N is
+            # formed from the rows it is given, once per N
+            wiggle = np.sin(metrics.rowwise_quasi_norm(u, x.potential.u_norm))
             return x.potential.misfit(u, yy) + wiggle / n_approx
         return approx
 

@@ -88,6 +88,12 @@ def _node_sums(fn, a: int, b: int) -> tuple:
     return tuple(x + y for x, y in zip(_node_sums(fn, a, a + h), _node_sums(fn, a + h, b)))
 
 
+def _leaf_ranges(n: int) -> list:
+    """Consecutive row ranges [a, b) of at most _LEAF rows covering [0, n),
+    for elementwise work that takes no sum."""
+    return [(a, min(a + _LEAF, n)) for a in range(0, n, _LEAF)]
+
+
 def _leaf_buffer(n: int) -> np.ndarray:
     """Scratch for the rows of any one leaf of `_tree_sums` over n rows."""
     return np.empty(min(n, _LEAF))

@@ -46,6 +46,26 @@ def blocks_per_row(n_coefficients: int) -> int:
     return -(-doubles // _WORDS_PER_BLOCK)
 
 
+def _row_stream(seed, row_start: int, n_coefficients: int):
+    """draw(n_rows): the uniforms of the next n_rows sample rows from
+    row_start on, as `uniform_rows` gives them.  One generator serves every
+    draw: a row is a whole number of Philox blocks, so each draw starts
+    where an advance to its first row would."""
+    bpr = blocks_per_row(n_coefficients)
+    stride = bpr * _WORDS_PER_BLOCK
+    bg = np.random.Philox(key=seed)
+    if row_start:
+        bg.advance(row_start * bpr)
+    gen = np.random.Generator(bg)
+
+    def draw(n_rows: int) -> np.ndarray:
+        raw = gen.random(n_rows * stride)
+        raw = raw.reshape(n_rows, stride)[:, : 2 * n_coefficients]
+        return raw.reshape(n_rows, n_coefficients, 2)
+
+    return draw
+
+
 def uniform_rows(seed, row_start: int, row_stop: int, n_coefficients: int) -> np.ndarray:
     """Uniform[0,1) draws for sample rows [row_start, row_stop), shape (rows,
     n_coefficients, 2); element (i, j, k) is fixed by (seed, row_start + i, j, k).
@@ -55,11 +75,4 @@ def uniform_rows(seed, row_start: int, row_stop: int, n_coefficients: int) -> np
     n_rows = row_stop - row_start
     if n_rows <= 0 or n_coefficients <= 0:
         return np.empty((max(n_rows, 0), max(n_coefficients, 0), 2))
-    bpr = blocks_per_row(n_coefficients)
-    stride = bpr * _WORDS_PER_BLOCK
-    bg = np.random.Philox(key=seed)
-    if row_start:
-        bg.advance(row_start * bpr)
-    raw = np.random.Generator(bg).random(n_rows * stride)
-    raw = raw.reshape(n_rows, stride)[:, : 2 * n_coefficients]
-    return raw.reshape(n_rows, n_coefficients, 2)
+    return _row_stream(seed, row_start, n_coefficients)(n_rows)

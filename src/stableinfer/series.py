@@ -258,11 +258,12 @@ def _sampled_blocks(spec: StableFieldSpec, n_samples: int, seed: int,
     reuse = out is None
     if reuse:
         out = np.empty((min(rows, n_samples), spec.truncation))
+    # one Philox stream for all the blocks, each drawn where the last ended
+    draw = rng_mod._row_stream(seed, 0, spec.truncation)
     for start in range(0, n_samples, rows):
         stop = min(start + rows, n_samples)
         block = out[:stop - start] if reuse else out[start:stop]
-        _transform_rows(spec.alpha, columns,
-                        rng_mod.uniform_rows(seed, start, stop, spec.truncation), block)
+        _transform_rows(spec.alpha, columns, draw(stop - start), block)
         yield start, block
 
 

@@ -20,6 +20,7 @@ from stableinfer import (
     IdentityForward,
     LinearForward,
     MomentOrderTooHighError,
+    OutOfRangeError,
     PotentialSpec,
     QuasiNormSpec,
     StableFieldSpec,
@@ -41,10 +42,14 @@ from stableinfer.metrics import rowwise_quasi_norm
 from textbook import textbook_distances, textbook_z
 
 
-def fixed_misfit(values) -> PotentialSpec:
-    """A potential whose misfit is the given values, whatever u and y are."""
-    values = np.asarray(values, dtype=float)
-    return PotentialSpec(misfit=lambda u, y: values)
+# a row-local misfit, the first coordinate of each row: the batch
+# column(phi) has the misfits phi
+FIRST_COORDINATE = PotentialSpec(misfit=lambda u, y: u[:, 0])
+
+
+def column(values) -> np.ndarray:
+    """The batch whose FIRST_COORDINATE misfits are the given values."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 def scalar_prior(kind: str, n: int, seed: int):
@@ -108,13 +113,11 @@ class TestMisfitBatch:
                                         [1.0, -math.inf, 2.0], [math.inf, -math.inf]])
     def test_each_non_finite_value_rejected(self, values):
         with pytest.raises(DimensionMismatchError):
-            evaluate_misfit_batch(fixed_misfit(values), np.ones((len(values), 1)),
-                                  np.zeros(1))
+            evaluate_misfit_batch(FIRST_COORDINATE, column(values), np.zeros(1))
 
     @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 3.0]])
     def test_finite_values_whose_sum_overflows_accepted(self, values):
-        out = evaluate_misfit_batch(fixed_misfit(values), np.ones((len(values), 1)),
-                                    np.zeros(1))
+        out = evaluate_misfit_batch(FIRST_COORDINATE, column(values), np.zeros(1))
         assert out.tolist() == values
 
     @pytest.mark.parametrize("var", [1.0, 0.3, [0.5, 2.0]])
@@ -213,15 +216,23 @@ class TestPosterior:
             hellinger_empirical(a.measure, b.measure)
 
     def test_one_misfit_evaluation_per_posterior(self, potential, gaussian_ensemble):
+        # the misfit is evaluated leaf by leaf, on consecutive disjoint row
+        # ranges that cover the ensemble, so each row exactly once
+        coefficients = gaussian_ensemble.coefficients
         calls = []
 
         def counted(u, y):
-            calls.append(len(u))
+            start = (u.ctypes.data - coefficients.ctypes.data) // coefficients.strides[0]
+            calls.append((start, start + len(u)))
             return potential.misfit(u, y)
 
         y = np.array([0.4])
         post = posterior(dataclasses.replace(potential, misfit=counted), gaussian_ensemble, y)
-        assert calls == [gaussian_ensemble.n_samples]
+        n = gaussian_ensemble.n_samples
+        assert len(calls) > 1
+        assert [a for a, _ in calls] == [0] + [b for _, b in calls[:-1]]
+        assert all(a < b for a, b in calls)
+        assert calls[-1][1] == n
         # counting the calls leaves Z's bits as they are
         assert post.z == posterior(potential, gaussian_ensemble, y).z
 
@@ -295,7 +306,7 @@ class TestSinglePassWeights:
     def test_weights_and_z_match_textbook_bits(self, small_leaf, phi):
         w, (z, stderr, log_z, ess) = textbook_z(phi)
         with mock.patch.object(bayes, "_MIN_ESS", 0.0):
-            post = posterior(fixed_misfit(phi), np.zeros((phi.size, 1)), [0.0])
+            post = posterior(FIRST_COORDINATE, column(phi), [0.0])
         got = post.z
         assert (got.z, got.stderr, got.log_z, got.ess) == (z, stderr, log_z, ess)
         assert post.measure.weights.tobytes() == w.tobytes()
@@ -303,10 +314,31 @@ class TestSinglePassWeights:
         assert post.measure.normalized().tobytes() == (w / w.sum()).tobytes()
         assert got.shift == float(phi.min())
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(several_leaf_misfits(), st.data())
+    def test_any_one_bad_leaf_raises(self, small_leaf, phi, data):
+        # the misfits are formed and checked leaf by leaf (the test above
+        # pins the weights they give): one non-finite misfit, in any leaf
+        i = data.draw(st.integers(0, phi.size - 1), label="row")
+        bad = phi.copy()
+        bad[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+        with pytest.raises(DimensionMismatchError):
+            posterior(FIRST_COORDINATE, column(bad), [0.0])
+
+        # a misfit one value short on the leaf that holds row i; each row
+        # carries its index in its second coordinate
+        def short_on_row_i(u, y):
+            return u[:-1, 0] if u[0, 1] <= i <= u[-1, 1] else u[:, 0]
+
+        indexed = np.column_stack([phi, np.arange(phi.size)])
+        with pytest.raises(DimensionMismatchError):
+            posterior(PotentialSpec(misfit=short_on_row_i), indexed, [0.0])
+
     def test_misfit_values_left_untouched(self, monkeypatch):
         phi = np.array([2.0, 0.5, 7.0])
         monkeypatch.setattr(bayes, "_MIN_ESS", 0.0)
-        posterior(fixed_misfit(phi), np.zeros((3, 1)), [0.0])
+        posterior(FIRST_COORDINATE, column(phi), [0.0])
         assert phi.tolist() == [2.0, 0.5, 7.0]
 
 
@@ -420,6 +452,43 @@ def test_sweeps_take_no_standard_error_of_z(monkeypatch, potential, gaussian_ens
                                   gaussian_ensemble, y, [4, 8])
     with pytest.raises(AssertionError):
         posterior(potential, gaussian_ensemble, y)
+
+
+def test_empty_ensembles_are_out_of_range(potential):
+    # numpy's bare "zero-size array" error before; now the library's own
+    empty, y = np.empty((0, 1)), np.array([0.0])
+    with pytest.raises(OutOfRangeError, match="at least one sample"):
+        posterior(potential, empty, y)
+    with pytest.raises(OutOfRangeError, match="at least one sample"):
+        data_lipschitz_sweep(potential, empty, y, [0.1], np.array([1.0]))
+    with pytest.raises(OutOfRangeError, match="at least one sample"):
+        likelihood_perturbation_sweep(potential, lambda n: potential.misfit,
+                                      lambda n: 1.0 / n, empty, y, [4])
+
+
+@pytest.mark.parametrize("n", [2 * 10 ** 5, 8 * 10 ** 5])
+def test_working_memory_is_the_weights(traced_peak, potential, n):
+    # no n-length misfit vector: beyond the ensemble, a sweep holds the
+    # base density and one perturbation's weights, and a posterior its
+    # weights, plus leaf scratch
+    ensemble = scalar_prior("cauchy", n, 2718)
+    y = np.array([0.3])
+
+    def family(k):
+        # sin(||u||)/k from the rows it is given, summed in place, so that
+        # the family's own leaf temporaries stay within the allowance
+        def approx(u, yy):
+            wiggle = np.sin(rowwise_quasi_norm(u, potential.u_norm))
+            wiggle /= k
+            return np.add(potential.misfit(u, yy), wiggle, out=wiggle)
+        return approx
+
+    data = traced_peak(data_lipschitz_sweep, potential, ensemble, y, [0.2, 0.1, 0.05],
+                       np.array([1.0]))
+    likelihood = traced_peak(likelihood_perturbation_sweep, potential, family,
+                             lambda k: 1.0 / k, ensemble, y, [4, 8, 16])
+    assert max(data, likelihood) < 2 * 8 * n + 2 ** 20
+    assert traced_peak(posterior, potential, ensemble, y) < 8 * n + 2 ** 20
 
 
 class TestLikelihoodSweep:

@@ -381,8 +381,8 @@ class TestRunExperiments:
         assert 0.8 < report["slope"] < 1.2
 
     def test_likelihood_sweep_matches_the_per_n_misfit_to_the_bit(self, tmp_path):
-        # the runner takes sin(||u||) once per sweep; the report is that of
-        # the misfit family which forms it again for every N
+        # the runner's misfit family, which forms sin(||u||) from the rows
+        # it is given for every N, gives the report to the bit
         cfg = validate_config(cfg_text("likelihood_sweep", {
             "prior": CAUCHY_SCALAR_PRIOR, "y": 0.5,
             "n_list": [2, 5, 9, 40], "n_samples": 20000,

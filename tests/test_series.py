@@ -37,6 +37,7 @@ from stableinfer.series import (
     SummabilityWarning,
     _block_rows,
     _coefficients_from_uniforms,
+    _sampled_blocks,
 )
 from stableinfer.gof import ks_two_sample_critical_value, ks_two_sample_statistic
 
@@ -80,6 +81,26 @@ class TestSampling:
         full = srng.uniform_rows(77, 0, 64, 5)
         for lo, hi in ((0, 10), (13, 37), (63, 64)):
             assert np.array_equal(srng.uniform_rows(77, lo, hi, 5), full[lo:hi])
+
+    @pytest.mark.parametrize("truncation", [1, 3, 64])
+    @pytest.mark.parametrize("case", ["below", "at", "past", "several"])
+    def test_each_block_is_drawn_as_uniform_rows_of_its_range(self, truncation, case):
+        # the sampler draws its blocks in turn from one stream; each block
+        # must be the counter-addressed rows of its own range
+        rows = _block_rows(truncation)
+        n = {"below": rows - 1, "at": rows, "past": rows + 1,
+             "several": 3 * rows + rows // 2 + 1}[case]
+        spec = cauchy_field_spec(truncation)
+        draw = srng._row_stream(5, 0, truncation)
+        starts = []
+        for start, block in _sampled_blocks(spec, n, 5):
+            stop = start + block.shape[0]
+            u = srng.uniform_rows(5, start, stop, truncation)
+            assert np.array_equal(draw(stop - start), u)
+            want = _coefficients_from_uniforms(spec, u)
+            assert np.array_equal(block.view(np.int64), want.view(np.int64))
+            starts.append(start)
+        assert starts == list(range(0, n, rows))
 
     def test_chunking_invariance(self):
         # the sampler chunks internally; a one-shot transform must agree
