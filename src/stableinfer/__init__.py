@@ -45,12 +45,11 @@ _EXPORTS = {
     ),
     "series": (
         "Eigenbasis", "EuclideanSequence", "FieldEnsemble", "HaarWavelet", "HatHierarchical",
-        "StableFieldSpec", "default_grid", "flom_estimate", "sample_coefficients",
-        "synthesize", "wavelet_gallery_ensemble",
+        "StableFieldSpec", "flom_estimate", "sample_coefficients", "synthesize",
+        "wavelet_gallery_ensemble",
     ),
     "metrics": (
-        "QuasiNormSpec", "WeightedSampleMeasure", "expectation_gap_bound_check",
-        "hellinger_empirical", "hellinger_with_error", "quasi_norm", "total_variation_empirical",
+        "QuasiNormSpec", "WeightedSampleMeasure", "distances", "expectation_gap_bound_check",
     ),
     "bayes": (
         "IdentityForward", "LinearForward", "PotentialSpec", "data_lipschitz_sweep",

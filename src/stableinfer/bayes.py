@@ -62,9 +62,11 @@ from .errors import (
 from .metrics import (
     QuasiNormSpec,
     WeightedSampleMeasure,
+    _deviation,
     _distances,
     _leaf_buffer,
     _leaf_ranges,
+    _self_normalised_mean,
     _tree_sums,
     rowwise_quasi_norm,
 )
@@ -188,13 +190,7 @@ def gaussian_additive_potential(forward=None, noise_variance=1.0,
     def m2(r: float, t: np.ndarray) -> np.ndarray:
         return np.log(sigma_plus * (r + forward.g_plus(t)))
 
-    return PotentialSpec(
-        misfit=misfit,
-        u_norm=u_norm or QuasiNormSpec(q=2.0),
-        m1=lambda r, t: np.zeros_like(np.asarray(t, dtype=float)),
-        m2=m2,
-        m3=lambda r, t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
+    return PotentialSpec(misfit=misfit, u_norm=u_norm or QuasiNormSpec(q=2.0), m2=m2)
 
 
 def log_growth_envelopes(kappa: float, c_plus: float, c_minus: float,
@@ -324,14 +320,7 @@ def _z_estimate(w: np.ndarray, total: float, shift: float, ess: float) -> ZEstim
     if math.isinf(scale):
         stderr = math.inf
     elif n > 1:
-        scratch = _leaf_buffer(n)
-
-        def squared_deviations(a, b):
-            dev = np.subtract(w[a:b], mean_w, out=scratch[:b - a])
-            return (np.square(dev, out=dev).sum(),)
-
-        ss = _tree_sums(n, squared_deviations)[0]
-        stderr = scale * math.sqrt(ss / (n - 1)) / math.sqrt(n)
+        stderr = scale * _deviation(w, mean_w, _leaf_buffer(n)) / math.sqrt(n)
     return ZEstimate(
         z=z, stderr=stderr, log_z=-shift + math.log(mean_w), shift=shift, ess=ess,
         underflow_flagged=bool(z == 0.0 or not math.isfinite(z)),
@@ -375,9 +364,7 @@ def posterior_expectation(f_values, post: PosteriorEstimate) -> tuple[float, flo
         raise DimensionMismatchError(
             f"f has {f.size} values for {w.size} posterior samples"
         )
-    value = float(w @ f)
-    stderr = math.sqrt(float(w ** 2 @ (f - value) ** 2))
-    return value, stderr
+    return _self_normalised_mean(w, f)
 
 
 # ---------------------------------------------------------------------------

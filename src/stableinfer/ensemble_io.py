@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import DimensionMismatchError, InvalidSpecError
 
 if TYPE_CHECKING:  # an annotation only: writing a CSV table loads no sampler
     from .series import FieldEnsemble
@@ -243,6 +243,8 @@ def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     n_rows, n_cols = matrix.shape
+    if len(columns) != n_cols:
+        raise DimensionMismatchError(f"{len(columns)} column names for a table of {n_cols} columns")
     step = max(1, _CHUNK // max(n_cols, 1))
     with open(path, "wb") as fh:
         fh.write(f"# {comment}\n{','.join(columns)}\n".encode("utf-8"))

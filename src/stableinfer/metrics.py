@@ -20,8 +20,8 @@ comparing one measure with many (the perturbation sweeps in `bayes`)
 computes the density once and reuses it.  Each comparison writes the
 terms of the standard error into an n-length buffer the caller passes:
 the sweeps pass the perturbed weights themselves, which are dead once
-their mean is taken, and the public functions a fresh one, so they never
-write into a measure's weights.  A measure validates
+their mean is taken, and `distances` a fresh one, so it never writes
+into a measure's weights.  A measure validates
 its weights once, on construction, with two numpy reductions (their sum
 and their minimum), and keeps their total for `normalization` and
 `normalized()`.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +44,10 @@ from .errors import MismatchedReferenceError, OutOfRangeError
 
 __all__ = [
     "QuasiNormSpec",
-    "quasi_norm",
     "rowwise_quasi_norm",
     "WeightedSampleMeasure",
-    "hellinger_empirical",
-    "hellinger_with_error",
-    "total_variation_empirical",
+    "Distances",
+    "distances",
     "GapBoundCheck",
     "expectation_gap_bound_check",
 ]
@@ -114,15 +112,13 @@ class QuasiNormSpec:
 def rowwise_quasi_norm(matrix: np.ndarray, spec: QuasiNormSpec) -> np.ndarray:
     """(sum |v|^q)^(1/q) of every row v of a batch, max |v| for q = inf."""
     m = np.abs(np.atleast_2d(np.asarray(matrix, dtype=float)))
+    # a one-entry row is its own maximum and sum (same bits); powers in place
     if math.isinf(spec.q):
-        return m.max(axis=1)
-    return (m ** spec.q).sum(axis=1) ** (1.0 / spec.q)
-
-
-def quasi_norm(values, spec: QuasiNormSpec) -> float:
-    """rowwise_quasi_norm of the flattened values; 0 for no values."""
-    v = np.asarray(values, dtype=float).ravel()
-    return float(rowwise_quasi_norm(v[None, :], spec)[0]) if v.size else 0.0
+        return m[:, 0] if m.shape[1] == 1 else m.max(axis=1)
+    m **= spec.q
+    norms = m[:, 0] if m.shape[1] == 1 else m.sum(axis=1)
+    norms **= 1.0 / spec.q
+    return norms
 
 
 @dataclass
@@ -166,26 +162,33 @@ class WeightedSampleMeasure:
         return self.weights / self._total
 
 
-def _check_shared_reference(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure):
-    if mu.reference_id != nu.reference_id or mu.weights.size != nu.weights.size:
-        raise MismatchedReferenceError(
-            f"measures live on different reference samples: "
-            f"{mu.reference_id!r} (n={mu.weights.size}) vs "
-            f"{nu.reference_id!r} (n={nu.weights.size})"
-        )
+class Distances(NamedTuple):
+    hellinger: float
+    hellinger_stderr: float
+    total_variation: float
+
+
+def _deviation(x: np.ndarray, mean: float, scratch: np.ndarray) -> float:
+    """x.std(ddof=1) to the bit, from x.mean(), each leaf of `_tree_sums` in scratch."""
+    n = x.size
+
+    def squared_deviations(a, b):
+        dev = np.subtract(x[a:b], mean, out=scratch[:b - a])
+        return (np.square(dev, out=dev).sum(),)
+
+    return math.sqrt(_tree_sums(n, squared_deviations)[0] / (n - 1))
 
 
 def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
-               psi: np.ndarray) -> tuple[float, float, float]:
-    """Hellinger distance, its Monte Carlo standard error and the total
-    variation between the measure of the density and the measure of the
-    given weights and normalization (their mean).
+               psi: np.ndarray) -> Distances:
+    """The distances between the measure of the density and the measure of
+    the given weights and normalization (their mean).
 
     With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
     both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
     standard error of psi = g - (d^2/2)(p + q).  Three passes over the
     leaves of `_tree_sums`: the first sums |p - q| and g, the second writes
-    psi into the n-length `psi` and sums it, the third sums
+    psi into the n-length `psi` and sums it, the third (`_deviation`) sums
     (psi - mean psi)^2.  Each leaf repeats the elementwise operations, in
     their order, of sqrt(mean g), std(psi, ddof=1) / sqrt(n) and
     mean |p - q| / 2, so the results are those textbook expressions' bits;
@@ -215,7 +218,7 @@ def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
     d2 = g_sum / n
     d = math.sqrt(max(float(d2), 0.0))
     if d <= 0.0 or n < 2:
-        return d, 0.0, tv
+        return Distances(d, 0.0, tv)
 
     def psi_leaf(a, b):
         q, g = q_and_g(a, b)
@@ -224,37 +227,26 @@ def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
         return (np.subtract(g, leaf, out=leaf).sum(),)
 
     mean_psi = _tree_sums(n, psi_leaf)[0] / n
-
-    def squared_deviations(a, b):
-        dev = np.subtract(psi[a:b], mean_psi, out=s[:b - a])
-        return (np.square(dev, out=dev).sum(),)
-
-    se_d2 = math.sqrt(_tree_sums(n, squared_deviations)[0] / (n - 1)) / math.sqrt(n)
-    return d, se_d2 / (2.0 * d), tv
+    return Distances(d, _deviation(psi, mean_psi, s) / math.sqrt(n) / (2.0 * d), tv)
 
 
-def _measure_distances(mu: WeightedSampleMeasure,
-                       nu: WeightedSampleMeasure) -> tuple[float, float, float]:
-    _check_shared_reference(mu, nu)
+def distances(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> Distances:
+    """Empirical Hellinger distance (in [0, sqrt(2)]), its Monte Carlo standard
+    error and total variation (in [0, 1]) of two measures on one sample."""
+    if mu.reference_id != nu.reference_id or mu.weights.size != nu.weights.size:
+        raise MismatchedReferenceError(
+            f"measures live on different reference samples: "
+            f"{mu.reference_id!r} (n={mu.weights.size}) vs "
+            f"{nu.reference_id!r} (n={nu.weights.size})"
+        )
     density = mu.weights / mu.normalization
     return _distances(density, nu.weights, nu.normalization, np.empty(density.size))
 
 
-def hellinger_with_error(mu: WeightedSampleMeasure,
-                         nu: WeightedSampleMeasure) -> tuple[float, float]:
-    """Empirical Hellinger distance and its Monte Carlo standard error."""
-    return _measure_distances(mu, nu)[:2]
-
-
-def hellinger_empirical(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> float:
-    """Hellinger distance between the weighted measures; in [0, sqrt(2)]."""
-    return hellinger_with_error(mu, nu)[0]
-
-
-def total_variation_empirical(mu: WeightedSampleMeasure,
-                              nu: WeightedSampleMeasure) -> float:
-    """Total-variation distance between the weighted measures; in [0, 1]."""
-    return _measure_distances(mu, nu)[2]
+def _self_normalised_mean(w: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Sum w_i f_i for weights w summing to one, and its delta-method stderr."""
+    value = float(w @ f)
+    return value, math.sqrt(float(w ** 2 @ (f - value) ** 2))
 
 
 @dataclass
@@ -262,7 +254,7 @@ class GapBoundCheck:
     lhs: float
     rhs: float
     holds: bool
-    rhs_sup_bound: Optional[float] = None
+    rhs_sup_bound: float
 
 
 def expectation_gap_bound_check(f_values, mu: WeightedSampleMeasure,
@@ -274,7 +266,7 @@ def expectation_gap_bound_check(f_values, mu: WeightedSampleMeasure,
     Monte Carlo noise cannot flip a true inequality.  For bounded f the
     cruder bound 2 ||f||_inf d_H is reported alongside.
     """
-    _check_shared_reference(mu, nu)
+    d_h = distances(mu, nu).hellinger
     f = np.asarray(f_values, dtype=float).ravel()
     if f.size != mu.weights.size:
         raise MismatchedReferenceError(
@@ -282,16 +274,11 @@ def expectation_gap_bound_check(f_values, mu: WeightedSampleMeasure,
         )
     wm = mu.normalized()
     wn = nu.normalized()
-    e_mu = float(wm @ f)
-    e_nu = float(wn @ f)
+    e_mu, se_mu = _self_normalised_mean(wm, f)
+    e_nu, se_nu = _self_normalised_mean(wn, f)
     lhs = abs(e_mu - e_nu)
     second = float(wm @ f ** 2) + float(wn @ f ** 2)
-    d_h, _ = hellinger_with_error(mu, nu)
     rhs = math.sqrt(2.0) * math.sqrt(max(second, 0.0)) * d_h
-    se_mu = math.sqrt(float(wm ** 2 @ (f - e_mu) ** 2))
-    se_nu = math.sqrt(float(wn ** 2 @ (f - e_nu) ** 2))
     slack = 3.0 * (se_mu + se_nu)
-    sup_bound = 2.0 * float(np.abs(f).max()) * d_h if f.size else None
-    return GapBoundCheck(
-        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack), rhs_sup_bound=sup_bound,
-    )
+    return GapBoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack),
+                         rhs_sup_bound=2.0 * float(np.abs(f).max()) * d_h)

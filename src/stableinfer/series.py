@@ -50,7 +50,6 @@ __all__ = [
     "FieldEnsemble",
     "SummabilityWarning",
     "basis_size",
-    "default_grid",
     "sample_coefficients",
     "synthesize",
     "GalleryEnsemble",
@@ -111,12 +110,6 @@ def basis_size(basis: BasisSpec) -> Optional[int]:
     if isinstance(basis, (HaarWavelet, HatHierarchical)):
         return 2 ** (basis.levels + 1) - 1
     return None
-
-
-def default_grid(basis: BasisSpec) -> np.ndarray:
-    """Uniform midpoint grid on [0, 1] at the basis's declared resolution."""
-    size = getattr(basis, "grid_size", 2 ** 14)
-    return (np.arange(size) + 0.5) / size
 
 
 @dataclass(frozen=True)
@@ -296,8 +289,8 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
     Every translate is supported inside [0, 1); points outside get 0.  The
     Haar sum is built once per row on the 2^(levels+1) finest half-cells
     and gathered at h = floor(2^(levels+1) x); where h is 0, 1, ...,
-    2^(levels+1) - 1 (the half-cell midpoints of `default_grid`, say) the
-    half-cells are returned as they are.  This is exact on any grid:
+    2^(levels+1) - 1 (the half-cell midpoints of `synthesize`'s grid, say)
+    the half-cells are returned as they are.  This is exact on any grid:
     2^j x, its floor k and frac = 2^j x - k are exact in binary floating
     point, so level j's translate k is h >> (levels + 1 - j) and frac < 0.5
     is bit levels - j of h being 0.  The levels are added coarse to fine,
@@ -333,7 +326,8 @@ def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
 
 def synthesize(basis: BasisSpec, coefficients: np.ndarray,
                grid: Optional[np.ndarray] = None) -> np.ndarray:
-    """Evaluate the series sum_n c_n psi_n(x) on a grid.
+    """Evaluate the series sum_n c_n psi_n(x) on a grid, by default the
+    midpoints of the basis's grid_size equal cells of [0, 1].
 
     coefficients may be a single vector or an (n_samples, N) batch; the
     output matches.  EuclideanSequence passes coefficients through
@@ -351,7 +345,7 @@ def synthesize(basis: BasisSpec, coefficients: np.ndarray,
         out = coeffs
     else:
         if grid is None:
-            grid = default_grid(basis)
+            grid = (np.arange(basis.grid_size) + 0.5) / basis.grid_size
         grid = np.asarray(grid, dtype=float)
         if isinstance(basis, (HaarWavelet, HatHierarchical)):
             expected = basis_size(basis)

@@ -715,6 +715,12 @@ def _crossings(law: _Zolotarev, log_scale: np.ndarray) -> np.ndarray:
     return false_position()
 
 
+def _gk_nodes(a: np.ndarray, b: np.ndarray):
+    """`_GK_NODES` on each panel [a, b], one row per panel, and half-widths."""
+    half = 0.5 * (b - a)
+    return (a + half)[:, None] + half[:, None] * _GK_NODES, half
+
+
 def _gk_sum(f: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod value and QUADPACK's error estimate for the integrand
     values f at `_GK_NODES` (last axis) on panels of half-width `half`."""
@@ -737,8 +743,7 @@ def _gk_panel(law: _Zolotarev, log_scale, va, vb, integrand: str, tail: float = 
         half = np.full(va.shape, 0.5 / law.tail_rate)
         dv = 1.0 / w
     else:
-        half = 0.5 * (vb - va)
-        v = (va + half)[:, None] + half[:, None] * _GK_NODES
+        v, half = _gk_nodes(va, vb)
         dv = 1.0
     t, s = law.ts(v)
     log_g = log_scale[:, None] + law.log_v(t, s)
@@ -1288,15 +1293,12 @@ def _numeric_moment(params: StableParams, p: float) -> float:
     edges = np.concatenate([[0.0, d - body, d + body], d - steps, d + steps, -steps, steps,
                             switch - steps, switch + steps])
     edges = np.unique(edges[np.abs(edges - d) <= body])
-    half = 0.5 * np.diff(edges)
-    u = (edges[:-1] + half)[:, None] + half[:, None] * _GK_NODES
+    u, half = _gk_nodes(edges[:-1], edges[1:])
     f = np.abs(u) ** p * _standard_pdf(a, b, (u - d) / g) / g
     val, err = _gk_sum(f, half)
     total, error = val.sum(), err.sum()
     # two panels in w on each tail
-    w_edges = np.array([0.0, 0.25, 1.0])
-    w_half = 0.5 * np.diff(w_edges)
-    w = (w_edges[:-1] + w_half)[:, None] + w_half[:, None] * _GK_NODES
+    w, w_half = _gk_nodes(np.array([0.0, 0.25]), np.array([0.25, 1.0]))
     log_r = math.log(body) - np.log(w) / (a - p)
     far = log_r > math.log(_MOMENT_FAR * g)
     r = np.exp(np.minimum(log_r, math.log(_MOMENT_FAR * g)))
@@ -1378,8 +1380,7 @@ _MAX_DOUBLINGS = 40
 def _kl_panels(logpdf_p: Callable, logpdf_q: Callable, a: np.ndarray, b: np.ndarray):
     """Integral of p log(p/q) over the panels [a, b], and its error
     estimate, from one call of each log density on all their nodes."""
-    half = 0.5 * (b - a)
-    u = (a + half)[:, None] + half[:, None] * _GK_NODES
+    u, half = _gk_nodes(a, b)
     lp = np.asarray(logpdf_p(u), dtype=float)
     lq = np.asarray(logpdf_q(u), dtype=float)
     p = np.exp(lp)

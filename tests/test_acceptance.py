@@ -228,8 +228,7 @@ def test_criterion_11_metric_inequalities():
         pairs.append(si.posterior(pert, ens, np.array([0.0])))
     indicator = (u > 0).astype(float)
     for post in pairs:
-        dh = si.hellinger_empirical(base.measure, post.measure)
-        tv = si.total_variation_empirical(base.measure, post.measure)
+        dh, _, tv = si.distances(base.measure, post.measure)
         assert tv <= dh <= math.sqrt(2.0) + 1e-12
         gap = si.expectation_gap_bound_check(indicator, base.measure, post.measure)
         assert gap.holds

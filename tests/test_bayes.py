@@ -209,11 +209,11 @@ class TestPosterior:
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_posteriors_from_different_ensembles_not_comparable(self, potential):
-        from stableinfer import MismatchedReferenceError, hellinger_empirical
+        from stableinfer import MismatchedReferenceError, distances
         a = posterior(potential, scalar_prior("gaussian", 1000, 1), np.zeros(1))
         b = posterior(potential, scalar_prior("gaussian", 1000, 2), np.zeros(1))
         with pytest.raises(MismatchedReferenceError):
-            hellinger_empirical(a.measure, b.measure)
+            distances(a.measure, b.measure)
 
     def test_one_misfit_evaluation_per_posterior(self, potential, gaussian_ensemble):
         # the misfit is evaluated leaf by leaf, on consecutive disjoint row
@@ -375,8 +375,8 @@ class TestDataSweep:
     def test_zero_perturbation_distance_is_zero(self, potential, gaussian_ensemble):
         p0 = posterior(potential, gaussian_ensemble, np.array([0.4]))
         p1 = posterior(potential, gaussian_ensemble, np.array([0.4]))
-        from stableinfer import hellinger_empirical
-        assert hellinger_empirical(p0.measure, p1.measure) == 0.0
+        from stableinfer import distances
+        assert distances(p0.measure, p1.measure).hellinger == 0.0
 
     def test_conjugate_distances_match_quadrature(self, potential, gaussian_ensemble):
         y = 0.0

@@ -1,6 +1,6 @@
 """The package's outside users run against it: the benchmark's tracer
-binds every public name of every layer and every config the benchmark
-runs validates, each demo script runs clean
+binds every public name of every layer, every config the benchmark runs
+validates and the benchmark's oracles pass their self-test, each demo script runs clean
 (the series diagnostics printing the text they always printed), and
 `stableinfer run` writes the artifacts it always wrote for each config in
 demos/configs."""
@@ -67,6 +67,13 @@ for where, text in texts.items():
 
 def test_every_benchmark_config_validates(tmp_path):
     proc = _run(["-B", "-c", _VALIDATE_BENCHMARK_CONFIGS, str(ROOT)], tmp_path, "src", "bench")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_oracles_pass_their_selftest():
+    # from the repository root, as the benchmark runs; its perturbation
+    # tests work in a temporary directory under the git-ignored .bench_out/
+    proc = _run(["-B", "bench/selftest.py"], ROOT, "src", timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stableinfer import (
+    DimensionMismatchError,
     Explicit,
     HaarWavelet,
     InvalidSpecError,
@@ -248,6 +249,14 @@ def test_csv_rejects_what_percent_formatting_rejects(tmp_path, table):
         "%.17g" % table.tolist()[0]
     with pytest.raises(TypeError):
         write_matrix_csv(tmp_path / "bad.csv", table, ["v"], "bad")
+
+
+@pytest.mark.parametrize("columns", [["a"], ["a", "b", "c", "d"], []])
+def test_csv_rejects_a_header_of_the_wrong_width(tmp_path, columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DimensionMismatchError):
+        write_matrix_csv(path, np.ones((2, 3)), columns, "c")
+    assert not path.exists()
 
 
 def test_csv_runs_cross_row_and_chunk_ends(tmp_path):

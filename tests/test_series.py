@@ -23,7 +23,6 @@ from stableinfer import (
     StableFieldSpec,
     StableParams,
     SummabilityVerdict,
-    default_grid,
     flom_estimate,
     sample_coefficients,
     sample_stable,
@@ -40,6 +39,11 @@ from stableinfer.series import (
     _sampled_blocks,
 )
 from stableinfer.gof import ks_two_sample_critical_value, ks_two_sample_statistic
+
+
+def _midpoints(size):
+    """The midpoints of size equal cells of [0, 1]: `synthesize`'s default grid."""
+    return (np.arange(size) + 0.5) / size
 
 
 def cauchy_field_spec(truncation, exponent=2.0):
@@ -229,7 +233,7 @@ class TestSynthesize:
         basis = HaarWavelet(2, grid_size=8)
         coeffs = np.zeros(7)
         coeffs[0] = 1.0
-        field = synthesize(basis, coeffs, default_grid(basis))
+        field = synthesize(basis, coeffs)
         assert np.array_equal(field, [1, 1, 1, 1, -1, -1, -1, -1])
 
     def test_zero_coefficients(self):
@@ -262,7 +266,7 @@ class TestSynthesize:
         basis = HaarWavelet(4, grid_size=2 ** 14)
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(31)
-        grid = default_grid(basis)
+        grid = _midpoints(basis.grid_size)
         direct = np.zeros_like(grid)
         idx = 0
         for j in range(5):
@@ -290,27 +294,25 @@ class TestSynthesize:
             n,
         )
         ens = sample_coefficients(spec, 20, 3)
-        grid = default_grid(spec.basis)
         fields = []
         for j_keep in range(2, levels + 1):
             c = ens.coefficients.copy()
             c[:, 2 ** (j_keep + 1) - 1:] = 0.0
-            fields.append(synthesize(spec.basis, c, grid))
+            fields.append(synthesize(spec.basis, c))
         gaps = [np.abs(b - a).mean() for a, b in zip(fields, fields[1:])]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_hat_basis_is_continuous_tent(self):
         basis = HatHierarchical(0, grid_size=1024)
-        field = synthesize(basis, np.array([1.0]), default_grid(basis))
+        field = synthesize(basis, np.array([1.0]))
         peak = np.argmax(field)
         assert abs(peak / 1024 - 0.5) < 0.01
         assert field.min() >= 0.0
 
     def test_eigenbasis_modes_orthonormal_on_grid(self):
         basis = Eigenbasis(grid_size=2 ** 12)
-        grid = default_grid(basis)
-        f1 = synthesize(basis, np.array([1.0, 0.0]), grid)
-        f2 = synthesize(basis, np.array([0.0, 1.0]), grid)
+        f1 = synthesize(basis, np.array([1.0, 0.0]))
+        f2 = synthesize(basis, np.array([0.0, 1.0]))
         assert (f1 * f2).mean() == pytest.approx(0.0, abs=1e-6)
         assert (f1 * f1).mean() == pytest.approx(1.0, abs=1e-6)
 
@@ -344,9 +346,8 @@ class TestSynthesize:
     def test_haar_on_the_half_cell_midpoints_keeps_the_loop_bits(self, levels):
         basis = HaarWavelet(levels, grid_size=2 ** (levels + 1), unit_norm=levels % 2 == 0)
         coeffs = np.random.default_rng(levels).standard_cauchy((3, 2 ** (levels + 1) - 1))
-        grid = default_grid(basis)
-        want = _haar_per_level(coeffs, grid, levels, basis.unit_norm)
-        assert synthesize(basis, coeffs, grid).tobytes() == want.tobytes()
+        want = _haar_per_level(coeffs, _midpoints(basis.grid_size), levels, basis.unit_norm)
+        assert synthesize(basis, coeffs).tobytes() == want.tobytes()
 
     def test_haar_on_the_half_cell_midpoints_gathers_no_copy(self, traced_peak):
         # one grid point per finest half-cell: the half-cells are the field,
@@ -354,7 +355,7 @@ class TestSynthesize:
         # not a second, gathered field (2 fields)
         basis = HaarWavelet(13, grid_size=2 ** 14)
         coeffs = np.random.default_rng(5).standard_normal((50, 2 ** 14 - 1))
-        grid = default_grid(basis)
+        grid = _midpoints(basis.grid_size)
         field_bytes = 8 * coeffs.shape[0] * grid.size
         assert traced_peak(synthesize, basis, coeffs, grid) < 1.6 * field_bytes
 

@@ -1,8 +1,10 @@
 """Parameter validation and the closure arithmetic (affine maps, sums)."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stableinfer import (
     AlphaMismatchError,
@@ -10,6 +12,7 @@ from stableinfer import (
     StableParams,
     ZeroScaleError,
     affine_transform,
+    char_fn,
     convolve,
     validate_params,
 )
@@ -126,3 +129,34 @@ class TestConvolve:
         p = convolve(StableParams.cauchy(1.0, 1.0), StableParams.cauchy(2.0, 3.0))
         assert p.delta == pytest.approx(3.0)
         assert p.gamma == pytest.approx(4.0)
+
+
+# both alpha branches of parametrisation 0, alpha = 1 itself included, but
+# not the neighbourhood of 1 where validate_params snaps alpha to 1
+_alpha = st.one_of(st.sampled_from([1.0, 2.0]),
+                   st.floats(0.1, 2.0).filter(lambda a: abs(a - 1.0) >= 1e-3))
+_beta = st.floats(-0.99, 0.99)
+_gamma = st.floats(0.0, 3.0)
+_shift = st.floats(-5.0, 5.0)
+_t = st.floats(-3.0, 3.0)
+
+
+class TestClosureAgainstCharFn:
+    """The closure arithmetic against the characteristic functions it
+    must produce, location corrections and the x log x term at alpha = 1
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_alpha, _beta, _gamma, _shift, _beta, _gamma, _shift, _t)
+    def test_sum_has_the_product_char_fn(self, alpha, b1, g1, d1, b2, g2, d2, t):
+        p1, p2 = validate_params(alpha, b1, g1, d1), validate_params(alpha, b2, g2, d2)
+        want = char_fn(p1, t) * char_fn(p2, t)
+        assert abs(char_fn(convolve(p1, p2), t) - want) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(_alpha, _beta, _gamma, _shift, st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
+           _shift, _t)
+    def test_affine_map_has_the_shifted_char_fn(self, alpha, beta, gamma, delta, a, b, t):
+        p = validate_params(alpha, beta, gamma, delta)
+        want = cmath.exp(1j * b * t) * char_fn(p, a * t)
+        assert abs(char_fn(affine_transform(p, a, b), t) - want) <= 1e-12
