@@ -596,7 +596,7 @@ def growth_admissibility(kappa: float, c_minus: float, sigma_minus: float,
     The envelope combination 2*M2 - M1 grows like
     (2*kappa - sigma_minus*c_minus) * log t, and its exponential is
     prior-integrable when that exponent is at most a moment order p the
-    prior actually has, i.e. p < alpha.  Admissible iff
+    prior actually has, i.e. p < alpha (any p when alpha = 2).  Admissible iff
     2*kappa - sigma_minus*c_minus <= p (the inequality is not strict);
     margin is p minus the exponent.
     """
@@ -604,7 +604,7 @@ def growth_admissibility(kappa: float, c_minus: float, sigma_minus: float,
                     ("sigma_minus", sigma_minus), ("p", p)):
         if v < 0:
             raise OutOfRangeError(name, "must be >= 0")
-    if p >= alpha:
+    if alpha < 2.0 and p >= alpha:
         raise MomentOrderTooHighError(
             f"admissibility needs a prior moment order p < alpha, got "
             f"p={p}, alpha={alpha}"

@@ -398,6 +398,7 @@ def _run_three_series(cfg: ExperimentConfig, out: Path, comment: str):
             "s0": result.s0, "s1": result.s1, "s2": result.s2,
             "verdict": result.verdict.value,
             "failing_series": list(result.failing_series),
+            # describes the partial sums; the verdict itself is exact
             "note": "finite-depth numeric diagnostic, not a proof",
         })
 

@@ -1,15 +1,16 @@
-"""Coefficient sequences and convergence diagnostics for random series.
+"""Coefficient sequences and convergence verdicts for random series.
 
 A scale sequence (gamma_n), shift sequence (delta_n), or skewness
 sequence (beta_n) is described either in closed form (`PowerLaw`,
 `PowerLogLaw`) or as an explicit list with a declared tail rule
-(`Explicit`).  Every convergence question is judged by one rule: the
-integral test gives the exact answer where the tail is a closed form,
-and otherwise partial sums are probed at doubling depths, a finite-depth
-diagnostic, not a proof.  Summability reports probe explicit data with a
-tail; memberships of a ratio are exact only when both sides are closed.
-The three-series terms come from `stable` (the truncated Cauchy moments
-and the symmetric law's tables); this module evaluates no stable law.
+(`Explicit`).  Every sequence is a finite explicit head followed by a
+closed form (zeros past a list with no tail), and a finite head never
+changes whether a series converges, so every summability, three-series
+and membership verdict is the exact integral-test answer for that
+closed tail.  Partial sums at doubling depths are reported alongside,
+as data.  The three-series terms come from `stable` (the truncated
+Cauchy moments and the symmetric law's tables); this module evaluates
+no stable law.
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ __all__ = [
     "cameron_martin_shift_admissible",
 ]
 
-# Finite-depth numeric thresholds: a partial-sum trace counts as settled
-# when its last doubling increment is below CONVERGED_TOL, and as
-# divergent when the increments refuse to shrink (ratio above
-# SUSTAINED_GROWTH_RATIO) for three consecutive doublings.
-CONVERGED_TOL = 1e-6
-SUSTAINED_GROWTH_RATIO = 0.95
+# the fewest terms a reported partial-sum trace may cover
 _MIN_PROBE_DEPTH = 1000
 
 
@@ -77,11 +73,12 @@ class PowerLogLaw:
 class Explicit:
     """A finite list of leading values plus a declared tail rule.
 
-    ``tail=None`` means the sequence is zero beyond the list.
+    ``tail=None`` means the sequence is zero beyond the list; a tail,
+    itself possibly explicit, is indexed like the whole sequence.
     """
 
     values: tuple
-    tail: Optional[Union[PowerLaw, PowerLogLaw]] = None
+    tail: Optional[CoefficientSequence] = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -125,21 +122,29 @@ def _log_exponent(seq: Union[PowerLaw, PowerLogLaw]) -> float:
     return getattr(seq, "log_exponent", 0.0)
 
 
-def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> Optional[bool]:
+def _closed_tail(seq: CoefficientSequence) -> tuple:
+    """(length of the longest explicit head, the closed form past it).
+
+    Nested `Explicit` tails are followed down to their `PowerLaw` or
+    `PowerLogLaw`; a list with no tail ends in zeros, PowerLaw(0, 0).
+    """
+    head = 0
+    while isinstance(seq, Explicit):
+        head = max(head, len(seq.values))
+        seq = PowerLaw(0.0, 0.0) if seq.tail is None else seq.tail
+    return head, seq
+
+
+def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> bool:
     """Exact integral-test answer to sum |v_n|^p < inf, or with orlicz to
     the log-weighted sum |v_n^p log v_n| < inf that the series theorems
-    need at the resonant indices; None where the tail is explicit data.
+    need at the resonant indices.
 
-    A finite head never matters; at exponent * p = 1 (to within 1e-12)
-    the term is n^-1 (log n)^-(log_exponent p), one more power of the log
-    with orlicz.
+    Only the closed tail matters, a finite head never does; at
+    exponent * p = 1 (to within 1e-12) the term is
+    n^-1 (log n)^-(log_exponent p), one more power of the log with orlicz.
     """
-    if isinstance(seq, Explicit):
-        if seq.tail is None:
-            return True
-        seq = seq.tail
-        if isinstance(seq, Explicit):
-            return None
+    seq = _closed_tail(seq)[1]
     if seq.amplitude == 0.0:
         return True
     # a ratio's exponent is a float difference: within rounding of 1/p it
@@ -153,20 +158,17 @@ def _summable(seq: CoefficientSequence, p: float, orlicz: bool = False) -> Optio
 class SeriesVerdict(enum.Enum):
     CONVERGENT = "convergent"
     DIVERGENT = "divergent"
-    INCONCLUSIVE = "inconclusive"
 
 
 class SummabilityVerdict(enum.Enum):
     SATISFIES = "satisfies"
     FAILS_ELL_ALPHA = "fails_ell_alpha"
     FAILS_ORLICZ = "fails_orlicz"
-    INCONCLUSIVE = "inconclusive"
 
 
 class Membership(enum.Enum):
     MEMBER = "member"
     NOT_MEMBER = "not_member"
-    INCONCLUSIVE = "inconclusive"
 
 
 def _doubling_depths(depth: int) -> np.ndarray:
@@ -181,28 +183,6 @@ def _partial_sums_at(terms: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return csum[depths - 1]
 
 
-def _numeric_verdict(partial_sums: np.ndarray) -> SeriesVerdict:
-    inc = np.diff(partial_sums)
-    if inc.size == 0:
-        return SeriesVerdict.INCONCLUSIVE
-    if abs(inc[-1]) <= CONVERGED_TOL:
-        return SeriesVerdict.CONVERGENT
-    if inc.size >= 3:
-        tail = inc[-3:]
-        if np.all(tail > CONVERGED_TOL) and np.all(
-            tail[1:] >= SUSTAINED_GROWTH_RATIO * tail[:-1]
-        ):
-            return SeriesVerdict.DIVERGENT
-    return SeriesVerdict.INCONCLUSIVE
-
-
-def _verdict(exact: Optional[bool], partial_sums: np.ndarray) -> SeriesVerdict:
-    """The exact answer where there is one, else the doubling diagnostic."""
-    if exact is None:
-        return _numeric_verdict(partial_sums)
-    return SeriesVerdict.CONVERGENT if exact else SeriesVerdict.DIVERGENT
-
-
 def _fit_decay_exponent(values: np.ndarray) -> Optional[float]:
     n = values.size
     lo = n // 4
@@ -215,23 +195,6 @@ def _fit_decay_exponent(values: np.ndarray) -> Optional[float]:
     y = np.log(vals[mask])
     slope = np.polyfit(x, y, 1)[0]
     return float(-slope)
-
-
-def _numeric(gamma_seq: CoefficientSequence) -> bool:
-    """Explicit data with a continuation takes the doubling diagnostic."""
-    return isinstance(gamma_seq, Explicit) and gamma_seq.tail is not None
-
-
-def _ell_alpha_verdict(gamma_seq: CoefficientSequence, alpha: float, probe_depth: int,
-                       sums_alpha: Optional[np.ndarray] = None) -> SeriesVerdict:
-    """Is (gamma_n) in ell^alpha?  The integral test, else the doubling diagnostic
-    on the partial sums of gamma_n^alpha to probe_depth, `sums_alpha` if given."""
-    if not _numeric(gamma_seq):
-        return _verdict(_summable(gamma_seq, alpha), None)
-    if sums_alpha is None:
-        terms = np.abs(sequence_values(gamma_seq, probe_depth)) ** alpha
-        sums_alpha = _partial_sums_at(terms, _doubling_depths(probe_depth))
-    return _numeric_verdict(sums_alpha)
 
 
 @dataclass
@@ -251,9 +214,10 @@ def summability_report(gamma_seq, alpha: float, q: float,
     Reports partial sums of sum gamma_n^alpha and of the log-weighted
     sum |gamma_n^alpha log gamma_n| at doubling depths, a fitted tail
     decay exponent, the resonance regime (the log-weighted condition is
-    only required when alpha equals q or 2q), and a verdict.  The integral
-    test settles closed forms and finite lists exactly; explicit data with
-    a tail gets the finite-depth numeric verdict.
+    only required when alpha equals q or 2q), and a verdict.  The verdict
+    is the integral test on the sequence's closed tail: ell^alpha first,
+    then, at a resonance, the log-weighted condition; probe_depth sizes
+    only the reported partial sums.
     """
     if probe_depth < _MIN_PROBE_DEPTH:
         raise OutOfRangeError("probe_depth", f"need at least {_MIN_PROBE_DEPTH}")
@@ -274,18 +238,12 @@ def summability_report(gamma_seq, alpha: float, q: float,
     else:
         regime = "neither"
 
-    ell = _ell_alpha_verdict(gamma_seq, alpha, probe_depth, sums_alpha)
-    orl = (_verdict(None if _numeric(gamma_seq) else _summable(gamma_seq, alpha, orlicz=True),
-                    sums_orlicz)
-           if regime != "neither" else SeriesVerdict.CONVERGENT)
-    if ell is SeriesVerdict.DIVERGENT:
+    if not _summable(gamma_seq, alpha):
         verdict = SummabilityVerdict.FAILS_ELL_ALPHA
-    elif ell is SeriesVerdict.CONVERGENT and orl is SeriesVerdict.DIVERGENT:
+    elif regime != "neither" and not _summable(gamma_seq, alpha, orlicz=True):
         verdict = SummabilityVerdict.FAILS_ORLICZ
-    elif ell is SeriesVerdict.CONVERGENT and orl is SeriesVerdict.CONVERGENT:
-        verdict = SummabilityVerdict.SATISFIES
     else:
-        verdict = SummabilityVerdict.INCONCLUSIVE
+        verdict = SummabilityVerdict.SATISFIES
 
     return SummabilityReport(
         depths=depths,
@@ -302,9 +260,9 @@ class ThreeSeriesResult:
     """Partial sums of the three convergence-test series and a verdict.
 
     s0 sums the exceedance probabilities P[|gamma_n u_n|^q > A], s1 and
-    s2 the truncated first and second moments.  The verdict is a numeric
-    diagnostic (exact for closed-form sequences, finite-depth otherwise),
-    not a proof.
+    s2 the truncated first and second moments, each traced at doubling
+    depths.  The verdict is the exact integral-test answer for the scale
+    sequence's closed tail; the sums are data, not evidence for it.
     """
 
     s0: float
@@ -326,9 +284,9 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
     the terms are the closed-form truncated Cauchy moments; otherwise
     A G_q and A^2 G_2q, from the bounded tables G_m(c) = E[|u|^m; |u| <= c]
     / c^m at the cuts c = A^(1/q)/gamma_n, and the exceedance probabilities.
-    Scale sequences with a closed-form tail (or none) get the exact
-    integral-test verdict; a nested explicit tail gets the finite-depth
-    doubling diagnostic.  The threshold A must be finite and > 0.
+    The verdict is DIVERGENT exactly when one of the three series fails
+    the integral test on the scale sequence's closed tail; depth sizes
+    only the reported partial sums.  The threshold A must be finite and > 0.
     """
     if not 0.0 < a_cut < math.inf:
         raise OutOfRangeError("A", "threshold must be finite and > 0")
@@ -354,36 +312,28 @@ def three_series_check(gamma_seq, alpha: float, q: float, a_cut: float,
         "s2": _partial_sums_at(t2, depths),
     }
 
-    verdicts = {name: _verdict(exact, traces[name])
-                for name, exact in _three_series_exact(gamma_seq, alpha, q).items()}
-    failing = [name for name, v in verdicts.items() if v is SeriesVerdict.DIVERGENT]
-    if failing:
-        verdict = SeriesVerdict.DIVERGENT
-    elif all(v is SeriesVerdict.CONVERGENT for v in verdicts.values()):
-        verdict = SeriesVerdict.CONVERGENT
-    else:
-        verdict = SeriesVerdict.INCONCLUSIVE
-
+    failing = tuple(name for name, converges in _three_series_exact(gamma_seq, alpha, q).items()
+                    if not converges)
     return ThreeSeriesResult(
         s0=float(traces["s0"][-1]),
         s1=float(traces["s1"][-1]),
         s2=float(traces["s2"][-1]),
-        verdict=verdict,
-        failing_series=tuple(failing),
+        verdict=SeriesVerdict.DIVERGENT if failing else SeriesVerdict.CONVERGENT,
+        failing_series=failing,
         depths=depths,
         traces=traces,
     )
 
 
 def _three_series_exact(gamma_seq, alpha: float, q: float) -> dict:
-    """Exact convergence answers for the three series (None: explicit tail).
+    """Exact convergence answers for the three series.
 
     Termwise asymptotics as gamma_n -> 0: the exceedance term scales like
     gamma^alpha; a truncated moment of order m*q scales like gamma^{m q}
     when m q < alpha, like gamma^alpha when m q > alpha, and like
     gamma^alpha |log gamma| at the resonance m q = alpha.
     """
-    def moment_series(order: float) -> Optional[bool]:
+    def moment_series(order: float) -> bool:
         if math.isclose(order, alpha, rel_tol=1e-12):
             return _summable(gamma_seq, alpha, orlicz=True)
         return _summable(gamma_seq, min(order, alpha))
@@ -405,41 +355,34 @@ class HilbertScaleReport:
         )
 
 
-def _ratio_membership(num, den, s: float, p: float, depth: int) -> Membership:
-    """Is (num_n / den_n^s) in ell^p?  Exact when both are closed forms,
-    else the doubling diagnostic on the first `depth` ratios; a nonzero
-    numerator over a zero scale is an error."""
-    exact = sums = None
-    if isinstance(num, (PowerLaw, PowerLogLaw)) and isinstance(den, (PowerLaw, PowerLogLaw)):
-        if num.amplitude != 0.0 and den.amplitude == 0.0:
-            raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes")
-        exact = num.amplitude == 0.0 or _summable(
-            PowerLogLaw(num.amplitude / den.amplitude ** s, num.exponent - s * den.exponent,
-                        _log_exponent(num) - s * _log_exponent(den)), p)
-    else:
-        top = np.abs(sequence_values(num, depth))
-        bottom = np.abs(sequence_values(den, depth)) ** s
-        bad = (top != 0.0) & (bottom == 0.0)
-        if bad.any():
-            raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes "
-                                           f"(first index {int(np.argmax(bad)) + 1})")
-        ratio = np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0.0)
-        sums = _partial_sums_at(ratio ** p, _doubling_depths(depth))
-    return {
-        SeriesVerdict.CONVERGENT: Membership.MEMBER,
-        SeriesVerdict.DIVERGENT: Membership.NOT_MEMBER,
-        SeriesVerdict.INCONCLUSIVE: Membership.INCONCLUSIVE,
-    }[_verdict(exact, sums)]
+def _ratio_membership(num, den, s: float, p: float) -> Membership:
+    """Is (num_n / den_n^s) in ell^p?  The integral test on the ratio of
+    the two closed tails; a nonzero numerator over a zero scale, in the
+    explicit heads or the tails, is an error."""
+    (num_head, num_tail), (den_head, den_tail) = _closed_tail(num), _closed_tail(den)
+    head = max(num_head, den_head)
+    bad = (sequence_values(num, head) != 0.0) & (sequence_values(den, head) == 0.0)
+    if bad.any():
+        raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes "
+                                       f"(first index {int(np.argmax(bad)) + 1})")
+    if num_tail.amplitude == 0.0:
+        return Membership.MEMBER
+    if den_tail.amplitude == 0.0:
+        raise DivisionByZeroScaleError("numerator is nonzero where the scale vanishes")
+    ratio = PowerLogLaw(num_tail.amplitude / den_tail.amplitude ** s,
+                        num_tail.exponent - s * den_tail.exponent,
+                        _log_exponent(num_tail) - s * _log_exponent(den_tail))
+    return Membership.MEMBER if _summable(ratio, p) else Membership.NOT_MEMBER
 
 
 def hilbert_scale_membership(gamma_seq, delta_seq, lambda_seq, s: float,
-                             alpha: float, probe_depth: int = 2 ** 14) -> HilbertScaleReport:
+                             alpha: float) -> HilbertScaleReport:
     """Does the random field land in the smoothness-s scale space?
 
     Against an eigenbasis with eigenvalues lambda_n decreasing to zero,
     membership needs (gamma_n / lambda_n^s) in ell^alpha and
-    (delta_n / lambda_n^s) in ell^2.  Closed-form inputs are settled
-    exactly; otherwise the ratio sequences are probed numerically.
+    (delta_n / lambda_n^s) in ell^2.  Each is settled exactly by the
+    integral test on the ratio of the closed tails.
     """
     gamma_seq = as_sequence(gamma_seq)
     delta_seq = as_sequence(delta_seq)
@@ -448,13 +391,12 @@ def hilbert_scale_membership(gamma_seq, delta_seq, lambda_seq, s: float,
     if np.any(np.diff(lam_head) > 0) or np.any(lam_head <= 0):
         raise OutOfRangeError("lambda_seq", "eigenvalues must be positive and decreasing")
     return HilbertScaleReport(
-        gamma_condition=_ratio_membership(gamma_seq, lambda_seq, s, alpha, probe_depth),
-        delta_condition=_ratio_membership(delta_seq, lambda_seq, s, 2.0, probe_depth),
+        gamma_condition=_ratio_membership(gamma_seq, lambda_seq, s, alpha),
+        delta_condition=_ratio_membership(delta_seq, lambda_seq, s, 2.0),
     )
 
 
-def cameron_martin_shift_admissible(h_seq, gamma_seq,
-                                    probe_depth: int = 2 ** 14) -> Membership:
+def cameron_martin_shift_admissible(h_seq, gamma_seq) -> Membership:
     """Is the shift (h_n) an equivalence-preserving translation?
 
     Shifting the n-th coefficient location by h_n leaves the law of the
@@ -462,4 +404,4 @@ def cameron_martin_shift_admissible(h_seq, gamma_seq,
     lies in ell^2.  Zero shifts are always admissible; a nonzero shift
     against a vanishing scale is an error.
     """
-    return _ratio_membership(as_sequence(h_seq), as_sequence(gamma_seq), 1.0, 2.0, probe_depth)
+    return _ratio_membership(as_sequence(h_seq), as_sequence(gamma_seq), 1.0, 2.0)

@@ -33,8 +33,7 @@ from .metrics import QuasiNormSpec, rowwise_quasi_norm
 from .sequences import (
     CoefficientSequence,
     Explicit,
-    SeriesVerdict,
-    _ell_alpha_verdict,
+    _summable,
     as_sequence,
     sequence_values,
 )
@@ -225,8 +224,7 @@ def _coefficients_from_uniforms(spec: StableFieldSpec, u: np.ndarray) -> np.ndar
 
 
 def _warn_unless_summable(spec: StableFieldSpec) -> None:
-    verdict = _ell_alpha_verdict(spec.gamma_seq, spec.alpha, max(1024, spec.truncation))
-    if verdict is SeriesVerdict.DIVERGENT:
+    if not _summable(spec.gamma_seq, spec.alpha):
         warnings.warn(
             "scale sequence is not ell^alpha-summable: the untruncated "
             "series would diverge almost surely",

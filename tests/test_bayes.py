@@ -561,3 +561,9 @@ class TestGrowthAdmissibility:
         with pytest.raises(MomentOrderTooHighError):
             growth_admissibility(0.5, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("p", [2.0, 2.5, 10.0])
+    def test_gaussian_prior_has_every_moment(self, p):
+        # at alpha = 2 every moment is finite, so no order is too high
+        out = growth_admissibility(1.0, 0.0, 0.0, p, 2.0)
+        assert (out.admissible, out.exponent) == (True, 2.0)
+

@@ -6,6 +6,7 @@ validates and the benchmark's oracles pass their self-test, each demo script run
 demos/configs."""
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -109,3 +110,6 @@ def test_demo_config_artifacts_keep_their_digests(tmp_path, config):
     assert got == want
     written = {f"{config.stem}/{p.name}" for p in (tmp_path / config.stem).iterdir()}
     assert written - set(want) == {f"{config.stem}/manifest.json"}
+    # every artifact the run reports is pinned, so a new one must be added to the digests
+    manifest = json.loads((tmp_path / config.stem / "manifest.json").read_text())
+    assert {f"{config.stem}/{f['name']}": f["sha256"] for f in manifest["files"]} == want

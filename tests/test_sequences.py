@@ -128,15 +128,15 @@ class TestSummabilityReport:
 
 
     @pytest.mark.parametrize("seq,alpha,q,expected", [
-        # explicit data with a tail: the doubling diagnostic
-        (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 2.0)), 1.0, 1.0, SummabilityVerdict.INCONCLUSIVE),
+        # explicit data with a tail: the integral test on the closed tail
+        (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 2.0)), 1.0, 1.0, SummabilityVerdict.SATISFIES),
         (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 1.0)), 1.0, 1.0, SummabilityVerdict.FAILS_ELL_ALPHA),
         (Explicit((3.0, 2.0), tail=PowerLaw(1.0, 0.5)), 1.0, 0.7, SummabilityVerdict.FAILS_ELL_ALPHA),
         (Explicit((3.0, 2.0), tail=PowerLogLaw(1.0, 1.0, 3.0)), 1.0, 1.0,
-         SummabilityVerdict.INCONCLUSIVE),
+         SummabilityVerdict.SATISFIES),
         (Explicit((3.0, 2.0), tail=PowerLaw(0.0, 0.0)), 1.5, 0.75, SummabilityVerdict.SATISFIES),
         (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 2.0))), 1.0, 1.0,
-         SummabilityVerdict.INCONCLUSIVE),
+         SummabilityVerdict.SATISFIES),
         # resonances alpha = q and alpha = 2q: the log-weighted integral test
         (PowerLogLaw(1.0, 1.0, 3.0), 1.0, 1.0, SummabilityVerdict.SATISFIES),
         (PowerLogLaw(1.0, 1.0, 2.0), 1.0, 0.5, SummabilityVerdict.FAILS_ORLICZ),
@@ -375,9 +375,9 @@ class TestThreeSeries:
         assert out.verdict is SeriesVerdict.CONVERGENT
 
     @pytest.mark.parametrize("seq,alpha,q,expected,failing", [
-        # a nested explicit tail: the doubling diagnostic
+        # a nested explicit tail: the integral test on the closed tail
         (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 2.0))), 1.0, 1.0,
-         SeriesVerdict.INCONCLUSIVE, ()),
+         SeriesVerdict.CONVERGENT, ()),
         (Explicit((2.0,), tail=Explicit((1.0, 0.5), tail=PowerLaw(1.0, 1.0))), 1.0, 1.0,
          SeriesVerdict.DIVERGENT, ("s0", "s1", "s2")),
         (Explicit((2.0,), tail=Explicit((1.0, 0.5))), 1.0, 1.0, SeriesVerdict.CONVERGENT, ()),
@@ -443,13 +443,11 @@ class TestCameronMartinShift:
         ) is Membership.MEMBER
 
     def test_log_laws_settled_exactly(self):
-        # (h/gamma)^2 = n^-2 log^8 n is summable; the doubling diagnostic read
-        # its partial sums, still climbing, as divergent at depth 2^11 and as
-        # inconclusive at 2^14
-        for depth in (2 ** 11, 2 ** 14):
-            assert cameron_martin_shift_admissible(
-                PowerLogLaw(1.0, 3.0, -1.0), PowerLogLaw(1.0, 2.0, 3.0), probe_depth=depth
-            ) is Membership.MEMBER
+        # (h/gamma)^2 = n^-2 log^8 n is summable, though its partial sums
+        # are still climbing at depth 2^14
+        assert cameron_martin_shift_admissible(
+            PowerLogLaw(1.0, 3.0, -1.0), PowerLogLaw(1.0, 2.0, 3.0)
+        ) is Membership.MEMBER
 
     @pytest.mark.parametrize("h,gamma,expected", [
         # (h/gamma)^2 = n^-1 with 1.1 - 0.6 = 0.5000000000000001: not in ell^2
@@ -463,3 +461,33 @@ class TestCameronMartinShift:
     def test_shift_against_vanishing_scale(self):
         with pytest.raises(DivisionByZeroScaleError):
             cameron_martin_shift_admissible(Explicit((1.0, 1.0)), Explicit((1.0, 0.0)))
+
+
+def _closed_forms(amplitudes):
+    exponents = st.sampled_from([0.0, 0.25, 0.5, 2.0 / 3.0, 0.75, 1.0, 1.5, 2.0, 3.0])
+    log_exponents = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    return st.one_of(st.builds(PowerLaw, amplitudes, exponents),
+                     st.builds(PowerLogLaw, amplitudes, exponents, log_exponents))
+
+
+def _wrapped(data, tail, head_values):
+    # the tail behind 0-2 levels of explicit heads, each of 0-5 values
+    for head in data.draw(st.lists(st.lists(head_values, max_size=5), max_size=2)):
+        tail = Explicit(tuple(head), tail)
+    return tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), h=_closed_forms(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+       gamma=_closed_forms(st.sampled_from([0.5, 1.0, 3.0])),
+       alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]), q=st.sampled_from([0.5, 0.75, 1.0]))
+def test_a_finite_head_never_changes_a_verdict(data, h, gamma, alpha, q):
+    wrapped_h = _wrapped(data, h, st.sampled_from([0.0, 0.5, 2.0, 7.0]))
+    wrapped_gamma = _wrapped(data, gamma, st.sampled_from([0.5, 2.0, 7.0]))  # no zero scale
+    for bare, seq in ((h, wrapped_h), (gamma, wrapped_gamma)):
+        assert (summability_report(seq, alpha, q).verdict
+                is summability_report(bare, alpha, q).verdict)
+        assert (three_series_check(seq, 1.0, 1.0, 1.0).verdict
+                is three_series_check(bare, 1.0, 1.0, 1.0).verdict)
+    assert (cameron_martin_shift_admissible(wrapped_h, wrapped_gamma)
+            is cameron_martin_shift_admissible(h, gamma))

@@ -162,8 +162,8 @@ class TestSampling:
         assert record[0].filename == __file__  # the warning names the caller
 
     # (alpha, scale sequence, whether it fails ell^alpha): each kind of
-    # sequence, on both sides; explicit data with a tail takes the doubling
-    # diagnostic, the others the integral test
+    # sequence, on both sides, all judged by the integral test on the
+    # closed tail; a finite list, however long, is summable
     SCALES = {
         "power": (1.0, PowerLaw(1.0, 0.5), True),
         "power_summable": (1.5, PowerLaw(1.0, 1.0), False),
@@ -172,8 +172,9 @@ class TestSampling:
         "finite": (1.0, Explicit((1.0, 0.5, 0.25)), False),
         "power_tail": (1.0, Explicit((1.0, 0.5), PowerLaw(1.0, 0.5)), True),
         "power_tail_summable": (1.5, Explicit((1.0, 0.5), PowerLaw(1.0, 2.0)), False),
-        "explicit_tail": (1.0, Explicit((1.0,), Explicit((1.0,) * 30_000)), True),
+        "explicit_tail": (1.0, Explicit((1.0,), Explicit((1.0,) * 30_000)), False),
         "explicit_tail_summable": (1.0, Explicit((1.0,), Explicit((0.5,) * 8)), False),
+        "nested_power_tail": (1.0, Explicit((1.0,), Explicit((0.5,), PowerLaw(1.0, 0.5))), True),
     }
 
     @pytest.mark.parametrize("truncation", [4, 20_000])
