@@ -49,9 +49,11 @@ _MAX_TRUNCATION = 2 ** 23
 _MAX_LEVELS = 22  # 2^(levels + 1) - 1 functions, at most _MAX_TRUNCATION
 # every other count a run allocates by (a sample count, a depth, a grid size),
 # and every samples-by-row matrix it holds, has at most 2^28 entries, 2 GiB of
-# doubles.  Measured peaks are about 17 bytes per matrix entry for figure2 and
-# the posterior kinds, 24 per flom sample and 120 per three_series term, so
-# whether a run below the bound fits in memory depends on the machine.
+# doubles (figure2 streams its matrices to its files a row block at a time,
+# so for it the bound bounds the files).  Measured peaks are about 17 bytes per
+# matrix entry for the posterior kinds, 24 per flom sample and 120 per
+# three_series term, so whether a run below the bound fits in memory depends
+# on the machine.
 _MAX_ENTRIES = 2 ** 28
 
 
@@ -338,21 +340,24 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
 
     x = cfg.inputs
     files = []
-    extreme = {}  # max |c| per family; each gallery is freed once written
+    extreme = {}  # max |c| per family
     for family in ("cauchy", "gaussian"):
-        g = series.wavelet_gallery_ensemble(family, x.levels, x.n_samples, cfg.seed, x.grid_size)
+        # one pass over the row blocks writes the SFE1 file and finds the
+        # grid's range; the CSV is then written from the file's grid rows,
+        # rescaled a block at a time, so no family is ever held whole
+        blocks = series._GalleryBlocks(family, x.levels, x.n_samples, cfg.seed, x.grid_size)
+        spec_hash = blocks.spec.spec_hash()
+        binary = out / f"{family}_fields.sfe1"
+        ensemble_io.write_sfe1(binary, spec_hash, cfg.seed,
+                               (x.n_samples, blocks.spec.truncation, x.grid_size), blocks)
+        lo, span = blocks.offset_and_scale()
         path = out / f"{family}_fields.csv"
         ensemble_io.write_matrix_csv(
-            path, g.rescaled_grid, [f"x{j}" for j in range(g.rescaled_grid.shape[1])],
-            f"{comment} family={family} spec_hash={g.ensemble.spec_hash}",
+            path, ((g - lo) / span for g in ensemble_io._grid_blocks(binary)),
+            [f"x{j}" for j in range(x.grid_size)], f"{comment} family={family} spec_hash={spec_hash}",
         )
-        files.append(path)
-        binary = out / f"{family}_fields.sfe1"
-        ensemble_io.write_sfe1(binary, g.ensemble)
-        files.append(binary)
-        c = g.ensemble.coefficients
-        extreme[family] = np.maximum(c.max(), -c.min())  # max |c|, with no |c| array
-        del g, c
+        files += [path, binary]
+        extreme[family] = blocks.extreme
     contrast = float(extreme["cauchy"] / extreme["gaussian"])
     summary = out / "gallery_summary.json"
     _json_dump(summary, {

@@ -10,6 +10,16 @@ package produces): a comment line, a header row naming the columns, then
 one row per sample, each value written as `"%.17g" % v` writes it (17
 significant digits, which read back as the same float).
 
+Both writers stream.  `write_sfe1` takes an ensemble's rows a block at a
+time, in order, and writes each block into its rows of both sections,
+whose offsets the header fixes; a held ensemble is one block.
+`write_matrix_csv` takes a table, or an iterator of its row blocks, and
+encodes each block as it comes.  So the `figure2` runner writes a
+gallery family without holding it: its row blocks go to the SFE1 file as
+they are drawn and synthesized, and the CSV table is then written from
+the file's grid rows (`_grid_blocks`), read back and rescaled a block at
+a time.  `read_sfe1` reads each matrix straight into its own array.
+
 The writer produces those bytes without formatting one value at a time.
 It takes about 2^14 values per pass, as float64 (which is what `%`
 applies to an integer or float32).  A value x whose decade
@@ -39,14 +49,13 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import TYPE_CHECKING, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError
-
-if TYPE_CHECKING:  # an annotation only: writing a CSV table loads no sampler
-    from .series import FieldEnsemble
 
 __all__ = ["MAGIC", "write_sfe1", "read_sfe1", "write_matrix_csv"]
 
@@ -54,41 +63,88 @@ MAGIC = b"SFE1"
 _FLOAT_FMT = "%.17g"
 
 
-def write_sfe1(path, ensemble: FieldEnsemble) -> None:
-    header = {
-        "spec_hash": ensemble.spec_hash,
-        "seed": ensemble.seed,
-        "n_samples": int(ensemble.coefficients.shape[0]),
-        "n_coefficients": int(ensemble.coefficients.shape[1]),
-        "grid_size": int(ensemble.grid_values.shape[1]) if ensemble.grid_values is not None else 0,
-    }
+def write_sfe1(path, spec_hash: str, seed: int, shape: tuple, blocks: Iterable) -> None:
+    """Write an ensemble of shape (n_samples, n_coefficients, grid_size),
+    grid_size 0 for none, from its row blocks in row order: each block is
+    (coefficient rows, grid rows), grid rows None when grid_size is 0.  A
+    held ensemble is one block, `[(coefficients, grid_values)]`."""
+    n, m, g = (int(v) for v in shape)
+    header = {"spec_hash": spec_hash, "seed": seed, "n_samples": n,
+              "n_coefficients": m, "grid_size": g}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    start = len(MAGIC) + 4 + len(blob)
+    # the header fixes where every row of both sections lies, so each block
+    # is written straight into its rows of each
+    sections = [(start, m)] + ([(start + 8 * n * m, g)] if g else [])
+    row = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        # through the buffer protocol: a C-contiguous little-endian array is
-        # written as it lies, with no bytes copy
-        fh.write(np.ascontiguousarray(ensemble.coefficients, dtype="<f8"))
-        if ensemble.grid_values is not None:
-            fh.write(np.ascontiguousarray(ensemble.grid_values, dtype="<f8"))
+        for block in blocks:
+            if (block[1] is None) != (g == 0):
+                raise DimensionMismatchError("grid rows must be given exactly when grid_size > 0")
+            rows = len(block[0])
+            for (offset, width), part in zip(sections, block):
+                if np.shape(part) != (rows, width) or row + rows > n:
+                    raise DimensionMismatchError(
+                        f"a block of shape {np.shape(part)} at row {row} of an SFE1 "
+                        f"section of shape {(n, width)}")
+                fh.seek(offset + 8 * row * width)
+                # through the buffer protocol: a C-contiguous little-endian
+                # array is written as it lies, with no bytes copy
+                fh.write(np.ascontiguousarray(part, dtype="<f8"))
+            row += rows
+    if row != n:
+        raise DimensionMismatchError(f"the blocks hold {row} of the {n} rows")
+
+
+def _read_header(fh) -> dict:
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise InvalidSpecError(f"not an SFE1 file (magic {magic!r})")
+    size = fh.read(4)
+    if len(size) < 4:
+        raise InvalidSpecError("SFE1 file cut short in its header")
+    return json.loads(fh.read(struct.unpack("<I", size)[0]).decode("utf-8"))
+
+
+def _read_into(fh, out: np.ndarray) -> None:
+    """Fill the C-contiguous little-endian float64 array out from the file."""
+    if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise InvalidSpecError(f"SFE1 file cut short in a section of shape {out.shape}")
 
 
 def read_sfe1(path) -> tuple[dict, np.ndarray, Optional[np.ndarray]]:
-    """Read back (header, coefficients, grid-or-None)."""
+    """Read back (header, coefficients, grid-or-None), each matrix read
+    straight into its own array."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise InvalidSpecError(f"not an SFE1 file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        n, m = header["n_samples"], header["n_coefficients"]
-        coeffs = np.frombuffer(fh.read(8 * n * m), dtype="<f8").reshape(n, m).copy()
+        header = _read_header(fh)
+        n, g = header["n_samples"], header.get("grid_size", 0)
+        coeffs = np.empty((n, header["n_coefficients"]), dtype="<f8")
+        _read_into(fh, coeffs)
         grid = None
-        g = header.get("grid_size", 0)
         if g:
-            grid = np.frombuffer(fh.read(8 * n * g), dtype="<f8").reshape(n, g).copy()
+            grid = np.empty((n, g), dtype="<f8")
+            _read_into(fh, grid)
+        if fh.read(1):
+            raise InvalidSpecError("SFE1 file runs on past its sections")
     return header, coeffs, grid
+
+
+def _grid_blocks(path) -> Iterator[np.ndarray]:
+    """Yield the grid section of an SFE1 file in order, a block of rows of
+    about one CSV pass at a time, each read into one reused buffer (read
+    it before the next)."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh)
+        n, g = header["n_samples"], header["grid_size"]
+        fh.seek(8 * n * header["n_coefficients"], 1)
+        buffer = np.empty((min(n, max(1, _CHUNK // max(g, 1))), g), dtype="<f8")
+        for start in range(0, n, len(buffer)):
+            block = buffer[:n - start]
+            _read_into(fh, block)
+            yield block
 
 
 # Values encoded per pass (whole rows; a longer row is a pass by itself).
@@ -232,26 +288,37 @@ def _encode(values: np.ndarray, n_cols: int) -> np.ndarray:
     return text[(np.arange(width, dtype=np.uint8) <= length[:, None]).reshape(-1)]
 
 
-def write_matrix_csv(path, matrix: np.ndarray, columns: Sequence[str],
-                     comment: str) -> None:
+def _table_rows(block, n_cols: int) -> np.ndarray:
+    """A block of table rows as a 2-D array, checked against the header."""
+    block = np.asarray(block)
+    if block.dtype.kind in "cSU":  # numpy would drop imaginary parts and parse text
+        raise TypeError(f"a CSV table holds real numbers, not {block.dtype}")
+    if block.ndim == 1:
+        block = block[:, None]
+    if block.shape[1] != n_cols:
+        raise DimensionMismatchError(f"{n_cols} column names for a table of {block.shape[1]} columns")
+    return block
+
+
+def write_matrix_csv(path, matrix, columns: Sequence[str], comment: str) -> None:
     """Write a table as CSV: comment line, header row of the column names,
     one row per sample; a 1-D array is one column.  The bytes are those of
-    `"%.17g" % v` for each value v, joined by commas."""
-    matrix = np.asarray(matrix)
-    if matrix.dtype.kind in "cSU":  # numpy would drop imaginary parts and parse text
-        raise TypeError(f"a CSV table holds real numbers, not {matrix.dtype}")
-    if matrix.ndim == 1:
-        matrix = matrix[:, None]
-    n_rows, n_cols = matrix.shape
-    if len(columns) != n_cols:
-        raise DimensionMismatchError(f"{len(columns)} column names for a table of {n_cols} columns")
+    `"%.17g" % v` for each value v, joined by commas.
+
+    matrix is the table, or an iterator of its row blocks in order, which
+    are encoded as they come, so a streamed table is never held whole."""
+    n_cols = len(columns)
+    blocks = (_table_rows(block, n_cols) for block in
+              (matrix if isinstance(matrix, Iterator) else [matrix]))
+    # the first block is checked before the file is opened
+    first = next(blocks, None)
     step = max(1, _CHUNK // max(n_cols, 1))
     with open(path, "wb") as fh:
         fh.write(f"# {comment}\n{','.join(columns)}\n".encode("utf-8"))
-        if n_cols == 0:
-            fh.write(b"\n" * n_rows)
-            return
-        for r in range(0, n_rows, step):
-            block = np.array(matrix[r:r + step], dtype=np.float64, order="C")
-            fh.write(_encode(block.reshape(-1), n_cols))
-
+        for block in chain([] if first is None else [first], blocks):
+            if n_cols == 0:
+                fh.write(b"\n" * len(block))
+                continue
+            for r in range(0, len(block), step):
+                rows = np.array(block[r:r + step], dtype=np.float64, order="C")
+                fh.write(_encode(rows.reshape(-1), n_cols))

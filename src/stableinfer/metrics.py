@@ -111,13 +111,28 @@ class QuasiNormSpec:
 
 def rowwise_quasi_norm(matrix: np.ndarray, spec: QuasiNormSpec) -> np.ndarray:
     """(sum |v|^q)^(1/q) of every row v of a batch, max |v| for q = inf."""
+    return _norms_of_powers(_powers(matrix, spec.q), spec.q)
+
+
+def _powers(matrix: np.ndarray, q: float) -> np.ndarray:
+    """|v|^q of every entry of a batch of rows, |v| for q = inf."""
     m = np.abs(np.atleast_2d(np.asarray(matrix, dtype=float)))
-    # a one-entry row is its own maximum and sum (same bits); powers in place
-    if math.isinf(spec.q):
+    if not math.isinf(q):
+        m **= q  # in place
+    return m
+
+
+def _norms_of_powers(m: np.ndarray, q: float) -> np.ndarray:
+    """The row norms of the batch whose `_powers` are m, which it leaves as
+    they are: a prefix view m[:, :k] gives the norms of the rows' first k
+    entries, to the bit."""
+    # a one-entry row is its own maximum and sum (same bits)
+    if math.isinf(q):
         return m[:, 0] if m.shape[1] == 1 else m.max(axis=1)
-    m **= spec.q
-    norms = m[:, 0] if m.shape[1] == 1 else m.sum(axis=1)
-    norms **= 1.0 / spec.q
+    if m.shape[1] == 1:
+        return m[:, 0] ** (1.0 / q)
+    norms = m.sum(axis=1)
+    norms **= 1.0 / q
     return norms
 
 

@@ -383,13 +383,23 @@ def hilbert_scale_membership(gamma_seq, delta_seq, lambda_seq, s: float,
     membership needs (gamma_n / lambda_n^s) in ell^alpha and
     (delta_n / lambda_n^s) in ell^2.  Each is settled exactly by the
     integral test on the ratio of the closed tails.
+
+    The eigenvalues must be positive and non-increasing, which is checked
+    exactly: on the explicit head and the closed tail's first two values,
+    and past them by the sign of the tail's log-derivative.
     """
     gamma_seq = as_sequence(gamma_seq)
     delta_seq = as_sequence(delta_seq)
     lambda_seq = as_sequence(lambda_seq)
-    lam_head = sequence_values(lambda_seq, 16)
-    if np.any(np.diff(lam_head) > 0) or np.any(lam_head <= 0):
-        raise OutOfRangeError("lambda_seq", "eigenvalues must be positive and decreasing")
+    head, tail = _closed_tail(lambda_seq)
+    lam = sequence_values(lambda_seq, head + 2)
+    # a n^-e (log n)^-l has log-derivative -(e log x + l) / (x log x) for x >= 2:
+    # it falls on [head + 2, inf) when e log(head + 2) + l >= 0, and to zero
+    # when e > 0, or e = 0 and l > 0
+    e, l = tail.exponent, _log_exponent(tail)
+    falls = (e > 0.0 or (e == 0.0 and l > 0.0)) and e * math.log(head + 2) + l >= 0.0
+    if not falls or np.any(np.diff(lam) > 0) or np.any(lam <= 0):
+        raise OutOfRangeError("lambda_seq", "eigenvalues must be positive and decrease to zero")
     return HilbertScaleReport(
         gamma_condition=_ratio_membership(gamma_seq, lambda_seq, s, alpha),
         delta_condition=_ratio_membership(delta_seq, lambda_seq, s, 2.0),

@@ -29,7 +29,7 @@ from .errors import (
     MomentOrderTooHighError,
     OutOfRangeError,
 )
-from .metrics import QuasiNormSpec, rowwise_quasi_norm
+from .metrics import _deviation, _leaf_buffer, _norms_of_powers, _powers
 from .sequences import (
     CoefficientSequence,
     Explicit,
@@ -394,6 +394,40 @@ def _gallery_spec(family: str, levels: int, grid_size: int) -> StableFieldSpec:
     )
 
 
+class _GalleryBlocks:
+    """The row blocks of one gallery family, (coefficient rows, grid rows),
+    drawn and synthesized one sampler block at a time; the coefficient
+    rows lie in a reused buffer, to be read before the next block.
+
+    Iterating them tracks the grid's min and max and the largest |c|, each
+    an exact reduction, so once every block has been read they are those
+    of the whole ensemble.
+    """
+
+    def __init__(self, family: str, levels: int, n_samples: int, seed: int, grid_size: int):
+        if levels < 1:
+            raise InvalidSpecError("the gallery needs at least one refinement level")
+        if n_samples < 1:
+            raise InvalidSpecError("the gallery needs n_samples >= 1")
+        self.spec = _gallery_spec(family, levels, grid_size)
+        self.n_samples, self.seed = n_samples, seed
+        self.lo, self.hi, self.extreme = np.inf, -np.inf, 0.0
+
+    def __iter__(self):
+        for _, c in _sampled_blocks(self.spec, self.n_samples, self.seed):
+            g = synthesize(self.spec.basis, c)
+            # np.minimum and np.maximum pass a nan on, as the whole-array reductions do
+            self.lo = np.minimum(self.lo, g.min())
+            self.hi = np.maximum(self.hi, g.max())
+            self.extreme = np.maximum(self.extreme, np.maximum(c.max(), -c.min()))  # max |c|
+            yield c, g
+
+    def offset_and_scale(self) -> tuple[float, float]:
+        """(lo, span) of the affine map (g - lo) / span onto [0, 1]."""
+        lo, hi = float(self.lo), float(self.hi)
+        return lo, hi - lo if hi > lo else 1.0
+
+
 def wavelet_gallery_ensemble(family: str, levels: int, n_samples: int, seed: int,
                              grid_size: int = 2 ** 14) -> GalleryEnsemble:
     """Sample a wavelet ensemble with per-level scale (j+1)^-2 2^-j times a
@@ -406,18 +440,19 @@ def wavelet_gallery_ensemble(family: str, levels: int, n_samples: int, seed: int
     ensemble min/max (per-sample scaling would destroy comparability
     across samples); the raw coefficients are kept on the ensemble.
     """
-    if levels < 1:
-        raise InvalidSpecError("the gallery needs at least one refinement level")
-    spec = _gallery_spec(family.lower(), levels, grid_size)
-    ens = sample_coefficients(spec, n_samples, seed)
-    ens.grid_values = synthesize(spec.basis, ens.coefficients)
-    lo = float(ens.grid_values.min())
-    hi = float(ens.grid_values.max())
-    span = hi - lo if hi > lo else 1.0
-    rescaled = (ens.grid_values - lo) / span
+    blocks = _GalleryBlocks(family.lower(), levels, n_samples, seed, grid_size)
+    coeffs = np.empty((n_samples, blocks.spec.truncation))
+    grid = np.empty((n_samples, grid_size))
+    row = 0
+    for c, g in blocks:
+        coeffs[row:row + len(c)] = c
+        grid[row:row + len(c)] = g
+        row += len(c)
+    lo, span = blocks.offset_and_scale()
     return GalleryEnsemble(
-        family=family.lower(), ensemble=ens, rescaled_grid=rescaled,
-        offset=lo, scale=span,
+        family=family.lower(),
+        ensemble=FieldEnsemble(blocks.spec, int(seed), coeffs, grid),
+        rescaled_grid=(grid - lo) / span, offset=lo, scale=span,
     )
 
 
@@ -463,8 +498,8 @@ def flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
 
     Each row block is drawn and reduced to its rows' statistics before the
     next is drawn, so the coefficient matrix is never held: beyond the
-    three n-length statistics (and the standard error's n-length
-    temporary) the working memory is one block of rows, about 1 MB.
+    three n-length statistics the working memory is one block of rows,
+    about 1 MB, and the standard error's leaf of at most 2^15 values.
     Warns as sample_coefficients does.
     """
     if n_samples < 1:
@@ -472,14 +507,15 @@ def flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
     _warn_unless_summable(spec)
     alpha, n_total = spec.alpha, spec.truncation
     _check_flom_orders(alpha, p, q)
-    norm = QuasiNormSpec(q)
     cuts = (max(n_total // 4, 1), max(n_total // 2, 1), n_total)
     # the statistic of each row at each cut, taken block by block so that
-    # the |c|^q temporaries stay block-sized
+    # the |c|^q temporaries stay block-sized; each block's |c|^q is raised
+    # once, and each cut's norms are taken from its prefix columns
     stats = [np.empty(n_samples) for _ in cuts]
     for start, block in _sampled_blocks(spec, n_samples, seed):
+        powers = _powers(block, q)
         for cut, vals in zip(cuts, stats):
-            vals[start:start + block.shape[0]] = rowwise_quasi_norm(block[:, :cut], norm) ** p
+            vals[start:start + block.shape[0]] = _norms_of_powers(powers[:, :cut], q) ** p
     trace = [(cut, float(vals.mean())) for cut, vals in zip(cuts, stats)]
     est = trace[-1][1]
     vals = stats[-1]
@@ -493,6 +529,6 @@ def flom_estimate(spec: StableFieldSpec, n_samples: int, seed: int,
                 f"Var ||u||^p is infinite for 2p = {2 * p:g} >= alpha = {alpha:g}, so the "
                 "sample deviation over sqrt(n) is no standard error")
         else:
-            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+            stderr = _deviation(vals, est, _leaf_buffer(vals.size)) / math.sqrt(vals.size)
     return FlomEstimate(estimate=est, stderr=stderr, truncation_trace=tuple(trace),
                         tail_index=tail_index, stderr_reason=reason)

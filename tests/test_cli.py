@@ -20,8 +20,9 @@ from stableinfer import (
     sample_coefficients,
 )
 from stableinfer.cli import EXPERIMENT_KINDS, _file_sha256, main, run, validate_config
+from stableinfer.ensemble_io import write_matrix_csv, write_sfe1
 from stableinfer.errors import ConfigError
-from stableinfer.series import Eigenbasis, StableFieldSpec
+from stableinfer.series import Eigenbasis, StableFieldSpec, _block_rows, wavelet_gallery_ensemble
 
 
 def cfg_text(experiment, params=None, seed=11):
@@ -325,15 +326,42 @@ class TestRunExperiments:
         assert traced_peak(run, cfg, tmp_path) - 4 * 8 * n < 2 * 2 ** 20
 
     def test_gallery_working_memory_is_one_gallery(self, tmp_path, traced_peak):
-        # one family at a time: its coefficient matrix, its grid values,
-        # their rescaled copy and one grid-sized synthesis temporary, plus a
-        # fixed allowance for the CSV writer's pass and the rest
-        levels, n_samples, grid_size = 13, 20, 2 ** 14
+        # each family is streamed a row block at a time: the peak is a row
+        # block's synthesis, the CSV writer's pass of 2^14 values (about
+        # 2.6 MB) and the manifest's 1 MB read buffer, whatever the sample
+        # count; one 80-sample family's grid alone is 10 MB
+        peaks = []
+        for n_samples in (20, 80):
+            cfg = validate_config(cfg_text("figure2", {
+                "levels": 13, "n_samples": n_samples, "grid_size": 2 ** 14}))
+            peaks.append(traced_peak(run, cfg, tmp_path / str(n_samples)))
+        assert max(peaks) < 8 * 2 ** 20
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
+
+    @pytest.mark.parametrize("grid_size", [128, 1000], ids=["half_cells", "gathered"])
+    def test_gallery_files_are_those_of_the_held_gallery(self, tmp_path, grid_size):
+        # 300 samples of 127 coefficients are three sampler blocks; a grid
+        # of 128 points is the half-cell midpoints of 6 levels, 1000 points
+        # are gathered from them
+        levels, n_samples = 6, 300
+        assert _block_rows(2 ** (levels + 1) - 1) < n_samples // 2
         cfg = validate_config(cfg_text("figure2", {
             "levels": levels, "n_samples": n_samples, "grid_size": grid_size}))
-        coefficients = 8 * n_samples * (2 ** (levels + 1) - 1)
-        grid = 8 * n_samples * grid_size
-        assert traced_peak(run, cfg, tmp_path) < coefficients + 3 * grid + 4 * 2 ** 20
+        run(cfg, tmp_path / "streamed")
+        held = tmp_path / "held"
+        held.mkdir()
+        for family in ("cauchy", "gaussian"):
+            g = wavelet_gallery_ensemble(family, levels, n_samples, cfg.seed, grid_size)
+            ens = g.ensemble
+            write_sfe1(held / f"{family}_fields.sfe1", ens.spec_hash, ens.seed,
+                       (n_samples, ens.coefficients.shape[1], grid_size),
+                       [(ens.coefficients, ens.grid_values)])
+            write_matrix_csv(held / f"{family}_fields.csv", g.rescaled_grid,
+                             [f"x{j}" for j in range(grid_size)],
+                             f"config={cfg.config_hash()} seed={cfg.seed} family={family} "
+                             f"spec_hash={ens.spec_hash}")
+            for name in (f"{family}_fields.sfe1", f"{family}_fields.csv"):
+                assert (tmp_path / "streamed" / name).read_bytes() == (held / name).read_bytes()
 
     def test_manifest_digests_are_the_sha256_of_the_files(self, tmp_path):
         # the gallery CSVs are several MB, so they are hashed in several reads

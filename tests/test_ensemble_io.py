@@ -34,9 +34,16 @@ def ensemble():
     return ens
 
 
+def _write_held(path, ensemble):
+    """write_sfe1 of an ensemble held in memory: one block."""
+    grid = ensemble.grid_values
+    shape = (*ensemble.coefficients.shape, 0 if grid is None else grid.shape[1])
+    write_sfe1(path, ensemble.spec_hash, ensemble.seed, shape, [(ensemble.coefficients, grid)])
+
+
 def test_binary_round_trip(tmp_path, ensemble):
     path = tmp_path / "ens.sfe1"
-    write_sfe1(path, ensemble)
+    _write_held(path, ensemble)
     header, coeffs, grid = read_sfe1(path)
     assert header["spec_hash"] == ensemble.spec_hash
     assert header["seed"] == 99
@@ -47,7 +54,7 @@ def test_binary_round_trip(tmp_path, ensemble):
 
 def test_binary_layout_starts_with_magic(tmp_path, ensemble):
     path = tmp_path / "ens.sfe1"
-    write_sfe1(path, ensemble)
+    _write_held(path, ensemble)
     assert path.read_bytes()[:4] == MAGIC == b"SFE1"
 
 
@@ -84,13 +91,13 @@ def test_sfe1_bytes_are_those_of_the_array_copies(tmp_path, ensemble, layout):
     elif layout == "no_rows":
         coeffs, grid = coeffs[:0], grid[:0]
     case = dataclasses.replace(ensemble, coefficients=coeffs, grid_values=grid)
-    write_sfe1(tmp_path / "ens.sfe1", case)
+    _write_held(tmp_path / "ens.sfe1", case)
     assert (tmp_path / "ens.sfe1").read_bytes() == _sfe1_by_copies(case)
 
 
 def test_payload_is_little_endian_float64(tmp_path, ensemble):
     path = tmp_path / "ens.sfe1"
-    write_sfe1(path, ensemble)
+    _write_held(path, ensemble)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[4:8])
     json.loads(raw[8:8 + hlen])
@@ -103,6 +110,54 @@ def test_magic_is_checked(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(InvalidSpecError):
         read_sfe1(path)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_sfe1_from_row_blocks_is_the_held_file(tmp_path, ensemble, grid):
+    # blocks of 3, 0, 1 and 3 rows go to their rows of both sections
+    held = ensemble if grid else dataclasses.replace(ensemble, grid_values=None)
+    _write_held(tmp_path / "held.sfe1", held)
+    c, g = held.coefficients, held.grid_values
+    cuts = [(0, 3), (3, 3), (3, 4), (4, 7)]
+    blocks = [(c[a:b], None if g is None else g[a:b]) for a, b in cuts]
+    shape = (7, 3, 64 if grid else 0)
+    write_sfe1(tmp_path / "blocks.sfe1", held.spec_hash, held.seed, shape, iter(blocks))
+    assert (tmp_path / "blocks.sfe1").read_bytes() == (tmp_path / "held.sfe1").read_bytes()
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda c, g: [(c, g[:, :-1])],  # a grid row too short
+    lambda c, g: [(c[:, :2], g)],  # a coefficient row too short
+    lambda c, g: [(c, None)],  # no grid rows for a grid section
+    lambda c, g: [(c[:4], g[:4])],  # rows missing
+    lambda c, g: [(c, g), (c[:1], g[:1])],  # rows past the end
+], ids=["grid_width", "coefficient_width", "no_grid", "short", "long"])
+def test_sfe1_blocks_must_fill_the_declared_shape(tmp_path, ensemble, blocks):
+    with pytest.raises(DimensionMismatchError):
+        write_sfe1(tmp_path / "bad.sfe1", ensemble.spec_hash, ensemble.seed, (7, 3, 64),
+                   blocks(ensemble.coefficients, ensemble.grid_values))
+
+
+@pytest.mark.parametrize("change", [-8, -1, 1, 8])
+def test_sfe1_of_the_wrong_length_is_rejected(tmp_path, ensemble, change):
+    path = tmp_path / "ens.sfe1"
+    _write_held(path, ensemble)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
+    with pytest.raises(InvalidSpecError):
+        read_sfe1(path)
+
+
+def test_read_sfe1_reads_each_matrix_once(tmp_path, traced_peak):
+    # each section is read straight into its own array: no bytes object and
+    # no copy of it beside the matrices
+    rng = np.random.default_rng(3)
+    coeffs, grid = rng.standard_normal((200, 2500)), rng.standard_normal((200, 2500))
+    path = tmp_path / "big.sfe1"
+    write_sfe1(path, "hash", 1, (200, 2500, 2500), [(coeffs, grid)])
+    assert traced_peak(read_sfe1, path) < 1.1 * (coeffs.nbytes + grid.nbytes)
+    _, c, g = read_sfe1(path)
+    assert np.array_equal(c, coeffs) and np.array_equal(g, grid)
 
 
 def _read_table(path):
@@ -283,6 +338,30 @@ def test_csv_passes_of_several_rows(tmp_path):
     columns = ["a", "b", "c"]
     write_matrix_csv(tmp_path / "rows.csv", matrix, columns, "rows")
     assert (tmp_path / "rows.csv").read_bytes() == _textbook_csv(matrix, columns, "rows")
+
+
+@pytest.mark.parametrize("n_cols", [3, 40_000])
+def test_csv_of_row_blocks_is_the_held_table(tmp_path, n_cols):
+    # blocks shorter and longer than a pass, and an empty one, give the
+    # held table's bytes
+    rng = np.random.default_rng(9)
+    matrix = np.repeat(rng.standard_cauchy((30, 1)), n_cols, axis=1)
+    matrix[:, ::3] = rng.standard_normal(matrix[:, ::3].shape)
+    columns = [f"x{j}" for j in range(n_cols)]
+    write_matrix_csv(tmp_path / "held.csv", matrix, columns, "c")
+    cuts = [0, 1, 1, 7, 30]
+    blocks = (matrix[a:b] for a, b in zip(cuts, cuts[1:]))
+    write_matrix_csv(tmp_path / "blocks.csv", blocks, columns, "c")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+
+
+def test_csv_of_row_blocks_checks_every_block(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DimensionMismatchError):
+        write_matrix_csv(path, iter([np.ones((2, 2))]), ["a", "b", "c"], "c")
+    assert not path.exists()  # the first block is checked before the file is opened
+    with pytest.raises(DimensionMismatchError):
+        write_matrix_csv(path, iter([np.ones((2, 3)), np.ones((2, 2))]), ["a", "b", "c"], "c")
 
 
 def test_csv_writer_memory_is_bounded(tmp_path, traced_peak):

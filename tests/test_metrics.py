@@ -76,6 +76,22 @@ class TestQuasiNorm:
             got = rowwise_quasi_norm(column, QuasiNormSpec(q=q))
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 300),
+           q=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.7, math.inf]), seed=st.integers(0, 2 ** 32))
+    def test_prefix_norms_of_one_power_array_are_the_rowwise_norms(self, rows, cols, q, seed):
+        # flom raises a block's |c|^q once and takes its cuts from prefix
+        # views of the powers: each cut's norms have the bits of the
+        # norms of the cut columns, and the powers are left as they are
+        block = np.random.default_rng(seed).standard_cauchy((rows, cols))
+        powers = metrics._powers(block, q)
+        before = powers.copy()
+        for cut in sorted({1, max(cols // 4, 1), max(cols // 2, 1), cols}):
+            got = metrics._norms_of_powers(powers[:, :cut], q)
+            want = rowwise_quasi_norm(block[:, :cut], QuasiNormSpec(q=q))
+            assert got.tobytes() == want.tobytes()
+        assert powers.tobytes() == before.tobytes()
+
 
 @pytest.fixture(scope="module")
 def gaussian_pair_on_cauchy_reference():

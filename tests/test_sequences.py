@@ -419,6 +419,32 @@ class TestHilbertScale:
             hilbert_scale_membership(PowerLaw(1, 2), PowerLaw(0, 0),
                                      PowerLaw(1.0, -1.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("lam", [
+        # the first 16 values fall, the tail from index 17 grows like n
+        Explicit(tuple(1.0 / n for n in range(1, 17)), tail=PowerLaw(1.0, -1.0)),
+        # zero past the 17th value
+        Explicit(tuple(1.0 / n for n in range(1, 18))),
+        # the tail falls to zero only after rising to its peak at n = e^20
+        PowerLogLaw(1.0, 1.0, -20.0),
+        # constant: never falls to zero
+        Explicit((2.0,), tail=PowerLaw(1.0, 0.0)),
+        # a rise in the middle of a nested explicit tail
+        Explicit((1.0, 0.5), tail=Explicit((9.0, 9.0, 0.4, 0.45), tail=PowerLaw(1.0, 1.0))),
+    ], ids=["growing_tail", "finite_list", "late_peak", "constant", "nested_rise"])
+    def test_eigenvalues_are_checked_past_the_head(self, lam):
+        with pytest.raises(OutOfRangeError):
+            hilbert_scale_membership(PowerLaw(1.0, 2.0), PowerLaw(0.0, 0.0), lam, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [
+        Explicit(tuple(1.0 / n for n in range(1, 17)), tail=PowerLaw(1.0, 1.0)),
+        PowerLogLaw(1.0, 1.0, -0.5),  # falls from n = 2 on: log 2 > 0.5
+        PowerLogLaw(1.0, 0.0, 1.0),  # 1 / log n, slowly to zero
+        Explicit((3.0, 2.0), tail=PowerLaw(1.0, 0.5)),
+    ], ids=["head_then_tail", "log_rise_before_two", "inverse_log", "short_head"])
+    def test_falling_eigenvalues_are_accepted(self, lam):
+        rep = hilbert_scale_membership(PowerLaw(1.0, 3.0), PowerLaw(0.0, 0.0), lam, 1.0, 1.0)
+        assert isinstance(rep.gamma_condition, Membership)
+
     def test_resonant_ratio_one_ulp_off(self):
         # gamma_n / lambda_n = n^-0.5000000000000001, whose alpha = 2 power is n^-1
         rep = hilbert_scale_membership(PowerLaw(1.0, 1.1), PowerLaw(0.0, 0.0),
