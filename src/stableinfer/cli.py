@@ -50,10 +50,12 @@ _MAX_LEVELS = 22  # 2^(levels + 1) - 1 functions, at most _MAX_TRUNCATION
 # every other count a run allocates by (a sample count, a depth, a grid size),
 # and every samples-by-row matrix it holds, has at most 2^28 entries, 2 GiB of
 # doubles (figure2 streams its matrices to its files a row block at a time,
-# so for it the bound bounds the files).  Measured peaks are about 17 bytes per
-# matrix entry for the posterior kinds, 24 per flom sample and 120 per
-# three_series term, so whether a run below the bound fits in memory depends
-# on the machine.
+# so for it the bound bounds the files; likelihood_sweep's matrix has a
+# sin(||u||) column beside each row).  Measured peaks are about 17 bytes per
+# matrix entry for the posterior kinds (likelihood_sweep at one coefficient:
+# 65 MB above the imports for 2 x 2*10^6 entries), 24 per flom sample and 120
+# per three_series term, so whether a run below the bound fits in memory
+# depends on the machine.
 _MAX_ENTRIES = 2 ** 28
 
 
@@ -243,12 +245,14 @@ def _parse_flom(r: _Params) -> None:
     series._check_flom_orders(alpha, r.read("p", _number), r.read("q", _number, 1.0))
 
 
-def _parse_posterior(r: _Params) -> None:
-    """Prior ensemble, Gaussian-noise potential (identity forward map), data y."""
+def _parse_posterior(r: _Params, extra_columns: int = 0) -> None:
+    """Prior ensemble, Gaussian-noise potential (identity forward map), data
+    y; the runner holds a row of the coefficients and extra_columns more
+    entries per sample."""
     from . import bayes, metrics
 
     dim = r.read("prior", _parse_prior).truncation
-    r.read("n_samples", _integer, 10 ** 5, high=_MAX_ENTRIES // dim)  # a row per sample
+    r.read("n_samples", _integer, 10 ** 5, high=_MAX_ENTRIES // (dim + extra_columns))
     r.inputs.potential = bayes.gaussian_additive_potential(
         bayes.IdentityForward(),
         noise_variance=r.read("noise_variance", _vector, 1.0, sizes=(1, dim)),
@@ -276,7 +280,7 @@ def _parse_data_sweep(r: _Params) -> None:
 
 
 def _parse_likelihood_sweep(r: _Params) -> None:
-    _parse_posterior(r)
+    _parse_posterior(r, extra_columns=1)  # each row's sin(||u||)
     if not r.read("n_list", _list, item=_integer):
         raise ConfigError(f"{r.where}: n_list must not be empty")
 
@@ -476,19 +480,28 @@ def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
     from . import bayes, metrics, series
 
     x = cfg.inputs
-    ens = series.sample_coefficients(x.prior, x.n_samples, cfg.seed)
+    d = x.prior.truncation
+    # row i holds sample i's coefficients and, in column d, its sin(||u||),
+    # formed once per sample from each sampled block while it is in the
+    # cache; the perturbation sin(||u||)/N travels as a column of the rows,
+    # so every misfit stays row-local and no N forms it again
+    rows = np.empty((x.n_samples, d + 1))
+    series._warn_unless_summable(x.prior)
+    for start, block in series._sampled_blocks(x.prior, x.n_samples, cfg.seed, rows[:, :d]):
+        np.sin(metrics.rowwise_quasi_norm(block, x.potential.u_norm),
+               out=rows[start:start + len(block), d])
+    misfit = x.potential.misfit
+
+    def base(r, yy):
+        return misfit(r[:, :d], yy)
 
     def family(n_approx):
-        def approx(u, yy):
-            # a misfit is row-local, so the perturbation sin(||u||)/N is
-            # formed from the rows it is given, once per N
-            wiggle = np.sin(metrics.rowwise_quasi_norm(u, x.potential.u_norm))
-            return x.potential.misfit(u, yy) + wiggle / n_approx
-        return approx
+        return lambda r, yy: base(r, yy) + r[:, d] / n_approx
 
     report = bayes.likelihood_perturbation_sweep(
-        x.potential, family, lambda n: 1.0 / n, ens, x.y, x.n_list,
+        replace(x.potential, misfit=base), family, lambda n: 1.0 / n, rows, x.y, x.n_list,
     )
+    report.seed = cfg.seed  # the sweep sees bare rows; they are sampled from this seed
     return _write_sweep(out, comment, report, "psi", "likelihood_sweep.json")
 
 

@@ -18,6 +18,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -280,46 +281,73 @@ def sample_coefficients(spec: StableFieldSpec, n_samples: int, seed: int) -> Fie
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _synthesize_dyadic(coeffs: np.ndarray, grid: np.ndarray,
-                       basis: Union[HaarWavelet, HatHierarchical]) -> np.ndarray:
-    """Sum of the whole levels 0..basis.levels; level j starts at column 2^j - 1.
+def _midpoints(grid_size: int) -> np.ndarray:
+    """`synthesize`'s default grid: the midpoints of grid_size equal cells of [0, 1]."""
+    return (np.arange(grid_size) + 0.5) / grid_size
+
+
+def _haar_cells(coeffs: np.ndarray, amps: list) -> np.ndarray:
+    """The Haar sum of whole levels 0..len(amps) - 1 on its 2^len(amps)
+    finest half-cells, one row per coefficient row."""
+    n = coeffs.shape[0]
+    cells = np.zeros((n, 1))
+    for j, amp in enumerate(amps):
+        # half-cell 2k (2k + 1) of level j: the parent cell k plus (-)amp c_jk,
+        # added in place into the level's own array
+        level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
+        level += cells[:, :, None]
+        cells = level.reshape(n, 2 ** (j + 1))
+    return cells
+
+
+def _dyadic_synthesis(basis: Union[HaarWavelet, HatHierarchical],
+                      grid: Optional[np.ndarray] = None):
+    """The synthesis of coefficient rows on the grid (by default
+    `synthesize`'s), as a function of the rows: level j of the basis starts
+    at column 2^j - 1.  What depends on the grid alone is formed here, once,
+    so a caller that synthesizes many row blocks on one grid forms it once.
 
     Every translate is supported inside [0, 1); points outside get 0.  The
     Haar sum is built once per row on the 2^(levels+1) finest half-cells
     and gathered at h = floor(2^(levels+1) x); where h is 0, 1, ...,
-    2^(levels+1) - 1 (the half-cell midpoints of `synthesize`'s grid, say)
-    the half-cells are returned as they are.  This is exact on any grid:
-    2^j x, its floor k and frac = 2^j x - k are exact in binary floating
-    point, so level j's translate k is h >> (levels + 1 - j) and frac < 0.5
-    is bit levels - j of h being 0.  The levels are added coarse to fine,
-    as a per-level loop over the grid adds them, so every bit is the same.
+    2^(levels+1) - 1 the half-cells are returned as they are.  On the
+    default grid of 2^(levels+1) points h is that, since 2^(levels+1) x is
+    i + 0.5 there, exactly, so no grid is formed.  This is exact on any
+    grid: 2^j x, its floor k and frac = 2^j x - k are exact in binary
+    floating point, so level j's translate k is h >> (levels + 1 - j) and
+    frac < 0.5 is bit levels - j of h being 0.  The levels are added coarse
+    to fine, as a per-level loop over the grid adds them, so every bit is
+    the same.
     """
     amps = [2.0 ** (j / 2.0) if basis.unit_norm else 1.0 for j in range(basis.levels + 1)]
+    cells = 2 ** (basis.levels + 1)
+    if isinstance(basis, HaarWavelet) and grid is None and basis.grid_size == cells:
+        return partial(_haar_cells, amps=amps)
+    grid = _midpoints(basis.grid_size) if grid is None else grid
     inside = (grid >= 0.0) & (grid < 1.0)
-    n = coeffs.shape[0]
     if isinstance(basis, HaarWavelet):
-        cells = np.zeros((n, 1))
+        h = np.floor(cells * np.where(inside, grid, 0.0)).astype(np.int64)
+        if inside.all() and np.array_equal(h, np.arange(cells)):
+            return partial(_haar_cells, amps=amps)  # one point per half-cell: no copy
+        outside = ~inside
+
+        def haar(coeffs):
+            out = np.take(_haar_cells(coeffs, amps), h, axis=1)
+            out[:, outside] = 0.0
+            return out
+        return haar
+
+    def hat(coeffs):
+        out = np.zeros((coeffs.shape[0], grid.size))
         for j, amp in enumerate(amps):
-            # half-cell 2k (2k + 1) of level j: the parent cell k plus (-)amp c_jk,
-            # added in place into the level's own array
-            level = coeffs[:, 2 ** j - 1:2 ** (j + 1) - 1, None] * np.array([amp, -amp])
-            level += cells[:, :, None]
-            cells = level.reshape(n, 2 ** (j + 1))
-        h = np.floor(2.0 ** (basis.levels + 1) * np.where(inside, grid, 0.0)).astype(np.int64)
-        if inside.all() and np.array_equal(h, np.arange(cells.shape[1])):
-            return cells  # one point per half-cell, in order: no gathered copy
-        out = np.take(cells, h, axis=1)
-        out[:, ~inside] = 0.0
+            scaled = 2.0 ** j * grid
+            k = np.floor(scaled).astype(np.int64)
+            np.clip(k, 0, 2 ** j - 1, out=k)
+            frac = scaled - k
+            shape = (1.0 - np.abs(2.0 * frac - 1.0)) * inside
+            out += amp * shape[None, :] * coeffs[:, 2 ** j - 1 + k]
         return out
-    out = np.zeros((n, grid.size))
-    for j, amp in enumerate(amps):
-        scaled = 2.0 ** j * grid
-        k = np.floor(scaled).astype(np.int64)
-        np.clip(k, 0, 2 ** j - 1, out=k)
-        frac = scaled - k
-        shape = (1.0 - np.abs(2.0 * frac - 1.0)) * inside
-        out += amp * shape[None, :] * coeffs[:, 2 ** j - 1 + k]
-    return out
+    return hat
 
 
 def synthesize(basis: BasisSpec, coefficients: np.ndarray,
@@ -342,9 +370,8 @@ def synthesize(basis: BasisSpec, coefficients: np.ndarray,
             )
         out = coeffs
     else:
-        if grid is None:
-            grid = (np.arange(basis.grid_size) + 0.5) / basis.grid_size
-        grid = np.asarray(grid, dtype=float)
+        if grid is not None:
+            grid = np.asarray(grid, dtype=float)
         if isinstance(basis, (HaarWavelet, HatHierarchical)):
             expected = basis_size(basis)
             if coeffs.shape[1] != expected:
@@ -352,8 +379,9 @@ def synthesize(basis: BasisSpec, coefficients: np.ndarray,
                     f"basis with levels 0..{basis.levels} needs {expected} "
                     f"coefficients, got {coeffs.shape[1]}"
                 )
-            out = _synthesize_dyadic(coeffs, grid, basis)
+            out = _dyadic_synthesis(basis, grid)(coeffs)
         elif isinstance(basis, Eigenbasis):
+            grid = _midpoints(basis.grid_size) if grid is None else grid
             n = coeffs.shape[1]
             modes = np.arange(1, n + 1)
             phi = math.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
@@ -411,11 +439,12 @@ class _GalleryBlocks:
             raise InvalidSpecError("the gallery needs n_samples >= 1")
         self.spec = _gallery_spec(family, levels, grid_size)
         self.n_samples, self.seed = n_samples, seed
+        self._synthesis = _dyadic_synthesis(self.spec.basis)  # the grid's arrays, once
         self.lo, self.hi, self.extreme = np.inf, -np.inf, 0.0
 
     def __iter__(self):
         for _, c in _sampled_blocks(self.spec, self.n_samples, self.seed):
-            g = synthesize(self.spec.basis, c)
+            g = self._synthesis(c)
             # np.minimum and np.maximum pass a nan on, as the whole-array reductions do
             self.lo = np.minimum(self.lo, g.min())
             self.hi = np.maximum(self.hi, g.max())

@@ -22,7 +22,13 @@ from stableinfer import (
 from stableinfer.cli import EXPERIMENT_KINDS, _file_sha256, main, run, validate_config
 from stableinfer.ensemble_io import write_matrix_csv, write_sfe1
 from stableinfer.errors import ConfigError
-from stableinfer.series import Eigenbasis, StableFieldSpec, _block_rows, wavelet_gallery_ensemble
+from stableinfer.series import (
+    Eigenbasis,
+    StableFieldSpec,
+    SummabilityWarning,
+    _block_rows,
+    wavelet_gallery_ensemble,
+)
 
 
 def cfg_text(experiment, params=None, seed=11):
@@ -409,8 +415,9 @@ class TestRunExperiments:
         assert 0.8 < report["slope"] < 1.2
 
     def test_likelihood_sweep_matches_the_per_n_misfit_to_the_bit(self, tmp_path):
-        # the runner's misfit family, which forms sin(||u||) from the rows
-        # it is given for every N, gives the report to the bit
+        # the runner forms sin(||u||) once per sample, as a column of its
+        # rows; its report is to the bit that of the family below, which
+        # forms sin(||u||) from the rows it is given for every N
         cfg = validate_config(cfg_text("likelihood_sweep", {
             "prior": CAUCHY_SCALAR_PRIOR, "y": 0.5,
             "n_list": [2, 5, 9, 40], "n_samples": 20000,
@@ -432,6 +439,39 @@ class TestRunExperiments:
         table = (tmp_path / "hellinger_vs_psi.csv").read_text().splitlines()[2:]
         assert [[float(v) for v in row.split(",")] for row in table] == np.column_stack(
             [want.perturbation_sizes, want.distances, want.distance_stderrs]).tolist()
+
+    def test_likelihood_sweep_forms_each_norm_once(self, tmp_path, monkeypatch):
+        # sin(||u||) is formed once per sample from the sampler's blocks, not
+        # once per sample and N, and the runner still warns as the sampler does
+        normed = []
+
+        def counted(matrix, spec):
+            normed.append(len(matrix))
+            return rowwise_quasi_norm(matrix, spec)
+
+        rowwise_quasi_norm = metrics.rowwise_quasi_norm
+        monkeypatch.setattr(metrics, "rowwise_quasi_norm", counted)
+        cfg = validate_config(cfg_text("likelihood_sweep", {
+            "prior": dict(CAUCHY_SCALAR_PRIOR, gamma=1.0, truncation=3), "y": [0.0] * 3,
+            "noise_variance": 100.0, "n_list": [2, 4, 8], "n_samples": 20000,
+        }))
+        with pytest.warns(SummabilityWarning):  # a constant scale is not summable
+            run(cfg, tmp_path)
+        assert sum(normed) == 20000
+
+    def test_likelihood_sweep_working_memory_is_the_rows_and_two_vectors(self, tmp_path,
+                                                                        traced_peak):
+        # the n x (d + 1) rows (coefficients and sin(||u||)), the base density
+        # and one perturbation's weights, and a fixed allowance for leaf and
+        # block temporaries and the manifest's 1 MB read buffer
+        d = 2
+        for n in (100_000, 400_000):
+            cfg = validate_config(cfg_text("likelihood_sweep", {
+                "prior": dict(CAUCHY_SCALAR_PRIOR, truncation=d,
+                              gamma={"kind": "explicit", "values": [1.0, 0.5]}),
+                "y": [0.0] * d, "n_list": [4, 8], "n_samples": n,
+            }))
+            assert traced_peak(run, cfg, tmp_path / str(n)) - 8 * n * (d + 3) < 2 * 2 ** 20
 
 
 class TestMainExitCodes:
@@ -549,7 +589,8 @@ class TestMainExitCodes:
                    "truncation": 2}
     _BASE = {"three_series": _SEQUENCE_TEST, "summability": _SEQUENCE_TEST, "figure2": {},
              "flom": {"prior": CAUCHY_SCALAR_PRIOR, "p": 0.5}, "radial_demo": {},
-             "bayes_run": {"prior": _PAIR_PRIOR, "y": [0.0, 0.0]}}
+             "bayes_run": {"prior": _PAIR_PRIOR, "y": [0.0, 0.0]},
+             "likelihood_sweep": {"prior": _PAIR_PRIOR, "y": [0.0, 0.0], "n_list": [4]}}
     BOUNDS = [
         ("three_series", "depth", 999, 1000),
         ("summability", "probe_depth", 999, 1000),
@@ -567,6 +608,7 @@ class TestMainExitCodes:
         ("figure2", "grid_size", 2 ** 28 // 20 + 1, 2 ** 28 // 20),  # x 20 samples
         ("figure2", "n_samples", 2 ** 14 + 1, 2 ** 14),  # x 2^14 grid values
         ("bayes_run", "n_samples", 2 ** 27 + 1, 2 ** 27),  # x 2 coefficients
+        ("likelihood_sweep", "n_samples", 2 ** 28 // 3 + 1, 2 ** 28 // 3),  # x 2 and sin
     ]
 
     @pytest.mark.parametrize("experiment,key,rejected,accepted", BOUNDS + MAX_COUNTS,

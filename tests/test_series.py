@@ -30,7 +30,7 @@ from stableinfer import (
     synthesize,
     wavelet_gallery_ensemble,
 )
-from stableinfer import rng as srng
+from stableinfer import rng as srng, series
 from stableinfer.metrics import QuasiNormSpec, rowwise_quasi_norm
 from stableinfer.series import (
     SummabilityWarning,
@@ -405,6 +405,23 @@ class TestGallery:
         g_g = wavelet_gallery_ensemble("gaussian", 6, 20, 2026, grid_size=1024)
         ratio = np.abs(g_c.ensemble.coefficients).max() / np.abs(g_g.ensemble.coefficients).max()
         assert ratio > 1.0
+
+    @pytest.mark.parametrize("grid_size,formed", [(1000, 1), (128, 0)],
+                             ids=["gathered", "half_cells"])
+    def test_grid_is_formed_once_per_family(self, monkeypatch, grid_size, formed):
+        # 300 samples of 127 coefficients are three sampler blocks: the grid
+        # and its half-cell index are formed once, not once per block, and
+        # not at all where the default grid is the 128 half-cell midpoints
+        assert _block_rows(127) < 150
+        calls = []
+        midpoints = series._midpoints
+        monkeypatch.setattr(series, "_midpoints",
+                            lambda size: calls.append(size) or midpoints(size))
+        g = wavelet_gallery_ensemble("cauchy", 6, 300, 9, grid_size)
+        assert len(calls) == formed
+        ens = g.ensemble
+        want = synthesize(ens.spec.basis, ens.coefficients, _midpoints(grid_size))
+        assert ens.grid_values.tobytes() == want.tobytes()
 
     def test_needs_a_refinement_level(self):
         with pytest.raises(InvalidSpecError):
