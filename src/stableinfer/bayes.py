@@ -364,7 +364,7 @@ def posterior_expectation(f_values, post: PosteriorEstimate) -> tuple[float, flo
         raise DimensionMismatchError(
             f"f has {f.size} values for {w.size} posterior samples"
         )
-    return _self_normalised_mean(w, f)
+    return _self_normalised_mean(w, f, np.empty(w.size))
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,7 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
     x = cfg.inputs
     files = []
     extreme = {}  # max |c| per family
+    columns = [f"x{j}" for j in range(x.grid_size)]  # both families' header
     for family in ("cauchy", "gaussian"):
         # one pass over the row blocks writes the SFE1 file and finds the
         # grid's range; the CSV is then written from the file's grid rows,
@@ -358,7 +359,7 @@ def _run_figure2(cfg: ExperimentConfig, out: Path, comment: str):
         path = out / f"{family}_fields.csv"
         ensemble_io.write_matrix_csv(
             path, ((g - lo) / span for g in ensemble_io._grid_blocks(binary)),
-            [f"x{j}" for j in range(x.grid_size)], f"{comment} family={family} spec_hash={spec_hash}",
+            columns, f"{comment} family={family} spec_hash={spec_hash}",
         )
         files += [path, binary]
         extreme[family] = blocks.extreme

@@ -195,9 +195,10 @@ def _format17(x: np.ndarray):
     order = np.argsort(key, kind="stable")
     a = a[order]
     slow = slow[order]
-    counts = np.bincount(key, minlength=len(_GROUPS))
-    groups = [(slice(end - n, end), *_GROUPS[g])
-              for g, (n, end) in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if n]
+    # each group's rows, where the sorted keys step past it
+    ends = np.searchsorted(key[order], np.arange(len(_GROUPS) + 1, dtype=np.uint8)).tolist()
+    groups = [(slice(start, end), *_GROUPS[g])
+              for g, (start, end) in enumerate(zip(ends, ends[1:])) if end > start]
     # the 17-digit significand d = round(a * 10^p), p = 16 - e (see the
     # module docstring for why it is exact)
     d = np.empty(x.size, np.int64)
@@ -223,20 +224,23 @@ def _format17(x: np.ndarray):
     low = (d - top * 10 ** 8).astype(np.uint32)
     lead = top // 10 ** 8
     mid = (top - lead * 10 ** 8).astype(np.uint32)
-    quads = np.empty((x.size, 5), np.uint32)
-    quads[:, 0] = _QUADS[lead]
-    for col, eight in ((1, mid), (3, low)):
+    fours = []  # the four-digit groups below the leading digit
+    for eight in (mid, low):
         hi = eight // 10 ** 4
-        quads[:, col] = _QUADS[hi]
-        quads[:, col + 1] = _QUADS[eight - hi * 10 ** 4]
+        fours += [hi, eight - hi * 10 ** 4]
+    quads = np.empty((x.size, 5), np.uint32)
+    for col, index in enumerate([lead] + fours):
+        # np.take, not [], which gathers 2x slower by a uint32 index; the
+        # indices are in range, and mode "clip" spares the buffered copy of
+        # a strided out that the default mode makes
+        np.take(_QUADS, index, out=quads[:, col], mode="clip")
     digits = quads.view(np.uint8)[:, 3:]
     # trailing zeros, four digits at a time while the groups are zero
-    part = low - low // 10 ** 4 * 10 ** 4
-    tz = _QUAD_ZEROS[part]
-    at = np.flatnonzero(part == 0)
-    for more in (low // 10 ** 4, mid - mid // 10 ** 4 * 10 ** 4, mid // 10 ** 4):
+    tz = np.take(_QUAD_ZEROS, fours[-1])
+    at = np.flatnonzero(fours[-1] == 0)
+    for more in fours[-2::-1]:
         part = more[at]
-        tz[at] += _QUAD_ZEROS[part]
+        tz[at] += np.take(_QUAD_ZEROS, part)
         at = at[part == 0]
     width = 1 + max([neg + 18 - min(exp, 0) for _, exp, neg in groups]
                     + [int(slow_len.max(initial=0))])
@@ -244,7 +248,8 @@ def _format17(x: np.ndarray):
     length = np.empty(x.size, np.uint8)
     for rows, exp, neg in groups:
         out, dig = text[rows], digits[rows]
-        out[:, 0] = ord("-")
+        if neg:
+            out[:, 0] = ord("-")
         if exp >= 0:
             out[:, neg:neg + exp + 1] = dig[:, :exp + 1]
             out[:, neg + exp + 1] = ord(".")
@@ -285,7 +290,10 @@ def _encode(values: np.ndarray, n_cols: int) -> np.ndarray:
     ends = np.arange(0, text.size, width) + length
     text[ends] = ord(",")
     text[ends[n_cols - 1::n_cols]] = ord("\n")
-    return text[(np.arange(width, dtype=np.uint8) <= length[:, None]).reshape(-1)]
+    # each text's keep-mask row, gathered from the rows of the (width + 1)
+    # possible ones: three times faster than comparing length to each column
+    keep = np.arange(width) <= np.arange(width + 1)[:, None]
+    return text[np.take(keep, length.astype(np.intp), axis=0).reshape(-1)]
 
 
 def _table_rows(block, n_cols: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -194,25 +194,12 @@ def _deviation(x: np.ndarray, mean: float, scratch: np.ndarray) -> float:
     return math.sqrt(_tree_sums(n, squared_deviations)[0] / (n - 1))
 
 
-def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
-               psi: np.ndarray) -> Distances:
-    """The distances between the measure of the density and the measure of
-    the given weights and normalization (their mean).
-
-    With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
-    both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
-    standard error of psi = g - (d^2/2)(p + q).  Three passes over the
-    leaves of `_tree_sums`: the first sums |p - q| and g, the second writes
-    psi into the n-length `psi` and sums it, the third (`_deviation`) sums
-    (psi - mean psi)^2.  Each leaf repeats the elementwise operations, in
-    their order, of sqrt(mean g), std(psi, ddof=1) / sqrt(n) and
-    mean |p - q| / 2, so the results are those textbook expressions' bits;
-    the root of p is taken leaf by leaf, with the bits of the whole-array
-    root.  A leaf reads its weights before it writes its psi, so `psi` may
-    be `weights` itself, which are then overwritten.
-    """
-    n = density.size
-    r, s, t = _leaf_buffer(n), _leaf_buffer(n), _leaf_buffer(n)
+def _q_and_g(density: np.ndarray, weights: np.ndarray, normalization: float, scratch: list):
+    """The leaf function of the distance passes: for rows [a, b) it returns
+    q = weights / normalization and g = (sqrt p - sqrt q)^2, in the three
+    leaf buffers of scratch, which every call reuses.  The root of p is
+    taken leaf by leaf, with the bits of the whole-array root."""
+    r, s, t = scratch
 
     def q_and_g(a, b):
         root, q, g = r[:b - a], s[:b - a], t[:b - a]
@@ -223,17 +210,52 @@ def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
         np.square(g, out=g)
         return q, g
 
+    return q_and_g
+
+
+def _hellinger_and_tv(density: np.ndarray, weights: np.ndarray, normalization: float,
+                      scratch: Optional[list] = None) -> tuple:
+    """(d^2, d, tv) for the measures of `_distances`, from its first pass
+    alone: one sum of |p - q| and of g over the leaves of `_tree_sums`, in
+    the three leaf buffers of scratch (new ones when None), with no
+    n-length buffer."""
+    n = density.size
+    q_and_g = _q_and_g(density, weights, normalization,
+                       scratch or [_leaf_buffer(n) for _ in range(3)])
+
     def moduli_and_g(a, b):
         q, g = q_and_g(a, b)
         np.subtract(density[a:b], q, out=q)
         return np.abs(q, out=q).sum(), g.sum()
 
     abs_sum, g_sum = _tree_sums(n, moduli_and_g)
-    tv = float(0.5 * (abs_sum / n))
     d2 = g_sum / n
-    d = math.sqrt(max(float(d2), 0.0))
+    return d2, math.sqrt(max(float(d2), 0.0)), float(0.5 * (abs_sum / n))
+
+
+def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
+               psi: np.ndarray) -> Distances:
+    """The distances between the measure of the density and the measure of
+    the given weights and normalization (their mean).
+
+    With densities p, q and g = (sqrt p - sqrt q)^2, the delta method over
+    both plug-in means (d^2/2 = 1 - mean sqrt(pq)) gives d^2 = mean g the
+    standard error of psi = g - (d^2/2)(p + q).  Three passes over the
+    leaves of `_tree_sums`: the first (`_hellinger_and_tv`) sums |p - q|
+    and g, the second writes psi into the n-length `psi` and sums it, the
+    third (`_deviation`) sums (psi - mean psi)^2.  Each leaf repeats the
+    elementwise operations, in their order, of sqrt(mean g),
+    std(psi, ddof=1) / sqrt(n) and mean |p - q| / 2, so the results are
+    those textbook expressions' bits.  A leaf reads its weights before it
+    writes its psi, so `psi` may be `weights` itself, which are then
+    overwritten.
+    """
+    n = density.size
+    scratch = [_leaf_buffer(n) for _ in range(3)]
+    d2, d, tv = _hellinger_and_tv(density, weights, normalization, scratch)
     if d <= 0.0 or n < 2:
         return Distances(d, 0.0, tv)
+    q_and_g = _q_and_g(density, weights, normalization, scratch)
 
     def psi_leaf(a, b):
         q, g = q_and_g(a, b)
@@ -242,26 +264,34 @@ def _distances(density: np.ndarray, weights: np.ndarray, normalization: float,
         return (np.subtract(g, leaf, out=leaf).sum(),)
 
     mean_psi = _tree_sums(n, psi_leaf)[0] / n
-    return Distances(d, _deviation(psi, mean_psi, s) / math.sqrt(n) / (2.0 * d), tv)
+    return Distances(d, _deviation(psi, mean_psi, scratch[0]) / math.sqrt(n) / (2.0 * d), tv)
 
 
-def distances(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> Distances:
-    """Empirical Hellinger distance (in [0, sqrt(2)]), its Monte Carlo standard
-    error and total variation (in [0, 1]) of two measures on one sample."""
+def _density(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> np.ndarray:
+    """mu's weights over their mean, once the two measures are checked to
+    live on one reference sample."""
     if mu.reference_id != nu.reference_id or mu.weights.size != nu.weights.size:
         raise MismatchedReferenceError(
             f"measures live on different reference samples: "
             f"{mu.reference_id!r} (n={mu.weights.size}) vs "
             f"{nu.reference_id!r} (n={nu.weights.size})"
         )
-    density = mu.weights / mu.normalization
+    return mu.weights / mu.normalization
+
+
+def distances(mu: WeightedSampleMeasure, nu: WeightedSampleMeasure) -> Distances:
+    """Empirical Hellinger distance (in [0, sqrt(2)]), its Monte Carlo standard
+    error and total variation (in [0, 1]) of two measures on one sample."""
+    density = _density(mu, nu)
     return _distances(density, nu.weights, nu.normalization, np.empty(density.size))
 
 
-def _self_normalised_mean(w: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """Sum w_i f_i for weights w summing to one, and its delta-method stderr."""
+def _self_normalised_mean(w: np.ndarray, f: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """Sum w_i f_i for weights w summing to one, and its delta-method
+    stderr; w is squared in place and the n-length scratch overwritten."""
     value = float(w @ f)
-    return value, math.sqrt(float(w ** 2 @ (f - value) ** 2))
+    np.subtract(f, value, out=scratch)
+    return value, math.sqrt(float(np.square(w, out=w) @ np.square(scratch, out=scratch)))
 
 
 @dataclass
@@ -281,19 +311,23 @@ def expectation_gap_bound_check(f_values, mu: WeightedSampleMeasure,
     Monte Carlo noise cannot flip a true inequality.  For bounded f the
     cruder bound 2 ||f||_inf d_H is reported alongside.
     """
-    d_h = distances(mu, nu).hellinger
+    d_h = _hellinger_and_tv(_density(mu, nu), nu.weights, nu.normalization)[1]
     f = np.asarray(f_values, dtype=float).ravel()
     if f.size != mu.weights.size:
         raise MismatchedReferenceError(
             f"f has {f.size} values for {mu.weights.size} reference samples"
         )
-    wm = mu.normalized()
-    wn = nu.normalized()
-    e_mu, se_mu = _self_normalised_mean(wm, f)
-    e_nu, se_nu = _self_normalised_mean(wn, f)
+    scratch = np.empty(f.size)
+
+    def moments(measure):
+        # one measure at a time: beyond f, its weights and the scratch
+        w = measure.normalized()
+        second = float(w @ np.square(f, out=scratch))
+        return (*_self_normalised_mean(w, f, scratch), second)
+
+    (e_mu, se_mu, second_mu), (e_nu, se_nu, second_nu) = moments(mu), moments(nu)
     lhs = abs(e_mu - e_nu)
-    second = float(wm @ f ** 2) + float(wn @ f ** 2)
-    rhs = math.sqrt(2.0) * math.sqrt(max(second, 0.0)) * d_h
+    rhs = math.sqrt(2.0) * math.sqrt(max(second_mu + second_nu, 0.0)) * d_h
     slack = 3.0 * (se_mu + se_nu)
     return GapBoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack),
-                         rhs_sup_bound=2.0 * float(np.abs(f).max()) * d_h)
+                         rhs_sup_bound=2.0 * float(np.abs(f, out=scratch).max()) * d_h)

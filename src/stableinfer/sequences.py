@@ -81,7 +81,18 @@ class Explicit:
     tail: Optional[CoefficientSequence] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+
+    def __repr__(self):
+        # the dataclass repr, which `spec_hash` hashes, with each distinct
+        # nonzero value formatted once: a Haar gallery's 2^(L+1) - 1 scales
+        # hold L + 1 values.  Zeros are formatted where they stand, since
+        # 0.0 and -0.0 are one key and print apart.
+        texts = {v: repr(v) for v in set(self.values) if v}
+        values = ", ".join([texts.get(v) or repr(v) for v in self.values])
+        if len(self.values) == 1:
+            values += ","
+        return f"{type(self).__qualname__}(values=({values}), tail={self.tail!r})"
 
 
 CoefficientSequence = Union[PowerLaw, PowerLogLaw, Explicit]

@@ -1,6 +1,7 @@
 """Config validation, experiment artifacts, determinism, exit codes."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from stableinfer.series import (
     StableFieldSpec,
     SummabilityWarning,
     _block_rows,
+    _gallery_spec,
     wavelet_gallery_ensemble,
 )
 
@@ -144,6 +146,24 @@ class TestRunExperiments:
         h1 = {f["name"]: f["sha256"] for f in json.loads(m1.read_text())["files"]}
         h2 = {f["name"]: f["sha256"] for f in json.loads(m2.read_text())["files"]}
         assert h1 == h2
+
+    def test_gallery_13_levels_digests(self, tmp_path):
+        # at 13 levels on 2^14 points every grid value is its own Haar cell,
+        # so the CSV encoder formats each one rather than repeating a run's
+        # text, and the scale list holds 2^14 - 1 values of 14 distinct ones
+        cfg = validate_config(cfg_text(
+            "figure2", {"levels": 13, "n_samples": 2, "grid_size": 2 ** 14}))
+        manifest = json.loads(run(cfg, tmp_path).read_text())
+        assert {f["name"]: f["sha256"] for f in manifest["files"]} == {
+            "cauchy_fields.csv": "12a58ecc0ac6c1f5e90e43140ddab1a7666e37d675605317c3a62a3841e6d7b2",
+            "cauchy_fields.sfe1": "f1abab25c24962bbe034790254fab341e23f6b0d6765588157f6a04dea543b19",
+            "gaussian_fields.csv": "61ace1e73373a7c59bc129de105ce308e8fb0bba37233a899726c222b35dd322",
+            "gaussian_fields.sfe1": "5aa0b569a24afb53e3a581d36b7ae6396da6701e7bdcb2a9ec6ef1ef18816ab8",
+            "gallery_summary.json": "80a11559d2436249941f67ec35199a3fcd1562889546febb28022be298a7bc72",
+        }
+        hashes = {family: _gallery_spec(family, 13, 2 ** 14).spec_hash()
+                  for family in ("cauchy", "gaussian")}
+        assert hashes == {"cauchy": "b09973677051c88b", "gaussian": "e26742f9310c8cd0"}
 
     def test_gallery_csv_format(self, tmp_path):
         cfg = validate_config(cfg_text(
@@ -439,6 +459,21 @@ class TestRunExperiments:
         table = (tmp_path / "hellinger_vs_psi.csv").read_text().splitlines()[2:]
         assert [[float(v) for v in row.split(",")] for row in table] == np.column_stack(
             [want.perturbation_sizes, want.distances, want.distance_stderrs]).tolist()
+
+    def test_likelihood_sweep_warning_names_the_runners_call(self, tmp_path):
+        # the runner warns as the sampler does, and the warning points at its
+        # own call, not at the line of `run` that dispatches to the runner
+        from stableinfer import cli
+        cfg = validate_config(cfg_text("likelihood_sweep", {
+            "prior": dict(CAUCHY_SCALAR_PRIOR, gamma=1.0, truncation=3), "y": [0.0] * 3,
+            "n_list": [2], "n_samples": 100,
+        }))
+        with pytest.warns(SummabilityWarning) as record:
+            run(cfg, tmp_path)
+        assert len(record) == 1
+        lines, first = inspect.getsourcelines(cli._run_likelihood_sweep)
+        (call,) = [first + i for i, line in enumerate(lines) if "_warn_unless_summable(" in line]
+        assert (record[0].filename, record[0].lineno) == (cli.__file__, call)
 
     def test_likelihood_sweep_forms_each_norm_once(self, tmp_path, monkeypatch):
         # sin(||u||) is formed once per sample from the sampler's blocks, not

@@ -224,6 +224,31 @@ class TestExpectationGapBound:
         assert out.lhs <= out.rhs
         assert out.lhs <= out.rhs_sup_bound
 
+    def test_matches_the_textbook_expressions_to_the_bit(self, gaussian_pair_on_cauchy_reference):
+        # more than one leaf of `metrics._tree_sums`, and an f of both signs
+        u, mu, nu = gaussian_pair_on_cauchy_reference
+        f = np.tanh(u)
+        out = expectation_gap_bound_check(f, mu, nu)
+        d_h = textbook_distances(mu.weights, nu.weights)[0]
+        wm, wn = mu.normalized(), nu.normalized()
+        e_mu, e_nu = float(wm @ f), float(wn @ f)
+        se = math.sqrt(float(wm ** 2 @ (f - e_mu) ** 2)) + math.sqrt(float(wn ** 2 @ (f - e_nu) ** 2))
+        rhs = math.sqrt(2.0) * math.sqrt(float(wm @ f ** 2) + float(wn @ f ** 2)) * d_h
+        lhs = abs(e_mu - e_nu)
+        assert [_bits(v) for v in (out.lhs, out.rhs, out.rhs_sup_bound)] == [
+            _bits(v) for v in (lhs, rhs, 2.0 * float(np.abs(f).max()) * d_h)]
+        assert out.holds is (lhs <= rhs + 3.0 * se)
+
+    @pytest.mark.parametrize("n", [2 ** 18, 10 ** 6])
+    def test_working_memory_is_below_three_vectors(self, traced_peak, n):
+        # the distance takes the first pass of the distance kernel alone,
+        # with no psi buffer, and each measure's moments are taken in turn
+        rng = np.random.default_rng(8)
+        mu = WeightedSampleMeasure("r", rng.random(n))
+        nu = WeightedSampleMeasure("r", rng.random(n))
+        f = rng.standard_normal(n)
+        assert traced_peak(expectation_gap_bound_check, f, mu, nu) < 3 * 8 * n + 2 ** 20
+
     def test_weight_validation(self):
         with pytest.raises(OutOfRangeError):
             WeightedSampleMeasure("r", np.array([1.0, -0.5]))

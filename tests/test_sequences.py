@@ -83,6 +83,30 @@ class TestSequenceValues:
         vals = sequence_values(Explicit((9.0,), tail=PowerLaw(1.0, 2.0)), 3)
         assert np.allclose(vals, [9.0, 0.25, 1.0 / 9.0])
 
+    # floats with the ones whose texts differ although they compare equal
+    # (0.0 and -0.0), compare unequal although their texts agree (nan), or
+    # are extreme (infinities and subnormals)
+    _FLOAT = (st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                               5e-324, -5e-324, 2.5e-310])
+              | st.floats(allow_subnormal=True))
+    # lengths 0 and 1, and long lists drawn from a few values, as a Haar
+    # gallery's scales are
+    _VALUES = (st.lists(_FLOAT, max_size=1)
+               | st.lists(_FLOAT, min_size=1, max_size=4).flatmap(
+                   lambda pool: st.lists(st.sampled_from(pool), max_size=300)))
+    _TAIL = st.deferred(lambda: st.none() | st.builds(PowerLaw, TestSequenceValues._FLOAT,
+                                                      TestSequenceValues._FLOAT)
+                        | st.builds(Explicit, TestSequenceValues._VALUES, TestSequenceValues._TAIL))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_VALUES, tail=_TAIL)
+    @example(values=[0.0, -0.0, 1.5, -0.0, 0.0, 1.5], tail=None)
+    @example(values=[math.nan, -math.nan, math.nan], tail=Explicit((0.25,) * 3, PowerLaw(1.0, 2.0)))
+    def test_explicit_repr_is_the_dataclass_repr(self, values, tail):
+        # `spec_hash` hashes this text, so it must not move by a byte
+        assert repr(Explicit(values, tail)) == (
+            "Explicit(values=" + repr(tuple(values)) + ", tail=" + repr(tail) + ")")
+
 
 class TestSummabilityReport:
     def test_square_decay_satisfies(self):
