@@ -485,8 +485,10 @@ def _run_likelihood_sweep(cfg: ExperimentConfig, out: Path, comment: str):
     # row i holds sample i's coefficients and, in column d, its sin(||u||),
     # formed once per sample from each sampled block while it is in the
     # cache; the perturbation sin(||u||)/N travels as a column of the rows,
-    # so every misfit stays row-local and no N forms it again
-    rows = np.empty((x.n_samples, d + 1))
+    # so every misfit stays row-local and no N forms it again.  Rows of one
+    # coefficient are stored by column, so a misfit reads contiguous memory;
+    # longer rows stay row-major, so numpy sums each as it sums an ensemble row
+    rows = np.empty((x.n_samples, d + 1), order="F" if d == 1 else "C")
     series._warn_unless_summable(x.prior)
     for start, block in series._sampled_blocks(x.prior, x.n_samples, cfg.seed, rows[:, :d]):
         np.sin(metrics.rowwise_quasi_norm(block, x.potential.u_norm),

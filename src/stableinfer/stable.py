@@ -556,16 +556,20 @@ _FALSE_POSITIONS = 2
 # points that miss the tolerance are integrated again with every panel
 # split this many ways before a failure is raised
 _REFINE = 4
-# points per vectorised pass, which bounds the working memory
-_CHUNK = 512
+# points per vectorised pass, which bounds the working memory (a panel holds
+# four _CHUNK x 15 arrays, 0.5 MB at 1024).  Larger passes pay numpy's call
+# cost less often: an alpha = 1.5 three-series table took 67 ms against 75 ms
+# at 512 points (medians, 12 fresh processes, one vCPU of a Xeon VM); 2048
+# ran 7% faster but 4% slower where glibc maps each array afresh (below).
+_CHUNK = 1024
 
 # glibc's malloc returns the top of its heap to the system whenever more
-# than its trim threshold lies free there: 128 KB at start, then twice the
-# largest block yet freed from an mmap (mallopt(3), M_MMAP_THRESHOLD).
-# Each panel of a pass below frees about 0.5 MB of temporaries, so at the
-# start threshold every panel faults its memory back in: 50,000 page
-# faults and a quarter more time per alpha = 1.5 three-series table.
-# Freeing one 4 MB block raises the threshold to 8 MB; under another
+# than its trim threshold lies free there, and maps afresh each block past
+# its mmap threshold: 128 KB each at start, then raised by the largest block
+# yet freed from an mmap (mallopt(3), M_MMAP_THRESHOLD).  Freeing one 4 MB
+# block raises them to 8 and 4 MB.  The density passes run as fast without
+# it; the CSV writer does not: a 13-level figure2 gallery took about 60,000
+# minor faults instead of 1,000, and a third longer.  Under another
 # allocator this line only allocates and frees.
 np.empty(1 << 19)
 
@@ -638,23 +642,33 @@ class _Zolotarev:
     def ts(self, v):
         """Distances (t, s) of the point at coordinate v from the two ends."""
         w = self.width
+        small = np.abs(v)
         if self.alpha == 1.0:
-            # the distance from the nearer end, free of cancellation
-            y = np.abs(v) * w
-            small = 2.0 * w / (2.0 + y + np.hypot(y, 2.0))
-            big = w - small
+            # y = |v| w; 2w / (2 + y + hypot(y, 2)) is free of cancellation
+            small *= w
+            big = np.hypot(small, 2.0)
+            small += 2.0
+            small += big
+            np.subtract(w, np.divide(2.0 * w, small, out=small), out=big)
         else:
-            e = np.exp(-np.abs(v))
-            small = w * e / (1.0 + e)
-            big = w / (1.0 + e)
-        return np.where(v < 0, small, big), np.where(v < 0, big, small)
+            # w e / (1 + e) and w / (1 + e) with e = exp(-|v|)
+            np.exp(np.negative(small, out=small), out=small)
+            big = small + 1.0
+            small *= w
+            small /= big
+            np.divide(w, big, out=big)
+        neg = v < 0
+        t = np.where(neg, small, big)
+        np.copyto(small, big, where=neg)
+        return t, small
 
     def jacobian(self, t, s):
-        """dtheta/dv."""
+        """dtheta/dv, formed in the storage of t; s is overwritten too."""
         if self.alpha == 1.0:
-            t2, s2 = t * t, s * s
-            return t2 * s2 / (t2 + s2)
-        return t * s / self.width
+            t *= t
+            s *= s
+            return np.divide(t * s, np.add(t, s, out=s), out=t)  # t^2 s^2 / (t^2 + s^2)
+        return np.divide(np.multiply(t, s, out=t), self.width, out=t)
 
     def v_at(self, side: str, d: float) -> float:
         t, s = (d, self.width - d) if side == "t" else (self.width - d, d)
@@ -663,20 +677,28 @@ class _Zolotarev:
         return math.log(t / s)
 
     def log_v(self, t, s):
-        """log V at the point (t, s)."""
+        """log V at the points (t, s), arrays that it leaves as they are."""
         a = self.alpha
         if a == 1.0:
             b = self.beta
             right = s < t
-            cos_theta = np.sin(np.where(right, s, t))
-            sin_theta = np.where(right, np.cos(s), -np.cos(t))
+            near = np.where(right, s, t)  # the distance from the nearer end
+            cos_theta = np.sin(near)
+            c = np.cos(near)
+            sin_theta = np.where(right, c, -c)
             lin = np.where(right, 0.5 * math.pi * (1.0 + b) - b * s,
                            0.5 * math.pi * (1.0 - b) + b * t)
             return (math.log(2.0 / math.pi) + np.log(lin / cos_theta)
                     + lin * sin_theta / (cos_theta * b))
-        return (self.log_c + np.log(np.sin(s)) / (a - 1.0)
-                - self.exponent * np.log(np.sin(a * t))
-                + np.log(np.cos(self.theta0 + (a - 1.0) * t)))
+        # log_c + log(sin s)/(a - 1) - exponent log(sin(a t)) + log(cos(theta0 + (a - 1) t))
+        out = np.sin(s)
+        np.divide(np.log(out, out=out), a - 1.0, out=out)
+        out += self.log_c
+        term = a * t
+        out -= np.multiply(np.log(np.sin(term, out=term), out=term), self.exponent, out=term)
+        np.add(np.multiply(t, a - 1.0, out=term), self.theta0, out=term)
+        out += np.log(np.cos(term, out=term), out=term)
+        return out
 
     def log_scale(self, x):
         """log g - log V at the points x."""
@@ -718,15 +740,18 @@ def _crossings(law: _Zolotarev, log_scale: np.ndarray) -> np.ndarray:
 def _gk_nodes(a: np.ndarray, b: np.ndarray):
     """`_GK_NODES` on each panel [a, b], one row per panel, and half-widths."""
     half = 0.5 * (b - a)
-    return (a + half)[:, None] + half[:, None] * _GK_NODES, half
+    nodes = half[:, None] * _GK_NODES
+    nodes += (a + half)[:, None]
+    return nodes, half
 
 
 def _gk_sum(f: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod value and QUADPACK's error estimate for the integrand
-    values f at `_GK_NODES` (last axis) on panels of half-width `half`."""
+    values f (overwritten) at `_GK_NODES` (last axis) on panels of half-width `half`."""
     kronrod = f @ _GK_WEIGHTS
     err = np.abs(kronrod - f @ _G7_WEIGHTS)
-    resasc = np.abs(f - 0.5 * kronrod[..., None]) @ _GK_WEIGHTS
+    f -= 0.5 * kronrod[..., None]
+    resasc = np.abs(f, out=f) @ _GK_WEIGHTS
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * np.abs(kronrod))
@@ -741,20 +766,23 @@ def _gk_panel(law: _Zolotarev, log_scale, va, vb, integrand: str, tail: float = 
         w = 0.5 * (1.0 + _GK_NODES)
         v = va[:, None] - (tail / law.tail_rate) * np.log(w)
         half = np.full(va.shape, 0.5 / law.tail_rate)
-        dv = 1.0 / w
     else:
         v, half = _gk_nodes(va, vb)
-        dv = 1.0
     t, s = law.ts(v)
-    log_g = log_scale[:, None] + law.log_v(t, s)
-    g = np.exp(log_g)
+    del v  # free for the arrays below
+    log_g = law.log_v(t, s)
+    log_g += log_scale[:, None]
+    jac = law.jacobian(t, s)
+    if tail:
+        jac *= 1.0 / w  # dv/dw
+    g = np.exp(log_g, out=s)  # s is spent
     if integrand == "g*exp(-g)":
-        f = np.exp(log_g - g)
+        f = np.exp(np.subtract(log_g, g, out=log_g), out=log_g)
     elif integrand == "exp(-g)":
-        f = np.exp(-g)
+        f = np.exp(np.negative(g, out=g), out=g)
     else:
-        f = -np.expm1(-g)
-    f *= law.jacobian(t, s) * dv
+        f = np.negative(np.expm1(np.negative(g, out=g), out=g), out=g)
+    f *= jac
     return _gk_sum(f, half)
 
 
@@ -824,7 +852,7 @@ def _upper_lower(law: _Zolotarev, x: np.ndarray):
     is small over the bulk of the interval (around t = s) is integrated and
     the other follows, so that the smaller value keeps its precision."""
     total = law.width / math.pi
-    bulk_low = law.log_scale(x) + law.log_v(0.5 * law.width, 0.5 * law.width) < 0.0
+    bulk_low = law.log_scale(x) + law.log_v(*law.ts(np.zeros(1))) < 0.0  # at t = s
     upper = np.empty_like(x)
     lower = np.empty_like(x)
     err = np.empty_like(x)

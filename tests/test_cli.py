@@ -460,6 +460,30 @@ class TestRunExperiments:
         assert [[float(v) for v in row.split(",")] for row in table] == np.column_stack(
             [want.perturbation_sizes, want.distances, want.distance_stderrs]).tolist()
 
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_likelihood_sweep_rows_match_the_per_n_misfit_to_the_bit(self, tmp_path, d):
+        # as above for rows of several coefficients; from 8 entries on numpy
+        # sums a row pairwise, so the rows must keep the ensemble's layout
+        cfg = validate_config(cfg_text("likelihood_sweep", {
+            "prior": dict(CAUCHY_SCALAR_PRIOR, truncation=d,
+                          gamma={"kind": "power", "amplitude": 1.0, "exponent": 2.0}),
+            "y": [0.25] * d, "n_list": [3, 7], "n_samples": 5000,
+        }))
+        run(cfg, tmp_path)
+        x = cfg.inputs
+
+        def family(n_approx):
+            def approx(u, yy):
+                t = metrics.rowwise_quasi_norm(u, x.potential.u_norm)
+                return x.potential.misfit(u, yy) + np.sin(t) / n_approx
+            return approx
+
+        ens = sample_coefficients(x.prior, x.n_samples, cfg.seed)
+        want = likelihood_perturbation_sweep(x.potential, family, lambda n: 1.0 / n, ens,
+                                             x.y, x.n_list)
+        got = json.loads((tmp_path / "likelihood_sweep.json").read_text())
+        assert got == json.loads(json.dumps(want.to_json_dict()))
+
     def test_likelihood_sweep_warning_names_the_runners_call(self, tmp_path):
         # the runner warns as the sampler does, and the warning points at its
         # own call, not at the line of `run` that dispatches to the runner

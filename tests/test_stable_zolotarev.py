@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from stableinfer import (
     OutOfRangeError,
+    PowerLaw,
     QuadratureFailureError,
     StableParams,
     cauchy_logpdf,
@@ -19,9 +20,11 @@ from stableinfer import (
     kl_divergence_1d,
     normal_logpdf,
     stable_pdf,
+    three_series_check,
     validate_params,
 )
 from stableinfer import stable
+from textbook import textbook_gk_panel, textbook_jacobian, textbook_log_v, textbook_ts
 
 
 def _symmetric_series(z: float, alpha: float) -> float:
@@ -376,3 +379,68 @@ class TestFarTailSeries:
         z = side * (zeta + y)
         for values in (stable._standard_pdf(alpha, beta, z), stable._standard_sf(alpha, beta, z)):
             assert values[1] == pytest.approx(values[0], rel=1e-10)
+
+
+_KERNEL_LAWS = ([(a, b) for a in (0.5, 1.5, 1.9) for b in (0.0, 0.7, -0.6)]
+                + [(1.0, b) for b in (0.05, 0.4, 0.9)])
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _coordinates(law, rng, shape):
+    """Coordinates v of both signs over the whole range the panels reach."""
+    return np.sinh(rng.uniform(-1.0, 1.0, shape) * math.asinh(law.v_max))
+
+
+class TestKernelBits:
+    """The kernel forms each node quantity once, in place; every value keeps
+    the bits of the whole-array expressions in tests/textbook.py."""
+
+    @pytest.mark.parametrize("alpha,beta", _KERNEL_LAWS)
+    def test_node_quantities(self, alpha, beta):
+        law = stable._Zolotarev(alpha, beta)
+        v = _coordinates(law, np.random.default_rng(31), (257, 15))
+        v[0, :4] = (0.0, -0.0, law.v_max, -law.v_max)
+        with np.errstate(all="ignore"):
+            t, s = law.ts(v)
+            want_t, want_s = textbook_ts(law, v)
+            assert (_bits(t), _bits(s)) == (_bits(want_t), _bits(want_s))
+            assert _bits(law.log_v(t, s)) == _bits(textbook_log_v(law, want_t, want_s))
+            assert (_bits(t), _bits(s)) == (_bits(want_t), _bits(want_s))  # left as they were
+            assert _bits(law.jacobian(t, s)) == _bits(textbook_jacobian(law, want_t, want_s))
+
+    @pytest.mark.parametrize("integrand", ["g*exp(-g)", "exp(-g)", "1-exp(-g)"])
+    @pytest.mark.parametrize("alpha,beta", _KERNEL_LAWS)
+    def test_panels(self, alpha, beta, integrand):
+        law = stable._Zolotarev(alpha, beta)
+        rng = np.random.default_rng(32)
+        # points above zeta; at alpha = 1 (zeta = 0) on both sides
+        side = rng.choice([-1.0, 1.0], 300) if alpha == 1.0 else 1.0
+        x = law.zeta + side * np.exp(rng.uniform(-4.0, 4.0, 300))
+        log_scale = law.log_scale(x)
+        ends = np.sort(_coordinates(law, rng, (300, 2)), axis=1)
+        for rows in (slice(None), slice(7, 8)):  # a many-row pass and a one-row pass
+            lo, hi, ls = ends[rows, 0], ends[rows, 1], log_scale[rows]
+            for va, vb, tail in ((lo, hi, 0.0), (lo, None, -1.0), (hi, None, 1.0)):
+                with np.errstate(all="ignore"):
+                    got = stable._gk_panel(law, ls, va, vb, integrand, tail)
+                    want = textbook_gk_panel(law, ls, va, vb, integrand, tail)
+                assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+    def test_benchmark_outputs_do_not_depend_on_the_pass_size(self, monkeypatch):
+        # the alpha = 1.5 three-series table and the benchmark's two density
+        # grids give the same bytes in passes of 512 points as in the default
+        points = np.array([-10.0 + 20.0 * i / 199 for i in range(200)])
+
+        def outputs():
+            r = three_series_check(PowerLaw(1.0, 1.0), 1.5, 1.0, 1.0, 2 ** 14)
+            pdfs = [stable_pdf(validate_params(a, b, 1.0, 0.0), points)
+                    for a, b in ((1.5, 0.3), (1.0, 0.4))]
+            return [_bits(r.traces[k]) for k in ("s0", "s1", "s2")] + [_bits(p) for p in pdfs]
+
+        assert stable._CHUNK == 1024
+        default = outputs()
+        monkeypatch.setattr(stable, "_CHUNK", 512)
+        assert outputs() == default
