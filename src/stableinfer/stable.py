@@ -28,7 +28,9 @@ distribution functions without a closed form, the numeric fractional
 moments and the KL divergence.  Far in the tails the densities and
 distribution functions are Bergström's (1952) series instead
 (`_bergstrom`, for alpha != 1 or beta = 0), past a crossover computed from
-its coefficients; this module alone decides which points lie past it.
+its coefficients, and near zero those of symmetric laws with 1 < alpha < 2
+are their convergent power series (`_power_series`), wherever a per-point
+test finds it exact; this module alone decides which points take a series.
 The tolerance is fixed, absolute
 _ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
 `_good_enough`, applies it.  QUADPACK serves only the Fourier-inversion
@@ -807,6 +809,8 @@ def _zolotarev_panels(law: _Zolotarev, x: np.ndarray, integrand: str, split: int
     total = np.zeros(x.size)
     err = np.zeros(x.size)
     for i in range(cuts.shape[1] - 1):
+        if np.array_equal(cuts[:, i], cuts[:, i + 1]):
+            continue  # clipped cuts repeat; a panel of zero width adds +0 to both sums
         val, e = _gk_panel(law, log_scale, cuts[:, i], cuts[:, i + 1], integrand)
         total += val
         err += e
@@ -929,6 +933,44 @@ def _gamma(x: float) -> float:
         return math.inf
 
 
+# the terms of the near-end power series, and the bound on |x| below which
+# it is formed: every power up to x^(2 _NEAR_TERMS + 1) stays in the float range
+_NEAR_TERMS = 32
+_NEAR_BOUND = 4.0
+
+
+def _power_series(alpha: float, x: np.ndarray, want: str):
+    """The convergent power series of the symmetric law S(alpha, 0, 1, 0; 0),
+    1 < alpha < 2 (Zolotarev 1986, section 2.4), at the points x, |x| < _NEAR_BOUND:
+
+        rho(x) = sum_k c_k x^(2k),  P[X > x] = 1/2 - sum_k c_k x^(2k+1)/(2k+1),
+        c_k = (-1)^k Gamma((2k+1)/alpha) / (pi alpha (2k)!),
+
+    k < _NEAR_TERMS, with c_0 = Gamma(1 + 1/alpha)/pi, rho(0) to the bit.
+    Returns the values and where they are exact: where the first omitted
+    term is at most 2^-53 of the value, and the terms' absolute values (the
+    1/2 of the survival function among them) add up to at most twice it."""
+    sf = want == "sf"
+    c = [_gamma(1.0 + 1.0 / alpha) / math.pi] + [
+        (-1.0) ** k * _gamma((2 * k + 1) / alpha) / (math.pi * alpha * math.factorial(2 * k))
+        / (2 * k + 1 if sf else 1) for k in range(1, _NEAR_TERMS + 1)]
+    x2 = x * x
+    total = np.full(x.shape, c[-2])
+    size = np.full(x.shape, abs(c[-2]))
+    for c_k in c[-3::-1]:  # Horner's rule in x^2, for the sum and its absolute terms
+        total *= x2
+        total += c_k
+        size *= x2
+        size += abs(c_k)
+    omitted = abs(c[-1]) * x2 ** _NEAR_TERMS
+    if sf:
+        total = 0.5 - x * total
+        size = 0.5 + np.abs(x) * size
+        omitted *= np.abs(x)
+    magnitude = np.abs(total)
+    return total, (omitted <= 2.0 ** -53 * magnitude) & (size <= 2.0 * magnitude)
+
+
 # the truncated-moment tables' grid: _TABLE_STEPS uniform steps in log s
 # from _TABLE_START, whose ends and midpoints are the density points
 _TABLE_START = 1e-3
@@ -950,7 +992,10 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     (`_bergstrom`), whichever comes first.  Past x* rho is that series, so F
     goes on termwise in closed form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha,
     taken through expm1 so that d = 0 gives its limit a_k log(c/x*), and P is
-    the series' survival function there; within x* P is `_standard_sf`.
+    the series' survival function there.  Within x* rho and P are
+    `_standard_pdf` and `_standard_sf`: for 1 < alpha < 2 the power series
+    (`_power_series`) near 0, wherever it is exact, and Nolan's integrals
+    beyond.
     Against mpmath at cuts 1 to 1e12, 1e100 and 1e300, alpha in {0.7, 1.5,
     1.9}, q = 1, the relative error is at most 2e-11.  Below
     _TABLE_START G is 2 rho(0) c/(m+1); an infinite cut (a zero scale)
@@ -1013,8 +1058,11 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     with beta < 0 gives the distribution function at -x of the mirrored
     law, (1/pi) Int e^-g again.  For alpha != 1, points beyond the
     crossover of Bergström's series (`_bergstrom`) take the series
-    instead.  Raises QuadratureFailureError where an error estimate misses
-    the tolerance (`_good_enough`).
+    instead, and for beta = 0 and alpha > 1 so do the points with |x| <
+    _NEAR_BOUND where the power series (`_power_series`) is exact: the
+    integrals run only on the points between the two.  Raises
+    QuadratureFailureError where an error estimate misses the tolerance
+    (`_good_enough`).
     """
     val = np.empty_like(x)
     err = np.zeros_like(x)
@@ -1031,9 +1079,15 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
         # closer than this to zeta the density is its value at zeta to
         # double precision, and log(x - zeta) would leave the coordinate grid
         at = np.abs(x - law.zeta) <= 1e-150 * (1.0 + abs(law.zeta))
+        done = at.copy()
+        if beta == 0.0 and alpha > 1.0:
+            near = np.flatnonzero(~at & (np.abs(x) < _NEAR_BOUND))
+            v, exact = _power_series(alpha, x[near], want)
+            val[near[exact]] = v[exact]
+            done[near[exact]] = True
         for mirror in (False, True):
             side = _Zolotarev(alpha, -beta) if mirror else law
-            pick = ~at & ((x < law.zeta) if mirror else (x > law.zeta))
+            pick = ~done & ((x < law.zeta) if mirror else (x > law.zeta))
             if not pick.any():
                 continue
             xs = -x[pick] if mirror else x[pick]
@@ -1097,10 +1151,11 @@ def _standard(alpha: float, beta: float, z, want: str):
     """Density ("pdf") or survival function ("sf") of S(alpha, beta, 1, 0; 0)
     at z: the limits 0 (and survival 1 at -inf) at infinite z, closed forms
     for the normal and the symmetric Cauchy law, the interpolation above
-    near alpha = 1, Nolan's integrals and, far out, Bergström's series
-    (`_zolotarev`) otherwise.  The survival function is
-    clipped to [0, 1], which rounding in the integrals can leave by a few
-    ulps of 0 or 1.  NaN points raise OutOfRangeError."""
+    near alpha = 1, and otherwise `_zolotarev`: Nolan's integrals, with
+    Bergström's series far out and, for symmetric alpha > 1, the power
+    series near zero.  The survival function is clipped to [0, 1], which
+    rounding in the integrals can leave by a few ulps of 0 or 1.  NaN
+    points raise OutOfRangeError."""
     z = _points(z)
     infinite = np.isinf(z)
     if infinite.any():
@@ -1152,7 +1207,9 @@ def stable_pdf(params: StableParams, u):
     rule on panels placed around the peak of the integrand; a point whose
     error estimate misses the fixed tolerance is integrated again on finer
     panels and raises QuadratureFailureError if it still misses; far in
-    the tails the density is Bergström's series.  Within 4e-3 of alpha = 1,
+    the tails the density is Bergström's series, and near the centre of a
+    symmetric law with 1 < alpha < 2 its convergent power series, wherever
+    that is exact to double precision.  Within 4e-3 of alpha = 1,
     and of beta = 0 at alpha = 1, where Nolan's forms lose precision, the value is
     interpolated from laws at and beyond that distance.  The density is 0
     at u = +-inf and wherever (u - delta)/gamma passes the float range; NaN
@@ -1200,7 +1257,10 @@ def convolve(p1: StableParams, p2: StableParams) -> StableParams:
     ga = g1a + g2a
     if ga == 0.0:
         return validate_params(a, 0.0, 0.0, p1.delta + p2.delta)
+    # a weighted mean of the two skewnesses; with subnormal weights the
+    # rounding of beta_i * g_i^alpha can carry it past both, even onto +-1
     beta = (p1.beta * g1a + p2.beta * g2a) / ga
+    beta = min(max(beta, min(p1.beta, p2.beta)), max(p1.beta, p2.beta))
     gamma = ga ** (1.0 / a)
     if a == 1.0:
         corr = (2.0 / math.pi) * (

@@ -153,6 +153,11 @@ class TestClosureAgainstCharFn:
         want = char_fn(p1, t) * char_fn(p2, t)
         assert abs(char_fn(convolve(p1, p2), t) - want) <= 1e-12
 
+    def test_sum_with_a_subnormal_scale_keeps_its_skewness(self):
+        # 0.75 * 5e-324 rounds to 5e-324, which made the weighted skewness 1
+        p1 = validate_params(1.0, 0.75, 5e-324, 0.0)
+        assert convolve(p1, validate_params(1.0, 0.0, 0.0, 0.0)).beta == 0.75
+
     @settings(max_examples=300, deadline=None)
     @given(_alpha, _beta, _gamma, _shift, st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
            _shift, _t)

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stableinfer import (
     OutOfRangeError,
@@ -27,16 +27,21 @@ from stableinfer import stable
 from textbook import textbook_gk_panel, textbook_jacobian, textbook_log_v, textbook_ts
 
 
-def _symmetric_series(z: float, alpha: float) -> float:
-    """(1/(pi alpha)) sum_k (-1)^k Gamma((2k+1)/alpha) z^(2k) / (2k)!,
-    the convergent power series of the symmetric density for alpha > 1."""
-    with mp.workdps(30):
+def _symmetric_series(z: float, alpha: float, want: str = "pdf") -> float:
+    """(1/(pi alpha)) sum_k (-1)^k Gamma((2k+1)/alpha) z^(2k) / (2k)!, the
+    convergent power series of the symmetric density for alpha > 1, or
+    ("sf") its survival function 1/2 - (1/(pi alpha)) sum_k (-1)^k
+    Gamma((2k+1)/alpha) z^(2k+1) / (2k+1)!, at 40 digits."""
+    sf = want == "sf"
+    with mp.workdps(40):
         total, k = mp.mpf(0), 0
         while True:
-            term = (-1) ** k * mp.gamma(mp.mpf(2 * k + 1) / alpha) * mp.mpf(z) ** (2 * k) / mp.factorial(2 * k)
+            n = 2 * k + (1 if sf else 0)
+            term = (-1) ** k * mp.gamma(mp.mpf(2 * k + 1) / alpha) * mp.mpf(z) ** n / mp.factorial(n)
             total += term
-            if k > 2 and abs(term) < mp.mpf(10) ** -25:
-                return float(total / (mp.pi * alpha))
+            if k > 2 and abs(term) <= mp.mpf(10) ** -40 * abs(total):
+                total /= mp.pi * alpha
+                return float(mp.mpf(0.5) - total if sf else total)
             k += 1
 
 
@@ -379,6 +384,99 @@ class TestFarTailSeries:
         z = side * (zeta + y)
         for values in (stable._standard_pdf(alpha, beta, z), stable._standard_sf(alpha, beta, z)):
             assert values[1] == pytest.approx(values[0], rel=1e-10)
+
+
+def _series_switch(alpha: float, want: str, side: float):
+    """Two neighbouring points side*x, x in (0, 4), the first where
+    `_power_series` is exact and the second where it is not, or None."""
+    x = side * np.linspace(0.0, stable._NEAR_BOUND, 4001)[1:]
+    _, exact = stable._power_series(alpha, x, want)
+    if exact.all():
+        return None
+    i = int(np.argmin(exact))
+    lo, hi = x[i - 1], x[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return np.array([lo, hi])
+        if stable._power_series(alpha, np.array([mid]), want)[1][0]:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestNearEndSeries:
+    """Near zero the symmetric law with 1 < alpha < 2 is its convergent
+    power series, not Nolan's integrals, wherever the series is exact."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_density_near_zero_is_rho0_to_the_bit(self, alpha):
+        rho0 = stable._gamma(1.0 + 1.0 / alpha) / math.pi
+        z = np.array([1e-149, 1e-100, 1e-60, 1e-30])
+        for values in (stable._standard_pdf(alpha, 0.0, z), stable._standard_pdf(alpha, 0.0, -z)):
+            assert [v.hex() for v in values] == [rho0.hex()] * z.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from([1.0 + stable._NEAR_ONE, 1.999]),
+                     st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)),
+           st.lists(st.floats(-stable._NEAR_BOUND, stable._NEAR_BOUND, exclude_min=True,
+                              exclude_max=True), min_size=1, max_size=8))
+    def test_against_mpmath(self, alpha, points):
+        x = np.array(points)
+        for want in ("pdf", "sf"):
+            series, exact = stable._power_series(alpha, x, want)
+            assert exact[np.abs(x) <= 1e-150].all()
+            taken = x[exact]
+            got = stable._zolotarev(alpha, 0.0, taken, want)
+            assert _bits(got) == _bits(series[exact])
+            for z, value in zip(taken, got):
+                assert value == pytest.approx(_symmetric_series(z, alpha, want), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_against_fourier_inversion(self, alpha):
+        z = np.array([0.1, 0.3, -0.5])
+        assert stable._power_series(alpha, z, "pdf")[1].all()
+        pdf = stable._standard_pdf(alpha, 0.0, z)
+        assert pdf == pytest.approx([_fourier_density(x, alpha, 0.0) for x in z], rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1.0 + stable._NEAR_ONE, 1.999), st.sampled_from(["pdf", "sf"]),
+           st.sampled_from([1.0, -1.0]))
+    def test_continuous_at_the_switch(self, alpha, want, side):
+        # of two neighbouring points the first takes the series, the second Nolan's integrals
+        z = _series_switch(alpha, want, side)
+        assume(z is not None)
+        values = stable._standard(alpha, 0.0, z, want)
+        assert values[1] == pytest.approx(values[0], rel=1e-14)
+
+
+class TestTableWork:
+    """The integrals behind the alpha = 1.5 three-series table."""
+
+    def _table(self, monkeypatch, name, record):
+        original = getattr(stable, name)
+
+        def counted(law, *args, **kwargs):
+            record(*args)
+            return original(law, *args, **kwargs)
+
+        monkeypatch.setattr(stable, name, counted)
+        three_series_check(PowerLaw(1.0, 1.0), 1.5, 1.0, 1.0, 2 ** 14)
+
+    def test_most_points_take_a_series(self, monkeypatch):
+        points = []
+        self._table(monkeypatch, "_zolotarev_integral", lambda x, *rest: points.append(x.size))
+        assert 0 < sum(points) <= 2000
+
+    def test_no_panel_has_zero_width_on_every_row(self, monkeypatch):
+        widths = []
+
+        def record(log_scale, va, vb, *rest):
+            if vb is not None:
+                widths.append(np.max(vb - va))
+
+        self._table(monkeypatch, "_gk_panel", record)
+        assert widths and min(widths) > 0.0
 
 
 _KERNEL_LAWS = ([(a, b) for a in (0.5, 1.5, 1.9) for b in (0.0, 0.7, -0.6)]
