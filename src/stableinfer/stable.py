@@ -27,8 +27,9 @@ finite-interval form of Zolotarev's integral for the densities and
 distribution functions without a closed form, the numeric fractional
 moments and the KL divergence.  Far in the tails the densities and
 distribution functions are Bergström's (1952) series instead
-(`_bergstrom`, for alpha != 1 or beta = 0), past a crossover computed from
-its coefficients, and near zero those of symmetric laws with 1 < alpha < 2
+(`_bergstrom`, for alpha != 1 or beta = 0, with 32 terms), past a crossover
+computed from its coefficients, or its leading term for skewed alpha = 1
+past |x| = 1e18, and near zero those of symmetric laws with 1 < alpha < 2
 are their convergent power series (`_power_series`), wherever a per-point
 test finds it exact; this module alone decides which points take a series.
 The tolerance is fixed, absolute
@@ -871,8 +872,10 @@ def _upper_lower(law: _Zolotarev, x: np.ndarray):
     return upper, lower, err
 
 
-# the terms of Bergström's series
-_TAIL_TERMS = 8
+# the terms of Bergström's series, and the largest sum_k |t_k| / |sum_k t_k|,
+# about the ulps its float sum loses, where it is taken
+_TAIL_TERMS = 32
+_TAIL_CONDITION = 100.0
 
 
 class _FarTail(NamedTuple):
@@ -884,11 +887,16 @@ class _FarTail(NamedTuple):
         a_k = (-1)^(k+1) Gamma(k alpha + 1) (1 + zeta^2)^(k/2) sin(k alpha (pi/2 + theta0)) / (pi k!),
 
     k <= _TAIL_TERMS, zeta and theta0 as in `_Zolotarev`; it converges for
-    alpha < 1 and is asymptotic for alpha > 1.  x* is where the first
-    omitted term, its sine taken as 1, falls to 2^-53 of the leading term.
-    The lower tail is the upper tail of S(alpha, -beta) at -x.  alpha = 2
-    has no power tail (every a_k is 0), and its x* = 2 sqrt(1022 log 2) is
-    where the normal density and tail fall below 2^-1022."""
+    alpha < 1 and is asymptotic for alpha > 1, where its terms still shrink
+    at x* (by at least 0.69 a step).  x* is where the first omitted term,
+    its sine taken as 1, falls to 2^-53 of the leading term, or further out
+    where the float sum would cancel (alpha <= 0.3 only; Nolan's integrals
+    are within 4e-14 of mpmath on the way): at beta = 0 it is 4.9e-8,
+    1.8e-4, 0.37, 2.41, 7.75 and 12.3 for alpha = 0.05, 0.1, 0.5, 0.9, 1.5
+    and 1.9 (8 terms gave 4e28, 1e14, 1.2e3, 126, 54 and 48.4).  The lower
+    tail is the upper tail of S(alpha, -beta) at -x.  alpha = 2 has no power
+    tail (every a_k is 0), and its x* = 2 sqrt(1022 log 2) is where the
+    normal density and tail fall below 2^-1022."""
 
     alpha: float
     coefficients: np.ndarray  # a_1 ... a_K
@@ -909,7 +917,8 @@ class _FarTail(NamedTuple):
 
 
 def _bergstrom(alpha: float, beta: float) -> _FarTail:
-    """The far-tail series (`_FarTail`) of S(alpha, beta, 1, 0; 0)."""
+    """The far-tail series (`_FarTail`) of S(alpha, beta, 1, 0; 0), _TAIL_TERMS
+    terms, with x* from the first omitted term and the sum's cancellation."""
     if alpha == 2.0:
         return _FarTail(alpha, np.zeros(1), math.log(2.0 * math.sqrt(1022.0 * math.log(2.0))))
     tpa = math.tan(math.pi * alpha / 2.0)  # at alpha = 1 beta is 0, and so is zeta
@@ -922,7 +931,12 @@ def _bergstrom(alpha: float, beta: float) -> _FarTail:
                 + 0.5 * k * math.log1p(zeta * zeta) - math.log(math.pi))
     a = (-1.0 if alpha > 1.0 else (-1.0) ** (k + 1.0)) * np.exp(log_size) * np.sin(k * psi)
     log_crossover = (53.0 * math.log(2.0) + log_size[-1] - math.log(a[0])) / (_TAIL_TERMS * alpha)
-    return _FarTail(alpha, a[:-1], log_crossover)
+    # further out where the float sum would lose more than _TAIL_CONDITION ulps:
+    # at the first u = y^-alpha from x* on where sum |a_k| u^k <= that |sum a_k u^k|
+    shrink = np.linspace(1.0, 0.0, 64, endpoint=False)  # u/x*^-alpha
+    terms = a[:-1] * (math.exp(-alpha * log_crossover) * shrink[:, None]) ** k[:-1]
+    j = int(np.argmax(np.abs(terms).sum(axis=1) <= _TAIL_CONDITION * np.abs(terms.sum(axis=1))))
+    return _FarTail(alpha, a[:-1], log_crossover - math.log(shrink[j]) / alpha)
 
 
 def _gamma(x: float) -> float:
@@ -971,9 +985,10 @@ def _power_series(alpha: float, x: np.ndarray, want: str):
     return total, (omitted <= 2.0 ** -53 * magnitude) & (size <= 2.0 * magnitude)
 
 
-# the truncated-moment tables' grid: _TABLE_STEPS uniform steps in log s
-# from _TABLE_START, whose ends and midpoints are the density points
-_TABLE_START = 1e-3
+# the truncated-moment tables' grid: _TABLE_STEPS uniform steps in log s,
+# whose ends and midpoints are the density points, from the s where rho is
+# flat to _START_ERROR
+_START_ERROR = 1e-10
 _TABLE_STEPS = 2048
 
 
@@ -983,28 +998,35 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     cuts c = e^log_cut, taken as logs so that cuts past 1e308 keep their value.
 
     With F(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F(t) e^(-mt), and
-    dG/dt = 2 s rho(s) - m G.  log F starts at _TABLE_START from the exact
-    rho(0) s^(m+1)/(m+1) (rho is flat to O(s^2) at 0) and adds Simpson's
-    rule over each step of the grid by `np.logaddexp.accumulate`, so that
-    neither F nor a step of it leaves the float range; between nodes G is
-    the cubic Hermite interpolant of G and its derivative.  The grid ends at
-    the largest finite cut or at the crossover x* of Bergström's series
-    (`_bergstrom`), whichever comes first.  Past x* rho is that series, so F
-    goes on termwise in closed form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha,
-    taken through expm1 so that d = 0 gives its limit a_k log(c/x*), and P is
-    the series' survival function there.  Within x* rho and P are
+    dG/dt = 2 s rho(s) - m G.  log F starts at e^t0 from rho(0) s^(m+1)/(m+1)
+    and adds Simpson's rule over each step of the grid by
+    `np.logaddexp.accumulate`, so that neither F nor a step of it leaves the
+    float range; between nodes G is the cubic Hermite interpolant of G and
+    its derivative.  As 0 <= 1 - rho(s)/rho(0) <= c2 s^2, the start, and G =
+    2 rho(0) c/(m+1) at cuts below it, are within c2 e^(2 t0) = _START_ERROR
+    of their values: e^t0 is 1.6e-5 at alpha = 1.5, 2.3e-10 at 0.2 and
+    4.2e-37 at 0.05.  The grid ends at the largest finite cut or at the
+    crossover x* of Bergström's series (`_bergstrom`), whichever comes
+    first.  Past x* rho is that series, so F goes on termwise in closed
+    form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha, through expm1 for the
+    few d >= 0 (d = 0 gives its limit a_k log(c/x*)), and for the rest by
+    Horner's rule in z = (x*/c)^alpha, with their common power of x* and c
+    one exponent, so that nothing overflows at cuts near 1e300; P is the
+    series' survival function there.  Within x* rho and P are
     `_standard_pdf` and `_standard_sf`: for 1 < alpha < 2 the power series
     (`_power_series`) near 0, wherever it is exact, and Nolan's integrals
-    beyond.
-    Against mpmath at cuts 1 to 1e12, 1e100 and 1e300, alpha in {0.7, 1.5,
-    1.9}, q = 1, the relative error is at most 2e-11.  Below
-    _TABLE_START G is 2 rho(0) c/(m+1); an infinite cut (a zero scale)
-    gives G = 0.
+    beyond.  Against mpmath (q = 0.33, cuts 1 to 1e300, and 1e-3 for
+    alpha <= 0.3) the relative error is at most 3e-12 for alpha in {0.05,
+    0.1, 0.2, 0.3}; at q = 1 it is at most 1e-11 for alpha in {0.7, 1.5,
+    1.9}.  An infinite cut (a zero scale) gives G = 0.
     """
     tail = _bergstrom(alpha, 0.0)
-    t0 = math.log(_TABLE_START)
     top = min(max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0),
               tail.log_crossover)
+    # 0 <= rho(0) - rho(s) <= rho(0) c2 s^2 (1 - cos u <= u^2/2 under the
+    # Fourier integral), c2 = Gamma(3/alpha)/(2 Gamma(1/alpha)): start where c2 s^2 = _START_ERROR
+    t0 = 0.5 * (math.log(_START_ERROR) - math.lgamma(3.0 / alpha) + math.lgamma(1.0 / alpha)
+                + math.log(2.0))
     h = (top - t0) / _TABLE_STEPS
     t = t0 + 0.5 * h * np.arange(2 * _TABLE_STEPS + 1)
     rho0 = _gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
@@ -1020,6 +1042,8 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     past = (log_cuts > top) & (log_cuts < np.inf)
     log_c = log_cuts[past]
     delta = log_c - top
+    z = np.exp(-alpha * delta)
+    k = np.arange(1, tail.coefficients.size + 1)
     ratios = []
     for m in (q, 2.0 * q):
         log_f = (m + 1.0) * t + log_rho
@@ -1032,13 +1056,20 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
         value = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * g[i] + x * (1.0 - x) ** 2 * dg[i]
                  + x * x * (3.0 - 2.0 * x) * g[i + 1] - x * x * (1.0 - x) * dg[i + 1])
         value[below] = 2.0 * rho0 * np.exp(log_cuts[below]) / (m + 1.0)
-        # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, each term's power
-        # taken at the end where it is largest
+        # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, d = m - k alpha
         past_value = 2.0 * np.exp(log_big_f[-1] - m * log_c)
-        for k, a_k in enumerate(tail.coefficients, start=1):
-            d = m - k * alpha
-            span = delta if d == 0.0 else -np.expm1(-abs(d) * delta) / abs(d)
-            past_value += 2.0 * a_k * np.exp(d * (log_c if d > 0.0 else top) - m * log_c) * span
+        d = m - k * alpha
+        rising = d >= 0.0
+        for a_k, d_k in zip(tail.coefficients[rising], d[rising]):
+            span = delta if d_k == 0.0 else -np.expm1(-d_k * delta) / d_k
+            past_value += 2.0 * a_k * np.exp(d_k * log_c - m * log_c) * span
+        if not rising.all():
+            # sum_k b_k (1 - e^(d_k delta)) e^(d_k1 top - m log c), from the first
+            # d_k1 < 0 on, with e^(d_k delta) = e^(d_k1 delta) z^(k - k1)
+            d1 = d[~rising][0]
+            b = 2.0 * tail.coefficients[~rising] * np.exp((d[~rising] - d1) * top) / -d[~rising]
+            horner = np.polyval(b[::-1], z)
+            past_value += np.exp(d1 * top - m * log_c) * (b.sum() - np.exp(d1 * delta) * horner)
         value[past] = past_value
         value[log_cuts == np.inf] = 0.0
         ratios.append(value)
@@ -1046,6 +1077,12 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     survival[past] = tail(log_c, "sf")
     survival[~past] = _standard_sf(alpha, 0.0, np.exp(log_cuts[~past]))
     return 2.0 * survival, ratios[0], ratios[1]
+
+
+# past this |x| the skewed alpha = 1 law is its leading tail term: the density
+# (1 + beta sgn x)/(pi x^2) and the survival function (1 + beta)/(pi x) are
+# off by about |beta| log|x|/|x| (Zolotarev 1986, section 2.5), under 2^-53
+_ALPHA_ONE_FAR = 1e18
 
 
 def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
@@ -1058,7 +1095,8 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     with beta < 0 gives the distribution function at -x of the mirrored
     law, (1/pi) Int e^-g again.  For alpha != 1, points beyond the
     crossover of Bergström's series (`_bergstrom`) take the series
-    instead, and for beta = 0 and alpha > 1 so do the points with |x| <
+    instead, for alpha = 1 those past |x| = _ALPHA_ONE_FAR its leading
+    term, and for beta = 0 and alpha > 1 so do the points with |x| <
     _NEAR_BOUND where the power series (`_power_series`) is exact: the
     integrals run only on the points between the two.  Raises
     QuadratureFailureError where an error estimate misses the tolerance
@@ -1067,13 +1105,18 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     val = np.empty_like(x)
     err = np.zeros_like(x)
     if alpha == 1.0:
+        far = np.abs(x) > _ALPHA_ONE_FAR
+        y = np.abs(x[far])
+        mass = (1.0 + beta * np.sign(x[far])) / math.pi / y  # of the tail beyond x
+        val[far] = mass / y if want == "pdf" else np.where(x[far] > 0.0, mass, 1.0 - mass)
+        near = ~far
         law = _Zolotarev(1.0, abs(beta))
-        xs = x if beta > 0.0 else -x
+        xs = x[near] if beta > 0.0 else -x[near]
         if want == "pdf":
-            val[:], err[:] = _zolotarev_integral(law, xs, "g*exp(-g)", 0.5 / abs(beta))
+            val[near], err[near] = _zolotarev_integral(law, xs, "g*exp(-g)", 0.5 / abs(beta))
         else:
-            upper, lower, err[:] = _upper_lower(law, xs)
-            val[:] = upper if beta > 0.0 else lower
+            upper, lower, err[near] = _upper_lower(law, xs)
+            val[near] = upper if beta > 0.0 else lower
     else:
         law = _Zolotarev(alpha, beta)
         # closer than this to zeta the density is its value at zeta to

@@ -39,7 +39,9 @@ def _truncated_moment(alpha: float, m: int, cut: float):
     of the density (continued analytically past m = alpha) plus
     sum_k a_k cut^(m - alpha k)/(m - alpha k); the series converges for
     alpha < 1 and is asymptotic for alpha > 1, where it is summed while
-    its terms shrink.  Returns an mpmath number, which need not fit a float."""
+    its terms shrink; a term whose sine is 0 (alpha k/2 an integer, to the
+    rounding of alpha) does not end the sum.  Returns an mpmath number,
+    which need not fit a float."""
     with mp.workdps(40):
         a, c = mp.mpf(alpha), mp.mpf(cut)
         if alpha > 1 and cut < 8:
@@ -49,8 +51,12 @@ def _truncated_moment(alpha: float, m: int, cut: float):
         half = mp.gamma(1 - m / a) * mp.gamma(m) * mp.sin(mp.pi * m / 2) / mp.pi
         last = mp.inf
         for k in range(1, 100):
-            term = ((-1) ** (k + 1) * mp.gamma(a * k + 1) * mp.sin(mp.pi * a * k / 2)
+            sine = mp.sin(mp.pi * a * k / 2)
+            term = ((-1) ** (k + 1) * mp.gamma(a * k + 1) * sine
                     / (mp.pi * mp.factorial(k)) * c ** (m - a * k) / (m - a * k))
+            if abs(sine) < 1e-10:
+                half += term
+                continue
             if abs(term) < mp.mpf(10) ** -30 * abs(half) or (alpha > 1 and abs(term) > last):
                 break
             half, last = half + term, abs(term)
@@ -296,6 +302,17 @@ class TestThreeSeries:
             want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_truncated_moments_at_small_cuts_against_mpmath(self, alpha):
+        # cuts below and near the grid's start, where rho is flat to 1e-10
+        from stableinfer.stable import _symmetric_truncated_term_tables
+
+        cuts = np.array([1e-6, 1e-4, 1e-2, 0.3])
+        _, first, second = _symmetric_truncated_term_tables(alpha, 1.0, np.log(cuts))
+        for m, got in ((1, first), (2, second)):
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            assert got == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
     def test_truncated_moments_past_the_crossover_against_mpmath(self, alpha):
         # past the crossover x* of Bergstrom's series the tables continue in
@@ -310,9 +327,8 @@ class TestThreeSeries:
                 assert g == (pytest.approx(w, rel=1.7e-9) if w else 0.0)
 
     def test_small_alpha_tables_past_the_crossover_against_mpmath(self):
-        # at alpha = 0.1 the crossover x* is about e^32, so the grid's steps are
-        # 0.019 wide in log s, wider than at any alpha above 0.12; q = 0.33
-        # keeps the oracle off the poles of Gamma(1 - m/alpha)
+        # at alpha = 0.1 the crossover x* is 1.8e-4 and the grid starts at
+        # 2.9e-18; q = 0.33 keeps the oracle off the poles of Gamma(1 - m/alpha)
         from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1e100, 1e300])
@@ -320,6 +336,18 @@ class TestThreeSeries:
         for m, got in ((0.33, first), (0.66, second)):
             want = [float(_truncated_moment(0.1, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1.7e-9)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3])
+    def test_small_alpha_tables_against_mpmath(self, alpha):
+        # the grid starts where rho is flat to 1e-10, 4.2e-37 at alpha = 0.05;
+        # from 1e-3 the tables were off by 1.7e3 at alpha = 0.1 and cut 1
+        from stableinfer.stable import _symmetric_truncated_term_tables
+
+        cuts = np.array([1e-3, 1.0, 1e4, 1e12, 1e100, 1e300])
+        _, first, second = _symmetric_truncated_term_tables(alpha, 0.33, np.log(cuts))
+        for m, got in ((0.33, first), (0.66, second)):
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            assert got == pytest.approx(want, rel=1e-11)
 
     def test_survival_past_the_float_range_against_mpmath(self):
         from stableinfer.stable import _symmetric_truncated_term_tables

@@ -103,9 +103,19 @@ class TestAgainstOracles:
     def test_alpha_one_survival_follows_the_tail(self, beta):
         # P[X > z] = (1 + beta)/(pi z) + O(log z/z^2): the leading term is the
         # survival function to double precision at these z
-        z = np.array([1e20, 1e50, 1e100])
+        z = np.array([1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
         sf = stable._standard_sf(1.0, beta, z)
         assert sf == pytest.approx((1.0 + beta) / (math.pi * z), rel=1e-14, abs=0.0)
+        assert (stable._standard_sf(1.0, beta, -z) == 1.0).all()  # 1 - (1 - beta)/(pi z)
+
+    @pytest.mark.parametrize("beta", [0.4, 0.125, -0.125, 0.9, 0.01])
+    def test_alpha_one_density_follows_the_tail(self, beta):
+        # the density's twin: (1 + beta sgn z)/(pi z^2), below 2^-1074 past 1e162
+        z = np.array([1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
+        want = (1.0 + beta) / math.pi / z / z
+        assert stable_pdf(validate_params(1.0, beta, 1.0, 0.0), z) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+        assert stable._standard_pdf(1.0, -beta, -z) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 _PARITY_ALPHAS = [0.5, 0.8, 0.99, 1.0, 1.01, 1.3, 1.5, 1.7, 1.95]
@@ -309,9 +319,10 @@ class TestProperties:
         assert stable_pdf(p, batch)[where] == pytest.approx(stable_pdf(p, z), rel=1e-14, abs=1e-300)
 
 
-def _nolan_tail(alpha: float, beta: float, x: float):
+def _nolan_tail(alpha: float, beta: float, x: float, zeta: float = None):
     """Density and survival function of S(alpha, beta, 1, 0; 0) at x > zeta,
-    alpha != 1, by Nolan's (1997) integrals in mpmath at 50 digits:
+    alpha != 1, by Nolan's (1997) integrals in mpmath at 50 digits; a float
+    `zeta` replaces the exact -beta tan(pi alpha/2) in y = x - zeta:
 
         rho(x) = alpha / (pi |alpha - 1| y) Int g e^-g dtheta,
         P[X > x] = (1/pi) Int e^-g dtheta (alpha > 1), (1/pi) Int (1 - e^-g) (alpha < 1),
@@ -325,7 +336,7 @@ def _nolan_tail(alpha: float, beta: float, x: float):
         tpa = mp.tan(mp.pi * a / 2)
         theta0 = mp.atan(b * tpa) / a
         top = mp.log(mp.pi / 2 + theta0)
-        y, e = x + b * tpa, 1 / (a - 1)
+        y, e = x - (-b * tpa if zeta is None else mp.mpf(zeta)), 1 / (a - 1)
         head = a * e * mp.log(y) + e * mp.log(mp.cos(a * theta0))
         peak = -a * mp.log(y)
         memo = {}
@@ -356,22 +367,69 @@ def _nolan_tail(alpha: float, beta: float, x: float):
                 mp.quad(survival, cuts) * mp.exp(peak) / mp.pi)
 
 
+def _bergstrom_density(x: float, alpha: float) -> float:
+    """Bergstrom's series of the symmetric density for alpha < 1, summed in
+    mpmath: (1/(pi x)) sum_k (-1)^(k+1) Gamma(k alpha + 1) sin(k pi alpha/2)
+    x^(-k alpha)/k!.  The terms can exceed the sum by hundreds of digits (at
+    alpha = 0.3 and x = 1e-8 the largest is about 1e109), so the working
+    precision is set from the largest; a term whose sine is 0 (k alpha/2 an
+    integer, to the rounding of alpha) does not end the sum."""
+    log_size = [math.lgamma(k * alpha + 1.0) - math.lgamma(k + 1.0) - k * alpha * math.log(x)
+                for k in range(1, 4000)]
+    peak = max(range(len(log_size)), key=log_size.__getitem__) + 1
+    with mp.workdps(30 + max(0, math.ceil(log_size[peak - 1] / math.log(10.0)))):
+        a, y = mp.mpf(alpha), mp.mpf(x)
+        total, k = mp.mpf(0), 0
+        while True:
+            k += 1
+            sine = mp.sin(mp.pi * k * a / 2)
+            term = (-1) ** (k + 1) * mp.gamma(k * a + 1) * sine * y ** (-k * a) / mp.factorial(k)
+            total += term
+            if k > peak and abs(sine) > 1e-10 and abs(term) < mp.mpf(10) ** -30 * abs(total):
+                return float(total / (mp.pi * y))
+
+
 class TestFarTailSeries:
     """Past the crossover x* of Bergström's series the density and the
     survival function are the series, not Nolan's integrals."""
 
-    @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
-    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.5, 1.9])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5, 0.9, -0.9])
     def test_against_nolan_in_mpmath(self, alpha, beta):
+        # at alpha = 0.05 the series starts about 4e-8 past zeta, where the
+        # density's condition number in x is |zeta|/y, about 2e6: the oracle
+        # takes the kernel's rounded zeta, so that both see the same y
         zeta = -beta * math.tan(math.pi * alpha / 2.0)
         crossover = math.exp(stable._bergstrom(alpha, beta).log_crossover)
         for x in (zeta + crossover, zeta + 10.0 * crossover, 1e100):
-            pdf, sf = (float(v) for v in _nolan_tail(alpha, beta, x))
+            pdf, sf = (float(v) for v in _nolan_tail(alpha, beta, x, zeta))
             z = np.array([x])
             assert stable._standard_pdf(alpha, beta, z)[0] == pytest.approx(pdf, rel=1e-13)
             assert stable._standard_sf(alpha, beta, z)[0] == pytest.approx(sf, rel=1e-13)
             # the lower tail of the mirrored law, by reflection
             assert stable._standard_pdf(alpha, -beta, -z)[0] == pytest.approx(pdf, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.0 + stable._NEAR_ONE, 1.999), _betas)
+    def test_terms_shrink_at_the_crossover(self, alpha, beta):
+        # for alpha > 1 the series is asymptotic: at x* its terms, sines taken
+        # as 1, still shrink up to the first omitted one (with 64 terms they
+        # stop shrinking near k = 44 at alpha = 1.9)
+        zeta = -beta * math.tan(math.pi * alpha / 2.0)
+        k = np.arange(1.0, stable._TAIL_TERMS + 2.0)
+        log_size = (np.array([math.lgamma(j * alpha + 1.0) - math.lgamma(j + 1.0) for j in k])
+                    + 0.5 * k * math.log1p(zeta * zeta)
+                    - k * alpha * stable._bergstrom(alpha, beta).log_crossover)
+        assert (np.diff(log_size) < 0.0).all()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    def test_small_alpha_density_against_mpmath(self, alpha):
+        # at alpha = 0.05 the series starts at x* = 4.9e-8; Nolan's
+        # integrals raised at z = 0.005 while x* lay at 4e28
+        z = np.concatenate([[0.005, 0.01], 10.0 ** np.arange(-8.0, 8.5, 0.5)])
+        want = [_bergstrom_density(x, alpha) for x in z]
+        for values in (stable._standard_pdf(alpha, 0.0, z), stable._standard_pdf(alpha, 0.0, -z)):
+            assert values == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.5, 1.99).filter(lambda a: abs(a - 1.0) >= stable._NEAR_ONE), _betas,
@@ -451,9 +509,11 @@ class TestNearEndSeries:
 
 
 class TestTableWork:
-    """The integrals behind the alpha = 1.5 three-series table."""
+    """The integrals behind the alpha = 1.5 three-series table and the
+    benchmark's skewed alpha = 1.5 density grid."""
 
-    def _table(self, monkeypatch, name, record):
+    def _table(self, monkeypatch, name, record,
+               work=lambda: three_series_check(PowerLaw(1.0, 1.0), 1.5, 1.0, 1.0, 2 ** 14)):
         original = getattr(stable, name)
 
         def counted(law, *args, **kwargs):
@@ -461,12 +521,20 @@ class TestTableWork:
             return original(law, *args, **kwargs)
 
         monkeypatch.setattr(stable, name, counted)
-        three_series_check(PowerLaw(1.0, 1.0), 1.5, 1.0, 1.0, 2 ** 14)
+        work()
 
     def test_most_points_take_a_series(self, monkeypatch):
         points = []
         self._table(monkeypatch, "_zolotarev_integral", lambda x, *rest: points.append(x.size))
-        assert 0 < sum(points) <= 2000
+        assert 0 < sum(points) <= 700
+
+    def test_skewed_grid_past_the_crossovers_takes_the_series(self, monkeypatch):
+        # the benchmark's (1.5, 0.3) grid: 41 of its 200 points lie past x*
+        points = []
+        grid = np.array([-10.0 + 20.0 * i / 199 for i in range(200)])
+        self._table(monkeypatch, "_zolotarev_integral", lambda x, *rest: points.append(x.size),
+                    lambda: stable_pdf(validate_params(1.5, 0.3, 1.0, 0.0), grid))
+        assert sum(points) == 159
 
     def test_no_panel_has_zero_width_on_every_row(self, monkeypatch):
         widths = []
