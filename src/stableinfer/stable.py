@@ -935,7 +935,8 @@ def _bergstrom(alpha: float, beta: float) -> _FarTail:
     # at the first u = y^-alpha from x* on where sum |a_k| u^k <= that |sum a_k u^k|
     shrink = np.linspace(1.0, 0.0, 64, endpoint=False)  # u/x*^-alpha
     terms = a[:-1] * (math.exp(-alpha * log_crossover) * shrink[:, None]) ** k[:-1]
-    j = int(np.argmax(np.abs(terms).sum(axis=1) <= _TAIL_CONDITION * np.abs(terms.sum(axis=1))))
+    sound = np.abs(terms).sum(axis=1) <= _TAIL_CONDITION * np.abs(terms.sum(axis=1))
+    j = int(np.argmax(sound)) if sound.any() else shrink.size - 1
     return _FarTail(alpha, a[:-1], log_crossover - math.log(shrink[j]) / alpha)
 
 
@@ -1009,16 +1010,16 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     crossover x* of Bergström's series (`_bergstrom`), whichever comes
     first.  Past x* rho is that series, so F goes on termwise in closed
     form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha, through expm1 for the
-    few d >= 0 (d = 0 gives its limit a_k log(c/x*)), and for the rest by
-    Horner's rule in z = (x*/c)^alpha, with their common power of x* and c
-    one exponent, so that nothing overflows at cuts near 1e300; P is the
+    few d > -alpha/2 (d = 0 gives its limit a_k log(c/x*)), and for the rest
+    by Horner's rule in z = (x*/c)^alpha, with their common power of x* and
+    c one exponent, so that nothing overflows at cuts near 1e300; P is the
     series' survival function there.  Within x* rho and P are
     `_standard_pdf` and `_standard_sf`: for 1 < alpha < 2 the power series
     (`_power_series`) near 0, wherever it is exact, and Nolan's integrals
     beyond.  Against mpmath (q = 0.33, cuts 1 to 1e300, and 1e-3 for
     alpha <= 0.3) the relative error is at most 3e-12 for alpha in {0.05,
-    0.1, 0.2, 0.3}; at q = 1 it is at most 1e-11 for alpha in {0.7, 1.5,
-    1.9}.  An infinite cut (a zero scale) gives G = 0.
+    0.1, 0.2, 0.3} (1e-11 at q = 0.3, where a d rounds to 1e-17); at q = 1
+    it is at most 1e-11 for alpha in {0.7, 1.5, 1.9}.  An infinite cut (a zero scale) gives G = 0.
     """
     tail = _bergstrom(alpha, 0.0)
     top = min(max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0),
@@ -1059,15 +1060,16 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
         # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, d = m - k alpha
         past_value = 2.0 * np.exp(log_big_f[-1] - m * log_c)
         d = m - k * alpha
-        rising = d >= 0.0
-        for a_k, d_k in zip(tail.coefficients[rising], d[rising]):
-            span = delta if d_k == 0.0 else -np.expm1(-d_k * delta) / d_k
-            past_value += 2.0 * a_k * np.exp(d_k * log_c - m * log_c) * span
-        if not rising.all():
+        near = d > -0.5 * alpha  # termwise: a 1/d near 1/0 would cancel in the sum below
+        for a_k, d_k in zip(tail.coefficients[near], d[near]):
+            span = delta if d_k == 0.0 else -np.expm1(-abs(d_k) * delta) / abs(d_k)
+            power = np.exp(d_k * (log_c if d_k > 0.0 else top) - m * log_c)
+            past_value += 2.0 * a_k * power * span
+        if not near.all():
             # sum_k b_k (1 - e^(d_k delta)) e^(d_k1 top - m log c), from the first
-            # d_k1 < 0 on, with e^(d_k delta) = e^(d_k1 delta) z^(k - k1)
-            d1 = d[~rising][0]
-            b = 2.0 * tail.coefficients[~rising] * np.exp((d[~rising] - d1) * top) / -d[~rising]
+            # d_k1 <= -alpha/2 on, with e^(d_k delta) = e^(d_k1 delta) z^(k - k1)
+            d1 = d[~near][0]
+            b = 2.0 * tail.coefficients[~near] * np.exp((d[~near] - d1) * top) / -d[~near]
             horner = np.polyval(b[::-1], z)
             past_value += np.exp(d1 * top - m * log_c) * (b.sum() - np.exp(d1 * delta) * horner)
         value[past] = past_value
@@ -1079,10 +1081,12 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     return 2.0 * survival, ratios[0], ratios[1]
 
 
-# past this |x| the skewed alpha = 1 law is its leading tail term: the density
-# (1 + beta sgn x)/(pi x^2) and the survival function (1 + beta)/(pi x) are
-# off by about |beta| log|x|/|x| (Zolotarev 1986, section 2.5), under 2^-53
-_ALPHA_ONE_FAR = 1e18
+# past these |x| the skewed alpha = 1 law is two terms of its tail expansion
+# (Zolotarev 1986, section 2.5), y = |x|, b = beta sgn x: the density
+# (1 + b)/(pi y^2) (1 + 4b (log y - psi(3))/(pi y)), the mass beyond x (1 + b)/(pi y)
+# (1 + 2b (log y + 1/2 - psi(3))/(pi y)), within 2.2e-12 of the density at 1e7
+# (Nolan's integral is off by 5e-10 or more there) and 2^-53 of the mass at 1e9
+_ALPHA_ONE_FAR = {"pdf": 1e7, "sf": 1e9}
 
 
 def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
@@ -1095,20 +1099,23 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
     with beta < 0 gives the distribution function at -x of the mirrored
     law, (1/pi) Int e^-g again.  For alpha != 1, points beyond the
     crossover of Bergström's series (`_bergstrom`) take the series
-    instead, for alpha = 1 those past |x| = _ALPHA_ONE_FAR its leading
-    term, and for beta = 0 and alpha > 1 so do the points with |x| <
-    _NEAR_BOUND where the power series (`_power_series`) is exact: the
-    integrals run only on the points between the two.  Raises
+    instead, for alpha = 1 those past |x| = _ALPHA_ONE_FAR two terms of
+    the tail expansion, and for beta = 0 and alpha > 1 so do the points
+    with |x| < _NEAR_BOUND where the power series (`_power_series`) is
+    exact: the integrals run only on the points between the two.  Raises
     QuadratureFailureError where an error estimate misses the tolerance
     (`_good_enough`).
     """
     val = np.empty_like(x)
     err = np.zeros_like(x)
     if alpha == 1.0:
-        far = np.abs(x) > _ALPHA_ONE_FAR
+        far = np.abs(x) > _ALPHA_ONE_FAR[want]
         y = np.abs(x[far])
-        mass = (1.0 + beta * np.sign(x[far])) / math.pi / y  # of the tail beyond x
-        val[far] = mass / y if want == "pdf" else np.where(x[far] > 0.0, mass, 1.0 - mass)
+        b = beta * np.sign(x[far])
+        log_y = np.log(y) - 1.5 + np.euler_gamma  # log|x| - psi(3)
+        mass = (1.0 + b) / math.pi / y * (1.0 + 2.0 * b * (log_y + 0.5) / math.pi / y)
+        pdf = (1.0 + b) / math.pi / y / y * (1.0 + 4.0 * b * log_y / math.pi / y)
+        val[far] = pdf if want == "pdf" else np.where(x[far] > 0.0, mass, 1.0 - mass)
         near = ~far
         law = _Zolotarev(1.0, abs(beta))
         xs = x[near] if beta > 0.0 else -x[near]

@@ -349,6 +349,21 @@ class TestThreeSeries:
             want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha,q", [(0.1, 0.3), (0.2, 0.3), (0.1, 0.35), (0.1, 0.7)])
+    def test_tables_where_a_tail_power_is_one_rounding_from_constant(self, alpha, q):
+        # m - k alpha rounds to about 1e-17 for some k and m in (q, 2q), so
+        # its term of the integral past x* is a_k log(c/x*); with 1/(m - k
+        # alpha) inside a sum of terms it was lost to rounding, off by up to
+        # 10x.  The oracle's pole of Gamma(1 - m/alpha) cancels that 1/(m -
+        # k alpha) at 40 digits, with about 23 left
+        from stableinfer.stable import _symmetric_truncated_term_tables
+
+        cuts = np.array([1e-3, 1.0, 1e2, 1e4, 1e12, 1e100])
+        _, first, second = _symmetric_truncated_term_tables(alpha, q, np.log(cuts))
+        for m, got in ((q, first), (2.0 * q, second)):
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            assert got == pytest.approx(want, rel=1e-10)
+
     def test_survival_past_the_float_range_against_mpmath(self):
         from stableinfer.stable import _symmetric_truncated_term_tables
 

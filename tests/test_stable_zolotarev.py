@@ -102,20 +102,37 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("beta", [0.4, 0.125, -0.125, 0.9, 0.01])
     def test_alpha_one_survival_follows_the_tail(self, beta):
         # P[X > z] = (1 + beta)/(pi z) + O(log z/z^2): the leading term is the
-        # survival function to double precision at these z
-        z = np.array([1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
+        # survival function to 1e-14 at these z (its correction is 2.2e-15 at
+        # 1e16 and beta = 0.9), and to double precision from 1e18 on
+        z = np.array([1e16, 1e17, 1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
         sf = stable._standard_sf(1.0, beta, z)
         assert sf == pytest.approx((1.0 + beta) / (math.pi * z), rel=1e-14, abs=0.0)
         assert (stable._standard_sf(1.0, beta, -z) == 1.0).all()  # 1 - (1 - beta)/(pi z)
 
     @pytest.mark.parametrize("beta", [0.4, 0.125, -0.125, 0.9, 0.01])
     def test_alpha_one_density_follows_the_tail(self, beta):
-        # the density's twin: (1 + beta sgn z)/(pi z^2), below 2^-1074 past 1e162
-        z = np.array([1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
+        # the density's twin: (1 + beta sgn z)/(pi z^2), below 2^-1074 past
+        # 1e162; its correction is 4.2e-15 at 1e16 and beta = 0.9
+        z = np.array([1e16, 1e17, 1e20, 1e50, 1e100, 1e151, 1e200, 1e300])
         want = (1.0 + beta) / math.pi / z / z
         assert stable_pdf(validate_params(1.0, beta, 1.0, 0.0), z) == pytest.approx(
             want, rel=1e-14, abs=0.0)
         assert stable._standard_pdf(1.0, -beta, -z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.4, 0.125, 0.9, 0.01])
+    def test_alpha_one_tail_against_mpmath(self, beta):
+        # past 1e7 the density is the first two terms of the tail expansion,
+        # past 1e9 so is the survival function; from 1e12 to 1e17 Nolan's
+        # integral gave the density off by 1e-4 to 100%
+        near, far = np.array([1.01e7, 1e8]), np.array([1e9, 1e12, 1e15, 1e16, 1e17])
+        for side in (1.0, -1.0):
+            for z, rel in ((near, 3e-12), (far, 1e-15)):
+                want = [float(_alpha_one_tail(side * x, beta)[0]) for x in z]
+                assert stable._standard_pdf(1.0, beta, side * z) == pytest.approx(
+                    want, rel=rel, abs=0.0)
+        z = np.concatenate([[1e8], far])
+        want = [float(_alpha_one_tail(x, beta)[1]) for x in z]
+        assert stable._standard_sf(1.0, beta, z) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 _PARITY_ALPHAS = [0.5, 0.8, 0.99, 1.0, 1.01, 1.3, 1.5, 1.7, 1.95]
@@ -367,6 +384,29 @@ def _nolan_tail(alpha: float, beta: float, x: float, zeta: float = None):
                 mp.quad(survival, cuts) * mp.exp(peak) / mp.pi)
 
 
+def _alpha_one_tail(x: float, beta: float):
+    """The density at x of S(1, beta, 1, 0; 0), |x| >= 1e3, and its mass
+    beyond x (P[X > x] for x > 0, P[X < x] for x < 0), in mpmath: the
+    Fourier inversion with its path turned onto the imaginary axis, t = -i
+    r sgn x, and r = u/y, y = |x|,
+
+        f(x) = (1/(pi y)) Int_0^inf e^(-u (1 + c log(u/y)/y)) sin((1 + b) u/y) du,
+
+    b = beta sgn x, c = 2b/pi; the mass drops the 1/y and divides the
+    integrand by u.  For b < 0 the turned integrand grows again only past
+    u = y e^(y/|c|), far beyond the quadrature's range."""
+    b = beta * (1.0 if x > 0 else -1.0)
+    with mp.workdps(40):
+        y, c = mp.mpf(abs(x)), 2 * mp.mpf(b) / mp.pi
+
+        def integrand(u):
+            return mp.exp(-u * (1 + c * mp.log(u / y) / y)) * mp.sin((1 + b) * u / y)
+
+        ends = [0, 1, 10, 60, 200]
+        return (mp.quad(integrand, ends) / (mp.pi * y),
+                mp.quad(lambda u: integrand(u) / u, ends) / mp.pi)
+
+
 def _bergstrom_density(x: float, alpha: float) -> float:
     """Bergstrom's series of the symmetric density for alpha < 1, summed in
     mpmath: (1/(pi x)) sum_k (-1)^(k+1) Gamma(k alpha + 1) sin(k pi alpha/2)
@@ -421,6 +461,15 @@ class TestFarTailSeries:
                     + 0.5 * k * math.log1p(zeta * zeta)
                     - k * alpha * stable._bergstrom(alpha, beta).log_crossover)
         assert (np.diff(log_size) < 0.0).all()
+
+    def test_crossover_where_no_trial_point_passes_the_cancellation_test(self, monkeypatch):
+        # x* then goes to the last of the 64 trial points u = y^-alpha, not
+        # back to the first: 64^(1/alpha) past the first-omitted-term x*,
+        # which binds at alpha = 1.5 otherwise
+        first = stable._bergstrom(1.5, 0.0).log_crossover
+        monkeypatch.setattr(stable, "_TAIL_CONDITION", 0.0)
+        assert stable._bergstrom(1.5, 0.0).log_crossover == pytest.approx(
+            first + math.log(64.0) / 1.5, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1])
     def test_small_alpha_density_against_mpmath(self, alpha):
