@@ -17,8 +17,8 @@ closed-form Cauchy/normal densities, the closure rules under affine maps
 and independent sums, fractional absolute moments, power-law tail
 asymptotics, truncated Cauchy moments, the survival and truncated-moment
 tables of the symmetric law behind the three-series test
-(`_symmetric_truncated_term_tables`), and a one-dimensional KL
-divergence with divergence detection.
+(`_symmetric_truncated_term_tables`, on 16-point Gauss-Legendre panels
+in log s), and a one-dimensional KL divergence with divergence detection.
 
 Every numerical integral runs on numpy arrays of fixed 7/15-point
 Gauss-Kronrod panels (`_gk_sum`), with QUADPACK's error estimate and
@@ -603,6 +603,8 @@ class _Zolotarev:
         self.alpha = alpha
         self.beta = beta
         if alpha == 1.0:
+            if beta >= 1.0:  # the left end's exp(-c|v|) has c = 0: no tail panel fits
+                raise OutOfRangeError("beta", f"alpha = 1 needs |beta| < 1, got |beta| = {beta!r}")
             self.zeta = 0.0
             self.width = math.pi
             self.v_max = 1e150
@@ -751,10 +753,10 @@ def _gk_nodes(a: np.ndarray, b: np.ndarray):
 def _gk_sum(f: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod value and QUADPACK's error estimate for the integrand
     values f (overwritten) at `_GK_NODES` (last axis) on panels of half-width `half`."""
-    kronrod = f @ _GK_WEIGHTS
-    err = np.abs(kronrod - f @ _G7_WEIGHTS)
+    kronrod = np.einsum("...i,i", f, _GK_WEIGHTS)  # row by row, unlike BLAS, whatever the batch
+    err = np.abs(kronrod - np.einsum("...i,i", f, _G7_WEIGHTS))
     f -= 0.5 * kronrod[..., None]
-    resasc = np.abs(f, out=f) @ _GK_WEIGHTS
+    resasc = np.einsum("...i,i", np.abs(f, out=f), _GK_WEIGHTS)
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * np.abs(kronrod))
@@ -986,11 +988,58 @@ def _power_series(alpha: float, x: np.ndarray, want: str):
     return total, (omitted <= 2.0 ** -53 * magnitude) & (size <= 2.0 * magnitude)
 
 
-# the truncated-moment tables' grid: _TABLE_STEPS uniform steps in log s,
-# whose ends and midpoints are the density points, from the s where rho is
-# flat to _START_ERROR
+# Gauss-Legendre 16-point rule on [-1, 1]: the positive nodes, and their weights
+_XGL = np.array([0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+                 0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744])
+_WGL = np.array([0.027152459411754096, 0.062253523938647894, 0.09515851168249279, 0.12462897125553388,
+                 0.14959598881657674, 0.16915651939500254, 0.18260341504492358, 0.1894506104550685])
+_GL_NODES = np.concatenate([-_XGL, _XGL[::-1]])
+
+
+def _legendre(x, n: int) -> np.ndarray:
+    """P_0(x) ... P_n(x) by Bonnet's recursion, stacked on a new first axis."""
+    p = [np.ones_like(x), x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p)
+
+
+# a_k = (k + 1/2) sum_i w_i P_k(x_i) f_i: the Legendre coefficients of the
+# polynomial through the values f_i at the nodes x_i
+_GL_TO_LEGENDRE = (np.arange(16) + 0.5)[:, None] * _legendre(_GL_NODES, 15) * np.append(_WGL, _WGL[::-1])
+
+# the three-series tables' panels in t = log s, from where rho is flat to
+# _START_ERROR: at most _PANEL long, and halved, at most _PANEL_HALVINGS
+# times, while their last two Legendre coefficients pass _PANEL_TOL of the first
 _START_ERROR = 1e-10
-_TABLE_STEPS = 2048
+_PANEL = 0.45
+_PANEL_TOL = 1e-12
+_PANEL_HALVINGS = 10
+
+
+def _table_panels(alpha: float, orders, t0: float, top: float):
+    """Panels [a, b] in t = log s that cover [t0, top], in order, and the
+    log peak of s^(m+1) rho(s) on each, m in `orders`, and the Legendre
+    coefficients of s^(m+1) rho(s) / peak: arrays (panel, m[, k])."""
+    n = max(1, math.ceil((top - t0) / _PANEL))
+    edges = t0 + (top - t0) * np.arange(n + 1) / n
+    a, b, done = edges[:-1], edges[1:], []
+    for _ in range(_PANEL_HALVINGS + 1):
+        t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL_NODES
+        log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
+        log_f = log_rho[:, None] + np.add(orders, 1.0)[:, None] * t[:, None]
+        peak = log_f.max(axis=2)
+        coef = np.einsum("pmi,ki->pmk", np.exp(log_f - peak[..., None]), _GL_TO_LEGENDRE)
+        fine = (np.abs(coef[..., -2:]).max(axis=2) <= _PANEL_TOL * coef[..., 0]).all(axis=1)
+        done.append((a[fine], b[fine], peak[fine], coef[fine]))
+        if fine.all():
+            a, b, peak, coef = (np.concatenate(part) for part in zip(*done))
+            order = np.argsort(a)
+            return a[order], b[order], peak[order], coef[order]
+        mid = 0.5 * (a + b)[~fine]
+        a, b = np.append(a[~fine], mid), np.append(mid, b[~fine])
+    raise QuadratureFailureError(f"three-series table at alpha={alpha}: the density's Legendre series "
+                                 f"on [{math.exp(a[0])!r}, {math.exp(b[0])!r}] misses {_PANEL_TOL}")
 
 
 def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarray):
@@ -998,87 +1047,93 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     [0, 1], m = q and 2q, for the standardised symmetric stable law at the
     cuts c = e^log_cut, taken as logs so that cuts past 1e308 keep their value.
 
-    With F(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F(t) e^(-mt), and
-    dG/dt = 2 s rho(s) - m G.  log F starts at e^t0 from rho(0) s^(m+1)/(m+1)
-    and adds Simpson's rule over each step of the grid by
-    `np.logaddexp.accumulate`, so that neither F nor a step of it leaves the
-    float range; between nodes G is the cubic Hermite interpolant of G and
-    its derivative.  As 0 <= 1 - rho(s)/rho(0) <= c2 s^2, the start, and G =
-    2 rho(0) c/(m+1) at cuts below it, are within c2 e^(2 t0) = _START_ERROR
-    of their values: e^t0 is 1.6e-5 at alpha = 1.5, 2.3e-10 at 0.2 and
-    4.2e-37 at 0.05.  The grid ends at the largest finite cut or at the
-    crossover x* of Bergström's series (`_bergstrom`), whichever comes
-    first.  Past x* rho is that series, so F goes on termwise in closed
-    form: sum_k a_k (c^d - x*^d)/d, d = m - k alpha, through expm1 for the
-    few d > -alpha/2 (d = 0 gives its limit a_k log(c/x*)), and for the rest
-    by Horner's rule in z = (x*/c)^alpha, with their common power of x* and
-    c one exponent, so that nothing overflows at cuts near 1e300; P is the
-    series' survival function there.  Within x* rho and P are
-    `_standard_pdf` and `_standard_sf`: for 1 < alpha < 2 the power series
-    (`_power_series`) near 0, wherever it is exact, and Nolan's integrals
-    beyond.  Against mpmath (q = 0.33, cuts 1 to 1e300, and 1e-3 for
-    alpha <= 0.3) the relative error is at most 3e-12 for alpha in {0.05,
-    0.1, 0.2, 0.3} (1e-11 at q = 0.3, where a d rounds to 1e-17); at q = 1
-    it is at most 1e-11 for alpha in {0.7, 1.5, 1.9}.  An infinite cut (a zero scale) gives G = 0.
+    With F_m(t) = Int_0^(e^t) s^m rho(s) ds, G_m(e^t) = 2 F_m(t) e^(-mt).  As
+    0 <= 1 - rho(s)/rho(0) <= c2 s^2, F_m starts at e^t0, where c2 s^2 =
+    _START_ERROR, from rho(0) s^(m+1)/(m+1), and G = 2 rho(0) c/(m+1) at
+    cuts below it: e^t0 is 1.6e-5 at alpha = 1.5 and 4.2e-37 at 0.05.  From
+    there to the crossover x* of Bergström's series (`_bergstrom`) the
+    integrand s^(m+1) rho(s) dt lies on the 16-point Gauss-Legendre panels
+    in t of `_table_panels`, whatever the cuts, and a cut inside a panel
+    integrates the Legendre series through the panel's 16 values, with
+    Int P_k = (P_(k+1) - P_(k-1))/(2k+1).  log F_m adds the panels by
+    `np.logaddexp.accumulate`, so that neither F nor a panel of it leaves
+    the float range, and P[|u| > c] = 2 (P[u > x*] + Int_c^x* rho) sums them
+    from x* down.  rho is `_standard_pdf`: 480 points at alpha = 1.5, of
+    which 75 take Nolan's integrals and the rest the power series.  Past
+    x* rho is Bergström's series, so F goes on termwise in closed form:
+    sum_k a_k (c^d - x*^d)/d, d = m - k alpha, through expm1 for the few
+    d > -alpha/2 (d = 0 gives its limit a_k log(c/x*)), and for the rest by
+    Horner's rule in z = (x*/c)^alpha, with their common power of x* and c
+    one exponent, so that nothing overflows at cuts near 1e300; P is the
+    series' survival function there.  Against mpmath the relative error is
+    at most 2e-15 for alpha in {0.7, 1.2, 1.5, 1.9}, q in {0.5, 1} and cuts
+    1 to 0.99 x*, and 7e-14 for alpha in {0.05, 0.1, 0.2, 0.3}, q = 0.33 and
+    cuts 1e-3 to 1e300.  An infinite cut (a zero scale) gives G = 0.
     """
     tail = _bergstrom(alpha, 0.0)
-    top = min(max(float(log_cuts[np.isfinite(log_cuts)].max(initial=0.0)), 0.0),
-              tail.log_crossover)
+    top = tail.log_crossover
     # 0 <= rho(0) - rho(s) <= rho(0) c2 s^2 (1 - cos u <= u^2/2 under the
-    # Fourier integral), c2 = Gamma(3/alpha)/(2 Gamma(1/alpha)): start where c2 s^2 = _START_ERROR
+    # Fourier integral), c2 = Gamma(3/alpha)/(2 Gamma(1/alpha))
     t0 = 0.5 * (math.log(_START_ERROR) - math.lgamma(3.0 / alpha) + math.lgamma(1.0 / alpha)
                 + math.log(2.0))
-    h = (top - t0) / _TABLE_STEPS
-    t = t0 + 0.5 * h * np.arange(2 * _TABLE_STEPS + 1)
     rho0 = _gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
     if rho0 == math.inf:
         raise OutOfRangeError("alpha", "below 1/170.6 the density at 0 passes the float range")
-    log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
-    two_s_rho = 2.0 * np.exp(t[::2] + log_rho[::2])
-    # position of each cut on the grid: step i, fraction x of the step
-    pos = (np.clip(log_cuts, t0, top) - t0) / h
-    i = np.clip(pos.astype(int), 0, _TABLE_STEPS - 1)
-    x = np.clip(pos - i, 0.0, 1.0)
-    below = log_cuts < t0
+    a, b, peak, coef = _table_panels(alpha, (0.0, q, 2.0 * q), t0, top)
+    half = 0.5 * (b - a)
+    below, within = log_cuts < t0, (log_cuts >= t0) & (log_cuts <= top)
     past = (log_cuts > top) & (log_cuts < np.inf)
+    # each cut's panel i, its place x in [-1, 1] there, and Int_-1^x P_k, k >= 1
+    log_w = log_cuts[within]
+    i = np.clip(np.searchsorted(a, log_w, side="right") - 1, 0, a.size - 1)
+    x = np.clip((log_w - a[i]) / half[i] - 1.0, -1.0, 1.0)
+    p = _legendre(x, 16)
+    span = (p[2:] - p[:-2]) / (2.0 * np.arange(1, 16) + 1.0)[:, None]
+
+    def inside(c_i, side):  # Int dt from a to the cut (side = 1) or from the cut to b (-1)
+        return half[i] * (c_i[:, 0] * (1.0 + side * x) + side * np.einsum("ck,kc->c", c_i[:, 1:], span))
+
     log_c = log_cuts[past]
     delta = log_c - top
     z = np.exp(-alpha * delta)
     k = np.arange(1, tail.coefficients.size + 1)
     ratios = []
-    for m in (q, 2.0 * q):
-        log_f = (m + 1.0) * t + log_rho
-        log_steps = math.log(h / 6.0) + np.logaddexp(
-            np.logaddexp(log_f[:-2:2], log_f[2::2]), math.log(4.0) + log_f[1::2])
+    for j, m in ((1, q), (2, 2.0 * q)):
+        value = np.zeros(log_cuts.shape)  # an infinite cut gives 0
         log_start = math.log(rho0 / (m + 1.0)) + (m + 1.0) * t0
-        log_big_f = np.logaddexp.accumulate(np.concatenate([[log_start], log_steps]))
-        g = 2.0 * np.exp(log_big_f - m * t[::2])
-        dg = h * (two_s_rho - m * g)
-        value = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * g[i] + x * (1.0 - x) ** 2 * dg[i]
-                 + x * x * (3.0 - 2.0 * x) * g[i + 1] - x * x * (1.0 - x) * dg[i + 1])
+        log_big_f = np.logaddexp.accumulate(
+            np.concatenate([[log_start], peak[:, j] + np.log(2.0 * half * coef[:, j, 0])]))
+        # log F_m(c) = log F_m(a) + log1p(Int_a^c / F_m(a))
+        growth = inside(coef[i, j], 1.0) * np.exp(peak[i, j] - log_big_f[i])
+        value[within] = 2.0 * np.exp(log_big_f[i] + np.log1p(growth) - m * log_w)
         value[below] = 2.0 * rho0 * np.exp(log_cuts[below]) / (m + 1.0)
         # 2 (F(x*) + sum_k a_k Int_x*^c s^(d-1) ds) / c^m, d = m - k alpha
         past_value = 2.0 * np.exp(log_big_f[-1] - m * log_c)
         d = m - k * alpha
         near = d > -0.5 * alpha  # termwise: a 1/d near 1/0 would cancel in the sum below
         for a_k, d_k in zip(tail.coefficients[near], d[near]):
-            span = delta if d_k == 0.0 else -np.expm1(-abs(d_k) * delta) / abs(d_k)
+            span_k = delta if d_k == 0.0 else -np.expm1(-abs(d_k) * delta) / abs(d_k)
             power = np.exp(d_k * (log_c if d_k > 0.0 else top) - m * log_c)
-            past_value += 2.0 * a_k * power * span
+            past_value += 2.0 * a_k * power * span_k
         if not near.all():
             # sum_k b_k (1 - e^(d_k delta)) e^(d_k1 top - m log c), from the first
             # d_k1 <= -alpha/2 on, with e^(d_k delta) = e^(d_k1 delta) z^(k - k1)
             d1 = d[~near][0]
-            b = 2.0 * tail.coefficients[~near] * np.exp((d[~near] - d1) * top) / -d[~near]
-            horner = np.polyval(b[::-1], z)
-            past_value += np.exp(d1 * top - m * log_c) * (b.sum() - np.exp(d1 * delta) * horner)
+            b_k = 2.0 * tail.coefficients[~near] * np.exp((d[~near] - d1) * top) / -d[~near]
+            horner = np.polyval(b_k[::-1], z)
+            past_value += np.exp(d1 * top - m * log_c) * (b_k.sum() - np.exp(d1 * delta) * horner)
         value[past] = past_value
-        value[log_cuts == np.inf] = 0.0
         ratios.append(value)
-    survival = np.empty(log_cuts.shape)
-    survival[past] = tail(log_c, "sf")
-    survival[~past] = _standard_sf(alpha, 0.0, np.exp(log_cuts[~past]))
-    return 2.0 * survival, ratios[0], ratios[1]
+    # P[u > c] = P[u > x*] + Int_c^x* rho: the panels above c's, and Int_c^b
+    coef_0 = coef[:, 0] * np.exp(peak[:, :1])
+    upper = tail(top, "sf") + np.append(np.cumsum(2.0 * half[:0:-1] * coef_0[:0:-1, 0])[::-1], 0.0)
+    survival = np.zeros(log_cuts.shape)
+    survival[within] = 2.0 * (upper[i] + inside(coef_0[i], -1.0))
+    mass_to = np.exp(math.log(rho0) + np.append(t0, log_cuts[below]))  # rho(0) c, c <= e^t0
+    survival[below] = 2.0 * (upper[0] + 2.0 * half[0] * coef_0[0, 0] + mass_to[0] - mass_to[1:])
+    survival[past] = 2.0 * tail(log_c, "sf")
+    # the panels' mass and rho(0) c add up to 1 to a few ulps, which may pass it
+    return np.minimum(survival, 1.0), ratios[0], ratios[1]
 
 
 # past these |x| the skewed alpha = 1 law is two terms of its tail expansion

@@ -214,7 +214,8 @@ class TestRunExperiments:
         # in a fresh process: importing the CLI loads no scipy module; the
         # demo configs, the alpha = 1.5 three-series run, two skewed 200-point
         # densities and a strictly stable moment never import scipy.integrate
-        # (and scipy.integrate.quad refuses to run) nor scipy.interpolate; the
+        # (and scipy.integrate.quad refuses to run), scipy.interpolate nor
+        # numpy.polynomial (2.5-6 ms to import); the
         # QUADPACK reference still evaluates, importing scipy.integrate then
         configs = [path.read_text() for path in DEMO_CONFIGS] + [cfg_text("three_series", {
             "sequence": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
@@ -244,7 +245,7 @@ class TestRunExperiments:
                 stable.stable_pdf(stable.validate_params(alpha, beta, 1.0, 0.0), np.linspace(-20, 20, 200))
             delta = 0.3 * 2.0 * math.tan(math.pi * 1.5 / 2.0)  # strictly stable
             stable.fractional_moment(stable.validate_params(1.5, 0.3, 2.0, delta), 0.75)
-            for name in ("scipy.integrate", "scipy.interpolate"):
+            for name in ("scipy.integrate", "scipy.interpolate", "numpy.polynomial"):
                 assert name not in sys.modules, f"{{name}} was imported"
 
             del stable.integrate.quad

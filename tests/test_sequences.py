@@ -28,36 +28,64 @@ from stableinfer import (
 )
 
 
-def _truncated_moment(alpha: float, m: int, cut: float):
+def _working_digits(log_sizes) -> int:
+    """40 decimal digits past the largest of the terms whose natural logs
+    are `log_sizes`."""
+    return 40 + max(0, math.ceil(max(log_sizes) / math.log(10.0)))
+
+
+def _truncated_moment(alpha: float, m: float, cut: float):
     """E[|u|^m; |u| <= cut] for the standardised symmetric stable law in
-    mpmath.  For alpha > 1 and cut < 8: the convergent power series of the
-    density, (1/(pi alpha)) sum_k (-1)^k Gamma((2k+1)/alpha) s^(2k)/(2k)!,
-    integrated termwise.  Otherwise: Bergstrom's series of the density,
-    sum_k a_k s^(-alpha k - 1) with a_k = (-1)^(k+1) Gamma(alpha k + 1)
-    sin(pi alpha k/2)/(pi k!), integrated termwise beyond the cut, which
-    gives the Mellin transform (1/pi) Gamma(1 - m/alpha) Gamma(m) sin(pi m/2)
-    of the density (continued analytically past m = alpha) plus
-    sum_k a_k cut^(m - alpha k)/(m - alpha k); the series converges for
-    alpha < 1 and is asymptotic for alpha > 1, where it is summed while
-    its terms shrink; a term whose sine is 0 (alpha k/2 an integer, to the
-    rounding of alpha) does not end the sum.  Returns an mpmath number,
-    which need not fit a float."""
-    with mp.workdps(40):
+    mpmath, m >= 0.  For alpha > 1 and cut < 8, where its terms stay below
+    1e60: the convergent power series of the density, (1/(pi alpha)) sum_k
+    (-1)^k Gamma((2k+1)/alpha) s^(2k)/(2k)!, integrated termwise.
+    Otherwise: Bergstrom's series of the density, sum_k a_k s^(-alpha k -
+    1) with a_k = (-1)^(k+1) Gamma(alpha k + 1) sin(pi alpha k/2)/(pi k!),
+    integrated termwise beyond the cut, which gives the Mellin transform
+    (1/pi) Gamma(1 - m/alpha) Gamma(m) sin(pi m/2) of the density
+    (continued analytically past m = alpha; 1/2 at m = 0) plus sum_k a_k
+    cut^(m - alpha k)/(m - alpha k); the series converges for alpha < 1
+    and is asymptotic for alpha > 1, where it is summed while its terms
+    shrink; a term whose sine is 0 (alpha k/2 an integer, to the rounding
+    of alpha) does not end the sum.  Each series is summed past its
+    largest term, at a working precision set from that term: the power
+    series' is 1e455 at alpha = 1.2 and cut 5; at alpha = 0.4, q = 0.33 and
+    cut 1e-3 Bergstrom's is 4e11, at k = 53, and the terms fall below 1e-30
+    of the sum only from k = 199 (99 terms at 40 digits gave 2.2e7 for
+    1.59e-3).  Returns an mpmath number, which need not fit a float."""
+    log_c = math.log(cut)
+    sizes = [math.lgamma((2 * k + 1) / alpha) - math.lgamma(2 * k + 1.0) + (2 * k + m + 1) * log_c
+             for k in range(4000)]
+    if alpha > 1 and cut < 8 and max(sizes) < 60 * math.log(10.0):
+        peak = max(range(len(sizes)), key=sizes.__getitem__)
+        with mp.workdps(_working_digits(sizes)):
+            a, c = mp.mpf(alpha), mp.mpf(cut)
+            half, k = mp.mpf(0), 0
+            while True:
+                term = ((-1) ** k * mp.gamma((2 * k + 1) / a) * c ** (2 * k + m + 1)
+                        / (mp.factorial(2 * k) * (2 * k + m + 1)))
+                half += term
+                if k > peak and abs(term) < mp.mpf(10) ** -40 * abs(half):
+                    return 2 * half / (mp.pi * a)
+                k += 1
+    # the terms of Bergstrom's series; for alpha > 1 the first is the largest summed
+    sizes = [math.lgamma(alpha * k + 1.0) - math.lgamma(k + 1.0) + (m - alpha * k) * log_c
+             - math.log(max(abs(m - alpha * k), 1e-300)) for k in range(1, 4000)]
+    peak = max(range(len(sizes)), key=sizes.__getitem__) + 1 if alpha < 1 else 1
+    assert peak < len(sizes), "Bergstrom's series does not turn within 4000 terms"
+    with mp.workdps(_working_digits(sizes[:peak])):
         a, c = mp.mpf(alpha), mp.mpf(cut)
-        if alpha > 1 and cut < 8:
-            half = mp.nsum(lambda k: (-1) ** k * mp.gamma((2 * k + 1) / a) * c ** (2 * k + m + 1)
-                           / (mp.factorial(2 * k) * (2 * k + m + 1)), [0, mp.inf]) / (mp.pi * a)
-            return 2 * half
-        half = mp.gamma(1 - m / a) * mp.gamma(m) * mp.sin(mp.pi * m / 2) / mp.pi
+        half = mp.gamma(1 - m / a) * mp.gamma(m) * mp.sin(mp.pi * m / 2) / mp.pi if m else mp.mpf(0.5)
         last = mp.inf
-        for k in range(1, 100):
+        for k in range(1, 4000):
             sine = mp.sin(mp.pi * a * k / 2)
             term = ((-1) ** (k + 1) * mp.gamma(a * k + 1) * sine
                     / (mp.pi * mp.factorial(k)) * c ** (m - a * k) / (m - a * k))
             if abs(sine) < 1e-10:
                 half += term
                 continue
-            if abs(term) < mp.mpf(10) ** -30 * abs(half) or (alpha > 1 and abs(term) > last):
+            if k > peak and (abs(term) < mp.mpf(10) ** -30 * abs(half)
+                             or (alpha > 1 and abs(term) > last)):
                 break
             half, last = half + term, abs(term)
         return 2 * half
@@ -304,7 +332,7 @@ class TestThreeSeries:
 
     @pytest.mark.parametrize("alpha", [1.5, 1.9])
     def test_truncated_moments_at_small_cuts_against_mpmath(self, alpha):
-        # cuts below and near the grid's start, where rho is flat to 1e-10
+        # cuts below and near the panels' start, where rho is flat to 1e-10
         from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1e-6, 1e-4, 1e-2, 0.3])
@@ -327,7 +355,7 @@ class TestThreeSeries:
                 assert g == (pytest.approx(w, rel=1.7e-9) if w else 0.0)
 
     def test_small_alpha_tables_past_the_crossover_against_mpmath(self):
-        # at alpha = 0.1 the crossover x* is 1.8e-4 and the grid starts at
+        # at alpha = 0.1 the crossover x* is 1.8e-4 and the panels start at
         # 2.9e-18; q = 0.33 keeps the oracle off the poles of Gamma(1 - m/alpha)
         from stableinfer.stable import _symmetric_truncated_term_tables
 
@@ -339,7 +367,7 @@ class TestThreeSeries:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.3])
     def test_small_alpha_tables_against_mpmath(self, alpha):
-        # the grid starts where rho is flat to 1e-10, 4.2e-37 at alpha = 0.05;
+        # the panels start where rho is flat to 1e-10, 4.2e-37 at alpha = 0.05;
         # from 1e-3 the tables were off by 1.7e3 at alpha = 0.1 and cut 1
         from stableinfer.stable import _symmetric_truncated_term_tables
 
@@ -355,7 +383,7 @@ class TestThreeSeries:
         # its term of the integral past x* is a_k log(c/x*); with 1/(m - k
         # alpha) inside a sum of terms it was lost to rounding, off by up to
         # 10x.  The oracle's pole of Gamma(1 - m/alpha) cancels that 1/(m -
-        # k alpha) at 40 digits, with about 23 left
+        # k alpha), whose size sets its working precision
         from stableinfer.stable import _symmetric_truncated_term_tables
 
         cuts = np.array([1e-3, 1.0, 1e2, 1e4, 1e12, 1e100])
@@ -363,6 +391,45 @@ class TestThreeSeries:
         for m, got in ((q, first), (2.0 * q, second)):
             want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5, 1.9])
+    def test_tables_within_1e13_of_mpmath(self, alpha, q):
+        # cuts inside the panels and near the crossover x*; the Simpson grid
+        # with Hermite interpolation between its nodes was off by 1e-11 to 1.5e-10
+        from stableinfer.stable import _bergstrom, _symmetric_truncated_term_tables
+
+        cuts = np.array([1.0, 2.0, 5.0, 0.99 * math.exp(_bergstrom(alpha, 0.0).log_crossover)])
+        survival, first, second = _symmetric_truncated_term_tables(alpha, q, np.log(cuts))
+        want = [float(1 - _truncated_moment(alpha, 0, cut)) for cut in cuts]
+        assert survival == pytest.approx(want, rel=1e-13, abs=0.0)
+        for m, got in ((q, first), (2.0 * q, second)):
+            want = [float(_truncated_moment(alpha, m, cut) / mp.mpf(cut) ** m) for cut in cuts]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.9])
+    def test_a_cut_keeps_its_bits_whatever_cuts_share_the_call(self, alpha):
+        # the panels run from the flat start to x* whatever the cuts; the
+        # grid ended at the largest cut
+        from stableinfer.stable import _symmetric_truncated_term_tables
+
+        log_cuts = np.log([1e-30, 1e-3, 0.5, 1.0, 2.0, 5.0, 7.0, 1e3, 1e300])
+        together = _symmetric_truncated_term_tables(alpha, 1.0, log_cuts)
+        # at 1e-30 the survival function is 1, not an ulp above
+        assert all(((t >= 0.0) & (t <= 1.0)).all() for t in together)
+        for j, log_cut in enumerate(log_cuts):
+            for others, at in ((log_cuts[j:j + 1], 0), (log_cuts[:j + 1], j),
+                               (np.append(log_cut, log_cuts[::-1]), 0)):
+                got = _symmetric_truncated_term_tables(alpha, 1.0, others)
+                assert [t[at] for t in got] == [t[j] for t in together]
+
+    def test_a_panel_that_is_not_a_polynomial_raises(self, monkeypatch):
+        from stableinfer import QuadratureFailureError, stable
+
+        monkeypatch.setattr(stable, "_PANEL_TOL", 1e-20)
+        monkeypatch.setattr(stable, "_PANEL_HALVINGS", 1)
+        with pytest.raises(QuadratureFailureError, match="Legendre"):
+            stable._symmetric_truncated_term_tables(1.5, 1.0, np.log([1.0, 2.0]))
 
     def test_survival_past_the_float_range_against_mpmath(self):
         from stableinfer.stable import _symmetric_truncated_term_tables
@@ -374,9 +441,9 @@ class TestThreeSeries:
         assert survival == pytest.approx(want, rel=1e-12)
 
     def test_tiny_scale_table_stops_at_the_crossover(self, monkeypatch):
-        # gamma_n = 1e-300/n puts every cut past 1e300; the density grid stops
+        # gamma_n = 1e-300/n puts every cut past 1e300; the density panels stop
         # at the crossover x* of Bergstrom's series, not at the largest cut
-        # (which would take about 82,000 points)
+        # (which took about 82,000 points on a uniform grid)
         from stableinfer import stable
 
         points = []

@@ -88,9 +88,9 @@ def textbook_log_v(law, t, s):
 
 
 def textbook_gk_sum(f, half):
-    kronrod = f @ _GK_WEIGHTS
-    err = np.abs(kronrod - f @ _G7_WEIGHTS)
-    resasc = np.abs(f - 0.5 * kronrod[..., None]) @ _GK_WEIGHTS
+    kronrod = np.einsum("...i,i", f, _GK_WEIGHTS)
+    err = np.abs(kronrod - np.einsum("...i,i", f, _G7_WEIGHTS))
+    resasc = np.einsum("...i,i", np.abs(f - 0.5 * kronrod[..., None]), _GK_WEIGHTS)
     err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * np.abs(kronrod))
     return half * kronrod, half * err
