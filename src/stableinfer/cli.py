@@ -249,15 +249,12 @@ def _parse_posterior(r: _Params, extra_columns: int = 0) -> None:
     """Prior ensemble, Gaussian-noise potential (identity forward map), data
     y; the runner holds a row of the coefficients and extra_columns more
     entries per sample."""
-    from . import bayes, metrics
+    from . import bayes
 
     dim = r.read("prior", _parse_prior).truncation
     r.read("n_samples", _integer, 10 ** 5, high=_MAX_ENTRIES // (dim + extra_columns))
     r.inputs.potential = bayes.gaussian_additive_potential(
-        bayes.IdentityForward(),
-        noise_variance=r.read("noise_variance", _vector, 1.0, sizes=(1, dim)),
-        u_norm=metrics.QuasiNormSpec(q=r.read("u_norm_q", _number, 2.0, low=0)),
-    )
+        bayes.IdentityForward(), noise_variance=r.read("noise_variance", _vector, 1.0, sizes=(1, dim)))
     r.read("y", _vector, 0.0, sizes=(dim,))
 
 
@@ -280,7 +277,11 @@ def _parse_data_sweep(r: _Params) -> None:
 
 
 def _parse_likelihood_sweep(r: _Params) -> None:
+    from . import metrics
+
     _parse_posterior(r, extra_columns=1)  # each row's sin(||u||)
+    u_norm = metrics.QuasiNormSpec(q=r.read("u_norm_q", _number, 2.0, low=0))  # the norm in sin(||u||)
+    r.inputs.potential = replace(r.inputs.potential, u_norm=u_norm)
     if not r.read("n_list", _list, item=_integer):
         raise ConfigError(f"{r.where}: n_list must not be empty")
 

@@ -28,8 +28,9 @@ distribution functions without a closed form, the numeric fractional
 moments and the KL divergence.  Far in the tails the densities and
 distribution functions are Bergström's (1952) series instead
 (`_bergstrom`, for alpha != 1 or beta = 0, with 32 terms), past a crossover
-computed from its coefficients, or its leading term for skewed alpha = 1
-past |x| = 1e18, and near zero those of symmetric laws with 1 < alpha < 2
+computed from its coefficients, or for skewed alpha = 1 two terms of its tail
+expansion past |x| = 1e7 (density) and 1e9 (distribution function), and near
+zero those of symmetric laws with 1 < alpha < 2
 are their convergent power series (`_power_series`), wherever a per-point
 test finds it exact; this module alone decides which points take a series.
 The tolerance is fixed, absolute
@@ -479,32 +480,39 @@ class _StandardNumericDensity:
     rho(u) = (1/pi) Integral_0^inf [Re(phi) cos(ut) + Im(phi) sin(ut)] dt,
     evaluated point by point with QUADPACK's oscillatory-weight
     quadrature, whose `scipy.integrate` module is imported on the first
-    point; its error estimates are discarded.  It serves as an independent
-    check on the Zolotarev path below; it goes wrong near the centre for
-    alpha > 1 (at |u| < 0.02 for alpha = 1.5) and warns at some points of
-    skewed laws with alpha < 1.
+    point.  A point whose summed error estimate misses the tolerance
+    (`_good_enough`) raises QuadratureFailureError.  It serves as an
+    independent check on the Zolotarev path below; it goes wrong near the
+    centre for alpha > 1 (at |u| < 0.02 for alpha = 1.5) and fails at some
+    points of skewed laws with alpha < 1.
     """
 
     def __init__(self, alpha: float, beta: float):
         params = validate_params(alpha, beta, 1.0, 0.0)
+        self._params = params
         self._re = lambda t: char_fn(params, t).real
         self._im = lambda t: char_fn(params, t).imag
 
     def _point(self, u: float) -> float:
         if u == 0.0:
-            val, _ = integrate.quad(self._re, 0.0, np.inf, epsabs=1e-12, limit=_QUAD_LIMIT)
-            return val / math.pi
-        w = abs(u)
-        c, _ = integrate.quad(
-            self._re, 0.0, np.inf, weight="cos", wvar=w,
-            epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
-        )
-        sign = 1.0 if u > 0 else -1.0
-        s, _ = integrate.quad(
-            self._im, 0.0, np.inf, weight="sin", wvar=w,
-            epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
-        )
-        val = (c + sign * s) / math.pi
+            val, err = integrate.quad(self._re, 0.0, np.inf, epsabs=1e-12, limit=_QUAD_LIMIT)
+        else:
+            w = abs(u)
+            c, c_err = integrate.quad(
+                self._re, 0.0, np.inf, weight="cos", wvar=w,
+                epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
+            )
+            s, s_err = integrate.quad(
+                self._im, 0.0, np.inf, weight="sin", wvar=w,
+                epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
+            )
+            val, err = c + (s if u > 0 else -s), c_err + s_err
+        val, err = val / math.pi, err / math.pi
+        if not _good_enough(val, err):
+            raise QuadratureFailureError(
+                f"Fourier-inversion density of {self._params} at z={u!r}: value {val!r} "
+                f"with error estimate {err!r}"
+            )
         return max(val, 0.0)
 
     def __call__(self, u):
@@ -559,11 +567,12 @@ _FALSE_POSITIONS = 2
 # points that miss the tolerance are integrated again with every panel
 # split this many ways before a failure is raised
 _REFINE = 4
-# points per vectorised pass, which bounds the working memory (a panel holds
-# four _CHUNK x 15 arrays, 0.5 MB at 1024).  Larger passes pay numpy's call
-# cost less often: an alpha = 1.5 three-series table took 67 ms against 75 ms
-# at 512 points (medians, 12 fresh processes, one vCPU of a Xeon VM); 2048
-# ran 7% faster but 4% slower where glibc maps each array afresh (below).
+# points per vectorised pass, which bounds the working memory (a panel peaks
+# at about eight _CHUNK x 15 arrays for alpha != 1 and twelve for alpha = 1,
+# 1.0 and 1.5 MB at 1024).  Larger passes pay numpy's call cost less often:
+# an alpha = 1.5 three-series table took 67 ms against 75 ms at 512 points
+# (medians, 12 fresh processes, one vCPU of a Xeon VM); 2048 ran 7% faster
+# but 4% slower where glibc maps each array afresh (below).
 _CHUNK = 1024
 
 # glibc's malloc returns the top of its heap to the system whenever more
@@ -647,33 +656,23 @@ class _Zolotarev:
     def ts(self, v):
         """Distances (t, s) of the point at coordinate v from the two ends."""
         w = self.width
-        small = np.abs(v)
         if self.alpha == 1.0:
-            # y = |v| w; 2w / (2 + y + hypot(y, 2)) is free of cancellation
-            small *= w
-            big = np.hypot(small, 2.0)
-            small += 2.0
-            small += big
-            np.subtract(w, np.divide(2.0 * w, small, out=small), out=big)
+            # the distance from the nearer end, free of cancellation
+            y = np.abs(v) * w
+            small = 2.0 * w / (2.0 + y + np.hypot(y, 2.0))
+            big = w - small
         else:
-            # w e / (1 + e) and w / (1 + e) with e = exp(-|v|)
-            np.exp(np.negative(small, out=small), out=small)
-            big = small + 1.0
-            small *= w
-            small /= big
-            np.divide(w, big, out=big)
-        neg = v < 0
-        t = np.where(neg, small, big)
-        np.copyto(small, big, where=neg)
-        return t, small
+            e = np.exp(-np.abs(v))
+            small = w * e / (1.0 + e)
+            big = w / (1.0 + e)
+        return np.where(v < 0, small, big), np.where(v < 0, big, small)
 
     def jacobian(self, t, s):
-        """dtheta/dv, formed in the storage of t; s is overwritten too."""
+        """dtheta/dv."""
         if self.alpha == 1.0:
-            t *= t
-            s *= s
-            return np.divide(t * s, np.add(t, s, out=s), out=t)  # t^2 s^2 / (t^2 + s^2)
-        return np.divide(np.multiply(t, s, out=t), self.width, out=t)
+            t2, s2 = t * t, s * s
+            return t2 * s2 / (t2 + s2)
+        return t * s / self.width
 
     def v_at(self, side: str, d: float) -> float:
         t, s = (d, self.width - d) if side == "t" else (self.width - d, d)
@@ -682,7 +681,7 @@ class _Zolotarev:
         return math.log(t / s)
 
     def log_v(self, t, s):
-        """log V at the points (t, s), arrays that it leaves as they are."""
+        """log V at the points (t, s)."""
         a = self.alpha
         if a == 1.0:
             b = self.beta
@@ -695,25 +694,14 @@ class _Zolotarev:
                            0.5 * math.pi * (1.0 - b) + b * t)
             return (math.log(2.0 / math.pi) + np.log(lin / cos_theta)
                     + lin * sin_theta / (cos_theta * b))
-        # log_c + log(sin s)/(a - 1) - exponent log(sin(a t)) + log(cos(theta0 + (a - 1) t))
-        out = np.sin(s)
-        np.divide(np.log(out, out=out), a - 1.0, out=out)
-        out += self.log_c
-        term = a * t
-        out -= np.multiply(np.log(np.sin(term, out=term), out=term), self.exponent, out=term)
-        np.add(np.multiply(t, a - 1.0, out=term), self.theta0, out=term)
-        out += np.log(np.cos(term, out=term), out=term)
-        return out
+        return (self.log_c + np.log(np.sin(s)) / (a - 1.0)
+                - self.exponent * np.log(np.sin(a * t))
+                + np.log(np.cos(self.theta0 + (a - 1.0) * t)))
 
     def log_scale(self, x):
         """log g - log V at the points x."""
         if self.alpha == 1.0:
-            # past |x| ~ 1e307 beta the quotient overflows; the largest
-            # finite value keeps log g = log_scale + log V free of inf - inf
-            with np.errstate(over="ignore"):
-                log_scale = -math.pi * x / (2.0 * self.beta)
-            big = np.finfo(float).max
-            return np.clip(log_scale, -big, big)
+            return -math.pi * x / (2.0 * self.beta)
         return self.exponent * np.log(x - self.zeta)
 
 
@@ -745,18 +733,15 @@ def _crossings(law: _Zolotarev, log_scale: np.ndarray) -> np.ndarray:
 def _gk_nodes(a: np.ndarray, b: np.ndarray):
     """`_GK_NODES` on each panel [a, b], one row per panel, and half-widths."""
     half = 0.5 * (b - a)
-    nodes = half[:, None] * _GK_NODES
-    nodes += (a + half)[:, None]
-    return nodes, half
+    return (a + half)[:, None] + half[:, None] * _GK_NODES, half
 
 
 def _gk_sum(f: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod value and QUADPACK's error estimate for the integrand
-    values f (overwritten) at `_GK_NODES` (last axis) on panels of half-width `half`."""
+    values f at `_GK_NODES` (last axis) on panels of half-width `half`."""
     kronrod = np.einsum("...i,i", f, _GK_WEIGHTS)  # row by row, unlike BLAS, whatever the batch
     err = np.abs(kronrod - np.einsum("...i,i", f, _G7_WEIGHTS))
-    f -= 0.5 * kronrod[..., None]
-    resasc = np.einsum("...i,i", np.abs(f, out=f), _GK_WEIGHTS)
+    resasc = np.einsum("...i,i", np.abs(f - 0.5 * kronrod[..., None]), _GK_WEIGHTS)
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * np.abs(kronrod))
@@ -771,23 +756,20 @@ def _gk_panel(law: _Zolotarev, log_scale, va, vb, integrand: str, tail: float = 
         w = 0.5 * (1.0 + _GK_NODES)
         v = va[:, None] - (tail / law.tail_rate) * np.log(w)
         half = np.full(va.shape, 0.5 / law.tail_rate)
+        dv = 1.0 / w
     else:
         v, half = _gk_nodes(va, vb)
+        dv = 1.0
     t, s = law.ts(v)
-    del v  # free for the arrays below
-    log_g = law.log_v(t, s)
-    log_g += log_scale[:, None]
-    jac = law.jacobian(t, s)
-    if tail:
-        jac *= 1.0 / w  # dv/dw
-    g = np.exp(log_g, out=s)  # s is spent
+    log_g = log_scale[:, None] + law.log_v(t, s)
+    g = np.exp(log_g)
     if integrand == "g*exp(-g)":
-        f = np.exp(np.subtract(log_g, g, out=log_g), out=log_g)
+        f = np.exp(log_g - g)
     elif integrand == "exp(-g)":
-        f = np.exp(np.negative(g, out=g), out=g)
+        f = np.exp(-g)
     else:
-        f = np.negative(np.expm1(np.negative(g, out=g), out=g), out=g)
-    f *= jac
+        f = -np.expm1(-g)
+    f *= law.jacobian(t, s) * dv
     return _gk_sum(f, half)
 
 
@@ -1132,6 +1114,10 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     mass_to = np.exp(math.log(rho0) + np.append(t0, log_cuts[below]))  # rho(0) c, c <= e^t0
     survival[below] = 2.0 * (upper[0] + 2.0 * half[0] * coef_0[0, 0] + mass_to[0] - mass_to[1:])
     survival[past] = 2.0 * tail(log_c, "sf")
+    if alpha == 2.0:
+        # the normal tail falls faster than the last panels resolve: erfc(c/2)
+        low = log_cuts <= top
+        survival[low] = 2.0 * _standard_sf(2.0, 0.0, np.exp(log_cuts[low]))
     # the panels' mass and rho(0) c add up to 1 to a few ulps, which may pass it
     return np.minimum(survival, 1.0), ratios[0], ratios[1]
 
@@ -1453,7 +1439,7 @@ def truncated_cauchy_moments(gamma, a_cut: float) -> TruncatedCauchyMoments:
 # R = max(_MOMENT_BODY gamma, 2|delta|).
 _MOMENT_BODY = 1e4
 _MOMENT_FINEST = -24
-# tail nodes beyond this many gammas from delta take the leading tail term,
+# the tails beyond this many gammas from delta integrate as the leading tail term,
 # which is the survival function there to double precision for alpha >= 0.1
 _MOMENT_FAR = 1e250
 
@@ -1478,7 +1464,9 @@ def _numeric_moment(params: StableParams, p: float) -> float:
     does not.  Each tail runs through r = |u - delta| = R w^(-1/(alpha - p)),
     w in (0, 1], under which its power-law integrand tends to the constant
     p c (1 +- beta) gamma^alpha R^(p - alpha)/(alpha - p), with c the exact
-    tail constant; nodes beyond `_MOMENT_FAR` gammas take that limit."""
+    tail constant.  Each tail panel in w covers a factor of 10 in r, so
+    that the integrand stays smooth on it however small alpha - p is, out
+    to `_MOMENT_FAR` gammas, beyond which it integrates as that limit."""
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     body = max(_MOMENT_BODY * g, 2.0 * abs(d))
     steps = g * 2.0 ** np.arange(_MOMENT_FINEST, math.ceil(math.log2(body / g)) + 1)
@@ -1490,11 +1478,13 @@ def _numeric_moment(params: StableParams, p: float) -> float:
     f = np.abs(u) ** p * _standard_pdf(a, b, (u - d) / g) / g
     val, err = _gk_sum(f, half)
     total, error = val.sum(), err.sum()
-    # two panels in w on each tail
-    w, w_half = _gk_nodes(np.array([0.0, 0.25]), np.array([0.25, 1.0]))
-    log_r = math.log(body) - np.log(w) / (a - p)
-    far = log_r > math.log(_MOMENT_FAR * g)
-    r = np.exp(np.minimum(log_r, math.log(_MOMENT_FAR * g)))
+    # log(r/body) at the tail panels' edges, out to where the integrand takes
+    # its limit `lead`; r stays below 1e300 and w above e^-700
+    top = max(0.0, min(math.log(min(_MOMENT_FAR * g, 1e300) / body), 700.0 / (a - p)))
+    log_ratio = np.append(np.arange(0.0, top, math.log(10.0)), top)
+    w_edges = np.exp(-(a - p) * log_ratio[::-1])
+    w, w_half = _gk_nodes(w_edges[:-1], w_edges[1:])
+    r = body * w ** (-1.0 / (a - p))
     c = _tail_constant(a)
     for sign in (1.0, -1.0):
         # P[u - delta > r] on the right, P[u - delta < -r] on the left
@@ -1502,9 +1492,9 @@ def _numeric_moment(params: StableParams, p: float) -> float:
         edge_sf = float(_standard_sf(a, skew, body / g))
         tail_sf = _standard_sf(a, skew, r / g)
         lead = p * c * (1.0 + skew) * g ** a * body ** (p - a) / (a - p)
-        f = np.where(far, lead, p * np.abs(d + sign * r) ** (p - 1.0) * tail_sf * r / (w * (a - p)))
+        f = p * np.abs(d + sign * r) ** (p - 1.0) * tail_sf * r / (w * (a - p))
         val, err = _gk_sum(f, w_half)
-        total += abs(d + sign * body) ** p * edge_sf + val.sum()
+        total += abs(d + sign * body) ** p * edge_sf + val.sum() + lead * w_edges[0]
         error += err.sum()
     if not _good_enough(total, error):
         raise QuadratureFailureError(

@@ -85,6 +85,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="r_bound"):
             validate_config(cfg_text("data_sweep", params))
 
+    def test_only_the_likelihood_sweep_reads_a_norm(self):
+        # u_norm_q was read for every posterior kind, but only sin(||u||) uses it
+        params = {"prior": CAUCHY_SCALAR_PRIOR, "epsilons": [0.1], "u_norm_q": 1.0}
+        with pytest.raises(ConfigError, match="unknown key 'u_norm_q'"):
+            validate_config(cfg_text("data_sweep", params))
+        cfg = validate_config(cfg_text("likelihood_sweep", {
+            "prior": CAUCHY_SCALAR_PRIOR, "n_list": [4], "u_norm_q": 1.0}))
+        assert cfg.inputs.potential.u_norm.q == 1.0
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(json.dumps({"experiment": "kl_table", "seed": -1}))

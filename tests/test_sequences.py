@@ -290,6 +290,15 @@ class TestThreeSeries:
         assert out.s1 == pytest.approx((m1 / n).sum(), rel=1e-5)
         assert out.s2 == pytest.approx((m2 / n ** 2).sum(), rel=1e-5)
 
+    def test_gaussian_survival_at_the_last_panels(self):
+        # between c = 52.2 and x* = 53.2 the panels gave erfc(c/2) only to
+        # 2.1e-3, for want of tail mass above them to carry its precision
+        from stableinfer.stable import _symmetric_truncated_term_tables
+
+        log_cuts = np.log(np.linspace(1.0, 53.0, 2000))
+        survival = _symmetric_truncated_term_tables(2.0, 1.0, log_cuts)[0]
+        assert survival == pytest.approx(erfc(np.exp(log_cuts) / 2.0), rel=1e-13, abs=0.0)
+
     def test_stable_survival_against_series(self):
         # P[|u| > c] for the symmetric alpha = 1.5 law in mpmath: 1 - 2 int_0^c f
         # by its convergent power series below 8, by the asymptotic tail series above

@@ -2,6 +2,7 @@
 divergence-detecting KL integral."""
 
 import math
+import warnings
 from functools import partial
 
 import mpmath as mp
@@ -126,6 +127,14 @@ class TestCauchyClosedForms:
 
 
 class TestNumericDensity:
+    def test_raises_where_its_error_estimate_misses_the_tolerance(self):
+        # returned 0.0271909 against mpmath's 0.0271187: QUADPACK's two
+        # estimates add up to 7.9e-4 there, and were discarded
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(QuadratureFailureError, match="error estimate"):
+                _StandardNumericDensity(0.5, -0.9)(0.95817)
+
     @pytest.mark.parametrize("u", [0.0, 0.7, -3.0, 25.0])
     def test_matches_closed_form_cauchy(self, u):
         p = StableParams.cauchy(0.3, 1.7)

@@ -128,6 +128,33 @@ class TestFractionalMoment:
         out = fractional_moment(validate_params(alpha, beta, gamma, delta), p)
         assert out.value == pytest.approx(body + right + left, rel=1e-8)
 
+    def test_skewed_moment_with_a_slowly_falling_tail(self):
+        # alpha - p = 0.05: r ran from 10.7 to 8.5e12 inside one tail panel,
+        # whose error estimate of 3.6e-6 raised.  The oracle integrates
+        # p u^p P[|u - delta| > u] in log u up to 1e60, and beyond it the
+        # leading tail term, c (1 +- beta) gamma^alpha u^-alpha
+        from stableinfer.stable import _standard_pdf, _standard_sf, _tail_constant
+
+        alpha, beta, gamma, delta, p = 0.5, 0.5, 1e-3, 1.0, 0.45
+
+        def quad(f, lo, hi):
+            return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+
+        def sf(skew, x):
+            return float(_standard_sf(alpha, skew, x / gamma))
+
+        L, big = 1e3, 1e60
+        switch = delta - beta * gamma * math.tan(math.pi * alpha / 2.0)
+        cuts = sorted([-L, 0.0, delta, switch, L])
+        body = sum(quad(lambda u: abs(u) ** p * float(_standard_pdf(alpha, beta, (u - delta) / gamma))
+                        / gamma, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        far = p * _tail_constant(alpha) * gamma ** alpha * big ** (p - alpha) / (alpha - p)
+        tails = sum(L ** p * sf(skew, L - shift) + (1.0 + skew) * far + quad(
+            lambda s: p * math.exp(p * s) * sf(skew, math.exp(s) - shift), math.log(L), math.log(big))
+            for skew, shift in ((beta, delta), (-beta, -delta)))
+        out = fractional_moment(validate_params(alpha, beta, gamma, delta), p)
+        assert out.value == pytest.approx(body + tails, rel=1e-8)
+
     def test_skewed_alpha_one_moment_near_one(self):
         # p = 0.9 puts the tail nodes past 1e15, where the alpha = 1 survival
         # function once stopped following the tail.  The oracle integrates

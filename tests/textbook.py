@@ -47,9 +47,9 @@ def textbook_distances(w, v):
     return d, se, tv
 
 
-# The density kernel's per-node pieces as first written, one whole-array
-# expression each (stable._Zolotarev, _gk_panel and _gk_sum); the kernel
-# forms the same quantities in place and must keep every bit of them.
+# The density kernel's per-node pieces, one whole-array expression each
+# (stable._Zolotarev, _gk_panel and _gk_sum): the kernel must keep every
+# bit of them, however it is written.
 
 def textbook_ts(law, v):
     w = law.width
