@@ -234,6 +234,8 @@ def _parse_sequence_test(r: _Params, depth: str) -> None:
 
 def _parse_three_series(r: _Params) -> None:
     _parse_sequence_test(r, "depth")
+    if r.inputs.alpha < stable._TABLE_ALPHA_FLOOR:
+        raise ConfigError(f"{r.where}.alpha: the tables hold for alpha >= {stable._TABLE_ALPHA_FLOOR}")
     r.read("threshold", _number, 1.0, low=0)
 
 

@@ -20,21 +20,21 @@ tables of the symmetric law behind the three-series test
 (`_symmetric_truncated_term_tables`, on 16-point Gauss-Legendre panels
 in log s), and a one-dimensional KL divergence with divergence detection.
 
-Every numerical integral runs on numpy arrays of fixed 7/15-point
-Gauss-Kronrod panels (`_gk_sum`), with QUADPACK's error estimate and
+Every numerical integral runs on numpy arrays of 7/15-point Gauss-Kronrod
+panels (`_gk_sum`), with QUADPACK's error estimate and
 QuadratureFailureError where it misses the tolerance: Nolan's (1997)
 finite-interval form of Zolotarev's integral for the densities and
 distribution functions without a closed form, the numeric fractional
-moments and the KL divergence.  Far in the tails the densities and
-distribution functions are Bergström's (1952) series instead
+moments and the KL divergence.  The numeric moments and the three-series
+tables halve their panels by one rule (`_halving`).  Far in the tails the
+densities and distribution functions are Bergström's (1952) series instead
 (`_bergstrom`, for alpha != 1 or beta = 0, with 32 terms), past a crossover
 computed from its coefficients, or for skewed alpha = 1 two terms of its tail
 expansion past |x| = 1e7 (density) and 1e9 (distribution function), and near
-zero those of symmetric laws with 1 < alpha < 2
-are their convergent power series (`_power_series`), wherever a per-point
-test finds it exact; this module alone decides which points take a series.
-The tolerance is fixed, absolute
-_ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
+zero those of symmetric laws with 1 < alpha < 2 are their convergent power
+series (`_power_series`), wherever a per-point test finds it exact; this
+module alone decides which points take a series.  The tolerance is fixed,
+absolute _ABS_TOL = 1e-10 and relative _REL_TOL = 1e-8, and one helper,
 `_good_enough`, applies it.  QUADPACK serves only the Fourier-inversion
 reference `_StandardNumericDensity`, which inverts `char_fn` and is kept
 for the tests, so `scipy.integrate` is imported on its first call rather
@@ -171,19 +171,13 @@ def validate_params(alpha, beta, gamma, delta) -> StableParams:
     delta.  alpha within 1e-8 of 1 is snapped to exactly 1, and alpha = 2
     stores beta as 0 (skewness has no effect in the Gaussian case).
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    gamma = float(gamma)
-    delta = float(delta)
+    alpha, beta, gamma, delta = float(alpha), float(beta), float(gamma), float(delta)
     if not (0.0 < alpha <= 2.0) or not math.isfinite(alpha):
         raise OutOfRangeError("alpha", f"stability index must lie in (0, 2], got {alpha!r}")
     if not (-1.0 < beta < 1.0):
-        raise OutOfRangeError(
-            "beta",
-            f"skewness must lie strictly inside (-1, 1), got {beta!r}; the "
-            "endpoint values give totally skewed laws that are not supported "
-            "on all of R and are excluded",
-        )
+        raise OutOfRangeError("beta", f"skewness must lie strictly inside (-1, 1), got {beta!r}; the "
+                              "endpoint values give totally skewed laws that are not supported "
+                              "on all of R and are excluded")
     if not (gamma >= 0.0) or not math.isfinite(gamma):
         raise OutOfRangeError("gamma", f"scale must be a finite number >= 0, got {gamma!r}")
     if not math.isfinite(delta):
@@ -210,24 +204,16 @@ def char_fn(params: StableParams, t):
     if params.alpha == 1.0:
         # 0*log(0) convention: the skew term vanishes with gamma*|t|
         glg = np.where(gt > 0.0, gt * np.log(np.where(gt > 0.0, gt, 1.0)), 0.0)
-        exponent = (
-            1j * params.delta * t_arr
-            - gt
-            - 1j * params.beta * (2.0 / math.pi) * np.sign(t_arr) * glg
-        )
+        exponent = (1j * params.delta * t_arr - gt
+                    - 1j * params.beta * (2.0 / math.pi) * np.sign(t_arr) * glg)
     else:
         # |gt|^alpha * (|gt|^(1-alpha) - 1) rewritten as gt - gt^alpha,
         # which stays finite at gt = 0 for every alpha
         ga = gt ** params.alpha
-        exponent = (
-            1j * params.delta * t_arr
-            - ga
-            - 1j * params.beta * math.tan(math.pi * params.alpha / 2.0) * np.sign(t_arr) * (gt - ga)
-        )
+        exponent = (1j * params.delta * t_arr - ga - 1j * params.beta
+                    * math.tan(math.pi * params.alpha / 2.0) * np.sign(t_arr) * (gt - ga))
     out = np.exp(exponent)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +365,7 @@ def sample_cauchy_via_ratio(gamma: float, delta: float, n: int, rng) -> np.ndarr
     gen = make_rng(rng)
     x = gamma * np.asarray(gen.standard_normal(n), dtype=float)
     z = np.asarray(gen.standard_normal(n), dtype=float)
-    while True:
-        bad = z == 0.0
-        if not bad.any():
-            break
+    while (bad := z == 0.0).any():
         z[bad] = gen.standard_normal(int(bad.sum()))
     return delta + x / z
 
@@ -497,30 +480,20 @@ class _StandardNumericDensity:
         if u == 0.0:
             val, err = integrate.quad(self._re, 0.0, np.inf, epsabs=1e-12, limit=_QUAD_LIMIT)
         else:
-            w = abs(u)
-            c, c_err = integrate.quad(
-                self._re, 0.0, np.inf, weight="cos", wvar=w,
-                epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
-            )
-            s, s_err = integrate.quad(
-                self._im, 0.0, np.inf, weight="sin", wvar=w,
-                epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120,
-            )
+            options = dict(wvar=abs(u), epsabs=1e-12, limit=_QUAD_LIMIT, limlst=120)
+            (c, c_err), (s, s_err) = (integrate.quad(f, 0.0, np.inf, weight=kind, **options)
+                                      for f, kind in ((self._re, "cos"), (self._im, "sin")))
             val, err = c + (s if u > 0 else -s), c_err + s_err
         val, err = val / math.pi, err / math.pi
         if not _good_enough(val, err):
-            raise QuadratureFailureError(
-                f"Fourier-inversion density of {self._params} at z={u!r}: value {val!r} "
-                f"with error estimate {err!r}"
-            )
+            raise QuadratureFailureError(f"Fourier-inversion density of {self._params} at z={u!r}: "
+                                         f"value {val!r} with error estimate {err!r}")
         return max(val, 0.0)
 
     def __call__(self, u):
         u_arr = np.asarray(u, dtype=float)
         out = np.array([self._point(float(ui)) for ui in u_arr.ravel()]).reshape(u_arr.shape)
-        if np.ndim(u) == 0:
-            return float(out)
-        return out
+        return float(out) if np.ndim(u) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +970,32 @@ _START_ERROR = 1e-10
 _PANEL = 0.45
 _PANEL_TOL = 1e-12
 _PANEL_HALVINGS = 10
+# below this alpha the density misses its tolerance near 0 (at 0.045, at 145
+# of the table's 2,688 points), so the tables refuse it
+_TABLE_ALPHA_FLOOR = 0.05
+
+
+def _halving(a, b, evaluate, accept, halvings: int, what: str):
+    """Panels [a, b], halved until they pass: `evaluate`(a, b) gives arrays with a row
+    per panel, `accept`(*rows) the mask of the panels to keep, and the others are halved
+    and evaluated again, at most `halvings` times.  Returns a, b and the rows of the
+    kept panels, in order of a.  Raises QuadratureFailureError at once where a row is
+    not finite, and where panels are left after the last halving (`what` names the
+    integral)."""
+    done = []
+    for _ in range(halvings + 1):
+        rows = evaluate(a, b)
+        if not all(np.isfinite(row).all() for row in rows):
+            raise QuadratureFailureError(f"{what}: not finite on a panel in [{a.min()!r}, {b.max()!r}]")
+        fine = accept(*rows)
+        done.append((a[fine], b[fine], *(row[fine] for row in rows)))
+        if fine.all():
+            parts = [np.concatenate(part) for part in zip(*done)]
+            return [part[np.argsort(parts[0])] for part in parts]
+        mid = 0.5 * (a + b)[~fine]
+        a, b = np.append(a[~fine], mid), np.append(mid, b[~fine])
+    raise QuadratureFailureError(f"{what}: {a.size} panels miss after {halvings} halvings, "
+                                 f"the first [{float(a[0])!r}, {float(b[0])!r}]")
 
 
 def _table_panels(alpha: float, orders, t0: float, top: float):
@@ -1005,23 +1004,19 @@ def _table_panels(alpha: float, orders, t0: float, top: float):
     coefficients of s^(m+1) rho(s) / peak: arrays (panel, m[, k])."""
     n = max(1, math.ceil((top - t0) / _PANEL))
     edges = t0 + (top - t0) * np.arange(n + 1) / n
-    a, b, done = edges[:-1], edges[1:], []
-    for _ in range(_PANEL_HALVINGS + 1):
+
+    def panels(a, b):
         t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL_NODES
         log_rho = np.log(_standard_pdf(alpha, 0.0, np.exp(t)))
         log_f = log_rho[:, None] + np.add(orders, 1.0)[:, None] * t[:, None]
         peak = log_f.max(axis=2)
-        coef = np.einsum("pmi,ki->pmk", np.exp(log_f - peak[..., None]), _GL_TO_LEGENDRE)
-        fine = (np.abs(coef[..., -2:]).max(axis=2) <= _PANEL_TOL * coef[..., 0]).all(axis=1)
-        done.append((a[fine], b[fine], peak[fine], coef[fine]))
-        if fine.all():
-            a, b, peak, coef = (np.concatenate(part) for part in zip(*done))
-            order = np.argsort(a)
-            return a[order], b[order], peak[order], coef[order]
-        mid = 0.5 * (a + b)[~fine]
-        a, b = np.append(a[~fine], mid), np.append(mid, b[~fine])
-    raise QuadratureFailureError(f"three-series table at alpha={alpha}: the density's Legendre series "
-                                 f"on [{math.exp(a[0])!r}, {math.exp(b[0])!r}] misses {_PANEL_TOL}")
+        return peak, np.einsum("pmi,ki->pmk", np.exp(log_f - peak[..., None]), _GL_TO_LEGENDRE)
+
+    def accept(peak, coef):
+        return (np.abs(coef[..., -2:]).max(axis=2) <= _PANEL_TOL * coef[..., 0]).all(axis=1)
+
+    return _halving(edges[:-1], edges[1:], panels, accept, _PANEL_HALVINGS,
+                    f"three-series table at alpha={alpha}: the density's Legendre series in log s")
 
 
 def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarray):
@@ -1050,17 +1045,18 @@ def _symmetric_truncated_term_tables(alpha: float, q: float, log_cuts: np.ndarra
     series' survival function there.  Against mpmath the relative error is
     at most 2e-15 for alpha in {0.7, 1.2, 1.5, 1.9}, q in {0.5, 1} and cuts
     1 to 0.99 x*, and 7e-14 for alpha in {0.05, 0.1, 0.2, 0.3}, q = 0.33 and
-    cuts 1e-3 to 1e300.  An infinite cut (a zero scale) gives G = 0.
+    cuts 1e-3 to 1e300.  An infinite cut (a zero scale) gives G = 0.  Below
+    alpha = _TABLE_ALPHA_FLOOR the tables raise OutOfRangeError.
     """
+    if alpha < _TABLE_ALPHA_FLOOR:
+        raise OutOfRangeError("alpha", f"the tables need alpha >= {_TABLE_ALPHA_FLOOR}, got {alpha!r}")
     tail = _bergstrom(alpha, 0.0)
     top = tail.log_crossover
     # 0 <= rho(0) - rho(s) <= rho(0) c2 s^2 (1 - cos u <= u^2/2 under the
     # Fourier integral), c2 = Gamma(3/alpha)/(2 Gamma(1/alpha))
     t0 = 0.5 * (math.log(_START_ERROR) - math.lgamma(3.0 / alpha) + math.lgamma(1.0 / alpha)
                 + math.log(2.0))
-    rho0 = _gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
-    if rho0 == math.inf:
-        raise OutOfRangeError("alpha", "below 1/170.6 the density at 0 passes the float range")
+    rho0 = math.gamma(1.0 + 1.0 / alpha) / math.pi  # rho(0)
     a, b, peak, coef = _table_panels(alpha, (0.0, q, 2.0 * q), t0, top)
     half = 0.5 * (b - a)
     below, within = log_cuts < t0, (log_cuts >= t0) & (log_cuts <= top)
@@ -1321,9 +1317,7 @@ def affine_transform(params: StableParams, a: float, b: float) -> StableParams:
     if a == 0.0:
         raise ZeroScaleError("affine map with a = 0 collapses the law to a point mass")
     sgn = 1.0 if a > 0 else -1.0
-    return validate_params(
-        params.alpha, sgn * params.beta, abs(a) * params.gamma, a * params.delta + b
-    )
+    return validate_params(params.alpha, sgn * params.beta, abs(a) * params.gamma, a * params.delta + b)
 
 
 def _xlogx(x: float) -> float:
@@ -1339,9 +1333,7 @@ def convolve(p1: StableParams, p2: StableParams) -> StableParams:
     and alpha != 1 branches of parametrisation 0.
     """
     if p1.alpha != p2.alpha:
-        raise AlphaMismatchError(
-            f"cannot convolve stability indices {p1.alpha} and {p2.alpha}"
-        )
+        raise AlphaMismatchError(f"cannot convolve stability indices {p1.alpha} and {p2.alpha}")
     a = p1.alpha
     g1a = p1.gamma ** a
     g2a = p2.gamma ** a
@@ -1392,10 +1384,8 @@ def tail_asymptote(params: StableParams, x: float) -> TailAsymptote:
         return TailAsymptote(0.0, 0.0)
     c = _tail_constant(params.alpha)
     scale = c * params.gamma ** params.alpha * (1.0 + params.beta)
-    return TailAsymptote(
-        scale * x ** (-params.alpha),
-        scale * params.alpha * x ** (-(params.alpha + 1.0)),
-    )
+    return TailAsymptote(scale * x ** (-params.alpha),
+                         scale * params.alpha * x ** (-(params.alpha + 1.0)))
 
 
 def truncated_cauchy_moments(gamma, a_cut: float) -> TruncatedCauchyMoments:
@@ -1433,14 +1423,13 @@ def truncated_cauchy_moments(gamma, a_cut: float) -> TruncatedCauchyMoments:
     return TruncatedCauchyMoments(*terms)
 
 
-# The body of a numeric moment integral: panels graded by factors of 2
-# from 2^-24 gamma towards u = 0, u = delta and u = delta + gamma zeta
-# (where Nolan's integrals switch sides), out to |u - delta| = R,
-# R = max(_MOMENT_BODY gamma, 2|delta|).
+# The body of a numeric moment integral in standard units, |z| <= R: R is the first power
+# of 2 from max(_MOMENT_BODY, 2|delta/gamma|), at most 2^1000, and its panels are halved at
+# most _MOMENT_HALVINGS times.  The tails beyond _MOMENT_FAR gammas from delta integrate as
+# the leading tail term, the survival function there to double precision for alpha >= 0.1
 _MOMENT_BODY = 1e4
-_MOMENT_FINEST = -24
-# the tails beyond this many gammas from delta integrate as the leading tail term,
-# which is the survival function there to double precision for alpha >= 0.1
+_MOMENT_HALVINGS = 50
+_MOMENT_SHARE = 2.0 ** -10
 _MOMENT_FAR = 1e250
 
 
@@ -1457,51 +1446,62 @@ def _strictly_stable_moment(params: StableParams, p: float) -> float:
 
 
 def _numeric_moment(params: StableParams, p: float) -> float:
-    """E|u|^p on fixed Gauss-Kronrod panels: |u|^p against the batch
-    density on the body |u - delta| <= R, and on each tail, integrated by
-    parts, p |u|^(p-1) against the batch survival function, which keeps
-    its relative precision far out where the density of an alpha = 1 law
-    does not.  Each tail runs through r = |u - delta| = R w^(-1/(alpha - p)),
-    w in (0, 1], under which its power-law integrand tends to the constant
-    p c (1 +- beta) gamma^alpha R^(p - alpha)/(alpha - p), with c the exact
-    tail constant.  Each tail panel in w covers a factor of 10 in r, so
-    that the integrand stays smooth on it however small alpha - p is, out
-    to `_MOMENT_FAR` gammas, beyond which it integrates as that limit."""
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    body = max(_MOMENT_BODY * g, 2.0 * abs(d))
-    steps = g * 2.0 ** np.arange(_MOMENT_FINEST, math.ceil(math.log2(body / g)) + 1)
-    switch = d - b * g * math.tan(math.pi * a / 2.0) if a != 1.0 else d
-    edges = np.concatenate([[0.0, d - body, d + body], d - steps, d + steps, -steps, steps,
-                            switch - steps, switch + steps])
-    edges = np.unique(edges[np.abs(edges - d) <= body])
-    u, half = _gk_nodes(edges[:-1], edges[1:])
-    f = np.abs(u) ** p * _standard_pdf(a, b, (u - d) / g) / g
-    val, err = _gk_sum(f, half)
-    total, error = val.sum(), err.sum()
-    # log(r/body) at the tail panels' edges, out to where the integrand takes
-    # its limit `lead`; r stays below 1e300 and w above e^-700
-    top = max(0.0, min(math.log(min(_MOMENT_FAR * g, 1e300) / body), 700.0 / (a - p)))
-    log_ratio = np.append(np.arange(0.0, top, math.log(10.0)), top)
-    w_edges = np.exp(-(a - p) * log_ratio[::-1])
+    """E|u|^p = unit^p Int |d + g z|^p rho(z) dz, z = (u - delta)/gamma, with unit =
+    max(gamma, |delta|), d = delta/unit and g = gamma/unit, so that no power of delta/gamma
+    is formed, and rho the batch density.  The body |z| <= R starts from panels between
+    0, +-2^k, the kink z = -delta/gamma and the side switch zeta of Nolan's integrals,
+    and `_halving` halves each panel whose error estimate passes _MOMENT_SHARE of the
+    first pass's tolerance.  Each tail, by parts, is p |d + g z|^(p-1) g against the batch
+    survival function, which keeps its relative precision far out where the density of
+    an alpha = 1 law does not, through r = |z| = R w^(-1/(alpha - p)), w in (0, 1]: the
+    integrand tends to p c (1 +- beta) g^p R^(p - alpha)/(alpha - p), c the exact tail
+    constant, and each panel in w covers a factor of 10 in r, so that it stays smooth
+    however small alpha - p is.  A moment past the float range raises OutOfRangeError."""
+    a, b, gamma, delta = params.alpha, params.beta, params.gamma, params.delta
+    unit = max(gamma, abs(delta))
+    d, g = delta / unit, gamma / unit
+    k = math.ceil(min(math.log2(max(_MOMENT_BODY, 2.0 * abs(delta) / gamma)), 1000.0))
+    steps = 2.0 ** np.arange(k + 1.0)
+    body = steps[-1]
+    switch = -b * math.tan(math.pi * a / 2.0) if a != 1.0 else 0.0
+    edges = np.concatenate([[0.0, -delta / gamma, switch], -steps, steps])
+    edges = np.unique(np.clip(edges, -body, body))
+    # log(r/body) at the tail panels' edges, out to where the integrand is `lead`; w > e^-700
+    top = max(0.0, min(math.log(_MOMENT_FAR / body), 700.0 / (a - p)))
+    w_edges = np.exp(-(a - p) * np.append(np.arange(0.0, top, math.log(10.0)), top)[::-1])
     w, w_half = _gk_nodes(w_edges[:-1], w_edges[1:])
     r = body * w ** (-1.0 / (a - p))
-    c = _tail_constant(a)
-    for sign in (1.0, -1.0):
-        # P[u - delta > r] on the right, P[u - delta < -r] on the left
+    total = error = 0.0
+    for sign in (1.0, -1.0):  # P[z > r] on the right, P[z < -r] on the left
         skew = sign * b
-        edge_sf = float(_standard_sf(a, skew, body / g))
-        tail_sf = _standard_sf(a, skew, r / g)
-        lead = p * c * (1.0 + skew) * g ** a * body ** (p - a) / (a - p)
-        f = p * np.abs(d + sign * r) ** (p - 1.0) * tail_sf * r / (w * (a - p))
+        lead = p * _tail_constant(a) * (1.0 + skew) * g ** p * body ** (p - a) / (a - p)
+        f = p * np.abs(d + sign * g * r) ** (p - 1.0) * _standard_sf(a, skew, r) * g * r / (w * (a - p))
         val, err = _gk_sum(f, w_half)
-        total += abs(d + sign * body) ** p * edge_sf + val.sum() + lead * w_edges[0]
+        total += abs(d + sign * g * body) ** p * float(_standard_sf(a, skew, body))
+        total += val.sum() + lead * w_edges[0]
         error += err.sum()
+    tol = None
+
+    def panels(lo, hi):
+        z, half = _gk_nodes(lo, hi)
+        return _gk_sum(np.abs(d + g * z) ** p * _standard_pdf(a, b, z), half)
+
+    def accept(val, err):
+        nonlocal tol
+        if tol is None:  # the first pass sets the tolerance
+            tol = _MOMENT_SHARE * max(_ABS_TOL, _REL_TOL * abs(total + val.sum()))
+        return err <= tol
+
+    what = f"fractional moment of order {p} of {params}"
+    val, err = _halving(edges[:-1], edges[1:], panels, accept, _MOMENT_HALVINGS, what)[2:]
+    total, error = total + val.sum(), error + err.sum()
     if not _good_enough(total, error):
-        raise QuadratureFailureError(
-            f"fractional moment of order {p} of {params}: value {total!r} "
-            f"with error estimate {error!r}"
-        )
-    return float(total)
+        raise QuadratureFailureError(f"{what}: value {total!r} with error estimate {error!r}")
+    with np.errstate(over="ignore"):
+        value = float(np.float64(unit) ** p * total)
+    if value == math.inf:
+        raise OutOfRangeError("p", f"the {what} passes the float range")
+    return value
 
 
 def fractional_moment(params: StableParams, p: float) -> MomentValue:
@@ -1513,9 +1513,10 @@ def fractional_moment(params: StableParams, p: float) -> MomentValue:
     Samorodnitsky & Taqqu 1994, Property 1.2.17.  Gaussian laws (a
     confluent hypergeometric function of the location) and shifted
     symmetric Cauchy laws have closed forms too; every other law integrates it
-    against the batch Zolotarev density on fixed Gauss-Kronrod panels,
-    with the tails mapped onto a finite interval, and raises
-    QuadratureFailureError if the error estimate misses the tolerance.
+    against the batch Zolotarev density on adaptive Gauss-Kronrod panels
+    in standard units (`_numeric_moment`), with the tails mapped onto a
+    finite interval; it raises QuadratureFailureError if the error estimate
+    misses the tolerance, and OutOfRangeError past the float range.
     gamma = 0 is the point mass, with exact moment |delta|^p.
     """
     if not p > 0.0:
@@ -1530,8 +1531,7 @@ def fractional_moment(params: StableParams, p: float) -> MomentValue:
         std = params.gamma * math.sqrt(2.0)
         return MomentValue.finite(
             std ** p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
-            * float(hyp1f1(-p / 2.0, 0.5, -params.delta ** 2 / (2.0 * std * std)))
-        )
+            * float(hyp1f1(-p / 2.0, 0.5, -params.delta ** 2 / (2.0 * std * std))))
     if params.alpha == 1.0:
         shift = params.delta if params.beta == 0.0 else math.inf
     else:
@@ -1543,10 +1543,8 @@ def fractional_moment(params: StableParams, p: float) -> MomentValue:
     if params.is_symmetric_cauchy:
         # C(delta, gamma), p < 1: E|X|^p = Re[(gamma + i delta)^p] / cos(p pi/2)
         g, d = params.gamma, params.delta
-        return MomentValue.finite(
-            (g * g + d * d) ** (p / 2.0) * math.cos(p * math.atan2(d, g))
-            / math.cos(p * math.pi / 2.0)
-        )
+        return MomentValue.finite((g * g + d * d) ** (p / 2.0) * math.cos(p * math.atan2(d, g))
+                                  / math.cos(p * math.pi / 2.0))
     return MomentValue.finite(_numeric_moment(params, p))
 
 

@@ -440,6 +440,16 @@ class TestThreeSeries:
         with pytest.raises(QuadratureFailureError, match="Legendre"):
             stable._symmetric_truncated_term_tables(1.5, 1.0, np.log([1.0, 2.0]))
 
+    @pytest.mark.parametrize("alpha", [0.045, 0.03, 0.005])
+    def test_alpha_below_the_floor_is_out_of_range(self, alpha):
+        # at 0.045 the density missed its tolerance at 145 of the table's 2,688
+        # points, and at 0.03 at 1,260 of 4,320; at 0.005 rho(0) passes the float range
+        from stableinfer import OutOfRangeError, stable
+
+        with pytest.raises(OutOfRangeError) as info:
+            stable._symmetric_truncated_term_tables(alpha, 0.33, np.log([1.0, 2.0]))
+        assert info.value.parameter == "alpha"
+
     def test_survival_past_the_float_range_against_mpmath(self):
         from stableinfer.stable import _symmetric_truncated_term_tables
 

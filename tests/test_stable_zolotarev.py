@@ -481,6 +481,18 @@ class TestFarTailSeries:
             # the lower tail of the mirrored law, by reflection
             assert stable._standard_pdf(alpha, -beta, -z)[0] == pytest.approx(pdf, rel=1e-13)
 
+    @pytest.mark.parametrize("y", [1e-2, 1e-5, 1e-11])
+    @pytest.mark.parametrize("beta", [0.5, -0.5])
+    def test_skewed_alpha_one_tenth_next_to_zeta(self, beta, y):
+        # the spike of S(0.1, 0.5) on either side of zeta, 7.9e5 high, which
+        # the numeric moment integrates and its oracle's survival function
+        # crosses; the oracle takes the kernel's rounded zeta, as above
+        zeta = -beta * math.tan(math.pi * 0.1 / 2.0)
+        pdf, sf = (float(v) for v in _nolan_tail(0.1, beta, zeta + y, zeta))
+        z = np.array([zeta + y])
+        assert stable._standard_pdf(0.1, beta, z)[0] == pytest.approx(pdf, rel=1e-12)
+        assert stable._standard_sf(0.1, beta, z)[0] == pytest.approx(sf, rel=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.0 + stable._NEAR_ONE, 1.999), _betas)
     def test_terms_shrink_at_the_crossover(self, alpha, beta):
