@@ -10,10 +10,10 @@ malformed value, and every key the experiment does not read, is a
 config error before anything runs.  ``stableinfer run --config cfg.json
 [--out DIR] [--seed N]`` executes the experiment on those inputs and
 writes strict-JSON and CSV artifacts plus a manifest (file list with
-hashes, wall time, config hash).  Identical configs produce
-byte-identical numeric artifacts; every CSV carries a comment line with
-the config hash and seed.  Exit codes: 0 success, 2 config error,
-3 runtime/numeric failure.
+hashes, wall time, config hash, and the versions the last bits depend
+on).  Identical configs produce byte-identical numeric artifacts; every
+CSV carries a comment line with the config hash and seed.  Exit codes:
+0 success, 2 config error, 3 runtime/numeric failure.
 
 Importing this module loads numpy and, of the package, `errors`, `rng`,
 `stable` and `ensemble_io` only.  The other layers an experiment kind
@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -554,13 +555,28 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _versions() -> dict:
+    """Python, numpy, glibc and numpy's active CPU dispatch, on which the last
+    bits of the artifacts depend, and scipy if the run loaded it (it is not
+    imported for this)."""
+    features = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_features__
+    libc = "CS_GNU_LIBC_VERSION"
+    versions = {"python": sys.version, "numpy": np.__version__,
+                "glibc": os.confstr(libc) if libc in getattr(os, "confstr_names", {}) else None,
+                "numpy_cpu_features": sorted(k for k, on in features.items() if on)}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return versions
+
+
 def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
     """Execute the experiment; returns the manifest path.
 
     All numeric artifacts are deterministic functions of the config
-    (including its seed); the manifest additionally records wall time
-    and per-file content hashes.  A seed_override outside [0, 2^128)
-    raises ConfigError.
+    (including its seed); the manifest additionally records wall time,
+    per-file content hashes and, under `versions`, the software and CPU
+    dispatch of the run.  A seed_override outside [0, 2^128) raises
+    ConfigError.
     """
     if seed_override is not None:
         config = replace(config, seed=_integer(seed_override, "seed override", 0, _SEED_MAX))
@@ -576,6 +592,7 @@ def run(config: ExperimentConfig, out_dir, seed_override=None) -> Path:
         "config_hash": config_hash,
         "seed": config.seed,
         "wall_time_s": elapsed,
+        "versions": _versions(),
         "files": [
             {
                 "name": f.name,

@@ -11,14 +11,15 @@ convention).  Special members: S(2, 0, sigma/sqrt(2), m) is normal with
 mean m and standard deviation sigma, and S(1, 0, gamma, delta) is Cauchy
 with location delta and width gamma.
 
-The module provides validation, exact rejection-free sampling
-(Chambers-Mallows-Stuck transform mapped into parametrisation 0),
-closed-form Cauchy/normal densities, the closure rules under affine maps
-and independent sums, fractional absolute moments, power-law tail
-asymptotics, truncated Cauchy moments, the survival and truncated-moment
-tables of the symmetric law behind the three-series test
-(`_symmetric_truncated_term_tables`, on 16-point Gauss-Legendre panels
-in log s), and a one-dimensional KL divergence with divergence detection.
+The module provides validation, exact rejection-free sampling (the
+Chambers-Mallows-Stuck transform in parametrisation 0, its sines and cosines
+one polynomial of + and * alone, `_sin_quadrant`), closed-form Cauchy/normal
+densities, the closure rules under affine maps and independent sums,
+fractional absolute moments, power-law tail asymptotics, truncated Cauchy
+moments, the survival and truncated-moment tables of the symmetric law
+behind the three-series test (`_symmetric_truncated_term_tables`, on
+16-point Gauss-Legendre panels in log s), and a one-dimensional KL
+divergence with divergence detection.
 
 Every numerical integral runs on numpy arrays of 7/15-point Gauss-Kronrod
 panels (`_gk_sum`), with QUADPACK's error estimate and
@@ -220,6 +221,36 @@ def char_fn(params: StableParams, t):
 # sampling
 # ---------------------------------------------------------------------------
 
+# sin r = r + r*(z*P(z)), z = r^2, on [0, pi/2]; P (highest power first) is the least-squares
+# relative fit, in 40-digit mpmath, on 400 Chebyshev nodes in z.  Cody-Waite pairs for pi/2, pi
+_SIN_P = (2.721066875073698e-15, -7.642980306560046e-13, 1.6058939232146187e-10, -2.5052106862247402e-08,
+          2.7557319211005384e-06, -0.0001984126984120831, 0.008333333333333191, -0.16666666666666666)
+_PIO2, _PI = (1.5707963267948966, 6.123233995736766e-17), (3.141592653589793, 1.2246467991473532e-16)
+
+
+def _sin_quadrant(r, out=None):
+    """sin r for r in [0, pi/2] within 2 ulp, odd, from + and * alone; out must not be r."""
+    z = r * r
+    p = np.multiply(z, _SIN_P[0], out=out)
+    for c in _SIN_P[1:]:
+        p += c
+        p *= z
+    p *= r
+    p += r
+    return p
+
+
+def _sin(x, out=None):
+    """sin x for |x| <= pi; past pi/2 it is sin(pi - |x|), an exact difference."""
+    a = np.abs(x)
+    return _sin_quadrant(np.copysign(np.minimum(a, (_PI[0] - a) + _PI[1]), x), out)
+
+
+def _cos(x, out=None):
+    """cos x = sin(pi/2 - |x|) for |x| <= pi/2, and a little past it (negative)."""
+    return _sin_quadrant((_PIO2[0] - np.abs(x)) + _PIO2[1], out)
+
+
 def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of uniform pairs, parametrisation 0.
 
@@ -259,7 +290,7 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
         w_floor = 1e-300
     np.clip(w, w_floor, None, out=w)
     if alpha == 2.0:
-        np.sin(v, out=v)
+        _sin(v, out=v)
         v *= 2.0
         np.sqrt(w, out=w)
         v *= w
@@ -267,7 +298,7 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
     if alpha_one:
         b = math.pi / 2.0 + beta * v
         z = (2.0 / math.pi) * (
-            b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / b)
+            b * np.tan(v) - beta * np.log((math.pi / 2.0) * w * _cos(v) / b)
         )
         return z
     # at alpha < 1 every non-finite draw of this pass is formed again from
@@ -281,12 +312,12 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
             # would give zeta = -0 at alpha < 1, and z - zeta turns an
             # underflowed -0 into +0, so it takes the general expression
             z = np.multiply(alpha - 1.0, v, out=np.empty(v.shape))
-            np.cos(z, out=z)
+            _cos(z, out=z)
             np.divide(z, w, out=w)
             w **= (1.0 - alpha) / alpha  # the ** operator's own rounding, as below
             np.multiply(alpha, v, out=z)
-            np.sin(z, out=z)
-            np.cos(v, out=v)
+            _sin(z, out=z)
+            _cos(v, out=v)
             v **= 1.0 / alpha
             z /= v
             z *= w
@@ -294,9 +325,9 @@ def standard_stable_from_uniforms(alpha: float, beta, u1, u2) -> np.ndarray:
             zeta = beta * math.tan(math.pi * alpha / 2.0)
             t0 = np.arctan(zeta) / alpha
             z = np.asarray(
-                np.sin(alpha * (v + t0))
-                / (np.cos(alpha * t0) * np.cos(v)) ** (1.0 / alpha)
-                * (np.cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
+                _sin(alpha * (v + t0))
+                / (_cos(alpha * t0) * _cos(v)) ** (1.0 / alpha)
+                * (_cos(alpha * t0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
                 - zeta
             )
     if alpha < 1.0:
@@ -318,14 +349,14 @@ def _cms_from_logs(alpha: float, beta, u1, u2, w_floor: float) -> np.ndarray:
     w = np.clip(-np.log1p(-u2), w_floor, None)
     zeta = beta * math.tan(math.pi * alpha / 2.0)
     t0 = np.arctan(zeta) / alpha
-    head = np.sin(alpha * (v + t0))
+    head = _sin(alpha * (v + t0))
     # cos v > 0 for u1 in [0, 1) and |alpha * t0| < pi/2, so the bracket is
     # finite or -inf (the last cosine is >= 0 in exact arithmetic); one
     # division by alpha keeps a tiny alpha from making inf - inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_rest = ((1.0 - alpha)
-                    * (np.log(np.maximum(np.cos(alpha * t0 + (alpha - 1.0) * v), 0.0)) - np.log(w))
-                    - np.log(np.cos(alpha * t0)) - np.log(np.cos(v))) / alpha
+                    * (np.log(np.maximum(_cos(alpha * t0 + (alpha - 1.0) * v), 0.0)) - np.log(w))
+                    - np.log(_cos(alpha * t0)) - np.log(_cos(v))) / alpha
         size = np.exp(np.log(np.abs(head)) + log_rest)
     size[head == 0.0] = 0.0  # sin = 0 makes the draw -zeta, whatever the rest
     return np.copysign(size, head) - zeta
@@ -788,9 +819,10 @@ def _zolotarev_panels(law: _Zolotarev, x: np.ndarray, integrand: str, split: int
     return total, err
 
 
-def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale):
-    """scale * Integral for each point in chunks, with a refined second pass
-    for the points whose error estimate misses the tolerance."""
+def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale, whole=None):
+    """scale * Integral for each point in chunks, or whole - scale * Integral
+    where whole is given, with a refined second pass for the points whose
+    error estimate misses the tolerance of that value."""
     scale = np.broadcast_to(scale, x.shape)
     val = np.empty_like(x)
     err = np.empty_like(x)
@@ -800,33 +832,31 @@ def _zolotarev_integral(law: _Zolotarev, x: np.ndarray, integrand: str, scale):
         with np.errstate(all="ignore"):
             total, e = _zolotarev_panels(law, xs, integrand)
             v, e = sc * total, sc * e
-            redo = ~_good_enough(v, e)
+            redo = ~_good_enough(v if whole is None else whole - v, e)
             if redo.any():
                 total, e2 = _zolotarev_panels(law, xs[redo], integrand, split=_REFINE)
                 v[redo], e[redo] = sc[redo] * total, sc[redo] * e2
         val[part], err[part] = v, e
-    return val, err
+    return (val if whole is None else whole - val), err
 
 
-def _upper_lower(law: _Zolotarev, x: np.ndarray):
-    """(1/pi) Int (1 - e^-g) and (1/pi) Int e^-g, which add up to width/pi,
-    with the error estimate, per point.  Of the two integrands the one that
-    is small over the bulk of the interval (around t = s) is integrated and
-    the other follows, so that the smaller value keeps its precision."""
+def _upper_lower(law: _Zolotarev, x: np.ndarray, upper: bool):
+    """(1/pi) Int (1 - e^-g) if upper, else (1/pi) Int e^-g, with the error
+    estimate, per point; the two add up to width/pi.  Of the two integrands
+    the one that is small over the bulk of the interval (around t = s) is
+    integrated and the other follows, so that the smaller value keeps its
+    precision; the refined pass judges the value returned."""
     total = law.width / math.pi
     bulk_low = law.log_scale(x) + law.log_v(*law.ts(np.zeros(1))) < 0.0  # at t = s
-    upper = np.empty_like(x)
-    lower = np.empty_like(x)
+    val = np.empty_like(x)
     err = np.empty_like(x)
     for low in (True, False):
         pick = bulk_low == low
         if pick.any():
-            v, e = _zolotarev_integral(law, x[pick], "1-exp(-g)" if low else "exp(-g)",
-                                       1.0 / math.pi)
-            upper[pick] = v if low else total - v
-            lower[pick] = total - v if low else v
-            err[pick] = e
-    return upper, lower, err
+            val[pick], err[pick] = _zolotarev_integral(
+                law, x[pick], "1-exp(-g)" if low else "exp(-g)", 1.0 / math.pi,
+                None if low == upper else total)
+    return val, err
 
 
 # the terms of Bergström's series, and the largest sum_k |t_k| / |sum_k t_k|,
@@ -1159,8 +1189,7 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
         if want == "pdf":
             val[near], err[near] = _zolotarev_integral(law, xs, "g*exp(-g)", 0.5 / abs(beta))
         else:
-            upper, lower, err[near] = _upper_lower(law, xs)
-            val[near] = upper if beta > 0.0 else lower
+            val[near], err[near] = _upper_lower(law, xs, upper=beta > 0.0)
     else:
         law = _Zolotarev(alpha, beta)
         # closer than this to zeta the density is its value at zeta to
@@ -1189,8 +1218,7 @@ def _zolotarev(alpha: float, beta: float, x: np.ndarray, want: str):
                 v[near], e[near] = _zolotarev_integral(
                     side, xs[near], "g*exp(-g)", alpha / (math.pi * abs(alpha - 1.0) * y[near]))
             else:
-                upper, lower, e[near] = _upper_lower(side, xs[near])
-                v[near] = upper if alpha < 1.0 else lower
+                v[near], e[near] = _upper_lower(side, xs[near], upper=alpha < 1.0)
                 if mirror:
                     v = 1.0 - v  # P[X > x] = 1 - P[X' > -x] for the mirrored X'
             val[pick], err[pick] = v, e
@@ -1456,7 +1484,7 @@ def _numeric_moment(params: StableParams, p: float) -> float:
     an alpha = 1 law does not, through r = |z| = R w^(-1/(alpha - p)), w in (0, 1]: the
     integrand tends to p c (1 +- beta) g^p R^(p - alpha)/(alpha - p), c the exact tail
     constant, and each panel in w covers a factor of 10 in r, so that it stays smooth
-    however small alpha - p is.  A moment past the float range raises OutOfRangeError."""
+    however small alpha - p is.  A moment past the float range is inf."""
     a, b, gamma, delta = params.alpha, params.beta, params.gamma, params.delta
     unit = max(gamma, abs(delta))
     d, g = delta / unit, gamma / unit
@@ -1498,10 +1526,7 @@ def _numeric_moment(params: StableParams, p: float) -> float:
     if not _good_enough(total, error):
         raise QuadratureFailureError(f"{what}: value {total!r} with error estimate {error!r}")
     with np.errstate(over="ignore"):
-        value = float(np.float64(unit) ** p * total)
-    if value == math.inf:
-        raise OutOfRangeError("p", f"the {what} passes the float range")
-    return value
+        return float(np.float64(unit) ** p * total)
 
 
 def fractional_moment(params: StableParams, p: float) -> MomentValue:
@@ -1521,17 +1546,28 @@ def fractional_moment(params: StableParams, p: float) -> MomentValue:
     """
     if not p > 0.0:
         raise OutOfRangeError("p", "moment order must be > 0")
-    if params.gamma == 0.0:
-        return MomentValue.finite(abs(params.delta) ** p)
-    if params.alpha < 2.0 and p >= params.alpha:
+    if params.gamma > 0.0 and params.alpha < 2.0 and p >= params.alpha:
         return MomentValue.infinite()
+    try:
+        value = _finite_moment(params, p)
+    except OverflowError:  # a float power or gamma function of a closed form
+        value = math.inf
+    if value == math.inf:
+        raise OutOfRangeError("p", f"the fractional moment of order {p} of {params} passes "
+                                   "the float range")
+    return MomentValue.finite(value)
+
+
+def _finite_moment(params: StableParams, p: float) -> float:
+    """E|u|^p where it is finite, or inf where it passes the float range."""
+    if params.gamma == 0.0:
+        return abs(params.delta) ** p
     if params.is_gaussian:
         # N(m, s^2): E|X|^p = s^p 2^(p/2) Gamma((p+1)/2)/sqrt(pi) 1F1(-p/2; 1/2; -m^2/(2 s^2))
         from scipy.special import hyp1f1
         std = params.gamma * math.sqrt(2.0)
-        return MomentValue.finite(
-            std ** p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
-            * float(hyp1f1(-p / 2.0, 0.5, -params.delta ** 2 / (2.0 * std * std))))
+        return (std ** p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+                * float(hyp1f1(-p / 2.0, 0.5, -params.delta ** 2 / (2.0 * std * std))))
     if params.alpha == 1.0:
         shift = params.delta if params.beta == 0.0 else math.inf
     else:
@@ -1539,13 +1575,12 @@ def fractional_moment(params: StableParams, p: float) -> MomentValue:
     # a shift at rounding level of the location counts as strictly stable;
     # the moment moves by a relative O(shift/gamma) with it
     if abs(shift) <= 1e-12 * (abs(params.delta) + params.gamma):
-        return MomentValue.finite(_strictly_stable_moment(params, p))
+        return _strictly_stable_moment(params, p)
     if params.is_symmetric_cauchy:
         # C(delta, gamma), p < 1: E|X|^p = Re[(gamma + i delta)^p] / cos(p pi/2)
         g, d = params.gamma, params.delta
-        return MomentValue.finite((g * g + d * d) ** (p / 2.0) * math.cos(p * math.atan2(d, g))
-                                  / math.cos(p * math.pi / 2.0))
-    return MomentValue.finite(_numeric_moment(params, p))
+        return math.hypot(g, d) ** p * math.cos(p * math.atan2(d, g)) / math.cos(p * math.pi / 2.0)
+    return _numeric_moment(params, p)
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,9 @@ class TestRunExperiments:
         assert {f["name"]: f["sha256"] for f in manifest["files"]} == {
             "cauchy_fields.csv": "12a58ecc0ac6c1f5e90e43140ddab1a7666e37d675605317c3a62a3841e6d7b2",
             "cauchy_fields.sfe1": "f1abab25c24962bbe034790254fab341e23f6b0d6765588157f6a04dea543b19",
-            "gaussian_fields.csv": "61ace1e73373a7c59bc129de105ce308e8fb0bba37233a899726c222b35dd322",
-            "gaussian_fields.sfe1": "5aa0b569a24afb53e3a581d36b7ae6396da6701e7bdcb2a9ec6ef1ef18816ab8",
-            "gallery_summary.json": "80a11559d2436249941f67ec35199a3fcd1562889546febb28022be298a7bc72",
+            "gaussian_fields.csv": "39a31e25a3984e061fb428a2f5de3b0cb5a0783b14aa4be9b729043065a18f59",
+            "gaussian_fields.sfe1": "f428a74b78df8ef54b9e52bb9c98f4c6d6cab3df9e794ec28043173636318e83",
+            "gallery_summary.json": "a19dd522bc5b7a57cd5f836272ea7ec744ce558792e7f390b7eb5d48d962b101",
         }
         hashes = {family: _gallery_spec(family, 13, 2 ** 14).spec_hash()
                   for family in ("cauchy", "gaussian")}

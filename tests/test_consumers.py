@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,3 +114,52 @@ def test_demo_config_artifacts_keep_their_digests(tmp_path, config):
     # every artifact the run reports is pinned, so a new one must be added to the digests
     manifest = json.loads((tmp_path / config.stem / "manifest.json").read_text())
     assert {f"{config.stem}/{f['name']}": f["sha256"] for f in manifest["files"]} == want
+
+
+# The CMS sampler's sines and cosines are built from +, - and * alone, so
+# glibc's FMA and AVX2 variants of sin and cos, masked here, no longer move
+# the gallery or the alpha = 1.5 flom run.  numpy's AVX-512 loops
+# (NPY_DISABLE_CPU_FEATURES) still move the galleries, through tan and log1p,
+# so that mask is not tried; where those loops are off, numpy takes tan,
+# log1p and ** from glibc, whose FMA variants this mask moves, and the test
+# does not apply.  A glibc that ignores the tunable runs its default
+# setting, which must match as well.
+_GLIBC_FMA_MASK = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable,-AVX512F"
+_NUMPY_AVX512 = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_features__["AVX512_SKX"]
+_DIGESTS = """
+import json, sys
+from stableinfer.cli import run, validate_config
+digests = {}
+for name, text in json.loads(sys.argv[1]).items():
+    manifest = json.loads(run(validate_config(text), name).read_text())
+    digests.update({name + "/" + f["name"]: f["sha256"] for f in manifest["files"]})
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(not _NUMPY_AVX512, reason="numpy's tan, log1p and ** come from glibc here")
+def test_sampler_digests_hold_under_glibc_fma_mask(tmp_path):
+    configs = json.dumps({
+        "gallery": (ROOT / "demos" / "configs" / "gallery.json").read_text(),
+        # the 13-level gallery of test_cli's test_gallery_13_levels_digests
+        "gallery_13_levels": json.dumps({"experiment": "figure2", "seed": 11, "params": {
+            "levels": 13, "n_samples": 2, "grid_size": 2 ** 14}}),
+        "flom_alpha1.5": json.dumps({"experiment": "flom", "seed": 5, "params": {
+            "prior": {"alpha": 1.5, "gamma": {"kind": "power", "amplitude": 1.0, "exponent": 1.0},
+                      "truncation": 64},
+            "p": 0.5, "q": 0.5, "n_samples": 2 * 10 ** 4}}),
+    })
+    digests = []
+    for mask in (None, _GLIBC_FMA_MASK):
+        env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if mask:
+            env["GLIBC_TUNABLES"] = mask
+        out = tmp_path / ("masked" if mask else "default")
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _DIGESTS, configs], cwd=out, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert len(digests[0]) == 12  # five files per gallery, two for flom
+    assert digests[1] == digests[0]

@@ -137,3 +137,30 @@ def test_lazy_imports_show_in_importtime(tmp_path):
     reported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert {"stableinfer", "stableinfer.bayes", "stableinfer.stable"} <= reported
+
+
+def test_manifest_records_the_versions_without_importing_scipy(tmp_path):
+    # the last bits of the artifacts depend on these (README: host classes)
+    config = json.dumps({"experiment": "flom", "seed": 3, "params": SMALL_PARAMS["flom"]})
+    proc = _python(f"""
+        import json
+        import os
+        import sys
+
+        import numpy as np
+        from numpy._core._multiarray_umath import __cpu_features__
+        from stableinfer import cli
+
+        def versions(out):
+            return json.loads(cli.run(cli.validate_config({config!r}), out).read_text())["versions"]
+
+        first = versions("a")
+        assert "scipy" not in sys.modules and "scipy" not in first, first
+        assert first == {{
+            "python": sys.version, "numpy": np.__version__,
+            "glibc": os.confstr("CS_GNU_LIBC_VERSION"),
+            "numpy_cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}}
+        import scipy
+        assert versions("b") == dict(first, scipy=scipy.__version__)
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr

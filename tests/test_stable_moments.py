@@ -133,6 +133,33 @@ class TestFractionalMoment:
         with pytest.raises(OutOfRangeError):
             fractional_moment(validate_params(1.9, 0.5, 1.0, 1e200), 1.8)
 
+    @pytest.mark.parametrize("alpha,beta,gamma,delta,p", [
+        (1.9, 0.5, 1e200, None, 1.8),  # strictly stable, about 1e360
+        (1.0, 0.0, 0.0, 1e200, 1.8),  # point mass, 1e360
+        (2.0, 0.0, 1e200, 0.0, 4.0),  # Gaussian, about 1e801
+    ])
+    def test_closed_form_past_the_float_range_is_out_of_range(self, alpha, beta, gamma, delta, p):
+        # each raised a bare OverflowError
+        if delta is None:  # the strictly stable location
+            delta = beta * gamma * math.tan(math.pi * alpha / 2.0)
+        with pytest.raises(OutOfRangeError):
+            fractional_moment(validate_params(alpha, beta, gamma, delta), p)
+
+    def test_shifted_cauchy_near_the_float_range_stays_finite(self):
+        # gamma^2 + delta^2 overflowed and the moment came back as inf; by
+        # scaling, E|u|^p = gamma^p E|C(1, 1)|^p, here about 6.6e180.  The
+        # oracle takes the tails |u - 1| > 9 through u = 1 +- s^-10, where
+        # they are smooth in s
+        def f(u):
+            return abs(u) ** mp.mpf(0.9) / (mp.pi * (1 + (u - 1) ** 2))
+
+        with mp.workdps(30):
+            unit = mp.quad(f, [-8, 0, 1, 10]) + sum(
+                mp.quad(lambda s: f(1 + side * s ** -10) * 10 * s ** -11, [0, mp.mpf(9) ** -0.1])
+                for side in (1, -1))
+        out = fractional_moment(validate_params(1.0, 0.0, 1e200, 1e200), 0.9)
+        assert out.value == pytest.approx(float(unit * mp.mpf(1e200) ** mp.mpf(0.9)), rel=1e-13)
+
     def test_skewed_alpha_one_tenth_against_survival_functions(self):
         # the density is a spike 7.9e5 high at delta + gamma zeta, where panels
         # graded down to 2^-24 gamma left an error estimate of 0.017.  The
